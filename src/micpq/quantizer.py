@@ -179,15 +179,23 @@ def hard_assign(segment: np.ndarray, book: np.ndarray) -> int:
     return int(np.argmin(squared_distances(segment, book)))
 
 
+def hard_assign_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
+    """(n, M) nearest-codeword indices of each row's M segments against
+    (M, K, sub_dim) books, bit for bit as :func:`hard_assign_batch` per book."""
+    refined = np.asarray(refined)
+    n_books, _, sub = books.shape
+    segments = refined.reshape(refined.shape[0], n_books, sub).transpose(1, 0, 2)
+    d2 = (
+        np.einsum("mnd,mnd->mn", segments, segments)[:, :, None]
+        - 2.0 * segments @ books.transpose(0, 2, 1)
+        + np.einsum("mkd,mkd->mk", books, books)[:, None, :]
+    )
+    return np.argmin(d2, axis=2).T
+
+
 def hard_assign_batch(segments: np.ndarray, book: np.ndarray) -> np.ndarray:
     """Nearest-codeword index for every row of ``segments``."""
-    segments = np.asarray(segments)
-    d2 = (
-        np.einsum("nd,nd->n", segments, segments)[:, None]
-        - 2.0 * segments @ book.T
-        + np.einsum("kd,kd->k", book, book)[None, :]
-    )
-    return np.argmin(d2, axis=1)
+    return hard_assign_books(segments, np.asarray(book)[None])[:, 0]
 
 
 def sample_assignment(segment: np.ndarray, book: np.ndarray, gumbel: np.ndarray) -> int:
@@ -226,9 +234,7 @@ def reconstruct(books: CodebookSet, code: QuantCode) -> np.ndarray:
         raise DimMismatchError(
             f"code has {code.n_codebooks} indices, books have {books.n_codebooks}"
         )
-    return np.concatenate(
-        [books.books[m, code.indices[m]] for m in range(books.n_codebooks)]
-    )
+    return books.books[np.arange(books.n_codebooks), code.indices].reshape(-1)
 
 
 def pack_codes(indices: np.ndarray, n_codewords: int) -> bytes:

@@ -1,22 +1,26 @@
 """Compact retrieval index and asymmetric-distance search.
 
-A corpus is stored as hard-assigned codeword indices, bit-packed to
-``M * log2(K)`` bits per document when K is a power of two.  A query is
-refined once (dropout disabled), a per-query M x K table of squared
-distances to every codeword is built, and each document's distance is
-the sum of M table lookups, which equals the squared Euclidean distance
-between the refined query and the document's reconstructed codeword.
+A corpus's codes are resident in one layout: bit-packed to ``M * log2(K)``
+bits per document when K is a power of two (column-major, so each byte
+position is one contiguous run), else one uint16 per sub-index.  A query
+is refined once (dropout disabled) into an M x K table of squared
+distances to every codeword; a document's distance is the sum of its M
+entries, the squared distance from the refined query to its reconstructed
+codeword.  When log2(K) divides 8 the table is folded into one 256-entry
+table per code byte and the scan reads the packed bytes directly; byte
+sums add as a tree of pairs, numpy's own order at M=8, K=16.  K = 2 also
+ranks by Hamming distance, the popcount of packed query XOR document.
+Top-k partitions around the k-th distance and sorts only the documents at
+or below it, ties included, by (distance, doc id).
 
-The extreme configuration (K = 2, one bit per codebook) additionally
-supports ranking by Hamming distance over the packed codes.
-
-Index file layout (little-endian): magic ``MICPQIDX`` | version u32 |
-M u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32 |
-doc ids n_docs u64 | codes (packed bytes for power-of-two K, otherwise
+Index file layout (little-endian, unchanged): magic ``MICPQIDX`` | version
+u32 | M u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32
+| doc ids n_docs u64 | codes (packed row by row for power-of-two K, else
 one u16 per sub-index).
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -29,6 +33,7 @@ from .errors import (
     ConfigMismatchError,
     DimMismatchError,
     EmptyIndexError,
+    FileFormatError,
     IndexOutOfRangeError,
     InvalidConfigError,
     KNot2Error,
@@ -38,7 +43,9 @@ from .errors import (
 from .quantizer import (
     CodebookSet,
     QuantCode,
+    bits_per_index,
     hard_assign_batch,
+    hard_assign_books,
     pack_codes_batch,
     packed_code_nbytes,
     unpack_codes_batch,
@@ -47,53 +54,63 @@ from .trainer import ModelState
 
 MAGIC_INDEX = b"MICPQIDX"
 INDEX_VERSION = 1
+_HEADER = struct.Struct("<IIIIQ")
+SCAN_ROWS = 65536  # rows unpacked at a time when log2(K) does not divide 8
 
 
 def _is_pow2(k: int) -> bool:
     return k >= 2 and k & (k - 1) == 0
 
 
-@dataclass
+def _checked_codes(codes, n_books: int, n_words: int) -> np.ndarray:
+    """An (n, M) sub-index matrix as contiguous uint16, every index below K."""
+    codes = np.ascontiguousarray(codes, dtype=np.uint16)
+    if codes.ndim != 2 or codes.shape[1] != n_books:
+        raise DimMismatchError(f"codes shape {codes.shape} does not match {n_books} codebooks")
+    if np.any(codes >= n_words):
+        raise IndexOutOfRangeError(f"code index >= K={n_words}")
+    return codes
+
+
 class RetrievalIndex:
-    """Frozen codebooks plus the corpus's codes and document ids."""
+    """Frozen codebooks, document ids and the corpus's codes.
 
-    books: CodebookSet
-    codes: np.ndarray    # (n_docs, M) uint16
-    doc_ids: np.ndarray  # (n_docs,) uint64
-    packed: np.ndarray | None = None  # (n_docs, bytes_per_code) uint8 when K is 2^b
+    Give either ``codes``, an (n_docs, M) sub-index matrix, or ``packed``,
+    the (n_docs, bytes_per_code) payload of a power-of-two K.  Only one
+    layout is kept: ``packed`` for power-of-two K, else uint16 codes.
+    """
 
-    def __post_init__(self) -> None:
-        self.codes = np.ascontiguousarray(self.codes, dtype=np.uint16)
-        self.doc_ids = np.ascontiguousarray(self.doc_ids, dtype=np.uint64)
-        if self.codes.ndim != 2 or self.codes.shape[1] != self.books.n_codebooks:
+    def __init__(self, books: CodebookSet, codes=None, doc_ids=None, packed=None) -> None:
+        self.books = books
+        self.doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
+        n_books, n_words = books.n_codebooks, books.n_codewords
+        self._codes = None if packed is not None else _checked_codes(codes, n_books, n_words)
+        if packed is None and _is_pow2(n_words):
+            packed, self._codes = pack_codes_batch(self._codes, n_words), None
+        self.packed = None if packed is None else np.asfortranarray(packed, dtype=np.uint8)
+        stored = self._codes if packed is None else self.packed
+        width = n_books if packed is None else packed_code_nbytes(n_books, n_words)
+        if stored.shape != (len(self.doc_ids), width):
             raise DimMismatchError(
-                f"codes shape {self.codes.shape} does not match {self.books.n_codebooks} codebooks"
+                f"codes of shape {stored.shape} for {len(self.doc_ids)} doc ids "
+                f"(width {width} expected)"
             )
-        if self.doc_ids.shape[0] != self.codes.shape[0]:
-            raise DimMismatchError("doc_ids and codes disagree on the document count")
-        if np.any(self.codes >= self.books.n_codewords):
-            raise IndexOutOfRangeError(f"code index >= K={self.books.n_codewords}")
-        if self.packed is None and _is_pow2(self.books.n_codewords):
-            self.packed = pack_codes_batch(self.codes, self.books.n_codewords)
-        if self.packed is not None:
-            expected = self.n_docs * packed_code_nbytes(
-                self.books.n_codebooks, self.books.n_codewords
-            )
-            if self.packed.size != expected:
-                raise InvalidConfigError(
-                    f"packed payload is {self.packed.size} bytes, expected {expected}"
-                )
+
+    @property
+    def codes(self) -> np.ndarray:
+        """(n_docs, M) uint16 sub-indices, unpacked afresh when K is a power of two."""
+        if self._codes is not None:
+            return self._codes
+        return unpack_codes_batch(self.packed, self.books.n_codebooks, self.books.n_codewords)
 
     @property
     def n_docs(self) -> int:
-        return self.codes.shape[0]
+        return self.doc_ids.shape[0]
 
     @property
     def payload_nbytes(self) -> int:
         """Size of the stored code payload in bytes."""
-        if self.packed is not None:
-            return int(self.packed.size)
-        return int(self.codes.size * 2)
+        return int((self.packed if self._codes is None else self._codes).nbytes)
 
 
 @dataclass
@@ -121,6 +138,7 @@ def build_index(
     refined = forward_batch(model.encoder, values)
     sub = model.books.sub_dim
     codes = np.empty((values.shape[0], model.books.n_codebooks), dtype=np.uint16)
+    # one book at a time keeps the (n, K) distance matrix small
     for m in range(model.books.n_codebooks):
         codes[:, m] = hard_assign_batch(refined[:, m * sub:(m + 1) * sub], model.books.books[m])
     if ids is None:
@@ -135,12 +153,61 @@ def build_lut(query_refined, books: CodebookSet) -> DistanceLUT:
         raise DimMismatchError(
             f"refined query length {values.shape[0]} != codebooks' width {books.dim}"
         )
-    sub = books.sub_dim
-    table = np.empty((books.n_codebooks, books.n_codewords), dtype=np.float32)
-    for m in range(books.n_codebooks):
-        diff = books.books[m] - values[m * sub:(m + 1) * sub]
-        table[m] = np.einsum("kd,kd->k", diff, diff)
-    return DistanceLUT(table)
+    diff = books.books - values.reshape(books.n_codebooks, 1, books.sub_dim)
+    return DistanceLUT(np.einsum("mkd,mkd->mk", diff, diff).astype(np.float32))
+
+
+def _pairwise(parts: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 as a balanced tree of pairs: ((p0 + p1) + (p2 + p3))
+    for four parts, which is how numpy sums a contiguous row of eight."""
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts = np.concatenate([parts, np.zeros_like(parts[:1])])
+        parts = parts[0::2] + parts[1::2]
+    return parts[0]
+
+
+def _byte_tables(table: np.ndarray, bits: int) -> np.ndarray:
+    """(bytes_per_code, 256) table: entry (j, v) is the summed distance of
+    the sub-indices that value v stores in byte j of a packed code."""
+    n_books, n_words = table.shape
+    per_byte = 8 // bits
+    n_bytes = -(-n_books // per_byte)
+    rows = np.pad(table, ((0, n_bytes * per_byte - n_books), (0, 0)))  # padding adds 0
+    slot = np.arange(per_byte)[:, None]
+    fields = (np.arange(256) >> (slot * bits)) & (n_words - 1)
+    entries = rows.reshape(n_bytes, per_byte, n_words)[:, slot, fields]
+    return _pairwise(entries.transpose(1, 0, 2))
+
+
+def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    return table[np.arange(table.shape[0]), codes].sum(axis=1)
+
+
+def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
+    """Asymmetric distances for every document of a :class:`RetrievalIndex`,
+    or for every row of an (n, M) sub-index matrix."""
+    table = lut.table
+    n_books, n_words = table.shape
+    if isinstance(codes, RetrievalIndex):
+        if codes.books.books.shape[:2] != table.shape:
+            raise DimMismatchError(f"table shape {table.shape} does not match the index's books")
+        packed, codes = codes.packed, codes._codes
+    else:
+        codes = _checked_codes(codes, n_books, n_words)
+        packed = pack_codes_batch(codes, n_words) if _is_pow2(n_words) else None
+    if packed is None:
+        return _gather(table, codes)
+    bits = bits_per_index(n_words)
+    if 8 % bits == 0:
+        tables = _byte_tables(table, bits)
+        columns = packed.T + 256 * np.arange(len(tables))[:, None]
+        return _pairwise(tables.ravel().take(columns))
+    out = np.empty(packed.shape[0], table.dtype)
+    for start in range(0, len(out), SCAN_ROWS):
+        chunk = unpack_codes_batch(packed[start:start + SCAN_ROWS], n_books, n_words)
+        out[start:start + SCAN_ROWS] = _gather(table, chunk)
+    return out
 
 
 def adc_distance(lut: DistanceLUT, code: QuantCode) -> float:
@@ -149,26 +216,25 @@ def adc_distance(lut: DistanceLUT, code: QuantCode) -> float:
         raise DimMismatchError(
             f"code has {code.n_codebooks} indices, table has {lut.table.shape[0]} rows"
         )
-    if np.any(code.indices >= lut.table.shape[1]):
-        raise IndexOutOfRangeError("code index outside the distance table")
-    return float(lut.table[np.arange(lut.table.shape[0]), code.indices].sum())
-
-
-def adc_distances(lut: DistanceLUT, codes: np.ndarray) -> np.ndarray:
-    """Vectorized asymmetric distances for an (n, M) code matrix."""
-    codes = np.asarray(codes)
-    if np.any(codes >= lut.table.shape[1]):
-        raise IndexOutOfRangeError("code index outside the distance table")
-    gathered = lut.table[np.arange(lut.table.shape[0])[None, :], codes]
-    return gathered.sum(axis=1)
+    return float(adc_distances(lut, code.indices[None, :])[0])
 
 
 def _ranked(doc_ids: np.ndarray, distances: np.ndarray, k: int) -> list[tuple[int, float]]:
-    order = np.lexsort((doc_ids, distances))[: min(k, doc_ids.shape[0])]
-    return [(int(doc_ids[i]), float(distances[i])) for i in order]
+    if k < len(distances):
+        # every row at or below the k-th distance; all rows if that is NaN
+        rows = np.flatnonzero(~(distances > np.partition(distances, k - 1)[k - 1]))
+    else:
+        rows = np.arange(len(distances))
+    rows = rows[np.lexsort((doc_ids[rows], distances[rows]))[:k]]
+    return list(zip(doc_ids[rows].tolist(), distances[rows].astype(np.float64).tolist()))
 
 
-def _refine_query(model: ModelState, query_embedding: np.ndarray) -> np.ndarray:
+def _refine_query(index: RetrievalIndex, model: ModelState, query_embedding, k: int) -> np.ndarray:
+    """Check k and the index, then refine the query with dropout disabled."""
+    if k < 1:
+        raise InvalidConfigError("k must be >= 1")
+    if index.n_docs == 0:
+        raise EmptyIndexError("cannot search an empty index")
     query = np.asarray(query_embedding)
     if query.ndim != 1 or query.shape[0] != model.encoder.d_in:
         raise DimMismatchError(
@@ -182,13 +248,8 @@ def search_topk(
 ) -> list[tuple[int, float]]:
     """Top-k documents by asymmetric distance, ascending; ties break on
     ascending doc id.  Returns min(k, n_docs) (doc_id, distance) pairs."""
-    if k < 1:
-        raise InvalidConfigError("k must be >= 1")
-    if index.n_docs == 0:
-        raise EmptyIndexError("cannot search an empty index")
-    refined = _refine_query(model, query_embedding)
-    lut = build_lut(refined, index.books)
-    return _ranked(index.doc_ids, adc_distances(lut, index.codes), k)
+    lut = build_lut(_refine_query(index, model, query_embedding, k), index.books)
+    return _ranked(index.doc_ids, adc_distances(lut, index), k)
 
 
 def hamming_distance(a: QuantCode, b: QuantCode) -> int:
@@ -209,23 +270,14 @@ def search_topk_hamming(
 ) -> list[tuple[int, float]]:
     """Top-k by Hamming distance between the query's own hard code and
     each stored code; requires an index built with K = 2."""
-    if k < 1:
-        raise InvalidConfigError("k must be >= 1")
     if index.books.n_codewords != 2:
         raise KNot2Error(
             f"hamming search requires an index with K=2, got K={index.books.n_codewords}"
         )
-    if index.n_docs == 0:
-        raise EmptyIndexError("cannot search an empty index")
-    refined = _refine_query(model, query_embedding)
-    sub = index.books.sub_dim
-    query_code = np.empty(index.books.n_codebooks, dtype=np.uint16)
-    for m in range(index.books.n_codebooks):
-        query_code[m] = hard_assign_batch(
-            refined[None, m * sub:(m + 1) * sub], index.books.books[m]
-        )[0]
-    distances = (index.codes != query_code).sum(axis=1).astype(np.float64)
-    return _ranked(index.doc_ids, distances, k)
+    refined = _refine_query(index, model, query_embedding, k)
+    query = pack_codes_batch(hard_assign_books(refined[None, :], index.books.books), 2)[0]
+    differ = np.bitwise_count(index.packed.T ^ query[:, None])
+    return _ranked(index.doc_ids, differ.sum(axis=0, dtype=np.int64), k)
 
 
 def save_index(index: RetrievalIndex, path) -> None:
@@ -233,67 +285,39 @@ def save_index(index: RetrievalIndex, path) -> None:
     books = index.books
     with open(path, "wb") as f:
         f.write(MAGIC_INDEX)
-        f.write(
-            struct.pack(
-                "<IIIIQ",
-                INDEX_VERSION,
-                books.n_codebooks,
-                books.n_codewords,
-                books.sub_dim,
-                index.n_docs,
-            )
-        )
+        f.write(_HEADER.pack(
+            INDEX_VERSION, books.n_codebooks, books.n_codewords, books.sub_dim, index.n_docs
+        ))
         f.write(np.ascontiguousarray(books.books, dtype="<f4").tobytes())
         f.write(index.doc_ids.astype("<u8", copy=False).tobytes())
-        if index.packed is not None:
-            f.write(index.packed.tobytes())
-        else:
-            f.write(index.codes.astype("<u2", copy=False).tobytes())
+        stored = index.codes.astype("<u2", copy=False) if index.packed is None else index.packed
+        f.write(stored.tobytes())  # row by row, whatever the memory order
 
 
 def load_index(path) -> RetrievalIndex:
-    """Read an index file written by :func:`save_index`."""
+    """Read an index file written by :func:`save_index`.  A file whose size
+    differs from what its header declares is rejected before any read."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC_INDEX:
             raise BadMagicError(f"expected magic {MAGIC_INDEX!r} at byte 0, found {magic!r}")
-        header_size = struct.calcsize("<IIIIQ")
-        header = f.read(header_size)
-        if len(header) != header_size:
+        header = f.read(_HEADER.size)
+        if len(header) != _HEADER.size:
             raise TruncatedFileError(f"file truncated at byte {8 + len(header)} in header")
-        version, n_books, n_words, sub_dim, n_docs = struct.unpack("<IIIIQ", header)
+        version, n_books, n_words, sub_dim, n_docs = _HEADER.unpack(header)
         if version != INDEX_VERSION:
             raise VersionMismatchError(f"unsupported index version {version}")
-        offset = 8 + header_size
-
-        def read_block(n_bytes: int, what: str) -> bytes:
-            nonlocal offset
-            data = f.read(n_bytes)
-            if len(data) != n_bytes:
-                raise TruncatedFileError(
-                    f"file truncated at byte {offset + len(data)} while reading {what}"
-                )
-            offset += n_bytes
-            return data
-
-        books = np.frombuffer(
-            read_block(n_books * n_words * sub_dim * 4, "codebooks"), dtype="<f4"
-        ).reshape(n_books, n_words, sub_dim)
-        doc_ids = np.frombuffer(read_block(n_docs * 8, "doc ids"), dtype="<u8")
-        if _is_pow2(n_words):
-            nbytes = packed_code_nbytes(n_books, n_words)
-            packed = np.frombuffer(read_block(n_docs * nbytes, "packed codes"), dtype=np.uint8)
-            packed = packed.reshape(n_docs, nbytes)
-            codes = unpack_codes_batch(packed, n_books, n_words)
-            return RetrievalIndex(
-                books=CodebookSet(books.copy()),
-                codes=codes,
-                doc_ids=doc_ids.copy(),
-                packed=packed.copy(),
-            )
-        codes = np.frombuffer(read_block(n_docs * n_books * 2, "codes"), dtype="<u2")
-        return RetrievalIndex(
-            books=CodebookSet(books.copy()),
-            codes=codes.reshape(n_docs, n_books).copy(),
-            doc_ids=doc_ids.copy(),
-        )
+        packed = _is_pow2(n_words)
+        code_nbytes = packed_code_nbytes(n_books, n_words) if packed else 2 * n_books
+        declared = 8 + _HEADER.size + n_books * n_words * sub_dim * 4 + n_docs * (8 + code_nbytes)
+        size = os.fstat(f.fileno()).st_size
+        if size != declared:
+            error = TruncatedFileError if size < declared else FileFormatError
+            raise error(f"header declares a {declared}-byte file, found {size} bytes")
+        books = np.fromfile(f, "<f4", n_books * n_words * sub_dim)
+        doc_ids = np.fromfile(f, "<u8", n_docs)
+        codes = np.fromfile(f, np.uint8, n_docs * code_nbytes).reshape(n_docs, code_nbytes)
+    books = CodebookSet(books.reshape(n_books, n_words, sub_dim))
+    if packed:
+        return RetrievalIndex(books, doc_ids=doc_ids, packed=codes)
+    return RetrievalIndex(books, codes.view("<u2"), doc_ids)

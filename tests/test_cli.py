@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import micpq
 from micpq.cli import main
 from micpq.dataio import read_embeddings, read_labels
 
@@ -251,3 +256,33 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "avg_accuracy=" in out
         assert "kmeans_avg_accuracy=" in out
+
+
+class TestThreads:
+    """``--threads`` must reach the environment before numpy first loads."""
+
+    def _python(self, code):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(micpq.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        return done.stdout.strip().splitlines()[-1]
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        assert self._python("import sys, micpq.cli; print('numpy' in sys.modules)") == "False"
+
+    def test_threads_flag_set_before_numpy_loads(self, tmp_path):
+        code = f"""
+import os, sys
+seen = []
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Watch())
+from micpq.cli import main
+main(["synth", "--n", "8", "--dim", "2", "--classes", "2", "--out", {str(tmp_path)!r},
+      "--threads", "1"])
+print(seen)
+"""
+        assert self._python(code) == "['1']"

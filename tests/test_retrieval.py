@@ -1,18 +1,24 @@
+import struct
+
 import numpy as np
 import pytest
 
+from micpq.cli import main
 from micpq.dataio import EmbeddingMatrix
 from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
 from micpq.errors import (
     BadMagicError,
     ConfigMismatchError,
     EmptyIndexError,
+    FileFormatError,
     KNot2Error,
     TruncatedFileError,
     VersionMismatchError,
 )
-from micpq.quantizer import CodebookSet, QuantCode, reconstruct
+from micpq.quantizer import CodebookSet, QuantCode, hard_assign_batch, pack_codes_batch, reconstruct
 from micpq.retrieval import (
+    INDEX_VERSION,
+    MAGIC_INDEX,
     DistanceLUT,
     RetrievalIndex,
     adc_distance,
@@ -333,3 +339,172 @@ class TestIndexFile:
         bad.write_bytes(raw[:-5])
         with pytest.raises(TruncatedFileError):
             load_index(bad)
+
+    def _crafted(self, tmp_path):
+        """40 bytes declaring 2^60 documents (M=1, K=2, sub_dim=1)."""
+        path = tmp_path / "huge.idx"
+        header = struct.pack("<IIIIQ", INDEX_VERSION, 1, 2, 1, 2**60)
+        path.write_bytes(MAGIC_INDEX + header + np.zeros(2, "<f4").tobytes())
+        assert path.stat().st_size == 40
+        return path
+
+    def test_crafted_header_rejected_before_reading(self, tmp_path):
+        with pytest.raises(FileFormatError):
+            load_index(self._crafted(tmp_path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        for n_words in (4, 3):
+            path = tmp_path / f"extra{n_words}.idx"
+            save_index(self._index(n_words), path)
+            path.write_bytes(path.read_bytes() + b"\0")
+            with pytest.raises(FileFormatError):
+                load_index(path)
+
+    def test_cli_search_on_crafted_index_is_runtime_error(self, tmp_path, capsys):
+        code = main(["search", "--index", str(self._crafted(tmp_path)),
+                     "--ckpt", str(tmp_path / "m.ckpt"), "--queries", str(tmp_path / "q.emb")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+def _random_index(seed, n_books, n_words, n_docs=600, sub=3, distinct=None, grid=False):
+    """Identity model, nonnegative books and codes; doc ids are a shuffled
+    range.  With ``distinct``, codes repeat a few rows, so ties are large.
+    With ``grid``, book entries are multiples of 1/8."""
+    gen = np.random.default_rng(seed)
+    books = _nonneg_books(seed, n_books, n_words, sub)
+    if grid:
+        books = CodebookSet((gen.integers(1, 9, size=books.books.shape) / 8).astype(np.float32))
+    pool = gen.integers(0, n_words, size=(distinct or n_docs, n_books))
+    codes = pool[gen.integers(0, len(pool), size=n_docs)] if distinct else pool
+    ids = gen.permutation(n_docs * 3)[:n_docs].astype(np.uint64)
+    index = RetrievalIndex(books, codes.astype(np.uint16), ids)
+    return _identity_model(books), index, codes, gen
+
+
+def _oracle(index, codes, query):
+    """float64 distances from the refined query to each reconstruction."""
+    books = index.books
+    recon = books.books[np.arange(books.n_codebooks), codes].reshape(len(codes), -1)
+    return ((recon.astype(np.float64) - query.astype(np.float64)) ** 2).sum(axis=1)
+
+
+def _oracle_ranking(index, distances, k):
+    order = np.lexsort((index.doc_ids, distances))[:k]
+    return [int(index.doc_ids[i]) for i in order]
+
+
+class TestFastPaths:
+    """The packed scans and partial selection against reference paths."""
+
+    @pytest.mark.parametrize(
+        "n_books,n_words", [(8, 16), (7, 16), (16, 2), (4, 4), (3, 256), (5, 8), (4, 3)]
+    )
+    def test_adc_scan_matches_gather_and_oracle(self, n_books, n_words):
+        seed = 30 + n_books * n_words
+        model, index, codes, gen = _random_index(seed, n_books, n_words)
+        eps = np.finfo(np.float32).eps
+        for _ in range(5):
+            query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
+            lut = build_lut(query, index.books)
+            scanned = adc_distances(lut, index)
+            gathered = lut.table[np.arange(n_books), codes].sum(axis=1)
+            assert scanned.dtype == np.float32
+            if (n_books, n_words) == (8, 16):
+                assert np.array_equal(scanned, gathered)
+            else:
+                np.testing.assert_allclose(scanned, gathered, rtol=2 * n_books * eps)
+            np.testing.assert_allclose(scanned, _oracle(index, codes, query), rtol=1e-5)
+            got = search_topk(index, query, model, 50)
+            assert got == [(int(index.doc_ids[i]), float(scanned[i]))
+                           for i in np.lexsort((index.doc_ids, scanned))[:50]]
+        # on a grid of eighths every distance is exact in float32, so the
+        # ranking must be the float64 oracle's, ties and all
+        model, index, codes, gen = _random_index(seed, n_books, n_words, grid=True)
+        for _ in range(5):
+            query = (gen.integers(0, 10, size=index.books.dim) / 8).astype(np.float32)
+            oracle = _oracle(index, codes, query)
+            for k in (1, 10, 100):
+                got = search_topk(index, query, model, k)
+                assert [doc for doc, _ in got] == _oracle_ranking(index, oracle, k)
+                assert [dist for _, dist in got] == sorted(oracle)[:k]
+
+    def test_single_code_distance_equals_index_scan(self):
+        _, index, codes, gen = _random_index(40, 6, 16, n_docs=50)
+        lut = build_lut(gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32), index.books)
+        scanned = adc_distances(lut, index)
+        for i in range(50):
+            assert adc_distance(lut, QuantCode(codes[i], 16)) == scanned[i]
+
+    @pytest.mark.parametrize("n_books,n_words", [(8, 16), (4, 3)])
+    def test_ties_at_the_cut_come_in_doc_id_order(self, n_books, n_words):
+        model, index, codes, gen = _random_index(41, n_books, n_words, n_docs=2000, distinct=4)
+        for _ in range(4):
+            query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
+            distances = adc_distances(build_lut(query, index.books), index)
+            for k in (1, 10, 700):
+                got = search_topk(index, query, model, k)
+                kth = np.sort(distances)[k - 1]
+                assert np.count_nonzero(distances <= kth) > k  # the cut splits a tie group
+                assert [doc for doc, _ in got] == _oracle_ranking(index, distances, k)
+
+    def test_k_one_n_and_beyond(self):
+        model, index, codes, gen = _random_index(42, 8, 16, n_docs=300, distinct=40)
+        query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
+        full = _oracle_ranking(index, _oracle(index, codes, query), 300)
+        for k in (1, 299, 300, 301, 10_000):
+            got = search_topk(index, query, model, k)
+            assert [doc for doc, _ in got] == full[:k]
+
+    @pytest.mark.parametrize("n_docs,distinct", [(3000, None), (3000, 25), (64, 8)])
+    def test_hamming_matches_popcount_oracle(self, n_docs, distinct):
+        model, index, codes, gen = _random_index(43, 16, 2, n_docs=n_docs, sub=2, distinct=distinct)
+        packed = pack_codes_batch(codes, 2)
+        sub = index.books.sub_dim
+        for _ in range(5):
+            query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
+            refined = forward_batch(model.encoder, query[None, :])
+            qcode = np.array([
+                hard_assign_batch(refined[:, m * sub:(m + 1) * sub], index.books.books[m])[0]
+                for m in range(16)
+            ])
+            ref = np.bitwise_count(packed ^ pack_codes_batch(qcode[None, :], 2)).sum(axis=1)
+            for k in (1, 100, n_docs, n_docs + 1):
+                got = search_topk_hamming(index, query, model, k)
+                assert [doc for doc, _ in got] == _oracle_ranking(index, ref, k)
+                assert [dist for _, dist in got] == sorted(ref.astype(float))[:k]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("n_words", [2, 16, 8, 256])
+    def test_power_of_two_holds_only_packed_bytes(self, tmp_path, n_words):
+        _, index, codes, _ = _random_index(50, 5, n_words, n_docs=77)
+        assert not any(
+            isinstance(v, np.ndarray) and v.dtype == np.uint16 for v in vars(index).values()
+        )
+        assert np.array_equal(index.codes, codes)
+        assert np.array_equal(pack_codes_batch(index.codes, n_words), index.packed)
+        assert index.codes is not index.codes  # unpacked afresh, never kept
+        books = index.books
+        expected = (
+            MAGIC_INDEX
+            + struct.pack("<IIIIQ", INDEX_VERSION, 5, n_words, books.sub_dim, 77)
+            + books.books.astype("<f4").tobytes()
+            + index.doc_ids.astype("<u8").tobytes()
+            + pack_codes_batch(codes, n_words).tobytes()
+        )
+        save_index(index, tmp_path / "a.idx")
+        assert (tmp_path / "a.idx").read_bytes() == expected
+        loaded = load_index(tmp_path / "a.idx")
+        assert np.array_equal(loaded.codes, codes)
+        assert np.array_equal(loaded.doc_ids, index.doc_ids)
+
+    def test_other_k_holds_uint16_codes(self, tmp_path):
+        _, index, codes, _ = _random_index(51, 4, 3, n_docs=20)
+        assert index.packed is None
+        assert index.codes.dtype == np.uint16 and np.array_equal(index.codes, codes)
+        save_index(index, tmp_path / "b.idx")
+        raw = (tmp_path / "b.idx").read_bytes()
+        assert raw.endswith(codes.astype("<u2").tobytes())
