@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "objectives": (
         "BatchViews LossConfig MIStats contrastive_loss cosine_sim expected_loss_oracle "
-        "loss_and_gradients mi_term total_loss"
+        "loss_and_gradients loss_values mi_term total_loss"
     ),
     "quantizer": (
         "CodebookSet QuantCode SoftAssignment assign_probs hard_assign pack_codes "

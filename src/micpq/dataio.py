@@ -14,6 +14,7 @@ as the standard :class:`OSError`.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ import numpy as np
 from . import rng
 from .errors import (
     BadMagicError,
+    FileFormatError,
     InvalidSpecError,
     LengthMismatchError,
     NonContiguousClassesError,
@@ -117,6 +119,16 @@ def _read_exact(f, n: int, offset: int, what: str) -> bytes:
     return data
 
 
+def check_file_size(f, declared: int) -> None:
+    """Reject an open file whose size differs from the ``declared`` byte
+    count, before any payload is read: a short file raises
+    :class:`TruncatedFileError`, trailing bytes :class:`FileFormatError`."""
+    size = os.fstat(f.fileno()).st_size
+    if size != declared:
+        error = TruncatedFileError if size < declared else FileFormatError
+        raise error(f"header declares a {declared}-byte file, found {size} bytes")
+
+
 def _read_header(f, magic: bytes):
     raw_magic = f.read(len(magic))
     if len(raw_magic) < len(magic) or raw_magic != magic:
@@ -151,14 +163,14 @@ def read_embeddings(path) -> EmbeddingMatrix:
         n_docs, offset = _read_header(f, MAGIC_EMBEDDINGS)
         dim = struct.unpack("<I", _read_exact(f, 4, offset, "dim"))[0]
         offset += 4
-        payload = _read_exact(f, n_docs * dim * 4, offset, "embedding payload")
-    values = np.frombuffer(payload, dtype="<f4").reshape(n_docs, dim)
+        check_file_size(f, offset + n_docs * dim * 4)
+        values = np.fromfile(f, "<f4", n_docs * dim).reshape(n_docs, dim)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values.ravel()))[0])
         raise NonFiniteValueError(
             f"non-finite value at byte {offset + bad * 4} (element {bad})"
         )
-    return EmbeddingMatrix(values.copy())
+    return EmbeddingMatrix(values)
 
 
 def write_labels(labels: LabelVector, path) -> None:
@@ -177,8 +189,8 @@ def read_labels(path, expected_n_docs: int | None = None) -> LabelVector:
     """
     with open(path, "rb") as f:
         n_docs, offset = _read_header(f, MAGIC_LABELS)
-        payload = _read_exact(f, n_docs * 4, offset, "label payload")
-    labels = np.frombuffer(payload, dtype="<u4").copy()
+        check_file_size(f, offset + n_docs * 4)
+        labels = np.fromfile(f, "<u4", n_docs)
     if expected_n_docs is not None and n_docs != expected_n_docs:
         raise LengthMismatchError(
             f"label file has {n_docs} entries but embeddings have {expected_n_docs} rows"

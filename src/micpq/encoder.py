@@ -108,6 +108,16 @@ def forward_batch(params: EncoderParams, batch: np.ndarray) -> np.ndarray:
     return np.maximum(batch @ params.weight.T + params.bias, 0)
 
 
+def backward_batch(
+    batch: np.ndarray, refined: np.ndarray, grad_refined: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of a scalar with respect to weight and bias, given its
+    gradient with respect to ``refined = forward_batch(params, batch)``.
+    The ReLU's subgradient at the kink is 0."""
+    grad_pre = grad_refined * (refined > 0)
+    return grad_pre.T @ batch, grad_pre.sum(axis=0)
+
+
 def dropout_view(z: np.ndarray, cfg: DropoutConfig) -> np.ndarray:
     """Inverted dropout: zero each coordinate with probability p_drop,
     scale survivors by 1/(1-p_drop).  Accepts a vector or a row batch."""

@@ -1,17 +1,29 @@
 """Training objectives: probabilistic contrastive loss plus a per-codebook
-mutual-information regularizer, with exact gradients.
+mutual-information regularizer, with exact gradients in closed form.
 
-The loss pipeline for one mini-batch:
+The loss pipeline for one mini-batch of B documents, run on both views
+stacked as 2B rows and on all M codebooks at once:
 
 1. two inverted-dropout views of every input embedding,
-2. encoder forward (affine + ReLU), sliced into segments,
-3. per segment, a Gumbel-softmax mixture over codewords (fresh noise per
-   view) which stands in for the stochastic hard assignment,
-4. a two-view contrastive loss over the concatenated mixtures, where the
+2. one encoder forward (affine + ReLU) over the 2B rows, read as (M, 2B,
+   sub_dim) segments,
+3. squared distances ``|s|^2 - 2 s.c + |c|^2`` to every codeword, and per
+   segment a Gumbel-softmax mixture over codewords (fresh noise per view)
+   which stands in for the stochastic hard assignment,
+4. a cosine contrastive loss (NT-Xent) over the 2B mixtures, where the
    positive pair's similarity is shared by both views' terms,
 5. minus ``mi_weight`` times the sum over codebooks of
    ``H(usage marginal) - alpha * H(assignment | document)``, computed
-   from the noise-free assignment probabilities.
+   from the noise-free assignment probabilities of all 2B rows.
+
+:func:`loss_and_gradients` differentiates this composition by hand, in
+reverse and batched like the forward.  The contrastive softmax gives the
+logits' gradient ``G``; the unit rows ``N`` get ``(G + G^T) N / tau_cl``,
+and each mixture gets that gradient minus its component along the row,
+over the row's norm.  Then come the mixture weights and codewords, the
+Gumbel-softmax Jacobian, the MI term through the plain softmax, the
+squared distances, the segments and codewords, the ReLU and the affine
+layer.  :func:`loss_values` runs the same forward without the backward.
 
 :func:`expected_loss_oracle` enumerates every joint hard-assignment
 outcome to compute the exact expected contrastive loss that the
@@ -24,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import rng
-from .encoder import DropoutConfig, EncoderParams, dropout_view
+from .encoder import DropoutConfig, EncoderParams, backward_batch, dropout_view, forward_batch
 from .errors import (
     DimMismatchError,
     InvalidConfigError,
@@ -35,11 +46,10 @@ from .errors import (
     TooLargeToEnumerateError,
     ZeroNormError,
 )
-from .quantizer import CodebookSet, assign_probs, gumbel_from_uniform
+from .quantizer import CodebookSet, assign_probs, gumbel_from_uniform, stable_softmax
 
 ZERO_NORM_EPS = 1e-12
 ENTROPY_LOG_EPS = 1e-12
-_EXCLUDED = -1e30
 
 
 @dataclass(frozen=True)
@@ -122,48 +132,54 @@ def cosine_sim(h1: np.ndarray, h2: np.ndarray) -> float:
 
 
 def _pair_masks(batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(positive selector, negative mask) for a 2B-row representation stack.
+    """(positive column per row, negative mask) for a 2B-row representation stack.
 
     Rows 0..B-1 are the first view, B..2B-1 the second.  Row r's positive
     column is its partner view of the same document; the negative mask
-    zeroes both views of the row's own document.
+    is False on both views of the row's own document.
     """
-    n_rows = 2 * batch_size
-    cols = (np.arange(n_rows) + batch_size) % n_rows
-    pos_sel = np.zeros((n_rows, n_rows))
-    pos_sel[np.arange(n_rows), cols] = 1.0
-    neg_mask = np.ones((n_rows, n_rows))
-    for x in range(batch_size):
-        neg_mask[[x, batch_size + x], x] = 0.0
-        neg_mask[[x, batch_size + x], batch_size + x] = 0.0
-    return pos_sel, neg_mask
+    rows = np.arange(2 * batch_size)
+    doc = rows % batch_size
+    return (rows + batch_size) % (2 * batch_size), doc[:, None] != doc[None, :]
+
+
+def _contrastive_forward(
+    h_all: np.ndarray, tau_cl: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cosine contrastive loss of T instances of 2B representations.
+
+    ``h_all`` has shape (T, 2B, D), first-view rows then second-view rows.
+    Returns the (T,) losses, the unit rows, the (T, 2B, 1) row norms and
+    each row's softmax weights over its positive and negative columns,
+    (T, 2B, 2B) and zero elsewhere.
+    """
+    n_rows = h_all.shape[1]
+    batch_size = n_rows // 2
+    norm2 = (h_all * h_all).sum(axis=2, keepdims=True)
+    if np.any(norm2 <= ZERO_NORM_EPS**2):
+        raise ZeroNormError("contrastive loss undefined for (near-)zero representations")
+    norm = np.sqrt(norm2)
+    normed = h_all / norm
+    logits = (normed @ normed.transpose(0, 2, 1)) * (1.0 / tau_cl)
+    pos_col, neg_mask = _pair_masks(batch_size)
+    rows = np.arange(n_rows)
+    pos = logits[:, rows, pos_col]
+    # shift by each row's largest allowed logit; 1/tau_cl would underflow
+    shift = np.maximum(pos, logits.max(axis=2, where=neg_mask, initial=-np.inf))
+    weights = np.exp(logits - shift[:, :, None], out=np.zeros_like(logits), where=neg_mask)
+    e_pos = np.exp(pos - shift)
+    denom = e_pos + weights.sum(axis=2)
+    log_ratio = pos - (np.log(denom) + shift)
+    weights[:, rows, pos_col] = e_pos
+    weights /= denom[:, :, None]
+    return log_ratio.sum(axis=1) * (-1.0 / batch_size), normed, norm, weights
 
 
 def _contrastive_losses(h_all: np.ndarray, tau_cl: float) -> np.ndarray:
-    """Contrastive loss for a stack of instances.
-
-    ``h_all`` has shape (T, 2B, D): T independent instances of 2B
-    representations (first-view rows then second-view rows).  Returns
-    the (T,) loss values.
-    """
+    """(T,) contrastive losses of a (T, 2B, D) stack of instances."""
     if not tau_cl > 0:
         raise NonPositiveTemperatureError(f"tau_cl must be > 0, got {tau_cl}")
-    h_all = np.asarray(h_all, dtype=np.float64)
-    n_instances, n_rows, _ = h_all.shape
-    batch_size = n_rows // 2
-    norms = np.linalg.norm(h_all, axis=2)
-    if np.any(norms <= ZERO_NORM_EPS):
-        raise ZeroNormError("contrastive loss undefined for (near-)zero representations")
-    normed = h_all / norms[:, :, None]
-    logits = np.einsum("tid,tjd->tij", normed, normed) / tau_cl
-    pos_col = (np.arange(n_rows) + batch_size) % n_rows
-    pos = logits[:, np.arange(n_rows), pos_col]
-    _, neg_mask = _pair_masks(batch_size)
-    masked = np.where(neg_mask[None].astype(bool), logits, -np.inf)
-    shift = np.maximum(pos, masked.max(axis=2))
-    denom = np.exp(pos - shift) + np.exp(masked - shift[:, :, None]).sum(axis=2)
-    log_ratio = pos - (np.log(denom) + shift)
-    return -log_ratio.sum(axis=1) / batch_size
+    return _contrastive_forward(np.asarray(h_all, dtype=np.float64), tau_cl)[0]
 
 
 def contrastive_loss(views: BatchViews, tau_cl: float) -> float:
@@ -329,40 +345,97 @@ def sample_soft_losses(
     return _contrastive_losses(np.concatenate([h[:, 0], h[:, 1]], axis=1), tau_cl)
 
 
-# --- differentiable pipeline ----------------------------------------------
+# --- the training objective and its closed-form gradient ------------------
 
-def _softmax_rows_graph(logits: ad.Tensor) -> ad.Tensor:
-    shift = logits.data.max(axis=1, keepdims=True)  # constant; softmax is shift-invariant
-    e = ad.exp(logits - shift)
-    return e / ad.sum_(e, axis=1, keepdims=True)
+@dataclass
+class _ForwardPass:
+    """One mini-batch's loss values and the intermediates its backward reads.
 
-def _sqdist_graph(segments: ad.Tensor, book: ad.Tensor) -> ad.Tensor:
-    zz = ad.sum_(segments * segments, axis=1, keepdims=True)
-    cc = ad.sum_(book * book, axis=1)
-    return zz - 2.0 * ad.matmul(segments, ad.transpose(book)) + cc
+    Rows are the 2B inputs, first views then second views; per-book arrays
+    are (M, 2B, ...)."""
 
-
-def _contrastive_graph(h_cat: ad.Tensor, batch_size: int, tau_cl: float) -> ad.Tensor:
-    norm2 = ad.sum_(h_cat * h_cat, axis=1, keepdims=True)
-    if np.any(norm2.data <= ZERO_NORM_EPS**2):
-        raise ZeroNormError("contrastive loss undefined for (near-)zero representations")
-    normed = h_cat / ad.sqrt(norm2)
-    logits = ad.matmul(normed, ad.transpose(normed)) * (1.0 / tau_cl)
-    pos_sel, neg_mask = _pair_masks(batch_size)
-    pos = ad.sum_(logits * pos_sel, axis=1)
-    masked = logits * neg_mask + (1.0 - neg_mask) * _EXCLUDED
-    shift = np.maximum(pos.data, masked.data.max(axis=1))  # constant
-    denom = ad.exp(pos - shift) + ad.sum_(ad.exp(masked - shift[:, None]), axis=1)
-    log_ratio = pos - (ad.log(denom) + shift)
-    return ad.sum_(log_ratio) * (-1.0 / batch_size)
+    values: LossValues
+    inputs: np.ndarray     # (2B, d_in) dropout views
+    refined: np.ndarray    # (2B, D) encoder outputs
+    segments: np.ndarray   # (M, 2B, sub) view of ``refined``
+    codewords: np.ndarray  # (M, K, sub) float64 books
+    soft: np.ndarray       # (M, 2B, K) Gumbel-softmax weights
+    probs: np.ndarray      # (M, 2B, K) noise-free assignment probabilities
+    marginal: np.ndarray   # (M, K) mean of ``probs`` over the rows
+    log_marginal: np.ndarray  # (M, K) log of the marginal, clamped at ENTROPY_LOG_EPS
+    log_probs: np.ndarray  # (M, 2B, K) log of ``probs``, clamped likewise
+    normed: np.ndarray     # (2B, D) unit-norm mixtures
+    norm: np.ndarray       # (2B, 1) mixture norms
+    weights: np.ndarray    # (2B, 2B) softmax of each row over its positive and negatives
 
 
-def _mi_graph(probs: ad.Tensor, alpha: float) -> ad.Tensor:
-    n_rows = probs.data.shape[0]
-    marginal = ad.sum_(probs, axis=0) * (1.0 / n_rows)
-    h_marginal = -ad.sum_(marginal * ad.log_clamped(marginal, ENTROPY_LOG_EPS))
-    h_conditional = ad.sum_(probs * ad.log_clamped(probs, ENTROPY_LOG_EPS)) * (-1.0 / n_rows)
-    return h_marginal - alpha * h_conditional
+def _forward(
+    params: EncoderParams, books: CodebookSet, batch: np.ndarray, cfg: LossConfig, seed: int
+) -> _ForwardPass:
+    data = np.asarray(getattr(batch, "values", batch), dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] < 1:
+        raise DimMismatchError("batch must be a non-empty 2-D array")
+    if data.shape[1] != params.d_in:
+        raise DimMismatchError(
+            f"batch width {data.shape[1]} != encoder input width {params.d_in}"
+        )
+    if params.d_out != books.dim:
+        raise DimMismatchError(
+            f"encoder output width {params.d_out} != codebooks' total width {books.dim}"
+        )
+    batch_size, n_rows = data.shape[0], 2 * data.shape[0]
+    n_books, n_words, sub = books.books.shape
+
+    seeds = [rng.derive_seed(seed, s) for s in range(4)]
+    inputs = np.concatenate(
+        [dropout_view(data, DropoutConfig(cfg.p_drop, seeds[i])) for i in range(2)]
+    )
+    gumbel = np.concatenate([
+        gumbel_from_uniform(rng.spawn(seeds[2 + i]).random((batch_size, n_books, n_words)))
+        for i in range(2)
+    ]).transpose(1, 0, 2)
+
+    refined = forward_batch(params, inputs)
+    segments = refined.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
+    codewords = books.books.astype(np.float64)
+    d2 = (
+        (segments * segments).sum(axis=2, keepdims=True)
+        - 2.0 * segments @ codewords.transpose(0, 2, 1)
+        + (codewords * codewords).sum(axis=2)[:, None, :]
+    )
+    soft = stable_softmax((d2 + gumbel) * (-1.0 / cfg.tau_gumbel))
+    probs = stable_softmax(-d2)
+    mixtures = (soft @ codewords).transpose(1, 0, 2).reshape(n_rows, books.dim)
+    losses, normed, norm, weights = _contrastive_forward(mixtures[None], cfg.tau_cl)
+
+    marginal = probs.sum(axis=1) * (1.0 / n_rows)
+    log_marginal = np.log(np.maximum(marginal, ENTROPY_LOG_EPS))
+    log_probs = np.log(np.maximum(probs, ENTROPY_LOG_EPS))
+    h_marginal = -(marginal * log_marginal).sum(axis=1)
+    h_conditional = (probs * log_probs).reshape(n_books, -1).sum(axis=1) * (-1.0 / n_rows)
+    mi_per_book = h_marginal - cfg.alpha * h_conditional
+    contrastive = losses[0]
+    values = LossValues(
+        total=float(contrastive + (-cfg.mi_weight) * np.add.accumulate(mi_per_book)[-1]),
+        contrastive=float(contrastive),
+        mi_per_book=mi_per_book,
+    )
+    return _ForwardPass(
+        values, inputs, refined, segments, codewords, soft, probs, marginal, log_marginal,
+        log_probs, normed[0], norm[0], weights[0],
+    )
+
+
+def loss_values(
+    params: EncoderParams,
+    books: CodebookSet,
+    batch: np.ndarray,
+    cfg: LossConfig,
+    seed: int,
+) -> LossValues:
+    """The loss values of :func:`loss_and_gradients`, bit for bit, without
+    the backward pass."""
+    return _forward(params, books, batch, cfg, seed).values
 
 
 def loss_and_gradients(
@@ -381,66 +454,37 @@ def loss_and_gradients(
     dropout masks, two Gumbel blocks) is derived from ``seed``, so equal
     seeds give bit-identical results.
     """
-    data = np.asarray(getattr(batch, "values", batch), dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise DimMismatchError("batch must be a non-empty 2-D array")
-    if data.shape[1] != params.d_in:
-        raise DimMismatchError(
-            f"batch width {data.shape[1]} != encoder input width {params.d_in}"
-        )
-    if params.d_out != books.dim:
-        raise DimMismatchError(
-            f"encoder output width {params.d_out} != codebooks' total width {books.dim}"
-        )
-    batch_size = data.shape[0]
-    n_books, sub = books.n_codebooks, books.sub_dim
+    fwd = _forward(params, books, batch, cfg, seed)
+    n_rows = fwd.inputs.shape[0]
+    n_books, _, sub = fwd.codewords.shape
+    soft, probs, codewords, segments = fwd.soft, fwd.probs, fwd.codewords, fwd.segments
 
-    view_seeds = [rng.derive_seed(seed, s) for s in range(4)]
-    views = [
-        dropout_view(data, DropoutConfig(cfg.p_drop, view_seeds[i])) for i in range(2)
-    ]
-    gumbels = [
-        gumbel_from_uniform(
-            rng.spawn(view_seeds[2 + i]).random((batch_size, n_books, books.n_codewords))
-        )
-        for i in range(2)
-    ]
+    # contrastive loss -> logits -> unit rows -> mixtures
+    batch_size = n_rows // 2
+    pos_col, _ = _pair_masks(batch_size)
+    grad_logits = fwd.weights
+    grad_logits[np.arange(n_rows), pos_col] -= 1.0
+    grad_logits *= 1.0 / batch_size
+    grad_normed = (grad_logits + grad_logits.T) @ fwd.normed * (1.0 / cfg.tau_cl)
+    radial = (fwd.normed * grad_normed).sum(axis=1, keepdims=True)
+    grad_mix = ((grad_normed - fwd.normed * radial) / fwd.norm).reshape(n_rows, n_books, sub)
+    grad_mix = grad_mix.transpose(1, 0, 2)
+    grad_books = soft.transpose(0, 2, 1) @ grad_mix
+    grad_soft = grad_mix @ codewords.transpose(0, 2, 1)
 
-    weight = ad.Tensor(params.weight)
-    bias = ad.Tensor(params.bias)
-    book_nodes = [ad.Tensor(books.books[m]) for m in range(n_books)]
+    # Gumbel softmax, and the MI term through the plain softmax, into d2
+    grad_d2 = soft * (grad_soft - (soft * grad_soft).sum(axis=2, keepdims=True))
+    grad_d2 *= -1.0 / cfg.tau_gumbel
+    grad_marginal = fwd.log_marginal + (fwd.marginal > ENTROPY_LOG_EPS)
+    grad_rows = fwd.log_probs + (probs > ENTROPY_LOG_EPS)
+    grad_probs = (cfg.alpha * grad_rows - grad_marginal[:, None, :]) * (-cfg.mi_weight / n_rows)
+    grad_d2 -= probs * (grad_probs - (probs * grad_probs).sum(axis=2, keepdims=True))
 
-    h_views = []
-    probs_nodes: list[list[ad.Tensor]] = [[] for _ in range(n_books)]
-    for i in range(2):
-        refined = ad.relu(ad.matmul(ad.Tensor(views[i]), ad.transpose(weight)) + bias)
-        mixtures = []
-        for m in range(n_books):
-            seg = refined[:, m * sub:(m + 1) * sub]
-            d2 = _sqdist_graph(seg, book_nodes[m])
-            soft = _softmax_rows_graph((d2 + gumbels[i][:, m, :]) * (-1.0 / cfg.tau_gumbel))
-            probs_nodes[m].append(_softmax_rows_graph(d2 * -1.0))
-            mixtures.append(ad.matmul(soft, book_nodes[m]))
-        h_views.append(ad.concat(mixtures, axis=1))
-
-    cl_node = _contrastive_graph(ad.concat(h_views, axis=0), batch_size, cfg.tau_cl)
-    mi_nodes = [
-        _mi_graph(ad.concat(probs_nodes[m], axis=0), cfg.alpha) for m in range(n_books)
-    ]
-    mi_sum = mi_nodes[0]
-    for node in mi_nodes[1:]:
-        mi_sum = mi_sum + node
-    total = cl_node + (-cfg.mi_weight) * mi_sum
-    ad.backward(total)
-
-    values = LossValues(
-        total=float(total.data),
-        contrastive=float(cl_node.data),
-        mi_per_book=np.array([float(node.data) for node in mi_nodes]),
+    # d2 = |s|^2 - 2 s.c + |c|^2 -> segments and codewords -> encoder
+    grad_seg = 2.0 * (segments * grad_d2.sum(axis=2, keepdims=True) - grad_d2 @ codewords)
+    grad_books += 2.0 * (
+        codewords * grad_d2.sum(axis=1)[:, :, None] - grad_d2.transpose(0, 2, 1) @ segments
     )
-    grads = ParamGrads(
-        weight=weight.grad,
-        bias=bias.grad,
-        books=np.stack([node.grad for node in book_nodes]),
-    )
-    return values, grads
+    grad_refined = grad_seg.transpose(1, 0, 2).reshape(n_rows, n_books * sub)
+    grad_weight, grad_bias = backward_batch(fwd.inputs, fwd.refined, grad_refined)
+    return fwd.values, ParamGrads(weight=grad_weight, bias=grad_bias, books=grad_books)

@@ -126,9 +126,10 @@ def squared_distances(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
     return np.einsum("kd,kd->k", diff, diff)
 
 
-def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+def stable_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by each row's maximum."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def assign_probs(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
@@ -136,7 +137,7 @@ def assign_probs(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
 
     Computed with max-subtraction in the dtype of the inputs.
     """
-    return _stable_softmax(-squared_distances(segment, book))
+    return stable_softmax(-squared_distances(segment, book))
 
 
 def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
@@ -170,7 +171,7 @@ def soft_assign(
     gumbel = np.asarray(gumbel)
     if gumbel.shape != d2.shape:
         raise DimMismatchError(f"need {d2.shape[0]} noise draws, got shape {gumbel.shape}")
-    probs = _stable_softmax(-(d2 + gumbel) / temperature)
+    probs = stable_softmax(-(d2 + gumbel) / temperature)
     return SoftAssignment(probs=probs, gumbel=gumbel, temperature=float(temperature))
 
 

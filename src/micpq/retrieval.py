@@ -20,20 +20,18 @@ one u16 per sub-index).
 """
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingMatrix
+from .dataio import EmbeddingMatrix, check_file_size
 from .encoder import forward_batch
 from .errors import (
     BadMagicError,
     ConfigMismatchError,
     DimMismatchError,
     EmptyIndexError,
-    FileFormatError,
     IndexOutOfRangeError,
     InvalidConfigError,
     KNot2Error,
@@ -310,10 +308,7 @@ def load_index(path) -> RetrievalIndex:
         packed = _is_pow2(n_words)
         code_nbytes = packed_code_nbytes(n_books, n_words) if packed else 2 * n_books
         declared = 8 + _HEADER.size + n_books * n_words * sub_dim * 4 + n_docs * (8 + code_nbytes)
-        size = os.fstat(f.fileno()).st_size
-        if size != declared:
-            error = TruncatedFileError if size < declared else FileFormatError
-            raise error(f"header declares a {declared}-byte file, found {size} bytes")
+        check_file_size(f, declared)
         books = np.fromfile(f, "<f4", n_books * n_words * sub_dim)
         doc_ids = np.fromfile(f, "<u8", n_docs)
         codes = np.fromfile(f, np.uint8, n_docs * code_nbytes).reshape(n_docs, code_nbytes)

@@ -13,13 +13,14 @@ in float32 in memory, so the round-trip is bit-exact.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .dataio import EmbeddingMatrix
+from .dataio import EmbeddingMatrix, check_file_size
 from .encoder import EncoderParams, forward_batch, init_encoder
 from .errors import (
     BadMagicError,
@@ -28,8 +29,8 @@ from .errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from .objectives import LossConfig, ParamGrads, loss_and_gradients
-from .quantizer import CodebookSet, hard_assign_batch, init_codebooks
+from .objectives import LossConfig, ParamGrads, loss_and_gradients, loss_values
+from .quantizer import CodebookSet, hard_assign_books, init_codebooks
 
 MAGIC_CHECKPOINT = b"MICPQCKP"
 CHECKPOINT_VERSION = 1
@@ -225,13 +226,8 @@ def adam_step(
 def usage_histogram(state: ModelState, data: np.ndarray) -> np.ndarray:
     """(M, K) hard-assignment counts over a corpus, dropout disabled."""
     values = np.asarray(getattr(data, "values", data))
-    refined = forward_batch(state.encoder, values)
-    sub = state.books.sub_dim
-    counts = np.empty((state.books.n_codebooks, state.books.n_codewords), dtype=np.int64)
-    for m in range(state.books.n_codebooks):
-        assigned = hard_assign_batch(refined[:, m * sub:(m + 1) * sub], state.books.books[m])
-        counts[m] = np.bincount(assigned, minlength=state.books.n_codewords)
-    return counts
+    codes = hard_assign_books(forward_batch(state.encoder, values), state.books.books)
+    return np.stack([np.bincount(book, minlength=state.books.n_codewords) for book in codes.T])
 
 
 def usage_entropy(counts: np.ndarray) -> float:
@@ -279,7 +275,7 @@ def train(
                 continue  # a trailing single document cannot form a contrastive batch
             step_seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, global_step)
             try:
-                loss_values, grads = loss_and_gradients(
+                step_values, grads = loss_and_gradients(
                     state.encoder, state.books, values[batch_idx], cfg.loss, step_seed
                 )
                 adam_step(state, grads, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
@@ -287,7 +283,7 @@ def train(
                 raise NonFiniteGradientError(
                     f"epoch {epoch}, step {global_step}: {err}"
                 ) from err
-            sums += (loss_values.total, loss_values.contrastive, loss_values.mi_per_book.sum())
+            sums += (step_values.total, step_values.contrastive, step_values.mi_per_book.sum())
             n_steps += 1
             global_step += 1
 
@@ -295,10 +291,7 @@ def train(
         val_loss = None
         if val is not None:
             val_seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, 2**31 + epoch)
-            val_values, _ = loss_and_gradients(
-                state.encoder, state.books, val.values, cfg.loss, val_seed
-            )
-            val_loss = val_values.total
+            val_loss = loss_values(state.encoder, state.books, val.values, cfg.loss, val_seed).total
         record = EpochRecord(
             epoch=epoch,
             total_loss=float(sums[0] / n_steps),
@@ -366,17 +359,8 @@ def load_checkpoint(path) -> ModelState:
             (n_books, n_words, sub_dim),
             (n_books, n_words, sub_dim),
         ]
-        offset = 8 + header_size
-        arrays = []
-        for shape in shapes:
-            n_bytes = int(np.prod(shape)) * 4
-            payload = f.read(n_bytes)
-            if len(payload) != n_bytes:
-                raise TruncatedFileError(
-                    f"file truncated at byte {offset + len(payload)} in parameter section"
-                )
-            arrays.append(np.frombuffer(payload, dtype="<f4").reshape(shape).copy())
-            offset += n_bytes
+        check_file_size(f, 8 + header_size + 4 * sum(math.prod(shape) for shape in shapes))
+        arrays = [np.fromfile(f, "<f4", math.prod(shape)).reshape(shape) for shape in shapes]
     weight, bias, books, mw, vw, mb, vb, mc, vc = arrays
     return ModelState(
         encoder=EncoderParams(weight, bias),

@@ -1,7 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
+from micpq.cli import main
 from micpq.dataio import (
+    FORMAT_VERSION,
+    MAGIC_EMBEDDINGS,
+    MAGIC_LABELS,
     EmbeddingMatrix,
     LabelVector,
     MixtureSpec,
@@ -13,6 +19,7 @@ from micpq.dataio import (
 )
 from micpq.errors import (
     BadMagicError,
+    FileFormatError,
     InvalidSpecError,
     LengthMismatchError,
     NonContiguousClassesError,
@@ -92,6 +99,43 @@ class TestLabelFormat:
         path.write_bytes(b"NOTLABEL" + b"\x00" * 16)
         with pytest.raises(BadMagicError):
             read_labels(path)
+
+
+class TestHostileHeaders:
+    """Headers whose declared payload the file does not hold are rejected
+    by size before any payload read."""
+
+    def _crafted_embeddings(self, tmp_path):
+        path = tmp_path / "huge.emb"
+        path.write_bytes(MAGIC_EMBEDDINGS + struct.pack("<IQI", FORMAT_VERSION, 2**60, 1))
+        return path
+
+    def test_embeddings_declaring_2_to_60_docs(self, tmp_path):
+        with pytest.raises(TruncatedFileError):
+            read_embeddings(self._crafted_embeddings(tmp_path))
+
+    def test_labels_declaring_2_to_61_docs(self, tmp_path):
+        path = tmp_path / "huge.lbl"
+        path.write_bytes(MAGIC_LABELS + struct.pack("<IQ", FORMAT_VERSION, 2**61))
+        with pytest.raises(TruncatedFileError):
+            read_labels(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        emb, lbl = tmp_path / "x.emb", tmp_path / "x.lbl"
+        write_embeddings(EmbeddingMatrix(np.ones((3, 2), dtype=np.float32)), emb)
+        write_labels(LabelVector(np.array([0, 1, 0], dtype=np.uint32)), lbl)
+        for path, read in ((emb, read_embeddings), (lbl, read_labels)):
+            path.write_bytes(path.read_bytes() + b"\0")
+            with pytest.raises(FileFormatError):
+                read(path)
+
+    def test_cli_train_on_crafted_embeddings_is_runtime_error(self, tmp_path, capsys):
+        code = main(["train", "--emb", str(self._crafted_embeddings(tmp_path)), "--M", "2",
+                     "--K", "4", "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestSynthMixture:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from micpq import autodiff as ad
 from micpq.encoder import (
     DropoutConfig,
     EncoderParams,
+    backward_batch,
     dropout_view,
     forward,
     forward_batch,
@@ -69,23 +69,21 @@ class TestForward:
         probe = rng.normal(size=(2, 5))
 
         def scalar(w_arr, b_arr):
-            w_t, b_t = ad.Tensor(w_arr), ad.Tensor(b_arr)
-            out = ad.relu(ad.matmul(ad.Tensor(z), ad.transpose(w_t)) + b_t)
-            return ad.sum_(out * probe), w_t, b_t
+            return float((forward_batch(EncoderParams(w_arr, b_arr), z) * probe).sum())
 
         pre = z @ weight.T + bias
         assert np.all(np.abs(pre) > 1e-3)  # non-degenerate point
-        root, w_t, b_t = scalar(weight, bias)
-        ad.backward(root)
+        refined = forward_batch(EncoderParams(weight, bias), z)
+        grad_w, grad_b = backward_batch(z, refined, probe)
         step = 1e-4
-        for arr, grad in ((weight, w_t.grad), (bias, b_t.grad)):
+        for arr, grad in ((weight, grad_w), (bias, grad_b)):
             flat = arr.ravel()
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                up = float(scalar(weight, bias)[0].data)
+                up = scalar(weight, bias)
                 flat[i] = orig - step
-                dn = float(scalar(weight, bias)[0].data)
+                dn = scalar(weight, bias)
                 flat[i] = orig
                 fd = (up - dn) / (2 * step)
                 assert abs(fd - grad.ravel()[i]) <= 1e-4 * max(abs(fd), 1e-8)

@@ -16,6 +16,7 @@ from micpq.objectives import (
     cosine_sim,
     expected_loss_oracle,
     loss_and_gradients,
+    loss_values,
     mi_term,
     sample_hard_losses,
     sample_soft_losses,
@@ -245,6 +246,34 @@ class TestLossAndGradients:
                 flat[i] = orig
                 fd = (up - down) / (2 * step)
                 assert abs(fd - g[i]) <= 1e-4 * max(abs(fd), abs(g[i]), 1e-8)
+
+    def test_matches_finite_differences_three_books_of_five(self):
+        """Three books (batched over M), K = 5 (not a power of two), B = 5."""
+        params, books, data = self._instance(31, d_in=4, n_books=3, n_words=5, batch=5)
+        cfg = LossConfig(tau_cl=0.3, tau_gumbel=2.0, alpha=0.1, mi_weight=0.2, p_drop=0.3)
+        _, grads = loss_and_gradients(params, books, data, cfg, seed=32)
+        step = 1e-4
+        for arr, grad in ((params.weight, grads.weight), (params.bias, grads.bias),
+                          (books.books, grads.books)):
+            flat = arr.ravel()
+            for i, g in enumerate(grad.ravel()):
+                orig = flat[i]
+                totals = []
+                for value in (orig + step, orig - step):
+                    flat[i] = value
+                    totals.append(loss_and_gradients(params, books, data, cfg, seed=32)[0].total)
+                flat[i] = orig
+                fd = (totals[0] - totals[1]) / (2 * step)
+                assert abs(fd - g) <= 1e-4 * max(abs(fd), abs(g), 1e-8)
+
+    def test_loss_values_equal_the_gradient_pass(self):
+        params, books, data = self._instance(33, batch=4)
+        cfg = LossConfig(tau_gumbel=2.0, mi_weight=0.2)
+        alone = loss_values(params, books, data, cfg, seed=34)
+        with_grads, _ = loss_and_gradients(params, books, data, cfg, seed=34)
+        assert alone.total == with_grads.total
+        assert alone.contrastive == with_grads.contrastive
+        assert np.array_equal(alone.mi_per_book, with_grads.mi_per_book)
 
     def test_deterministic_given_seed(self):
         params, books, data = self._instance(12)

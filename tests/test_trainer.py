@@ -1,16 +1,21 @@
+import struct
+
 import numpy as np
 import pytest
 
-from micpq.dataio import EmbeddingMatrix, MixtureSpec, synth_mixture
-from micpq.encoder import EncoderParams
+from micpq import rng
+from micpq.cli import main
+from micpq.dataio import EmbeddingMatrix, MixtureSpec, synth_mixture, write_embeddings
+from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     BadMagicError,
+    FileFormatError,
     NonFiniteGradientError,
     TruncatedFileError,
     VersionMismatchError,
 )
-from micpq.objectives import LossConfig, ParamGrads
-from micpq.quantizer import CodebookSet
+from micpq.objectives import LossConfig, ParamGrads, loss_and_gradients
+from micpq.quantizer import CodebookSet, hard_assign_batch
 from micpq import trainer
 from micpq.trainer import (
     ModelState,
@@ -21,6 +26,7 @@ from micpq.trainer import (
     load_checkpoint,
     save_checkpoint,
     train,
+    usage_histogram,
 )
 
 
@@ -189,6 +195,34 @@ class TestCheckpoint:
         with pytest.raises(BadMagicError):
             load_checkpoint(path)
 
+    def _crafted(self, tmp_path):
+        """A 40-byte checkpoint declaring d_in = d_out = 2^20 (M=1)."""
+        path = tmp_path / "huge.ckpt"
+        header = struct.pack("<IIIIIIQ", trainer.CHECKPOINT_VERSION, 2**20, 2**20, 1, 2, 2**20, 0)
+        path.write_bytes(trainer.MAGIC_CHECKPOINT + header)
+        return path
+
+    def test_crafted_header_rejected_before_reading(self, tmp_path):
+        with pytest.raises(TruncatedFileError):
+            load_checkpoint(self._crafted(tmp_path))
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(_tiny_state(10), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FileFormatError):
+            load_checkpoint(path)
+
+    def test_cli_index_on_crafted_checkpoint_is_runtime_error(self, tmp_path, capsys):
+        emb = tmp_path / "c.emb"
+        write_embeddings(_tiny_corpus(), emb)
+        code = main(["index", "--ckpt", str(self._crafted(tmp_path)), "--emb", str(emb),
+                     "--out", str(tmp_path / "c.idx")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 def _tiny_corpus():
     emb, _ = synth_mixture(
@@ -243,6 +277,30 @@ class TestTrain:
         _, log = train(_tiny_config(n_epochs=1), data, val=val)
         assert log.records[0].val_loss is not None
         assert "val=" in log.records[0].format_line()
+
+    def test_val_loss_is_the_objective_at_the_validation_seed(self):
+        corpus = _tiny_corpus()
+        val = EmbeddingMatrix(corpus.values[:20])
+        cfg = _tiny_config(n_epochs=1)
+        state, log = train(cfg, EmbeddingMatrix(corpus.values[20:]), val=val)
+        seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, 2**31)
+        values, _ = loss_and_gradients(state.encoder, state.books, val.values, cfg.loss, seed)
+        assert log.records[0].val_loss == values.total
+
+    def test_usage_histogram_matches_per_book_assignment(self):
+        corpus = _tiny_corpus()
+        for n_books, n_words in ((2, 4), (3, 5), (4, 2)):
+            state, _ = train(_tiny_config(n_codebooks=n_books, n_codewords=n_words, n_epochs=1), corpus)
+            refined = forward_batch(state.encoder, corpus.values)
+            sub = state.books.sub_dim
+            expected = [
+                np.bincount(
+                    hard_assign_batch(refined[:, m * sub:(m + 1) * sub], state.books.books[m]),
+                    minlength=n_words,
+                )
+                for m in range(n_books)
+            ]
+            assert np.array_equal(usage_histogram(state, corpus), expected)
 
     def test_nonfinite_gradient_reports_epoch_and_step(self, monkeypatch):
         def broken(*args, **kwargs):
