@@ -36,6 +36,8 @@ from .errors import (
 MAGIC_EMBEDDINGS = b"MICPQEMB"
 MAGIC_LABELS = b"MICPQLBL"
 FORMAT_VERSION = 1
+_EMBEDDINGS_HEADER = struct.Struct("<IQI")  # version, n_docs, dim
+_LABELS_HEADER = struct.Struct("<IQ")  # version, n_docs
 
 
 @dataclass
@@ -110,15 +112,6 @@ class MixtureSpec:
             raise InvalidSpecError("noise_sigma must be > 0")
 
 
-def _read_exact(f, n: int, offset: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise TruncatedFileError(
-            f"file truncated at byte {offset + len(data)} while reading {what}"
-        )
-    return data
-
-
 def check_file_size(f, declared: int) -> None:
     """Reject an open file whose size differs from the ``declared`` byte
     count, before any payload is read: a short file raises
@@ -129,21 +122,24 @@ def check_file_size(f, declared: int) -> None:
         raise error(f"header declares a {declared}-byte file, found {size} bytes")
 
 
-def _read_header(f, magic: bytes):
-    raw_magic = f.read(len(magic))
-    if len(raw_magic) < len(magic) or raw_magic != magic:
-        raise BadMagicError(
-            f"expected magic {magic!r} at byte 0, found {raw_magic!r}"
-        )
-    offset = len(magic)
-    version = struct.unpack("<I", _read_exact(f, 4, offset, "version"))[0]
-    if version != FORMAT_VERSION:
+def read_header(f, magic: bytes, header_struct: struct.Struct, version: int) -> tuple:
+    """Read a file's magic and fixed-size header, whose first field is a
+    u32 format version, and return the fields after the version.
+
+    Raises :class:`BadMagicError`, :class:`TruncatedFileError` or
+    :class:`VersionMismatchError`."""
+    found = f.read(len(magic))
+    if found != magic:
+        raise BadMagicError(f"expected magic {magic!r} at byte 0, found {found!r}")
+    raw = f.read(header_struct.size)
+    if len(raw) != header_struct.size:
+        raise TruncatedFileError(f"file truncated at byte {len(magic) + len(raw)} in header")
+    found_version, *fields = header_struct.unpack(raw)
+    if found_version != version:
         raise VersionMismatchError(
-            f"unsupported format version {version} at byte {offset}"
+            f"unsupported format version {found_version} at byte {len(magic)}"
         )
-    offset += 4
-    n_docs = struct.unpack("<Q", _read_exact(f, 8, offset, "n_docs"))[0]
-    return n_docs, offset + 8
+    return tuple(fields)
 
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
@@ -153,16 +149,15 @@ def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
         raise NonFiniteValueError(f"refusing to write non-finite value at flat position {bad}")
     with open(path, "wb") as f:
         f.write(MAGIC_EMBEDDINGS)
-        f.write(struct.pack("<IQI", FORMAT_VERSION, matrix.n_docs, matrix.dim))
+        f.write(_EMBEDDINGS_HEADER.pack(FORMAT_VERSION, matrix.n_docs, matrix.dim))
         f.write(matrix.values.astype("<f4", copy=False).tobytes())
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
     """Read an embedding file, validating header, size and finiteness."""
     with open(path, "rb") as f:
-        n_docs, offset = _read_header(f, MAGIC_EMBEDDINGS)
-        dim = struct.unpack("<I", _read_exact(f, 4, offset, "dim"))[0]
-        offset += 4
+        n_docs, dim = read_header(f, MAGIC_EMBEDDINGS, _EMBEDDINGS_HEADER, FORMAT_VERSION)
+        offset = len(MAGIC_EMBEDDINGS) + _EMBEDDINGS_HEADER.size
         check_file_size(f, offset + n_docs * dim * 4)
         values = np.fromfile(f, "<f4", n_docs * dim).reshape(n_docs, dim)
     if not np.all(np.isfinite(values)):
@@ -177,7 +172,7 @@ def write_labels(labels: LabelVector, path) -> None:
     """Write a label file; exact inverse of :func:`read_labels`."""
     with open(path, "wb") as f:
         f.write(MAGIC_LABELS)
-        f.write(struct.pack("<IQ", FORMAT_VERSION, labels.n_docs))
+        f.write(_LABELS_HEADER.pack(FORMAT_VERSION, labels.n_docs))
         f.write(labels.labels.astype("<u4", copy=False).tobytes())
 
 
@@ -188,8 +183,8 @@ def read_labels(path, expected_n_docs: int | None = None) -> LabelVector:
     matrix's row count), a mismatch raises :class:`LengthMismatchError`.
     """
     with open(path, "rb") as f:
-        n_docs, offset = _read_header(f, MAGIC_LABELS)
-        check_file_size(f, offset + n_docs * 4)
+        (n_docs,) = read_header(f, MAGIC_LABELS, _LABELS_HEADER, FORMAT_VERSION)
+        check_file_size(f, len(MAGIC_LABELS) + _LABELS_HEADER.size + n_docs * 4)
         labels = np.fromfile(f, "<u4", n_docs)
     if expected_n_docs is not None and n_docs != expected_n_docs:
         raise LengthMismatchError(

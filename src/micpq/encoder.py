@@ -99,7 +99,10 @@ def forward(params: EncoderParams, z: np.ndarray, sub_dim: int | None = None) ->
 
 
 def forward_batch(params: EncoderParams, batch: np.ndarray) -> np.ndarray:
-    """Row-wise refinement of a batch; row i depends only on input row i."""
+    """Row-wise refinement of a batch.  Row i depends only on input row i
+    up to BLAS rounding, which depends on the shape of the batch: one row
+    refined alone can differ in its last bits from the same row inside a
+    batch."""
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != params.d_in:
         raise DimMismatchError(

@@ -29,7 +29,7 @@ from .errors import (
     TooFewPointsError,
     UnknownDocIdError,
 )
-from .quantizer import hard_assign_batch
+from .quantizer import hard_assign_books, squared_distances_books, stable_softmax
 from .retrieval import build_index, search_topk, search_topk_hamming
 from .trainer import ModelState
 
@@ -161,22 +161,8 @@ def assignment_probabilities(model: ModelState, values: np.ndarray) -> list[np.n
     :func:`micpq.objectives.mi_term` gives corpus-level usage statistics.
     """
     refined = forward_batch(model.encoder, np.asarray(values)).astype(np.float64)
-    sub = model.books.sub_dim
-    out = []
-    for m in range(model.books.n_codebooks):
-        seg = refined[:, m * sub:(m + 1) * sub]
-        book = model.books.books[m].astype(np.float64)
-        d2 = (
-            (seg * seg).sum(axis=1)[:, None]
-            - 2.0 * seg @ book.T
-            + (book * book).sum(axis=1)[None, :]
-        )
-        logits = -d2
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        out.append(probs)
-    return out
+    d2 = squared_distances_books(refined, model.books.books.astype(np.float64))
+    return list(stable_softmax(-d2))
 
 
 @dataclass
@@ -238,13 +224,13 @@ def evaluate_codeword_quality(
             f"{labels.n_classes} classes"
         )
     refined = forward_batch(model.encoder, data.values)
+    codes = hard_assign_books(refined, model.books.books)
     sub = model.books.sub_dim
     book_acc = np.empty(model.books.n_codebooks)
     km_acc = np.empty(model.books.n_codebooks)
     for m in range(model.books.n_codebooks):
         segment = refined[:, m * sub:(m + 1) * sub]
-        assigned = hard_assign_batch(segment, model.books.books[m])
-        book_acc[m] = hungarian_accuracy(assigned, labels.labels)
+        book_acc[m] = hungarian_accuracy(codes[:, m], labels.labels)
         _, km_assigned = kmeans(
             segment, labels.n_classes, max_iters=kmeans_max_iters, seed=kmeans_seed
         )

@@ -46,7 +46,7 @@ from .errors import (
     TooLargeToEnumerateError,
     ZeroNormError,
 )
-from .quantizer import CodebookSet, assign_probs, gumbel_from_uniform, stable_softmax
+from .quantizer import CodebookSet, gumbel_from_uniform, squared_distances_books, stable_softmax
 
 ZERO_NORM_EPS = 1e-12
 ENTROPY_LOG_EPS = 1e-12
@@ -221,45 +221,24 @@ def total_loss(views: BatchViews, probs_per_book: list[np.ndarray], cfg: LossCon
 
 # --- exact expectation oracle and Monte-Carlo samplers -------------------
 
-def _slot_probs(refined1: np.ndarray, refined2: np.ndarray, books: CodebookSet) -> np.ndarray:
-    """Noise-free assignment probabilities per (view, doc, book): (2,B,M,K)."""
-    views = np.stack(
-        [np.asarray(refined1, dtype=np.float64), np.asarray(refined2, dtype=np.float64)]
-    )
-    batch = views.shape[1]
-    sub = books.sub_dim
-    probs = np.empty((2, batch, books.n_codebooks, books.n_codewords))
-    for i in range(2):
-        for x in range(batch):
-            for m in range(books.n_codebooks):
-                seg = views[i, x, m * sub:(m + 1) * sub]
-                probs[i, x, m] = assign_probs(seg, books.books[m].astype(np.float64))
-    return probs
-
-
 def _slot_sqdists(refined1: np.ndarray, refined2: np.ndarray, books: CodebookSet) -> np.ndarray:
     """Squared distances per (view, doc, book, codeword): (2,B,M,K)."""
-    views = np.stack(
+    views = np.concatenate(
         [np.asarray(refined1, dtype=np.float64), np.asarray(refined2, dtype=np.float64)]
     )
-    batch = views.shape[1]
-    sub = books.sub_dim
-    d2 = np.empty((2, batch, books.n_codebooks, books.n_codewords))
-    for m in range(books.n_codebooks):
-        seg = views[:, :, m * sub:(m + 1) * sub]
-        diff = seg[:, :, None, :] - books.books[m][None, None, :, :].astype(np.float64)
-        d2[:, :, m, :] = np.einsum("ibkd,ibkd->ibk", diff, diff)
-    return d2
+    d2 = squared_distances_books(views, books.books.astype(np.float64))
+    return d2.reshape(books.n_codebooks, 2, -1, books.n_codewords).transpose(1, 2, 0, 3)
+
+
+def _slot_probs(refined1: np.ndarray, refined2: np.ndarray, books: CodebookSet) -> np.ndarray:
+    """Noise-free assignment probabilities per (view, doc, book): (2,B,M,K)."""
+    return stable_softmax(-_slot_sqdists(refined1, refined2, books))
 
 
 def _stack_hard_codes(codes: np.ndarray, books: CodebookSet) -> np.ndarray:
     """Codeword concatenations for (T,2,B,M) index draws: (T, 2B, D)."""
-    n_draws, _, batch, _ = codes.shape
-    sub = books.sub_dim
-    h = np.empty((n_draws, 2, batch, books.dim))
-    for m in range(books.n_codebooks):
-        h[..., m * sub:(m + 1) * sub] = books.books[m].astype(np.float64)[codes[..., m]]
-    return np.concatenate([h[:, 0], h[:, 1]], axis=1)
+    h = books.books.astype(np.float64)[np.arange(books.n_codebooks), codes]
+    return h.reshape(codes.shape[0], -1, books.dim)
 
 
 def expected_loss_oracle(
@@ -288,12 +267,8 @@ def expected_loss_oracle(
         )
     radix = n_words ** np.arange(n_slots - 1, -1, -1, dtype=np.int64)
     codes = (np.arange(n_outcomes, dtype=np.int64)[:, None] // radix) % n_words
+    weights = probs.reshape(n_slots, n_words)[np.arange(n_slots), codes].prod(axis=1)
     codes = codes.reshape(n_outcomes, 2, batch, n_books)
-    weights = np.ones(n_outcomes)
-    for i in range(2):
-        for x in range(batch):
-            for m in range(n_books):
-                weights *= probs[i, x, m, codes[:, i, x, m]]
     losses = _contrastive_losses(_stack_hard_codes(codes, books), tau_cl)
     return float(weights @ losses)
 
@@ -337,12 +312,8 @@ def sample_soft_losses(
     logits -= logits.max(axis=-1, keepdims=True)
     soft = np.exp(logits)
     soft /= soft.sum(axis=-1, keepdims=True)
-    sub = books.sub_dim
-    batch = d2.shape[1]
-    h = np.empty((n_samples, 2, batch, books.dim))
-    for m in range(books.n_codebooks):
-        h[..., m * sub:(m + 1) * sub] = soft[..., m, :] @ books.books[m].astype(np.float64)
-    return _contrastive_losses(np.concatenate([h[:, 0], h[:, 1]], axis=1), tau_cl)
+    h = np.einsum("tibmk,mkd->tibmd", soft, books.books.astype(np.float64))
+    return _contrastive_losses(h.reshape(n_samples, -1, books.dim), tau_cl)
 
 
 # --- the training objective and its closed-form gradient ------------------
@@ -398,11 +369,7 @@ def _forward(
     refined = forward_batch(params, inputs)
     segments = refined.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
     codewords = books.books.astype(np.float64)
-    d2 = (
-        (segments * segments).sum(axis=2, keepdims=True)
-        - 2.0 * segments @ codewords.transpose(0, 2, 1)
-        + (codewords * codewords).sum(axis=2)[:, None, :]
-    )
+    d2 = squared_distances_books(refined, codewords)
     soft = stable_softmax((d2 + gumbel) * (-1.0 / cfg.tau_gumbel))
     probs = stable_softmax(-d2)
     mixtures = (soft @ codewords).transpose(1, 0, 2).reshape(n_rows, books.dim)

@@ -28,6 +28,7 @@ from .errors import (
 )
 
 GUMBEL_CLAMP = 1e-12
+ASSIGN_ROWS = 4096  # rows per (M, rows, K) distance block in hard_assign_books
 
 
 @dataclass
@@ -180,18 +181,31 @@ def hard_assign(segment: np.ndarray, book: np.ndarray) -> int:
     return int(np.argmin(squared_distances(segment, book)))
 
 
-def hard_assign_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
-    """(n, M) nearest-codeword indices of each row's M segments against
-    (M, K, sub_dim) books, bit for bit as :func:`hard_assign_batch` per book."""
+def squared_distances_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
+    """(M, n, K) squared distances ``|s|^2 - 2 s.c + |c|^2`` from each of
+    the n rows' M segments to every codeword of (M, K, sub_dim) books, in
+    the dtype of the inputs."""
     refined = np.asarray(refined)
     n_books, _, sub = books.shape
     segments = refined.reshape(refined.shape[0], n_books, sub).transpose(1, 0, 2)
-    d2 = (
-        np.einsum("mnd,mnd->mn", segments, segments)[:, :, None]
+    return (
+        (segments * segments).sum(axis=2, keepdims=True)
         - 2.0 * segments @ books.transpose(0, 2, 1)
-        + np.einsum("mkd,mkd->mk", books, books)[:, None, :]
+        + (books * books).sum(axis=2)[:, None, :]
     )
-    return np.argmin(d2, axis=2).T
+
+
+def hard_assign_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
+    """(n, M) uint16 nearest-codeword indices of each row's M segments
+    against (M, K, sub_dim) books; ties go to the lowest index.  Rows are
+    taken ``ASSIGN_ROWS`` at a time."""
+    refined = np.asarray(refined)
+    books = np.asarray(books)
+    codes = np.empty((refined.shape[0], books.shape[0]), dtype=np.uint16)
+    for start in range(0, len(codes), ASSIGN_ROWS):
+        chunk = refined[start:start + ASSIGN_ROWS]
+        codes[start:start + ASSIGN_ROWS] = squared_distances_books(chunk, books).argmin(axis=2).T
+    return codes
 
 
 def hard_assign_batch(segments: np.ndarray, book: np.ndarray) -> np.ndarray:
@@ -217,16 +231,11 @@ def soft_codeword(book: np.ndarray, assignment: SoftAssignment) -> np.ndarray:
 def quantize_document(refined, books: CodebookSet) -> QuantCode:
     """Hard-assign every segment of a refined embedding."""
     values = np.asarray(getattr(refined, "values", refined))
-    if values.shape[0] != books.dim:
-        raise DimMismatchError(
-            f"refined vector length {values.shape[0]} != codebooks' {books.dim}"
-        )
-    sub = books.sub_dim
-    indices = [
-        hard_assign(values[m * sub:(m + 1) * sub], books.books[m])
-        for m in range(books.n_codebooks)
-    ]
-    return QuantCode(np.array(indices, dtype=np.uint16), books.n_codewords)
+    if values.shape != (books.dim,):
+        raise DimMismatchError(f"refined vector shape {values.shape} != codebooks' ({books.dim},)")
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteInputError("refined vector must be finite")
+    return QuantCode(hard_assign_books(values[None], books.books)[0], books.n_codewords)
 
 
 def reconstruct(books: CodebookSet, code: QuantCode) -> np.ndarray:

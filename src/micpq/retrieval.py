@@ -25,24 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingMatrix, check_file_size
+from .dataio import EmbeddingMatrix, check_file_size, read_header
 from .encoder import forward_batch
 from .errors import (
-    BadMagicError,
     ConfigMismatchError,
     DimMismatchError,
     EmptyIndexError,
     IndexOutOfRangeError,
     InvalidConfigError,
     KNot2Error,
-    TruncatedFileError,
-    VersionMismatchError,
 )
 from .quantizer import (
     CodebookSet,
     QuantCode,
     bits_per_index,
-    hard_assign_batch,
     hard_assign_books,
     pack_codes_batch,
     packed_code_nbytes,
@@ -133,12 +129,7 @@ def build_index(
         raise DimMismatchError(
             f"corpus width {values.shape[1]} != encoder input width {model.encoder.d_in}"
         )
-    refined = forward_batch(model.encoder, values)
-    sub = model.books.sub_dim
-    codes = np.empty((values.shape[0], model.books.n_codebooks), dtype=np.uint16)
-    # one book at a time keeps the (n, K) distance matrix small
-    for m in range(model.books.n_codebooks):
-        codes[:, m] = hard_assign_batch(refined[:, m * sub:(m + 1) * sub], model.books.books[m])
+    codes = hard_assign_books(forward_batch(model.encoder, values), model.books.books)
     if ids is None:
         ids = np.arange(values.shape[0], dtype=np.uint64)
     return RetrievalIndex(books=model.books, codes=codes, doc_ids=ids)
@@ -296,15 +287,7 @@ def load_index(path) -> RetrievalIndex:
     """Read an index file written by :func:`save_index`.  A file whose size
     differs from what its header declares is rejected before any read."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC_INDEX:
-            raise BadMagicError(f"expected magic {MAGIC_INDEX!r} at byte 0, found {magic!r}")
-        header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise TruncatedFileError(f"file truncated at byte {8 + len(header)} in header")
-        version, n_books, n_words, sub_dim, n_docs = _HEADER.unpack(header)
-        if version != INDEX_VERSION:
-            raise VersionMismatchError(f"unsupported index version {version}")
+        n_books, n_words, sub_dim, n_docs = read_header(f, MAGIC_INDEX, _HEADER, INDEX_VERSION)
         packed = _is_pow2(n_words)
         code_nbytes = packed_code_nbytes(n_books, n_words) if packed else 2 * n_books
         declared = 8 + _HEADER.size + n_books * n_words * sub_dim * 4 + n_docs * (8 + code_nbytes)

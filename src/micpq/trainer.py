@@ -20,20 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dataio import EmbeddingMatrix, check_file_size
+from .dataio import EmbeddingMatrix, check_file_size, read_header
 from .encoder import EncoderParams, forward_batch, init_encoder
-from .errors import (
-    BadMagicError,
-    InvalidConfigError,
-    NonFiniteGradientError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .errors import InvalidConfigError, NonFiniteGradientError
 from .objectives import LossConfig, ParamGrads, loss_and_gradients, loss_values
 from .quantizer import CodebookSet, hard_assign_books, init_codebooks
 
 MAGIC_CHECKPOINT = b"MICPQCKP"
 CHECKPOINT_VERSION = 1
+_HEADER = struct.Struct("<IIIIIIQ")  # version, d_in, d_out, M, K, sub_dim, step
 
 
 def default_gumbel_temperature(n_codebooks: int, n_codewords: int) -> float:
@@ -227,7 +222,9 @@ def usage_histogram(state: ModelState, data: np.ndarray) -> np.ndarray:
     """(M, K) hard-assignment counts over a corpus, dropout disabled."""
     values = np.asarray(getattr(data, "values", data))
     codes = hard_assign_books(forward_batch(state.encoder, values), state.books.books)
-    return np.stack([np.bincount(book, minlength=state.books.n_codewords) for book in codes.T])
+    n_books, n_words = state.books.n_codebooks, state.books.n_codewords
+    slots = codes + n_words * np.arange(n_books)
+    return np.bincount(slots.ravel(), minlength=n_books * n_words).reshape(n_books, n_words)
 
 
 def usage_entropy(counts: np.ndarray) -> float:
@@ -314,8 +311,7 @@ def train(
 
 def save_checkpoint(state: ModelState, path) -> None:
     """Write the model, Adam moments and step counter; bit-exact round-trip."""
-    header = struct.pack(
-        "<IIIIIIQ",
+    header = _HEADER.pack(
         CHECKPOINT_VERSION,
         state.encoder.d_in,
         state.encoder.d_out,
@@ -334,16 +330,9 @@ def save_checkpoint(state: ModelState, path) -> None:
 def load_checkpoint(path) -> ModelState:
     """Read a checkpoint written by :func:`save_checkpoint`."""
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC_CHECKPOINT:
-            raise BadMagicError(f"expected magic {MAGIC_CHECKPOINT!r} at byte 0, found {magic!r}")
-        header_size = struct.calcsize("<IIIIIIQ")
-        header = f.read(header_size)
-        if len(header) != header_size:
-            raise TruncatedFileError(f"file truncated at byte {8 + len(header)} in header")
-        version, d_in, d_out, n_books, n_words, sub_dim, step = struct.unpack("<IIIIIIQ", header)
-        if version != CHECKPOINT_VERSION:
-            raise VersionMismatchError(f"unsupported checkpoint version {version}")
+        d_in, d_out, n_books, n_words, sub_dim, step = read_header(
+            f, MAGIC_CHECKPOINT, _HEADER, CHECKPOINT_VERSION
+        )
         if d_out != n_books * sub_dim:
             raise InvalidConfigError(
                 f"inconsistent checkpoint dimensions: d_out={d_out}, M*sub_dim={n_books * sub_dim}"
@@ -359,7 +348,7 @@ def load_checkpoint(path) -> ModelState:
             (n_books, n_words, sub_dim),
             (n_books, n_words, sub_dim),
         ]
-        check_file_size(f, 8 + header_size + 4 * sum(math.prod(shape) for shape in shapes))
+        check_file_size(f, 8 + _HEADER.size + 4 * sum(math.prod(shape) for shape in shapes))
         arrays = [np.fromfile(f, "<f4", math.prod(shape)).reshape(shape) for shape in shapes]
     weight, bias, books, mw, vw, mb, vb, mc, vc = arrays
     return ModelState(

@@ -10,6 +10,7 @@ from micpq.errors import (
     UnknownDocIdError,
 )
 from micpq.evaluation import (
+    assignment_probabilities,
     evaluate_codeword_quality,
     hungarian_accuracy,
     kmeans,
@@ -17,7 +18,7 @@ from micpq.evaluation import (
     retrieval_eval,
     split_indices,
 )
-from micpq.quantizer import CodebookSet
+from micpq.quantizer import CodebookSet, assign_probs
 from micpq.trainer import ModelState
 
 
@@ -163,6 +164,28 @@ class TestKMeans:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             kmeans(np.zeros((2, 2)), k=3)
+
+
+class TestAssignmentProbabilities:
+    @pytest.mark.parametrize("n_books,n_words", [(4, 16), (3, 5)])
+    def test_rows_equal_per_segment_assign_probs(self, n_books, n_words):
+        gen = np.random.default_rng(n_books * n_words)
+        sub, d_in = 3, 6
+        encoder = EncoderParams(
+            gen.normal(size=(n_books * sub, d_in)).astype(np.float32),
+            gen.normal(size=n_books * sub).astype(np.float32),
+        )
+        books = CodebookSet(gen.uniform(0, 1.5, size=(n_books, n_words, sub)).astype(np.float32))
+        values = gen.normal(size=(40, d_in)).astype(np.float32)
+        probs = assignment_probabilities(_model_from(encoder, books), values)
+        refined = forward_batch(encoder, values).astype(np.float64)
+        assert len(probs) == n_books
+        for m, rows in enumerate(probs):
+            expected = [
+                assign_probs(seg, books.books[m].astype(np.float64))
+                for seg in refined[:, m * sub:(m + 1) * sub]
+            ]
+            np.testing.assert_allclose(rows, expected, rtol=1e-12)
 
 
 class TestCodewordQuality:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from micpq import quantizer
 from micpq.encoder import RefinedEmbedding
 from micpq.errors import (
     IndexOutOfRangeError,
@@ -14,6 +15,7 @@ from micpq.quantizer import (
     gumbel_from_uniform,
     hard_assign,
     hard_assign_batch,
+    hard_assign_books,
     pack_codes,
     pack_codes_batch,
     packed_code_nbytes,
@@ -145,6 +147,32 @@ class TestHardAssign:
         segments = rng.normal(size=(20, 3))
         batch = hard_assign_batch(segments, book)
         assert [hard_assign(s, book) for s in segments] == batch.tolist()
+
+
+class TestHardAssignBooks:
+    @staticmethod
+    def _clear_rows(seed, n_books, n_words, sub=4, n=300):
+        """float32 rows whose M nearest codewords each win by a clear margin,
+        with the float64 explicit-difference argmin as reference codes."""
+        gen = np.random.default_rng(seed)
+        books = gen.normal(size=(n_books, n_words, sub)).astype(np.float32)
+        refined = gen.normal(size=(3 * n, n_books * sub)).astype(np.float32)
+        segments = refined.reshape(len(refined), n_books, 1, sub).astype(np.float64)
+        d2 = ((segments - books.astype(np.float64)) ** 2).sum(axis=3)  # (rows, M, K)
+        two = np.sort(d2, axis=2)[:, :, :2]
+        clear = np.all(two[:, :, 1] - two[:, :, 0] > 1e-3, axis=1)
+        assert clear.sum() >= n
+        return refined[clear][:n], books, d2[clear][:n].argmin(axis=2)
+
+    @pytest.mark.parametrize("n_books,n_words", [(8, 16), (16, 2), (3, 5)])
+    @pytest.mark.parametrize("rows", [1, 7, 10_000])
+    def test_any_chunk_size_gives_the_reference_codes(self, monkeypatch, n_books, n_words, rows):
+        refined, books, expected = self._clear_rows(n_books * 100 + n_words, n_books, n_words)
+        monkeypatch.setattr(quantizer, "ASSIGN_ROWS", rows)
+        codes = hard_assign_books(refined, books)
+        assert codes.shape == (len(refined), n_books)
+        assert np.array_equal(codes, expected)
+        assert np.array_equal(hard_assign_books(refined.astype(np.float64), books), expected)
 
 
 class TestSampling:

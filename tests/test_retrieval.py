@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from micpq import quantizer
 from micpq.cli import main
 from micpq.dataio import EmbeddingMatrix
 from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
@@ -15,7 +16,14 @@ from micpq.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from micpq.quantizer import CodebookSet, QuantCode, hard_assign_batch, pack_codes_batch, reconstruct
+from micpq.quantizer import (
+    CodebookSet,
+    QuantCode,
+    hard_assign_batch,
+    hard_assign_books,
+    pack_codes_batch,
+    reconstruct,
+)
 from micpq.retrieval import (
     INDEX_VERSION,
     MAGIC_INDEX,
@@ -136,6 +144,18 @@ class TestBuildIndex:
         b = build_index(model, EmbeddingMatrix(corpus))
         assert np.array_equal(a.packed, b.packed)
         assert np.array_equal(a.doc_ids, b.doc_ids)
+
+    def test_chunked_codes_equal_one_whole_assignment(self, monkeypatch):
+        gen = np.random.default_rng(12)
+        books = CodebookSet(gen.normal(size=(8, 16, 3)).astype(np.float32))
+        model = _identity_model(books)
+        encoder = model.encoder = EncoderParams(
+            gen.normal(size=(24, 10)).astype(np.float32), np.zeros(24, np.float32)
+        )
+        corpus = gen.normal(size=(2 * quantizer.ASSIGN_ROWS + 5, 10)).astype(np.float32)
+        codes = build_index(model, EmbeddingMatrix(corpus)).codes
+        monkeypatch.setattr(quantizer, "ASSIGN_ROWS", len(corpus))
+        assert np.array_equal(codes, hard_assign_books(forward_batch(encoder, corpus), books.books))
 
 
 class TestSearchTopK:
