@@ -1,8 +1,12 @@
 """Command-line entry point: synth, train, index, search, eval.
 
-Exit codes: 0 success, 1 runtime or data error, 2 usage error.  Flags
-take precedence over an optional ``--config`` file of ``key=value``
-lines (keys are the flag names, dashes and underscores interchangeable).
+Exit codes: 0 success, 1 an error raised by the library (bad data, a
+failed file operation, a setting the library rejects), 2 usage error
+(bad syntax, an unknown option or choice, a missing required option).
+Each ``key=value`` line of an optional ``--config`` file (keys are the
+flag names, dashes and underscores interchangeable) is read as a flag
+placed right after the command name, so flags given on the command line
+take precedence; one parse handles both.
 Human-readable output goes to stdout, diagnostics to stderr, and
 machine-readable artifacts only to files.
 
@@ -19,16 +23,36 @@ _TRUE_STRINGS = {"1", "true", "yes", "on"}
 
 # dests whose flag spelling differs from the dest name
 _FLAG_NAMES = {"mi_weight": "--lambda"}
-_CONFIG_ALIASES = {"lambda": "mi_weight"}
+
+
+def _flag(dest: str) -> str:
+    return _FLAG_NAMES.get(dest, "--" + dest.replace("_", "-"))
+
+
+def _split_ratios(text: str) -> tuple[float, float, float]:
+    """--split-ratios converter: three nonnegative fractions summing to 1."""
+    try:
+        ratios = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise argparse.ArgumentTypeError(
+            f"need three nonnegative comma-separated fractions summing to 1, got {text!r}"
+        )
+    return ratios
+
 
 _SHARED_OPTS = {
     "seed": (int, 0, "root random seed"),
     "threads": (int, None, "cap worker threads (default: available parallelism)"),
-    "config": (str, None, "key=value defaults file; flags take precedence"),
+    "config": (str, None, "key=value lines read as flags placed before the command line's own"),
 }
 
-# dest -> (converter, default, help); required options have default REQUIRED
+# dest -> (converter or tuple of choices, default, help); required options
+# have default REQUIRED
 _REQUIRED = object()
+_MODES = ("adc", "hamming")
+_SPLITS = ("train", "all")
 
 _COMMAND_OPTS = {
     "synth": {
@@ -54,8 +78,8 @@ _COMMAND_OPTS = {
         "p_drop": (float, 0.3, "dropout rate for the two views"),
         "out": (str, _REQUIRED, "checkpoint output path"),
         "log": (str, None, "write per-epoch records to this file"),
-        "split": (str, "train", "train on this split: train or all"),
-        "split_ratios": (str, "0.8,0.1,0.1", "train,val,test fractions"),
+        "split": (_SPLITS, "train", "train on this split"),
+        "split_ratios": (_split_ratios, "0.8,0.1,0.1", "train,val,test fractions"),
         "split_seed": (int, 0, "seed of the deterministic split"),
         "checkpoint_every": (int, 0, "also checkpoint every N epochs"),
     },
@@ -63,8 +87,8 @@ _COMMAND_OPTS = {
         "ckpt": (str, _REQUIRED, "model checkpoint"),
         "emb": (str, _REQUIRED, "corpus embedding file"),
         "out": (str, _REQUIRED, "index output path"),
-        "split": (str, "train", "index this split: train or all"),
-        "split_ratios": (str, "0.8,0.1,0.1", "train,val,test fractions"),
+        "split": (_SPLITS, "train", "index this split"),
+        "split_ratios": (_split_ratios, "0.8,0.1,0.1", "train,val,test fractions"),
         "split_seed": (int, 0, "seed of the deterministic split"),
     },
     "search": {
@@ -72,18 +96,18 @@ _COMMAND_OPTS = {
         "ckpt": (str, _REQUIRED, "model checkpoint"),
         "queries": (str, _REQUIRED, "query embedding file"),
         "k": (int, 10, "results per query"),
-        "mode": (str, "adc", "distance mode: adc or hamming"),
+        "mode": (_MODES, "adc", "distance mode"),
     },
     "eval": {
         "ckpt": (str, _REQUIRED, "model checkpoint"),
         "emb": (str, _REQUIRED, "corpus embedding file"),
         "labels": (str, _REQUIRED, "corpus label file"),
         "k": (int, 100, "retrieval depth for precision"),
-        "mode": (str, "adc", "distance mode: adc or hamming"),
+        "mode": (_MODES, "adc", "distance mode"),
         "index": (str, None, "search a prebuilt index instead of encoding the train split"),
         "clustering": (bool, False, "also report per-codebook clustering accuracy"),
         "report": (str, None, "write the report to this file"),
-        "split_ratios": (str, "0.8,0.1,0.1", "train,val,test fractions"),
+        "split_ratios": (_split_ratios, "0.8,0.1,0.1", "train,val,test fractions"),
         "split_seed": (int, 0, "seed of the deterministic split"),
         "kmeans_seed": (int, 0, "seed of the K-means baseline"),
     },
@@ -100,79 +124,55 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, opts in _COMMAND_OPTS.items():
         sub = subparsers.add_parser(command)
         for dest, (conv, default, help_text) in {**opts, **_SHARED_OPTS}.items():
-            flag = _FLAG_NAMES.get(dest, "--" + dest.replace("_", "-"))
+            kind = {"required": True} if default is _REQUIRED else {"default": default}
             if conv is bool:
-                sub.add_argument(flag, dest=dest, action="store_const", const=True,
-                                 default=None, help=help_text)
+                kind["action"] = "store_true"
+            elif isinstance(conv, tuple):
+                kind["choices"] = conv
             else:
-                # defaults are resolved after the config file is merged in
-                sub.add_argument(flag, dest=dest, type=conv, default=None, help=help_text)
+                kind["type"] = conv
+            sub.add_argument(_flag(dest), dest=dest, help=help_text, **kind)
     return parser
 
 
-def _read_config(path) -> dict[str, str]:
-    values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = raw.strip()
-    return values
-
-
-def _resolve_options(parser, args) -> None:
-    """Fill unset options from the config file, then from the defaults."""
-    opts = {**_COMMAND_OPTS[args.command], **_SHARED_OPTS}
-    if args.config:
-        try:
-            config = _read_config(args.config)
-        except OSError as err:
-            parser.error(f"cannot read config file: {err}")
-            return
-        except ValueError as err:
-            parser.error(str(err))
-            return
-        for key, raw in config.items():
-            key = _CONFIG_ALIASES.get(key, key)
-            if key == "config":
-                parser.error("config files cannot set --config")
-            if key not in opts:
-                parser.error(f"unknown config key {key!r} for command {args.command!r}")
-            if getattr(args, key) is None:  # a flag on the command line wins
-                conv = opts[key][0]
-                try:
-                    value = raw.lower() in _TRUE_STRINGS if conv is bool else conv(raw)
-                except ValueError:
-                    parser.error(f"config key {key!r}: cannot parse {raw!r}")
-                    return
-                setattr(args, key, value)
-    for dest, (conv, default, _) in opts.items():
-        if getattr(args, dest) is None:
-            if default is _REQUIRED:
-                parser.error(f"the following argument is required: --{dest.replace('_', '-')}")
-            setattr(args, dest, default)
-    if getattr(args, "mode", "adc") not in ("adc", "hamming"):
-        parser.error(f"--mode must be adc or hamming, got {args.mode!r}")
-    if getattr(args, "split", "train") not in ("train", "all"):
-        parser.error(f"--split must be train or all, got {args.split!r}")
-
-
-def _parse_ratios(parser, text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        parser.error(f"--split-ratios needs three comma-separated fractions, got {text!r}")
+def _with_config(parser, argv: list[str]) -> list[str]:
+    """``argv`` with the lines of its ``--config`` file inserted right after
+    the command name as flags, which the command line's own flags override.
+    ``key=value`` becomes ``--key=value``; a boolean option becomes its bare
+    flag when the value is true and is left out otherwise."""
+    # finds --config F, --config=F and --conf F, as the full parse will
+    find = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    find.add_argument("--config")
     try:
-        ratios = tuple(float(p) for p in parts)
-    except ValueError:
-        parser.error(f"--split-ratios: cannot parse {text!r}")
-        raise
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        parser.error(f"--split-ratios must be nonnegative and sum to 1, got {text!r}")
-    return ratios
+        path = find.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return argv  # the full parse reports it
+    if not path or argv[0] not in _COMMAND_OPTS:
+        return argv
+    opts = {**_COMMAND_OPTS[argv[0]], **_SHARED_OPTS}
+    keys = {}  # checked here: argparse would take a prefix such as epoch= for --epochs
+    for dest in opts.keys() - {"config"}:
+        keys[dest] = keys[_flag(dest)[2:].replace("-", "_")] = dest
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except (OSError, ValueError) as err:  # ValueError: not decodable text
+        parser.error(f"cannot read config file: {err}")
+    flags = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        dest = keys.get(key.replace("-", "_")) if eq else None
+        if dest is None:
+            parser.error(f"{path}:{lineno}: expected key=value with a key among the "
+                         f"{argv[0]} options, got {line!r}")
+        if opts[dest][0] is not bool:
+            flags.append(f"{_flag(dest)}={raw}")
+        elif raw.lower() in _TRUE_STRINGS:
+            flags.append(_flag(dest))
+    return [argv[0], *flags, *argv[1:]]
 
 
 def _set_thread_env(threads: int | None) -> None:
@@ -218,8 +218,10 @@ def _cmd_synth(args) -> int:
 
 
 def _banner(n_codebooks: int, n_codewords: int, sub_dim: int) -> str:
-    if n_codewords >= 2 and n_codewords & (n_codewords - 1) == 0:
-        bits = n_codebooks * (n_codewords.bit_length() - 1)
+    from .quantizer import bits_per_index, is_pow2
+
+    if is_pow2(n_codewords):
+        bits = n_codebooks * bits_per_index(n_codewords)
         return f"micpq train: {bits}-bit codes (M={n_codebooks}, K={n_codewords}, sub_dim={sub_dim})"
     return (
         f"micpq train: {n_codebooks} sub-indices per doc "
@@ -227,14 +229,13 @@ def _banner(n_codebooks: int, n_codewords: int, sub_dim: int) -> str:
     )
 
 
-def _cmd_train(args, parser) -> int:
+def _cmd_train(args) -> int:
     from . import dataio, trainer
     from .dataio import EmbeddingMatrix
     from .objectives import LossConfig
 
     data = dataio.read_embeddings(args.emb)
-    ratios = _parse_ratios(parser, args.split_ratios)
-    rows = _split_rows(data.n_docs, args.split, ratios, args.split_seed)
+    rows = _split_rows(data.n_docs, args.split, args.split_ratios, args.split_seed)
     tau_gumbel = args.tau_gumbel
     if tau_gumbel is None:
         tau_gumbel = trainer.default_gumbel_temperature(args.M, args.K)
@@ -274,7 +275,7 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
-def _cmd_index(args, parser) -> int:
+def _cmd_index(args) -> int:
     import numpy as np
 
     from . import dataio, retrieval, trainer
@@ -282,8 +283,7 @@ def _cmd_index(args, parser) -> int:
 
     model = trainer.load_checkpoint(args.ckpt)
     data = dataio.read_embeddings(args.emb)
-    ratios = _parse_ratios(parser, args.split_ratios)
-    rows = _split_rows(data.n_docs, args.split, ratios, args.split_seed)
+    rows = _split_rows(data.n_docs, args.split, args.split_ratios, args.split_seed)
     index = retrieval.build_index(
         model, EmbeddingMatrix(data.values[rows]), ids=rows.astype(np.uint64)
     )
@@ -295,20 +295,12 @@ def _cmd_index(args, parser) -> int:
     return 0
 
 
-def _check_hamming_mode(mode: str, n_codewords: int) -> None:
-    from .errors import KNot2Error
-
-    if mode == "hamming" and n_codewords != 2:
-        raise KNot2Error("hamming mode requires K=2")
-
-
 def _cmd_search(args) -> int:
     from . import dataio, retrieval, trainer
 
     index = retrieval.load_index(args.index)
     model = trainer.load_checkpoint(args.ckpt)
     queries = dataio.read_embeddings(args.queries)
-    _check_hamming_mode(args.mode, index.books.n_codewords)
     search = retrieval.search_topk_hamming if args.mode == "hamming" else retrieval.search_topk
     for qi in range(queries.n_docs):
         for rank, (doc_id, dist) in enumerate(
@@ -319,32 +311,21 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_eval(args, parser) -> int:
+def _cmd_eval(args) -> int:
     from . import dataio, evaluation, retrieval, trainer
-    from .errors import ConfigMismatchError
 
     model = trainer.load_checkpoint(args.ckpt)
     data = dataio.read_embeddings(args.emb)
     labels = dataio.read_labels(args.labels, expected_n_docs=data.n_docs)
-    _check_hamming_mode(args.mode, model.books.n_codewords)
-    ratios = _parse_ratios(parser, args.split_ratios)
-    index = None
-    if args.index:
-        index = retrieval.load_index(args.index)
-        if index.books.books.shape != model.books.books.shape:
-            raise ConfigMismatchError(
-                f"index codebooks {index.books.books.shape} do not match "
-                f"checkpoint codebooks {model.books.books.shape}"
-            )
     report = evaluation.retrieval_eval(
         model,
         data,
         labels,
         k=args.k,
         mode=args.mode,
-        ratios=ratios,
+        ratios=args.split_ratios,
         split_seed=args.split_seed,
-        index=index,
+        index=retrieval.load_index(args.index) if args.index else None,
     )
     if args.clustering:
         report.clustering = evaluation.evaluate_codeword_quality(
@@ -360,26 +341,18 @@ def _cmd_eval(args, parser) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    _resolve_options(parser, args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_with_config(parser, argv))
     try:
         _set_thread_env(args.threads)
     except ValueError as err:
         parser.error(str(err))
     from .errors import MicpqError
 
+    run = {"synth": _cmd_synth, "train": _cmd_train, "index": _cmd_index,
+           "search": _cmd_search, "eval": _cmd_eval}[args.command]
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "train":
-            return _cmd_train(args, parser)
-        if args.command == "index":
-            return _cmd_index(args, parser)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "eval":
-            return _cmd_eval(args, parser)
-        raise AssertionError(f"unreachable command {args.command!r}")
+        return run(args)
     except (MicpqError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -108,7 +108,11 @@ def forward_batch(params: EncoderParams, batch: np.ndarray) -> np.ndarray:
         raise DimMismatchError(
             f"expected batch of width {params.d_in}, got shape {batch.shape}"
         )
-    return np.maximum(batch @ params.weight.T + params.bias, 0)
+    # in place: the peak holds one (n, d_out) array, not two
+    out = batch @ params.weight.T
+    out = out.astype(np.result_type(out, params.bias), copy=False)
+    out += params.bias
+    return np.maximum(out, 0, out=out)
 
 
 def backward_batch(

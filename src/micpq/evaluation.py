@@ -25,6 +25,7 @@ from .encoder import forward_batch
 from .errors import (
     ConfigMismatchError,
     InvalidConfigError,
+    KNot2Error,
     LengthMismatchError,
     TooFewPointsError,
     UnknownDocIdError,
@@ -279,11 +280,20 @@ def retrieval_eval(
     index=None,
 ) -> EvalReport:
     """Split the corpus, search the training split with held-out queries,
-    and report mean precision at k."""
+    and report mean precision at k.  A given ``index`` is searched in place
+    of one built from the training split; its codebooks must have the
+    model's shape."""
     if labels.n_docs != data.n_docs:
         raise LengthMismatchError("labels and embeddings disagree on the document count")
     if mode not in ("adc", "hamming"):
         raise InvalidConfigError(f"unknown search mode {mode!r}")
+    if mode == "hamming" and model.books.n_codewords != 2:
+        raise KNot2Error(f"hamming mode requires K=2, got K={model.books.n_codewords}")
+    if index is not None and index.books.books.shape != model.books.books.shape:
+        raise ConfigMismatchError(
+            f"index codebooks {index.books.books.shape} do not match "
+            f"checkpoint codebooks {model.books.books.shape}"
+        )
     start = time.perf_counter()
     train_idx, _, test_idx = split_indices(data.n_docs, ratios, split_seed)
     if index is None:

@@ -101,9 +101,14 @@ class QuantCode:
         return pack_codes(self.indices, self.n_codewords)
 
 
+def is_pow2(n_codewords: int) -> bool:
+    """Whether K is a power of two (>= 2), the condition for bit packing."""
+    return n_codewords >= 2 and n_codewords & (n_codewords - 1) == 0
+
+
 def bits_per_index(n_codewords: int) -> int:
     """log2(K) for power-of-two K, else :class:`KNotPowerOfTwoError`."""
-    if n_codewords < 2 or n_codewords & (n_codewords - 1):
+    if not is_pow2(n_codewords):
         raise KNotPowerOfTwoError(f"K={n_codewords} is not a power of two")
     return n_codewords.bit_length() - 1
 

@@ -40,6 +40,7 @@ from .quantizer import (
     QuantCode,
     bits_per_index,
     hard_assign_books,
+    is_pow2,
     pack_codes_batch,
     packed_code_nbytes,
     unpack_codes_batch,
@@ -50,10 +51,6 @@ MAGIC_INDEX = b"MICPQIDX"
 INDEX_VERSION = 1
 _HEADER = struct.Struct("<IIIIQ")
 SCAN_ROWS = 65536  # rows unpacked at a time when log2(K) does not divide 8
-
-
-def _is_pow2(k: int) -> bool:
-    return k >= 2 and k & (k - 1) == 0
 
 
 def _checked_codes(codes, n_books: int, n_words: int) -> np.ndarray:
@@ -79,7 +76,7 @@ class RetrievalIndex:
         self.doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
         n_books, n_words = books.n_codebooks, books.n_codewords
         self._codes = None if packed is not None else _checked_codes(codes, n_books, n_words)
-        if packed is None and _is_pow2(n_words):
+        if packed is None and is_pow2(n_words):
             packed, self._codes = pack_codes_batch(self._codes, n_words), None
         self.packed = None if packed is None else np.asfortranarray(packed, dtype=np.uint8)
         stored = self._codes if packed is None else self.packed
@@ -184,7 +181,7 @@ def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
         packed, codes = codes.packed, codes._codes
     else:
         codes = _checked_codes(codes, n_books, n_words)
-        packed = pack_codes_batch(codes, n_words) if _is_pow2(n_words) else None
+        packed = pack_codes_batch(codes, n_words) if is_pow2(n_words) else None
     if packed is None:
         return _gather(table, codes)
     bits = bits_per_index(n_words)
@@ -288,7 +285,7 @@ def load_index(path) -> RetrievalIndex:
     differs from what its header declares is rejected before any read."""
     with open(path, "rb") as f:
         n_books, n_words, sub_dim, n_docs = read_header(f, MAGIC_INDEX, _HEADER, INDEX_VERSION)
-        packed = _is_pow2(n_words)
+        packed = is_pow2(n_words)
         code_nbytes = packed_code_nbytes(n_books, n_words) if packed else 2 * n_books
         declared = 8 + _HEADER.size + n_books * n_words * sub_dim * 4 + n_docs * (8 + code_nbytes)
         check_file_size(f, declared)

@@ -24,7 +24,7 @@ from .dataio import EmbeddingMatrix, check_file_size, read_header
 from .encoder import EncoderParams, forward_batch, init_encoder
 from .errors import InvalidConfigError, NonFiniteGradientError
 from .objectives import LossConfig, ParamGrads, loss_and_gradients, loss_values
-from .quantizer import CodebookSet, hard_assign_books, init_codebooks
+from .quantizer import CodebookSet, bits_per_index, hard_assign_books, init_codebooks, is_pow2
 
 MAGIC_CHECKPOINT = b"MICPQCKP"
 CHECKPOINT_VERSION = 1
@@ -33,10 +33,8 @@ _HEADER = struct.Struct("<IIIIIIQ")  # version, d_in, d_out, M, K, sub_dim, step
 
 def default_gumbel_temperature(n_codebooks: int, n_codewords: int) -> float:
     """10 for 16-bit codes, 5 otherwise (also 5 when bits are undefined)."""
-    if n_codewords >= 2 and n_codewords & (n_codewords - 1) == 0:
-        bits = n_codebooks * (n_codewords.bit_length() - 1)
-        if bits == 16:
-            return 10.0
+    if is_pow2(n_codewords) and n_codebooks * bits_per_index(n_codewords) == 16:
+        return 10.0
     return 5.0
 
 
@@ -50,9 +48,6 @@ class TrainConfig:
     n_epochs: int = 100
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     checkpoint_path: str | None = None
     checkpoint_every: int = 0
 
@@ -63,8 +58,6 @@ class TrainConfig:
             raise InvalidConfigError("learning_rate must be > 0")
         if self.batch_size < 2 or self.n_epochs < 1:
             raise InvalidConfigError("need batch_size >= 2 and n_epochs >= 1")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1 and self.adam_eps > 0):
-            raise InvalidConfigError("invalid Adam constants")
 
     @property
     def d_out(self) -> int:
@@ -275,7 +268,7 @@ def train(
                 step_values, grads = loss_and_gradients(
                     state.encoder, state.books, values[batch_idx], cfg.loss, step_seed
                 )
-                adam_step(state, grads, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                adam_step(state, grads, cfg.learning_rate)
             except NonFiniteGradientError as err:
                 raise NonFiniteGradientError(
                     f"epoch {epoch}, step {global_step}: {err}"
@@ -337,17 +330,8 @@ def load_checkpoint(path) -> ModelState:
             raise InvalidConfigError(
                 f"inconsistent checkpoint dimensions: d_out={d_out}, M*sub_dim={n_books * sub_dim}"
             )
-        shapes = [
-            (d_out, d_in),
-            (d_out,),
-            (n_books, n_words, sub_dim),
-            (d_out, d_in),
-            (d_out, d_in),
-            (d_out,),
-            (d_out,),
-            (n_books, n_words, sub_dim),
-            (n_books, n_words, sub_dim),
-        ]
+        w, b, c = (d_out, d_in), (d_out,), (n_books, n_words, sub_dim)
+        shapes = [w, b, c, w, w, b, b, c, c]
         check_file_size(f, 8 + _HEADER.size + 4 * sum(math.prod(shape) for shape in shapes))
         arrays = [np.fromfile(f, "<f4", math.prod(shape)).reshape(shape) for shape in shapes]
     weight, bias, books, mw, vw, mb, vb, mc, vc = arrays

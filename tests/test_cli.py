@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 import micpq
+from micpq import evaluation
 from micpq.cli import main
 from micpq.dataio import read_embeddings, read_labels
+from micpq.errors import ConfigMismatchError, KNot2Error
+from micpq.retrieval import build_index
+from micpq.trainer import TrainConfig, init_model
 
 
 def _synth(tmp_path, n=60, dim=6, classes=3, seed=7, name="data"):
@@ -33,6 +37,24 @@ def _train(tmp_path, emb_path, extra=(), name="model.ckpt"):
     code = main(args + list(extra))
     assert code == 0
     return ckpt
+
+
+@pytest.fixture(scope="module")
+def required_args(tmp_path_factory):
+    """Valid required options of each command, over real files, so that
+    each case fails on its one bad value and nothing else."""
+    tmp_path = tmp_path_factory.mktemp("pipeline")
+    emb, lbl = _synth(tmp_path)
+    ckpt = _train(tmp_path, emb)
+    idx = tmp_path / "c.idx"
+    assert main(["index", "--ckpt", str(ckpt), "--emb", str(emb), "--out", str(idx)]) == 0
+    emb, lbl, ckpt, idx = str(emb), str(lbl), str(ckpt), str(idx)
+    return {
+        "train": ["--emb", emb, "--M", "2", "--out", str(tmp_path / "x.ckpt")],
+        "index": ["--ckpt", ckpt, "--emb", emb, "--out", str(tmp_path / "x.idx")],
+        "search": ["--index", idx, "--ckpt", ckpt, "--queries", emb],
+        "eval": ["--ckpt", ckpt, "--emb", emb, "--labels", lbl],
+    }
 
 
 class TestSynth:
@@ -75,11 +97,61 @@ class TestConfigFile:
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         emb_path, _ = _synth(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus=1\n")
+        # epoch= would pass argparse's prefix matching for --epochs
+        for line in ("bogus=1", "epoch=3", "config=x"):
+            cfg.write_text(line + "\n")
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--emb", str(emb_path), "--M", "2", "--out", "x",
+                      "--config", str(cfg)])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command,key,value", [
+        ("eval", "mode", "bogus"),
+        ("search", "mode", "bogus"),
+        ("train", "split", "bogus"),
+        ("index", "split", "bogus"),
+        ("train", "split_ratios", "0.5,0.5,0.5"),
+        ("index", "split_ratios", "a,b,c"),
+        ("eval", "split_ratios", "0.5,0.5"),
+        ("eval", "split_ratios", "-0.1,0.6,0.5"),
+    ])
+    def test_bad_value_is_usage_error(
+        self, tmp_path, capsys, required_args, command, key, value, via
+    ):
+        argv = [command, *required_args[command]]
+        flag = "--" + key.replace("_", "-")
+        if via == "flag":
+            argv += [flag, value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            argv += ["--config", str(cfg)]
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--emb", str(emb_path), "--M", "2", "--out", "x",
-                  "--config", str(cfg)])
+            main(argv)
         assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_flags_override_config_lines_of_every_kind(self, tmp_path, capsys):
+        emb_path, lbl_path = _synth(tmp_path)  # 60 documents, 3 classes
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs=5\nlambda=0.2\nsplit-ratios=0.5,0.25,0.25\n"
+                       "M=2\nK=3\nsub-dim=3\nbatch-size=24\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--emb", str(emb_path), "--out", str(ckpt), "--config", str(cfg),
+                     "--epochs", "1", "--lambda", "0.3", "--split-ratios", "0.8,0.1,0.1"]) == 0
+        out = capsys.readouterr().out
+        assert "epochs=1" in out and "lambda=0.3" in out
+        assert "training on 48 of 60 documents" in out
+        eval_cfg = tmp_path / "eval.cfg"
+        eval_cfg.write_text("clustering=no\nk=5\n")
+        argv = ["eval", "--ckpt", str(ckpt), "--emb", str(emb_path), "--labels", str(lbl_path),
+                "--config", str(eval_cfg)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "k=5" in out and "avg_accuracy=" not in out
+        assert main(argv + ["--clustering"]) == 0
+        assert "avg_accuracy=" in capsys.readouterr().out
 
 
 class TestTrain:
@@ -222,6 +294,27 @@ class TestPipeline:
         assert code == 1
         assert "hamming mode requires K=2" in capsys.readouterr().err
 
+    def test_hamming_search_requires_two_codewords(self, tmp_path, capsys):
+        emb_path, _ = _synth(tmp_path)
+        ckpt = _train(tmp_path, emb_path)  # K=4
+        idx_path = tmp_path / "c.idx"
+        assert main(["index", "--ckpt", str(ckpt), "--emb", str(emb_path),
+                     "--out", str(idx_path)]) == 0
+        capsys.readouterr()
+        code = main(["search", "--index", str(idx_path), "--ckpt", str(ckpt),
+                     "--queries", str(emb_path), "--mode", "hamming"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "K=2" in captured.err
+
+    def test_invalid_setting_is_runtime_error(self, tmp_path, capsys):
+        emb_path, _ = _synth(tmp_path)
+        code = main(["train", "--emb", str(emb_path), "--M", "0",
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_hamming_pipeline_runs_with_extreme_config(self, tmp_path, capsys):
         emb_path, lbl_path = _synth(tmp_path)
         ckpt = tmp_path / "ext.ckpt"
@@ -256,6 +349,34 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "avg_accuracy=" in out
         assert "kmeans_avg_accuracy=" in out
+
+
+class TestLibraryRules:
+    """Rules the command line leaves to the library it calls."""
+
+    def _model(self, emb, n_codewords):
+        cfg = TrainConfig(n_codebooks=2, n_codewords=n_codewords, sub_dim=2)
+        return init_model(cfg, emb.values)
+
+    def test_hamming_eval_refuses_k4_before_building_an_index(self, tmp_path, monkeypatch):
+        emb_path, lbl_path = _synth(tmp_path)
+        emb = read_embeddings(emb_path)
+        labels = read_labels(lbl_path, expected_n_docs=emb.n_docs)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("build_index called")
+
+        monkeypatch.setattr(evaluation, "build_index", fail)
+        with pytest.raises(KNot2Error, match="hamming mode requires K=2"):
+            evaluation.retrieval_eval(self._model(emb, 4), emb, labels, k=5, mode="hamming")
+
+    def test_index_must_match_the_model(self, tmp_path):
+        emb_path, lbl_path = _synth(tmp_path)
+        emb = read_embeddings(emb_path)
+        labels = read_labels(lbl_path, expected_n_docs=emb.n_docs)
+        other = build_index(self._model(emb, 2), emb)
+        with pytest.raises(ConfigMismatchError):
+            evaluation.retrieval_eval(self._model(emb, 4), emb, labels, k=5, index=other)
 
 
 class TestThreads:
