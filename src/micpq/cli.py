@@ -35,7 +35,7 @@ def _split_ratios(text: str) -> tuple[float, float, float]:
         ratios = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if len(ratios) != 3 or any(not r >= 0 for r in ratios) or not abs(sum(ratios) - 1.0) <= 1e-9:
         raise argparse.ArgumentTypeError(
             f"need three nonnegative comma-separated fractions summing to 1, got {text!r}"
         )

@@ -44,7 +44,7 @@ def split_indices(
     seed: int = DEFAULT_SPLIT_SEED,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic (train, val, test) row indices for an n-doc corpus."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if len(ratios) != 3 or any(not r >= 0 for r in ratios) or not abs(sum(ratios) - 1.0) <= 1e-9:
         raise InvalidConfigError(f"split ratios must be 3 nonnegative values summing to 1, got {ratios}")
     perm = rng.spawn(seed, rng.STREAM_SPLIT).permutation(n_docs)
     n_train = int(ratios[0] * n_docs)

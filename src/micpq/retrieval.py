@@ -7,9 +7,10 @@ is refined once (dropout disabled) into an M x K table of squared
 distances to every codeword; a document's distance is the sum of its M
 entries, the squared distance from the refined query to its reconstructed
 codeword.  When log2(K) divides 8 the table is folded into one 256-entry
-table per code byte and the scan reads the packed bytes directly; byte
-sums add as a tree of pairs, numpy's own order at M=8, K=16.  K = 2 also
-ranks by Hamming distance, the popcount of packed query XOR document.
+table per code byte; the scan gathers each byte column into one float32
+buffer and adds its rows in place as a tree of pairs, numpy's own order at
+M=8, K=16.  K = 2 also ranks by Hamming distance: the popcounts of packed
+query XOR document, summed byte column by byte column into uint16.
 Top-k partitions around the k-th distance and sorts only the documents at
 or below it, ties included, by (distance, doc id).
 
@@ -145,11 +146,12 @@ def build_lut(query_refined, books: CodebookSet) -> DistanceLUT:
 
 def _pairwise(parts: np.ndarray) -> np.ndarray:
     """Sum over axis 0 as a balanced tree of pairs: ((p0 + p1) + (p2 + p3))
-    for four parts, which is how numpy sums a contiguous row of eight."""
+    for four parts, which is how numpy sums a contiguous row of eight.
+    Works in place, overwriting ``parts``.  An odd last part moves up a
+    level as is: the bits of adding a zero part, as no distance is -0.0."""
     while len(parts) > 1:
-        if len(parts) % 2:
-            parts = np.concatenate([parts, np.zeros_like(parts[:1])])
-        parts = parts[0::2] + parts[1::2]
+        np.add(parts[:-1:2], parts[1::2], out=parts[:-1:2])
+        parts = parts[0::2]
     return parts[0]
 
 
@@ -159,7 +161,9 @@ def _byte_tables(table: np.ndarray, bits: int) -> np.ndarray:
     n_books, n_words = table.shape
     per_byte = 8 // bits
     n_bytes = -(-n_books // per_byte)
-    rows = np.pad(table, ((0, n_bytes * per_byte - n_books), (0, 0)))  # padding adds 0
+    rows = table
+    if n_books % per_byte:  # pad the last byte's unused slots with 0
+        rows = np.pad(table, ((0, n_bytes * per_byte - n_books), (0, 0)))
     slot = np.arange(per_byte)[:, None]
     fields = (np.arange(256) >> (slot * bits)) & (n_words - 1)
     entries = rows.reshape(n_bytes, per_byte, n_words)[:, slot, fields]
@@ -187,8 +191,10 @@ def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
     bits = bits_per_index(n_words)
     if 8 % bits == 0:
         tables = _byte_tables(table, bits)
-        columns = packed.T + 256 * np.arange(len(tables))[:, None]
-        return _pairwise(tables.ravel().take(columns))
+        parts = np.empty((len(tables), packed.shape[0]), tables.dtype)
+        for byte_table, column, part in zip(tables, packed.T, parts):
+            byte_table.take(column, out=part, mode="clip")  # a byte is < 256
+        return _pairwise(parts)
     out = np.empty(packed.shape[0], table.dtype)
     for start in range(0, len(out), SCAN_ROWS):
         chunk = unpack_codes_batch(packed[start:start + SCAN_ROWS], n_books, n_words)
@@ -262,8 +268,12 @@ def search_topk_hamming(
         )
     refined = _refine_query(index, model, query_embedding, k)
     query = pack_codes_batch(hard_assign_books(refined[None, :], index.books.books), 2)[0]
-    differ = np.bitwise_count(index.packed.T ^ query[:, None])
-    return _ranked(index.doc_ids, differ.sum(axis=0, dtype=np.int64), k)
+    # uint16, not uint8: np.partition is over 20x slower on uint8 keys
+    n_books = index.books.n_codebooks
+    differ = np.zeros(index.n_docs, np.promote_types(np.min_scalar_type(n_books), np.uint16))
+    for column, byte in zip(index.packed.T, query):
+        differ += np.bitwise_count(column ^ byte)
+    return _ranked(index.doc_ids, differ, k)
 
 
 def save_index(index: RetrievalIndex, path) -> None:

@@ -115,6 +115,7 @@ class TestConfigFile:
         ("index", "split_ratios", "a,b,c"),
         ("eval", "split_ratios", "0.5,0.5"),
         ("eval", "split_ratios", "-0.1,0.6,0.5"),
+        ("index", "split_ratios", "nan,0.5,0.5"),
     ])
     def test_bad_value_is_usage_error(
         self, tmp_path, capsys, required_args, command, key, value, via

@@ -5,6 +5,7 @@ from micpq.dataio import LabelVector, MixtureSpec, synth_mixture
 from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     ConfigMismatchError,
+    InvalidConfigError,
     LengthMismatchError,
     TooFewPointsError,
     UnknownDocIdError,
@@ -47,6 +48,14 @@ class TestSplit:
 
     def test_deterministic(self):
         assert np.array_equal(split_indices(100, seed=4)[0], split_indices(100, seed=4)[0])
+
+    @pytest.mark.parametrize("ratios", [
+        (float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan")), (-0.1, 0.6, 0.5), (0.5, 0.5, 0.5),
+        (0.5, 0.5),
+    ])
+    def test_bad_ratios_are_rejected(self, ratios):
+        with pytest.raises(InvalidConfigError):
+            split_indices(100, ratios)
 
 
 class TestPrecisionAtK:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,29 @@ def _oracle_ranking(index, distances, k):
     return [int(index.doc_ids[i]) for i in order]
 
 
+def _pair_tree(parts):
+    """Sum over axis 0 out of place, padding an odd count with a zero part."""
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts = np.concatenate([parts, np.zeros_like(parts[:1])])
+        parts = parts[0::2] + parts[1::2]
+    return parts[0]
+
+
+def _flat_gather_scan(table, packed):
+    """Reference byte scan: 256-entry tables from a zero-padded table, then
+    one flat gather over all byte columns at once, summed by the pair tree."""
+    n_books, n_words = table.shape
+    bits = n_words.bit_length() - 1
+    per_byte, n_bytes = 8 // bits, packed.shape[1]
+    rows = np.pad(table, ((0, n_bytes * per_byte - n_books), (0, 0)))
+    slot = np.arange(per_byte)[:, None]
+    fields = (np.arange(256) >> (slot * bits)) & (n_words - 1)
+    entries = rows.reshape(n_bytes, per_byte, n_words)[:, slot, fields]
+    tables = _pair_tree(entries.transpose(1, 0, 2))
+    return _pair_tree(tables.ravel().take(packed.T + 256 * np.arange(n_bytes)[:, None]))
+
+
 class TestFastPaths:
     """The packed scans and partial selection against reference paths."""
 
@@ -451,6 +475,42 @@ class TestFastPaths:
                 assert [doc for doc, _ in got] == _oracle_ranking(index, oracle, k)
                 assert [dist for _, dist in got] == sorted(oracle)[:k]
 
+    @pytest.mark.parametrize(
+        "n_books,n_words", [(8, 16), (7, 16), (4, 4), (3, 256), (16, 2), (9, 2)]
+    )
+    def test_adc_scan_is_bit_identical_to_flat_gather(self, n_books, n_words):
+        _, index, codes, gen = _random_index(60 + n_books * n_words, n_books, n_words, n_docs=999)
+        assert index.packed.flags.f_contiguous
+        raw_packed = pack_codes_batch(codes, n_words)
+        assert raw_packed.flags.c_contiguous
+        for _ in range(5):
+            lut = build_lut(gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32),
+                            index.books)
+            expected = _flat_gather_scan(lut.table, raw_packed).view(np.uint32)
+            for scanned in (adc_distances(lut, index), adc_distances(lut, codes)):
+                assert scanned.dtype == np.float32
+                assert np.array_equal(scanned.view(np.uint32), expected)
+
+    @pytest.mark.parametrize("search,n_books,n_words,per_doc", [
+        (search_topk_hamming, 16, 2, 6),
+        (search_topk, 8, 16, 32),
+    ], ids=["hamming", "adc"])
+    def test_query_allocates_no_wide_per_document_arrays(self, search, n_books, n_words,
+                                                         per_doc):
+        # tracemalloc sees numpy's data buffers; an int64 array the size of
+        # the corpus would add 8 bytes per document
+        n_docs = 100_000
+        model, index, _, gen = _random_index(61, n_books, n_words, n_docs=n_docs, sub=2)
+        query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
+        search(index, query, model, 100)  # warm
+        tracemalloc.start()
+        try:
+            search(index, query, model, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_docs <= per_doc
+
     def test_single_code_distance_equals_index_scan(self):
         _, index, codes, gen = _random_index(40, 6, 16, n_docs=50)
         lut = build_lut(gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32), index.books)
@@ -480,21 +540,24 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("n_docs,distinct", [(3000, None), (3000, 25), (64, 8)])
     def test_hamming_matches_popcount_oracle(self, n_docs, distinct):
-        model, index, codes, gen = _random_index(43, 16, 2, n_docs=n_docs, sub=2, distinct=distinct)
-        packed = pack_codes_batch(codes, 2)
-        sub = index.books.sub_dim
-        for _ in range(5):
-            query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
-            refined = forward_batch(model.encoder, query[None, :])
-            qcode = np.array([
-                hard_assign_batch(refined[:, m * sub:(m + 1) * sub], index.books.books[m])[0]
-                for m in range(16)
-            ])
-            ref = np.bitwise_count(packed ^ pack_codes_batch(qcode[None, :], 2)).sum(axis=1)
-            for k in (1, 100, n_docs, n_docs + 1):
-                got = search_topk_hamming(index, query, model, k)
-                assert [doc for doc, _ in got] == _oracle_ranking(index, ref, k)
-                assert [dist for _, dist in got] == sorted(ref.astype(float))[:k]
+        for n_books in (9, 16, 24, 40):  # 2-5 byte columns, the last one partial at 9
+            model, index, codes, gen = _random_index(
+                43, n_books, 2, n_docs=n_docs, sub=2, distinct=distinct
+            )
+            packed = pack_codes_batch(codes, 2)
+            sub = index.books.sub_dim
+            for _ in range(5):
+                query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
+                refined = forward_batch(model.encoder, query[None, :])
+                qcode = np.array([
+                    hard_assign_batch(refined[:, m * sub:(m + 1) * sub], index.books.books[m])[0]
+                    for m in range(n_books)
+                ])
+                ref = np.bitwise_count(packed ^ pack_codes_batch(qcode[None, :], 2)).sum(axis=1)
+                for k in (1, 100, n_docs, n_docs + 1):
+                    got = search_topk_hamming(index, query, model, k)
+                    assert [doc for doc, _ in got] == _oracle_ranking(index, ref, k)
+                    assert [dist for _, dist in got] == sorted(ref.astype(float))[:k]
 
 
 class TestLayout:
