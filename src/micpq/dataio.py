@@ -10,12 +10,14 @@ On-disk layout (all fields little-endian, floats IEEE-754 binary32):
 Labels are class ids that must be contiguous from 0.  The synthetic
 generator draws everything from a Philox stream (see :mod:`micpq.rng`),
 so identical specs produce bit-identical corpora.  I/O failures surface
-as the standard :class:`OSError`.
+as the standard :class:`OSError`.  Every file micpq writes goes through
+:func:`atomic_write`, so a failed write leaves any previous file whole.
 """
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,12 +144,35 @@ def read_header(f, magic: bytes, header_struct: struct.Struct, version: int) -> 
     return tuple(fields)
 
 
+@contextmanager
+def atomic_write(path, text: bool = False):
+    """Open a new file for writing that replaces ``path`` when the block
+    ends, in one ``os.replace``.  The data goes to a temporary file in the
+    target's directory; an exception deletes it and leaves any previous
+    file at ``path`` untouched.  A device or pipe, which cannot be
+    replaced, is written in place."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w" if text else "wb") as f:
+            yield f
+        return
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    f = open(tmp, "x" if text else "xb")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Write an embedding matrix; exact inverse of :func:`read_embeddings`."""
     if not np.all(np.isfinite(matrix.values)):
         bad = int(np.flatnonzero(~np.isfinite(matrix.values.ravel()))[0])
         raise NonFiniteValueError(f"refusing to write non-finite value at flat position {bad}")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC_EMBEDDINGS)
         f.write(_EMBEDDINGS_HEADER.pack(FORMAT_VERSION, matrix.n_docs, matrix.dim))
         f.write(matrix.values.astype("<f4", copy=False).tobytes())
@@ -170,7 +195,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
 
 def write_labels(labels: LabelVector, path) -> None:
     """Write a label file; exact inverse of :func:`read_labels`."""
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC_LABELS)
         f.write(_LABELS_HEADER.pack(FORMAT_VERSION, labels.n_docs))
         f.write(labels.labels.astype("<u4", copy=False).tobytes())

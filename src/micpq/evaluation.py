@@ -17,10 +17,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import rng
-from .dataio import EmbeddingMatrix, LabelVector
+from .dataio import EmbeddingMatrix, LabelVector, atomic_write
 from .encoder import forward_batch
 from .errors import (
     ConfigMismatchError,
@@ -55,11 +54,12 @@ def split_indices(
 def precision_at_k(
     results: list[np.ndarray],
     query_labels: np.ndarray,
-    corpus_labels: dict[int, int],
+    corpus_labels: dict[int, int] | np.ndarray,
     k: int,
 ) -> float:
     """Mean over queries of the fraction of top-min(k, returned) results
-    sharing the query's label."""
+    sharing the query's label.  ``corpus_labels`` gives each doc id's
+    label: a dict, or an array whose entry i is doc i's label."""
     if k < 1:
         raise InvalidConfigError("k must be >= 1")
     query_labels = np.asarray(query_labels)
@@ -69,16 +69,18 @@ def precision_at_k(
         )
     fractions = []
     for ranked, label in zip(results, query_labels):
-        top = list(ranked)[:k]
-        if not top:
+        top = np.asarray(ranked)[:k]
+        if not len(top):
             raise InvalidConfigError("a query returned no results")
-        hits = 0
-        for doc_id in top:
-            doc_id = int(doc_id)
-            if doc_id not in corpus_labels:
-                raise UnknownDocIdError(f"no label for retrieved doc id {doc_id}")
-            hits += corpus_labels[doc_id] == label
-        fractions.append(hits / len(top))
+        if isinstance(corpus_labels, np.ndarray):
+            known = (top >= 0) & (top < len(corpus_labels))
+            found = corpus_labels[np.where(known, top, 0)]
+        else:
+            known = np.array([i in corpus_labels for i in top.tolist()])
+            found = np.array([corpus_labels.get(i, -1) for i in top.tolist()])
+        if not known.all():
+            raise UnknownDocIdError(f"no label for retrieved doc id {top[~known][0]}")
+        fractions.append(np.count_nonzero(found == label) / len(top))
     return float(np.mean(fractions))
 
 
@@ -99,6 +101,9 @@ def hungarian_accuracy(assignments: np.ndarray, labels: np.ndarray) -> float:
     _, class_ids = np.unique(labels, return_inverse=True)
     counts = np.zeros((cluster_ids.max() + 1, class_ids.max() + 1), dtype=np.int64)
     np.add.at(counts, (cluster_ids, class_ids), 1)
+    # Imported here so that only ``micpq eval --clustering`` pays scipy's slow import.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(counts, maximize=True)
     return float(counts[rows, cols].sum() / labels.shape[0])
 
@@ -264,7 +269,7 @@ class EvalReport:
         return lines
 
     def write(self, path) -> None:
-        with open(path, "w") as f:
+        with atomic_write(path, text=True) as f:
             for line in self.format_lines():
                 f.write(line + "\n")
 
@@ -282,7 +287,7 @@ def retrieval_eval(
     """Split the corpus, search the training split with held-out queries,
     and report mean precision at k.  A given ``index`` is searched in place
     of one built from the training split; its codebooks must have the
-    model's shape."""
+    model's shape, and its doc ids are row numbers of ``labels``."""
     if labels.n_docs != data.n_docs:
         raise LengthMismatchError("labels and embeddings disagree on the document count")
     if mode not in ("adc", "hamming"):
@@ -293,6 +298,11 @@ def retrieval_eval(
         raise ConfigMismatchError(
             f"index codebooks {index.books.books.shape} do not match "
             f"checkpoint codebooks {model.books.books.shape}"
+        )
+    if index is not None and np.any(index.doc_ids >= labels.n_docs):
+        raise UnknownDocIdError(
+            f"index doc ids reach {int(index.doc_ids.max())}, but the label file "
+            f"has {labels.n_docs} documents"
         )
     start = time.perf_counter()
     train_idx, _, test_idx = split_indices(data.n_docs, ratios, split_seed)
@@ -307,8 +317,7 @@ def retrieval_eval(
         np.array([doc for doc, _ in search(index, data.values[q], model, k)])
         for q in test_idx
     ]
-    corpus_labels = {int(i): int(labels.labels[i]) for i in index.doc_ids}
-    precision = precision_at_k(results, labels.labels[test_idx], corpus_labels, k)
+    precision = precision_at_k(results, labels.labels[test_idx], labels.labels, k)
     return EvalReport(
         precision=precision,
         k=k,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingMatrix, check_file_size, read_header
+from .dataio import EmbeddingMatrix, atomic_write, check_file_size, read_header
 from .encoder import forward_batch
 from .errors import (
     ConfigMismatchError,
@@ -279,7 +279,7 @@ def search_topk_hamming(
 def save_index(index: RetrievalIndex, path) -> None:
     """Write an index file; exact inverse of :func:`load_index`."""
     books = index.books
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC_INDEX)
         f.write(_HEADER.pack(
             INDEX_VERSION, books.n_codebooks, books.n_codewords, books.sub_dim, index.n_docs

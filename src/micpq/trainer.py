@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dataio import EmbeddingMatrix, check_file_size, read_header
+from .dataio import EmbeddingMatrix, atomic_write, check_file_size, read_header
 from .encoder import EncoderParams, forward_batch, init_encoder
 from .errors import InvalidConfigError, NonFiniteGradientError
 from .objectives import LossConfig, ParamGrads, loss_and_gradients, loss_values
@@ -126,7 +126,7 @@ class TrainLog:
         return [r.format_line() for r in self.records]
 
     def write(self, path) -> None:
-        with open(path, "w") as f:
+        with atomic_write(path, text=True) as f:
             for line in self.format_lines():
                 f.write(line + "\n")
 
@@ -313,7 +313,7 @@ def save_checkpoint(state: ModelState, path) -> None:
         state.books.sub_dim,
         state.step,
     )
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC_CHECKPOINT)
         f.write(header)
         for _, arr in state._arrays():

@@ -333,6 +333,21 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "mode=hamming" in out
 
+    def test_eval_on_an_index_larger_than_the_labels_is_runtime_error(self, tmp_path, capsys):
+        big_emb, _ = _synth(tmp_path, n=90, name="big")
+        emb_path, lbl_path = _synth(tmp_path)  # 60 documents, same width
+        ckpt = _train(tmp_path, emb_path)
+        idx_path = tmp_path / "big.idx"
+        assert main(["index", "--ckpt", str(ckpt), "--emb", str(big_emb),
+                     "--out", str(idx_path), "--split", "all"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--ckpt", str(ckpt), "--emb", str(emb_path),
+                     "--labels", str(lbl_path), "--index", str(idx_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: index doc ids reach 89")
+
     def test_eval_clustering_report(self, tmp_path, capsys):
         emb_path, lbl_path = _synth(tmp_path)  # 3 classes
         ckpt = tmp_path / "c3.ckpt"
@@ -408,3 +423,30 @@ main(["synth", "--n", "8", "--dim", "2", "--classes", "2", "--out", {str(tmp_pat
 print(seen)
 """
         assert self._python(code) == "['1']"
+
+    def test_only_eval_clustering_loads_scipy(self, tmp_path):
+        code = f"""
+import sys
+from micpq.cli import main
+d = {str(tmp_path)!r}
+emb, lbl, ckpt, idx = d + "/data.emb", d + "/data.lbl", d + "/m.ckpt", d + "/c.idx"
+runs = [
+    ["synth", "--n", "40", "--dim", "4", "--classes", "4", "--sep", "20", "--out", d],
+    ["train", "--emb", emb, "--M", "2", "--K", "4", "--sub-dim", "2", "--epochs", "1",
+     "--batch-size", "16", "--out", ckpt, "--log", d + "/train.log"],
+    ["index", "--ckpt", ckpt, "--emb", emb, "--out", idx],
+    ["search", "--index", idx, "--ckpt", ckpt, "--queries", emb, "--k", "3"],
+    ["eval", "--ckpt", ckpt, "--emb", emb, "--labels", lbl, "--k", "3", "--index", idx],
+    ["eval", "--ckpt", ckpt, "--emb", emb, "--labels", lbl, "--k", "3", "--clustering"],
+]
+seen = []
+for argv in runs:
+    assert main(argv) == 0, argv
+    seen.append(" ".join(argv[:1] + [a for a in argv if a == "--clustering"])
+                + "=" + str("scipy" in sys.modules))
+print(seen)
+"""
+        assert self._python(code) == str([
+            "synth=False", "train=False", "index=False", "search=False", "eval=False",
+            "eval --clustering=True",
+        ])

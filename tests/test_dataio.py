@@ -1,8 +1,12 @@
+import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+from micpq import dataio
 from micpq.cli import main
 from micpq.dataio import (
     FORMAT_VERSION,
@@ -26,6 +30,9 @@ from micpq.errors import (
     NonFiniteValueError,
     TruncatedFileError,
 )
+from micpq.evaluation import retrieval_eval
+from micpq.retrieval import build_index, save_index
+from micpq.trainer import TrainConfig, save_checkpoint, train
 
 
 class TestEmbeddingFormat:
@@ -195,3 +202,84 @@ class TestSynthMixture:
         np.fill_diagonal(d2, np.inf)
         nearest = d2.argmin(axis=1)
         assert np.all(labels.labels[nearest] == labels.labels)
+
+
+class _HalfWrite:
+    """A file whose first write stores half its data and then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError("disk full")
+
+
+@pytest.fixture(scope="module")
+def writers():
+    """Each of micpq's six file writers, as a function of the target path."""
+    emb, labels = synth_mixture(
+        MixtureSpec(n_docs=40, dim=4, n_classes=2, separation=5.0, noise_sigma=1.0, seed=1)
+    )
+    state, log = train(TrainConfig(n_codebooks=2, n_codewords=4, sub_dim=2, batch_size=16,
+                                   n_epochs=1, seed=2), emb)
+    index = build_index(state, emb)
+    report = retrieval_eval(state, emb, labels, k=3)
+    return {
+        "embeddings": lambda path: write_embeddings(emb, path),
+        "labels": lambda path: write_labels(labels, path),
+        "checkpoint": lambda path: save_checkpoint(state, path),
+        "log": log.write,
+        "index": lambda path: save_index(index, path),
+        "report": report.write,
+    }
+
+
+class TestAtomicWrites:
+    """A writer replaces its target in one step, so a write that fails
+    part-way leaves the previous file as it was and no temporary file."""
+
+    @pytest.mark.parametrize(
+        "name", ["embeddings", "labels", "checkpoint", "log", "index", "report"]
+    )
+    def test_failed_write_keeps_the_previous_file(self, writers, name, tmp_path, monkeypatch):
+        target = tmp_path / "out"
+        target.write_bytes(b"previous contents\n")
+        monkeypatch.setattr(dataio, "open", lambda *a, **kw: _HalfWrite(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            writers[name](target)
+        assert target.read_bytes() == b"previous contents\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+        monkeypatch.undo()
+        writers[name](target)
+        assert target.read_bytes() != b"previous contents\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_symlink_target_is_replaced_and_link_kept(self, writers, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        writers["report"](link)
+        assert link.is_symlink()
+        assert real.read_text().startswith("precision_at_3=")
+
+    def test_pipe_is_written_in_place(self, writers, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        writers["report"](fifo)
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received and received[0].startswith(b"precision_at_3=")

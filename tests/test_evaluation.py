@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from micpq.dataio import LabelVector, MixtureSpec, synth_mixture
+from micpq import evaluation
+from micpq.dataio import EmbeddingMatrix, LabelVector, MixtureSpec, synth_mixture
 from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     ConfigMismatchError,
@@ -20,7 +21,8 @@ from micpq.evaluation import (
     split_indices,
 )
 from micpq.quantizer import CodebookSet, assign_probs
-from micpq.trainer import ModelState
+from micpq.retrieval import build_index, search_topk, search_topk_hamming
+from micpq.trainer import ModelState, TrainConfig, init_model
 
 
 def _model_from(encoder: EncoderParams, books: CodebookSet) -> ModelState:
@@ -34,6 +36,18 @@ def _model_from(encoder: EncoderParams, books: CodebookSet) -> ModelState:
         m_books=np.zeros_like(books.books),
         v_books=np.zeros_like(books.books),
     )
+
+
+def _precision_by_loop(results, query_labels, corpus_labels, k):
+    """Reference: precision at k with one dict lookup per retrieved document."""
+    fractions = []
+    for ranked, label in zip(results, query_labels):
+        top = list(ranked)[:k]
+        hits = 0
+        for doc_id in top:
+            hits += corpus_labels[int(doc_id)] == label
+        fractions.append(hits / len(top))
+    return float(np.mean(fractions))
 
 
 class TestSplit:
@@ -273,3 +287,51 @@ class TestRetrievalEval:
         assert lines1 == lines2
         assert not any("elapsed" in line for line in lines1)
         assert any(line.startswith("precision_at_5=") for line in lines1)
+
+    @pytest.mark.parametrize("n_books, n_words, mode", [(8, 16, "adc"), (16, 2, "hamming")])
+    @pytest.mark.parametrize("given_index", [False, True])
+    def test_precision_equals_the_full_corpus_dict(self, n_books, n_words, mode, given_index):
+        """Labels looked up by array give, bit for bit, the precision of a
+        dict that holds every indexed document's label."""
+        emb, labels = synth_mixture(
+            MixtureSpec(n_docs=600, dim=16, n_classes=6, separation=1.0,
+                        noise_sigma=1.0, seed=22)
+        )
+        model = init_model(
+            TrainConfig(n_codebooks=n_books, n_codewords=n_words, sub_dim=2, seed=23),
+            emb.values[:64],
+        )
+        train_idx, _, test_idx = split_indices(emb.n_docs)
+        if given_index:
+            index = build_index(model, emb)  # every document, ids 0..n-1
+        else:
+            index = build_index(model, EmbeddingMatrix(emb.values[train_idx]),
+                                ids=train_idx.astype(np.uint64))
+        report = retrieval_eval(model, emb, labels, k=10, mode=mode,
+                                index=index if given_index else None)
+
+        search = search_topk_hamming if mode == "hamming" else search_topk
+        results = [np.array([doc for doc, _ in search(index, emb.values[q], model, 10)])
+                   for q in test_idx]
+        corpus_labels = {int(i): int(labels.labels[i]) for i in index.doc_ids}
+        expected = _precision_by_loop(results, labels.labels[test_idx], corpus_labels, 10)
+        assert 0.0 < expected < 1.0
+        assert report.precision.hex() == expected.hex()
+        by_dict = precision_at_k(results, labels.labels[test_idx], corpus_labels, 10)
+        assert by_dict.hex() == expected.hex()
+
+    def test_index_ids_beyond_the_labels_are_rejected_before_searching(self, monkeypatch):
+        emb, labels = synth_mixture(
+            MixtureSpec(n_docs=60, dim=8, n_classes=3, separation=20.0,
+                        noise_sigma=1.0, seed=24)
+        )
+        model = init_model(TrainConfig(n_codebooks=2, n_codewords=4, sub_dim=4, seed=25),
+                           emb.values[:32])
+        index = build_index(model, emb, ids=np.arange(5, 65, dtype=np.uint64))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(evaluation, "search_topk", fail)
+        with pytest.raises(UnknownDocIdError, match="64"):
+            retrieval_eval(model, emb, labels, k=5, index=index)
