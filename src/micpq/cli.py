@@ -279,14 +279,13 @@ def _cmd_index(args) -> int:
     import numpy as np
 
     from . import dataio, retrieval, trainer
-    from .dataio import EmbeddingMatrix
 
     model = trainer.load_checkpoint(args.ckpt)
-    data = dataio.read_embeddings(args.emb)
-    rows = _split_rows(data.n_docs, args.split, args.split_ratios, args.split_seed)
-    index = retrieval.build_index(
-        model, EmbeddingMatrix(data.values[rows]), ids=rows.astype(np.uint64)
-    )
+    with open(args.emb, "rb") as f:  # the split needs n_docs, checked before it is used
+        n_docs, _ = dataio.read_embeddings_header(f)
+    rows = _split_rows(n_docs, args.split, args.split_ratios, args.split_seed)
+    data = dataio.read_embeddings(args.emb, rows)
+    index = retrieval.build_index(model, data, ids=rows.astype(np.uint64))
     retrieval.save_index(index, args.out)
     print(
         f"indexed {index.n_docs} documents "

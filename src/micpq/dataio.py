@@ -27,6 +27,7 @@ from . import rng
 from .errors import (
     BadMagicError,
     FileFormatError,
+    IndexOutOfRangeError,
     InvalidSpecError,
     LengthMismatchError,
     NonContiguousClassesError,
@@ -40,6 +41,8 @@ MAGIC_LABELS = b"MICPQLBL"
 FORMAT_VERSION = 1
 _EMBEDDINGS_HEADER = struct.Struct("<IQI")  # version, n_docs, dim
 _LABELS_HEADER = struct.Struct("<IQ")  # version, n_docs
+_EMBEDDINGS_PAYLOAD = len(MAGIC_EMBEDDINGS) + _EMBEDDINGS_HEADER.size  # payload's byte offset
+READ_BYTES = 1 << 22  # payload bytes per block when read_embeddings selects rows
 
 
 @dataclass
@@ -178,18 +181,64 @@ def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
         f.write(matrix.values.astype("<f4", copy=False).tobytes())
 
 
-def read_embeddings(path) -> EmbeddingMatrix:
-    """Read an embedding file, validating header, size and finiteness."""
+def read_embeddings_header(f) -> tuple[int, int]:
+    """Read an open embedding file's header and check the file's size
+    against it; return (n_docs, dim), leaving ``f`` at the payload.
+
+    Raises :class:`BadMagicError`, :class:`VersionMismatchError`,
+    :class:`TruncatedFileError` or :class:`FileFormatError` before any
+    payload is read."""
+    n_docs, dim = read_header(f, MAGIC_EMBEDDINGS, _EMBEDDINGS_HEADER, FORMAT_VERSION)
+    check_file_size(f, _EMBEDDINGS_PAYLOAD + n_docs * dim * 4)
+    return n_docs, dim
+
+
+def _raise_non_finite(values: np.ndarray, rows: np.ndarray) -> None:
+    """Name the file byte offset of the first non-finite value of
+    ``values``, whose i-th row is file row ``rows[i]``."""
+    i, j = divmod(int(np.flatnonzero(~np.isfinite(values.ravel()))[0]), values.shape[1])
+    element = int(rows[i]) * values.shape[1] + j
+    raise NonFiniteValueError(
+        f"non-finite value at byte {_EMBEDDINGS_PAYLOAD + element * 4} (element {element})"
+    )
+
+
+def read_embeddings(path, rows=None) -> EmbeddingMatrix:
+    """Read an embedding file, validating header, size and finiteness.
+
+    With ``rows``, a vector of row numbers in any order, repeats allowed,
+    the result holds those rows in that order, and only they are checked
+    for finiteness.  The payload is then read ``READ_BYTES`` at a time,
+    so memory holds the selected rows and one block, not the file.  A row
+    outside [0, n_docs) raises :class:`IndexOutOfRangeError`."""
     with open(path, "rb") as f:
-        n_docs, dim = read_header(f, MAGIC_EMBEDDINGS, _EMBEDDINGS_HEADER, FORMAT_VERSION)
-        offset = len(MAGIC_EMBEDDINGS) + _EMBEDDINGS_HEADER.size
-        check_file_size(f, offset + n_docs * dim * 4)
-        values = np.fromfile(f, "<f4", n_docs * dim).reshape(n_docs, dim)
-    if not np.all(np.isfinite(values)):
-        bad = int(np.flatnonzero(~np.isfinite(values.ravel()))[0])
-        raise NonFiniteValueError(
-            f"non-finite value at byte {offset + bad * 4} (element {bad})"
-        )
+        n_docs, dim = read_embeddings_header(f)
+        if rows is None:
+            values = np.fromfile(f, "<f4", n_docs * dim).reshape(n_docs, dim)
+            if not np.all(np.isfinite(values)):
+                _raise_non_finite(values, np.arange(n_docs))
+            return EmbeddingMatrix(values)
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise InvalidSpecError(f"rows must be a vector of row numbers, got {rows.dtype} "
+                                   f"of shape {rows.shape}")
+        if np.any(rows < 0) or np.any(rows >= n_docs):
+            raise IndexOutOfRangeError(f"embedding rows must lie in [0, {n_docs})")
+        order = np.argsort(rows, kind="stable")
+        wanted = rows[order]
+        values = np.empty((len(rows), dim), dtype=np.float32)
+        block_rows = max(READ_BYTES // (4 * max(dim, 1)), 1)
+        buffer = np.empty(block_rows * dim, dtype="<f4")
+        for start in (np.unique(wanted // block_rows) * block_rows).tolist():
+            count = min(block_rows, n_docs - start)
+            f.seek(_EMBEDDINGS_PAYLOAD + start * dim * 4)
+            if f.readinto(buffer[:count * dim]) != count * dim * 4:
+                raise TruncatedFileError(f"file shrank while reading rows from {start}")
+            lo, hi = np.searchsorted(wanted, (start, start + count))
+            picked = buffer[:count * dim].reshape(count, dim)[wanted[lo:hi] - start]
+            if not np.all(np.isfinite(picked)):
+                _raise_non_finite(picked, wanted[lo:hi])
+            values[order[lo:hi]] = picked
     return EmbeddingMatrix(values)
 
 

@@ -69,7 +69,7 @@ class KNotPowerOfTwoError(MicpqError):
 
 
 class IndexOutOfRangeError(MicpqError):
-    """A codeword index is outside [0, K)."""
+    """A codeword index is outside [0, K), or a requested row outside a file's rows."""
 
 
 class RowNotNormalizedError(MicpqError):

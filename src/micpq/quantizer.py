@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .encoder import EncoderParams, forward_batch
 from .errors import (
     DimMismatchError,
     IndexOutOfRangeError,
@@ -28,7 +29,7 @@ from .errors import (
 )
 
 GUMBEL_CLAMP = 1e-12
-ASSIGN_ROWS = 4096  # rows per (M, rows, K) distance block in hard_assign_books
+ASSIGN_ROWS = 4096  # rows per refine block in encode_rows and per distance block in hard_assign_books
 
 
 @dataclass
@@ -210,6 +211,28 @@ def hard_assign_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
     for start in range(0, len(codes), ASSIGN_ROWS):
         chunk = refined[start:start + ASSIGN_ROWS]
         codes[start:start + ASSIGN_ROWS] = squared_distances_books(chunk, books).argmin(axis=2).T
+    return codes
+
+
+def encode_rows(params: EncoderParams, books: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(n, M) uint16 nearest-codeword indices of each row of ``values``
+    refined with dropout disabled, against (M, K, sub_dim) books.  Rows are
+    refined and assigned ``ASSIGN_ROWS`` at a time, so no (n, D) refined
+    array is held.  A last block shorter than ``ASSIGN_ROWS`` joins the
+    block before it: OpenBLAS refines a few rows with other kernels, whose
+    bits differ from the same rows inside a larger batch.  Blocks then
+    start at multiples of ``ASSIGN_ROWS``, as the chunks of
+    :func:`hard_assign_books` do, and the codes equal those of one whole
+    :func:`~micpq.encoder.forward_batch` followed by it."""
+    values = np.asarray(values)
+    n_blocks = max(len(values) // ASSIGN_ROWS, 1)
+    if n_blocks == 1:  # as is: copying the codes raised micpq train's peak RSS by 1%
+        return hard_assign_books(forward_batch(params, values), books)
+    codes = np.empty((len(values), np.shape(books)[0]), dtype=np.uint16)
+    for block in range(n_blocks):
+        start = block * ASSIGN_ROWS
+        stop = len(codes) if block == n_blocks - 1 else start + ASSIGN_ROWS
+        codes[start:stop] = hard_assign_books(forward_batch(params, values[start:stop]), books)
     return codes
 
 

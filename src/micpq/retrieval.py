@@ -40,6 +40,7 @@ from .quantizer import (
     CodebookSet,
     QuantCode,
     bits_per_index,
+    encode_rows,
     hard_assign_books,
     is_pow2,
     pack_codes_batch,
@@ -121,13 +122,14 @@ class DistanceLUT:
 def build_index(
     model: ModelState, corpus: EmbeddingMatrix, ids: np.ndarray | None = None
 ) -> RetrievalIndex:
-    """Encode a corpus: refine (dropout disabled), hard-assign, pack."""
+    """Encode a corpus: refine (dropout disabled) and hard-assign it in row
+    blocks with :func:`~micpq.quantizer.encode_rows`, then pack."""
     values = np.asarray(getattr(corpus, "values", corpus))
     if values.shape[1] != model.encoder.d_in:
         raise DimMismatchError(
             f"corpus width {values.shape[1]} != encoder input width {model.encoder.d_in}"
         )
-    codes = hard_assign_books(forward_batch(model.encoder, values), model.books.books)
+    codes = encode_rows(model.encoder, model.books.books, values)
     if ids is None:
         ids = np.arange(values.shape[0], dtype=np.uint64)
     return RetrievalIndex(books=model.books, codes=codes, doc_ids=ids)

@@ -24,7 +24,7 @@ from .dataio import EmbeddingMatrix, atomic_write, check_file_size, read_header
 from .encoder import EncoderParams, forward_batch, init_encoder
 from .errors import InvalidConfigError, NonFiniteGradientError
 from .objectives import LossConfig, ParamGrads, loss_and_gradients, loss_values
-from .quantizer import CodebookSet, bits_per_index, hard_assign_books, init_codebooks, is_pow2
+from .quantizer import CodebookSet, bits_per_index, encode_rows, init_codebooks, is_pow2
 
 MAGIC_CHECKPOINT = b"MICPQCKP"
 CHECKPOINT_VERSION = 1
@@ -214,7 +214,7 @@ def adam_step(
 def usage_histogram(state: ModelState, data: np.ndarray) -> np.ndarray:
     """(M, K) hard-assignment counts over a corpus, dropout disabled."""
     values = np.asarray(getattr(data, "values", data))
-    codes = hard_assign_books(forward_batch(state.encoder, values), state.books.books)
+    codes = encode_rows(state.encoder, state.books.books, values)
     n_books, n_words = state.books.n_codebooks, state.books.n_codewords
     slots = codes + n_words * np.arange(n_books)
     return np.bincount(slots.ravel(), minlength=n_books * n_words).reshape(n_books, n_words)

@@ -24,6 +24,7 @@ from micpq.dataio import (
 from micpq.errors import (
     BadMagicError,
     FileFormatError,
+    IndexOutOfRangeError,
     InvalidSpecError,
     LengthMismatchError,
     NonContiguousClassesError,
@@ -85,6 +86,59 @@ class TestEmbeddingFormat:
         assert "byte 24" in str(err.value)
 
 
+
+class TestRowSelectiveRead:
+    """read_embeddings(path, rows) reads the payload in blocks and keeps,
+    in the order asked, only the rows asked for."""
+
+    N_DOCS, DIM = 10, 3
+
+    def _file(self, tmp_path):
+        path = tmp_path / "r.emb"
+        values = np.arange(self.N_DOCS * self.DIM, dtype=np.float32).reshape(self.N_DOCS, -1)
+        write_embeddings(EmbeddingMatrix(values / 7), path)
+        return path
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 11])
+    @pytest.mark.parametrize("rows", [[0, 2, 3, 9], [9, 0, 5, 1], [4, 4, 1, 4, 9, 1],
+                                      list(range(10))], ids=["sorted", "unsorted", "repeated", "all"])
+    def test_equals_whole_read_indexed(self, tmp_path, monkeypatch, block_rows, rows):
+        path = self._file(tmp_path)
+        monkeypatch.setattr(dataio, "READ_BYTES", block_rows * self.DIM * 4)
+        got = read_embeddings(path, np.array(rows))
+        assert got.values.dtype == np.float32
+        assert np.array_equal(got.values, read_embeddings(path).values[rows])
+
+    @pytest.mark.parametrize("rows", [[-1], [0, 10], [2**40]])
+    def test_row_outside_the_file_rejected(self, tmp_path, rows):
+        with pytest.raises(IndexOutOfRangeError):
+            read_embeddings(self._file(tmp_path), np.array(rows))
+
+    @pytest.mark.parametrize("rows", [np.ones(10, bool), np.array([1.0, 2.0]), np.ones((2, 2), int)],
+                             ids=["mask", "float", "matrix"])
+    def test_rows_that_are_not_a_vector_of_row_numbers_rejected(self, tmp_path, rows):
+        with pytest.raises(InvalidSpecError):
+            read_embeddings(self._file(tmp_path), rows)
+
+    def test_only_requested_rows_are_checked_for_finiteness(self, tmp_path, monkeypatch):
+        path = self._file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        offset = 24 + (7 * self.DIM + 2) * 4  # row 7, column 2
+        raw[offset:offset + 4] = np.array([np.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        monkeypatch.setattr(dataio, "READ_BYTES", 2 * self.DIM * 4)
+        assert read_embeddings(path, np.array([8, 0, 6])).n_docs == 3
+        with pytest.raises(NonFiniteValueError) as err:
+            read_embeddings(path, np.array([1, 7, 3]))
+        assert f"byte {offset}" in str(err.value)
+
+    def test_hostile_header_rejected_before_rows_are_used(self, tmp_path):
+        path = tmp_path / "huge.emb"
+        path.write_bytes(MAGIC_EMBEDDINGS + struct.pack("<IQI", FORMAT_VERSION, 2**60, 1))
+        with pytest.raises(TruncatedFileError):
+            read_embeddings(path, np.array([-1]))
+
+
 class TestLabelFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "l.lbl"
@@ -143,6 +197,22 @@ class TestHostileHeaders:
         assert code == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_cli_index_on_crafted_embeddings_is_runtime_error(self, tmp_path, capsys):
+        emb, _ = synth_mixture(
+            MixtureSpec(n_docs=20, dim=1, n_classes=2, separation=5.0, noise_sigma=1.0, seed=3)
+        )
+        state, _ = train(TrainConfig(n_codebooks=2, n_codewords=4, sub_dim=2, batch_size=8,
+                                     n_epochs=1, seed=2), emb)
+        save_checkpoint(state, tmp_path / "m.ckpt")
+        code = main(["index", "--ckpt", str(tmp_path / "m.ckpt"),
+                     "--emb", str(self._crafted_embeddings(tmp_path)),
+                     "--out", str(tmp_path / "m.idx")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.idx").exists()
 
 
 class TestSynthMixture:

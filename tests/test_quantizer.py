@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from micpq import quantizer
-from micpq.encoder import RefinedEmbedding
+from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
 from micpq.errors import (
     IndexOutOfRangeError,
     KNotPowerOfTwoError,
@@ -12,6 +12,7 @@ from micpq.quantizer import (
     CodebookSet,
     QuantCode,
     assign_probs,
+    encode_rows,
     gumbel_from_uniform,
     hard_assign,
     hard_assign_batch,
@@ -173,6 +174,48 @@ class TestHardAssignBooks:
         assert codes.shape == (len(refined), n_books)
         assert np.array_equal(codes, expected)
         assert np.array_equal(hard_assign_books(refined.astype(np.float64), books), expected)
+
+
+class TestEncodeRows:
+    """The blocks of encode_rows refine to the same bits as one whole
+    forward_batch, so its codes are those of the whole-pass reference."""
+
+    @pytest.mark.parametrize("d_in,n_books,n_words,sub", [
+        (64, 8, 16, 3), (64, 16, 2, 24), (768, 8, 16, 24),
+    ], ids=["64-24", "64-384", "768-192"])
+    @pytest.mark.parametrize("tail", [1, 2, 3, 5, 12, 100])
+    def test_blocks_are_bit_identical_to_one_whole_pass(self, monkeypatch, d_in, n_books,
+                                                        n_words, sub, tail):
+        gen = np.random.default_rng(d_in + n_books + tail)
+        d_out = n_books * sub
+        encoder = EncoderParams(
+            (gen.normal(size=(d_out, d_in)) / np.sqrt(d_in)).astype(np.float32),
+            gen.normal(0.0, 0.1, size=d_out).astype(np.float32),
+        )
+        books = np.abs(gen.normal(size=(n_books, n_words, sub))).astype(np.float32)
+        values = gen.normal(size=(2 * quantizer.ASSIGN_ROWS + tail, d_in)).astype(np.float32)
+
+        blocks = []
+        def recording(params, batch):
+            blocks.append(forward_batch(params, batch))
+            return blocks[-1]
+        monkeypatch.setattr(quantizer, "forward_batch", recording)
+        codes = encode_rows(encoder, books, values)
+        monkeypatch.undo()
+
+        whole = forward_batch(encoder, values)
+        assert [len(b) for b in blocks] == [quantizer.ASSIGN_ROWS, quantizer.ASSIGN_ROWS + tail]
+        assert np.array_equal(np.concatenate(blocks).view(np.uint32), whole.view(np.uint32))
+        assert np.array_equal(codes, hard_assign_books(whole, books))
+
+    @pytest.mark.parametrize("n", [1, 5, 4095, 4096, 4100, 8192])
+    def test_any_row_count_gives_the_whole_pass_codes(self, n):
+        gen = np.random.default_rng(n)
+        encoder = EncoderParams(gen.normal(size=(6, 4)).astype(np.float32), np.zeros(6, np.float32))
+        books = gen.normal(size=(2, 4, 3)).astype(np.float32)
+        values = gen.normal(size=(n, 4)).astype(np.float32)
+        expected = hard_assign_books(forward_batch(encoder, values), books)
+        assert np.array_equal(encode_rows(encoder, books, values), expected)
 
 
 class TestSampling:

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from micpq import quantizer
+from micpq import dataio, quantizer
 from micpq.cli import main
-from micpq.dataio import EmbeddingMatrix
+from micpq.dataio import EmbeddingMatrix, write_embeddings
 from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
 from micpq.errors import (
     BadMagicError,
@@ -40,13 +40,11 @@ from micpq.retrieval import (
     search_topk,
     search_topk_hamming,
 )
-from micpq.trainer import ModelState
+from micpq.evaluation import split_indices
+from micpq.trainer import ModelState, save_checkpoint
 
 
-def _identity_model(books: CodebookSet) -> ModelState:
-    """Encoder that passes nonnegative inputs straight through."""
-    d = books.dim
-    encoder = EncoderParams(np.eye(d, dtype=np.float32), np.zeros(d, dtype=np.float32))
+def _model(books: CodebookSet, encoder: EncoderParams) -> ModelState:
     return ModelState(
         encoder=encoder,
         books=books,
@@ -57,6 +55,21 @@ def _identity_model(books: CodebookSet) -> ModelState:
         m_books=np.zeros_like(books.books),
         v_books=np.zeros_like(books.books),
     )
+
+
+def _identity_model(books: CodebookSet) -> ModelState:
+    """Encoder that passes nonnegative inputs straight through."""
+    d = books.dim
+    return _model(books, EncoderParams(np.eye(d, dtype=np.float32), np.zeros(d, dtype=np.float32)))
+
+
+def _random_model(gen, d_in: int, n_books: int, n_words: int, sub: int) -> ModelState:
+    """A float32 model with a random encoder and random nonnegative books."""
+    books = CodebookSet(np.abs(gen.normal(size=(n_books, n_words, sub))).astype(np.float32))
+    return _model(books, EncoderParams(
+        (gen.normal(size=(books.dim, d_in)) / np.sqrt(d_in)).astype(np.float32),
+        gen.normal(0.0, 0.1, size=books.dim).astype(np.float32),
+    ))
 
 
 def _nonneg_books(seed, n_books, n_words, sub):
@@ -157,6 +170,38 @@ class TestBuildIndex:
         codes = build_index(model, EmbeddingMatrix(corpus)).codes
         monkeypatch.setattr(quantizer, "ASSIGN_ROWS", len(corpus))
         assert np.array_equal(codes, hard_assign_books(forward_batch(encoder, corpus), books.books))
+
+    def test_peak_memory_holds_no_whole_refined_corpus(self):
+        # tracemalloc sees numpy's data buffers; the (n, D) refined float32
+        # array alone would be 76.8 MB here
+        gen = np.random.default_rng(13)
+        model = _random_model(gen, 64, 16, 2, 24)
+        corpus = EmbeddingMatrix(gen.normal(size=(50_000, 64)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            build_index(model, corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
+    @pytest.mark.parametrize("split", ["all", "train"])
+    def test_cli_index_file_equals_the_whole_pass_reference(self, tmp_path, monkeypatch, split):
+        gen = np.random.default_rng(14)
+        model = _random_model(gen, 64, 16, 2, 24)
+        values = gen.normal(size=(2 * quantizer.ASSIGN_ROWS + 3, 64)).astype(np.float32)
+        write_embeddings(EmbeddingMatrix(values), tmp_path / "c.emb")
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        monkeypatch.setattr(dataio, "READ_BYTES", 1000 * 64 * 4)
+        assert main(["index", "--ckpt", str(tmp_path / "m.ckpt"), "--emb", str(tmp_path / "c.emb"),
+                     "--out", str(tmp_path / "c.idx"), "--split", split]) == 0
+
+        rows = np.arange(len(values))
+        if split == "train":
+            rows = np.sort(split_indices(len(values), (0.8, 0.1, 0.1), 0)[0])
+        codes = hard_assign_books(forward_batch(model.encoder, values[rows]), model.books.books)
+        save_index(RetrievalIndex(model.books, codes, rows), tmp_path / "ref.idx")
+        assert (tmp_path / "c.idx").read_bytes() == (tmp_path / "ref.idx").read_bytes()
 
 
 class TestSearchTopK:
