@@ -226,8 +226,6 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values: np.ndarray) ->
     :func:`~micpq.encoder.forward_batch` followed by it."""
     values = np.asarray(values)
     n_blocks = max(len(values) // ASSIGN_ROWS, 1)
-    if n_blocks == 1:  # as is: copying the codes raised micpq train's peak RSS by 1%
-        return hard_assign_books(forward_batch(params, values), books)
     codes = np.empty((len(values), np.shape(books)[0]), dtype=np.uint16)
     for block in range(n_blocks):
         start = block * ASSIGN_ROWS
