@@ -44,7 +44,8 @@ def _split_ratios(text: str) -> tuple[float, float, float]:
 
 _SHARED_OPTS = {
     "seed": (int, 0, "root random seed"),
-    "threads": (int, None, "cap worker threads (default: available parallelism)"),
+    "threads": (int, None, "cap the BLAS and OpenMP thread pools (default: available "
+                "parallelism); train also runs one thread that prepares the next step's noise"),
     "config": (str, None, "key=value lines read as flags placed before the command line's own"),
 }
 
@@ -185,15 +186,22 @@ def _set_thread_env(threads: int | None) -> None:
         os.environ[var] = str(threads)
 
 
-def _split_rows(n_docs: int, which: str, ratios, split_seed: int):
+def _read_split(path: str, which: str, ratios, split_seed: int):
+    """(rows, n_docs, embeddings) of one split of an embedding file.  The
+    header and file size are checked before the split is computed from
+    ``n_docs``, and only the split's rows are read."""
     import numpy as np
 
+    from . import dataio
     from .evaluation import split_indices
 
+    with open(path, "rb") as f:
+        n_docs, _ = dataio.read_embeddings_header(f)
     if which == "all":
-        return np.arange(n_docs)
-    train_idx, _, _ = split_indices(n_docs, ratios, split_seed)
-    return np.sort(train_idx)
+        rows = np.arange(n_docs)
+    else:
+        rows = np.sort(split_indices(n_docs, ratios, split_seed)[0])
+    return rows, n_docs, dataio.read_embeddings(path, rows)
 
 
 def _cmd_synth(args) -> int:
@@ -230,12 +238,10 @@ def _banner(n_codebooks: int, n_codewords: int, sub_dim: int) -> str:
 
 
 def _cmd_train(args) -> int:
-    from . import dataio, trainer
-    from .dataio import EmbeddingMatrix
+    from . import trainer
     from .objectives import LossConfig
 
-    data = dataio.read_embeddings(args.emb)
-    rows = _split_rows(data.n_docs, args.split, args.split_ratios, args.split_seed)
+    rows, n_docs, data = _read_split(args.emb, args.split, args.split_ratios, args.split_seed)
     tau_gumbel = args.tau_gumbel
     if tau_gumbel is None:
         tau_gumbel = trainer.default_gumbel_temperature(args.M, args.K)
@@ -263,11 +269,9 @@ def _cmd_train(args) -> int:
         f"lambda={args.mi_weight} alpha={args.alpha} tau_cl={args.tau_cl} "
         f"tau_gumbel={tau_gumbel} p_drop={args.p_drop} seed={args.seed}"
     )
-    print(f"training on {len(rows)} of {data.n_docs} documents (split={args.split})")
+    print(f"training on {len(rows)} of {n_docs} documents (split={args.split})")
     _, log = trainer.train(
-        cfg,
-        EmbeddingMatrix(data.values[rows]),
-        on_epoch=lambda record: print(record.format_line(), flush=True),
+        cfg, data, on_epoch=lambda record: print(record.format_line(), flush=True)
     )
     if args.log:
         log.write(args.log)
@@ -278,13 +282,10 @@ def _cmd_train(args) -> int:
 def _cmd_index(args) -> int:
     import numpy as np
 
-    from . import dataio, retrieval, trainer
+    from . import retrieval, trainer
 
     model = trainer.load_checkpoint(args.ckpt)
-    with open(args.emb, "rb") as f:  # the split needs n_docs, checked before it is used
-        n_docs, _ = dataio.read_embeddings_header(f)
-    rows = _split_rows(n_docs, args.split, args.split_ratios, args.split_seed)
-    data = dataio.read_embeddings(args.emb, rows)
+    rows, _, data = _read_split(args.emb, args.split, args.split_ratios, args.split_seed)
     index = retrieval.build_index(model, data, ids=rows.astype(np.uint64))
     retrieval.save_index(index, args.out)
     print(

@@ -98,42 +98,62 @@ def forward(params: EncoderParams, z: np.ndarray, sub_dim: int | None = None) ->
     return RefinedEmbedding(values, sub_dim if sub_dim is not None else params.d_out)
 
 
-def forward_batch(params: EncoderParams, batch: np.ndarray) -> np.ndarray:
-    """Row-wise refinement of a batch.  Row i depends only on input row i
-    up to BLAS rounding, which depends on the shape of the batch: one row
-    refined alone can differ in its last bits from the same row inside a
-    batch."""
+def forward_batch(
+    params: EncoderParams, batch: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise refinement of a batch, written to ``out`` when given.  Row
+    i depends only on input row i up to BLAS rounding, which depends on
+    the shape of the batch: one row refined alone can differ in its last
+    bits from the same row inside a batch."""
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != params.d_in:
         raise DimMismatchError(
             f"expected batch of width {params.d_in}, got shape {batch.shape}"
         )
     # in place: the peak holds one (n, d_out) array, not two
-    out = batch @ params.weight.T
+    out = np.matmul(batch, params.weight.T, out=out)
     out = out.astype(np.result_type(out, params.bias), copy=False)
     out += params.bias
     return np.maximum(out, 0, out=out)
 
 
 def backward_batch(
-    batch: np.ndarray, refined: np.ndarray, grad_refined: np.ndarray
+    batch: np.ndarray,
+    refined: np.ndarray,
+    grad_refined: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of a scalar with respect to weight and bias, given its
     gradient with respect to ``refined = forward_batch(params, batch)``.
-    The ReLU's subgradient at the kink is 0."""
-    grad_pre = grad_refined * (refined > 0)
-    return grad_pre.T @ batch, grad_pre.sum(axis=0)
+    The ReLU's subgradient at the kink is 0.  With ``out``, a (d_out, d_in)
+    array, the weight gradient is written there and ``grad_refined`` is
+    overwritten by the gradient before the ReLU."""
+    grad_pre = np.multiply(grad_refined, refined > 0, out=None if out is None else grad_refined)
+    return np.matmul(grad_pre.T, batch, out=out), grad_pre.sum(axis=0)
 
 
-def dropout_view(z: np.ndarray, cfg: DropoutConfig) -> np.ndarray:
-    """Inverted dropout: zero each coordinate with probability p_drop,
-    scale survivors by 1/(1-p_drop).  Accepts a vector or a row batch."""
+def dropout_view(z: np.ndarray, cfg: DropoutConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverted dropout in float64: zero each coordinate with probability
+    p_drop, scale survivors by 1/(1-p_drop).  Accepts a vector or a row
+    batch.  With p_drop 0 and no ``out`` it returns ``z`` itself.
+
+    ``out``, when given, is a C-contiguous float64 array of ``z``'s shape
+    that does not overlap it; the uniform draws are made into it too, so
+    nothing is allocated."""
     z = np.asarray(z)
     if cfg.p_drop == 0.0:
-        return z
-    gen = rng.spawn(cfg.seed)
-    keep = gen.random(z.shape) >= cfg.p_drop
-    return z * keep / (1.0 - cfg.p_drop)
+        if out is None:
+            return z
+        out[...] = z
+        return out
+    if out is None:
+        out = np.empty(z.shape)
+    rng.spawn(cfg.seed).random(out=out)
+    # the keep mask as 1.0/0.0, which multiplies like the boolean mask
+    np.greater_equal(out, cfg.p_drop, out=out)
+    np.multiply(z, out, out=out)
+    out /= 1.0 - cfg.p_drop
+    return out
 
 
 def init_encoder(d_in: int, d_out: int, seed: int) -> EncoderParams:

@@ -25,6 +25,15 @@ Gumbel-softmax Jacobian, the MI term through the plain softmax, the
 squared distances, the segments and codewords, the ReLU and the affine
 layer.  :func:`loss_values` runs the same forward without the backward.
 
+The noise of step 1 (two dropout masks, two Gumbel blocks) reads no
+parameter: :func:`draw_noise` makes it from the batch and the step seed
+alone, so a training loop can draw the next step's noise while this one
+runs and hand it to :func:`loss_and_gradients` as ``noise``.  Steps 2-5
+and the backward write their large arrays into a :class:`StepWorkspace`,
+which a loop keeps from step to step.  The contrastive softmax drops
+each row's own and partner columns by setting them to ``-inf`` before
+its max and exp, which gives the bits of a masked max and exp.
+
 :func:`expected_loss_oracle` enumerates every joint hard-assignment
 outcome to compute the exact expected contrastive loss that the
 Gumbel-softmax estimator approximates; the Monte-Carlo samplers draw
@@ -32,6 +41,7 @@ hard or soft estimates of the same quantity for convergence tests.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,42 +141,47 @@ def cosine_sim(h1: np.ndarray, h2: np.ndarray) -> float:
     return float(h1 @ h2 / (n1 * n2))
 
 
-def _pair_masks(batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(positive column per row, negative mask) for a 2B-row representation stack.
+def _partner_columns(batch_size: int) -> np.ndarray:
+    """Each row's positive column in a 2B-row representation stack.
 
-    Rows 0..B-1 are the first view, B..2B-1 the second.  Row r's positive
-    column is its partner view of the same document; the negative mask
-    is False on both views of the row's own document.
-    """
-    rows = np.arange(2 * batch_size)
-    doc = rows % batch_size
-    return (rows + batch_size) % (2 * batch_size), doc[:, None] != doc[None, :]
+    Rows 0..B-1 are the first view, B..2B-1 the second; row r's positive
+    is its partner view of the same document."""
+    return (np.arange(2 * batch_size) + batch_size) % (2 * batch_size)
 
 
 def _contrastive_forward(
-    h_all: np.ndarray, tau_cl: float
+    h_all: np.ndarray,
+    tau_cl: float,
+    normed: np.ndarray | None = None,
+    logits: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cosine contrastive loss of T instances of 2B representations.
 
     ``h_all`` has shape (T, 2B, D), first-view rows then second-view rows.
     Returns the (T,) losses, the unit rows, the (T, 2B, 1) row norms and
     each row's softmax weights over its positive and negative columns,
-    (T, 2B, 2B) and zero elsewhere.
+    (T, 2B, 2B) and zero elsewhere.  The unit rows and the weights are
+    written to ``normed`` and ``logits`` when given.
     """
     n_rows = h_all.shape[1]
     batch_size = n_rows // 2
-    norm2 = (h_all * h_all).sum(axis=2, keepdims=True)
+    normed = np.multiply(h_all, h_all, out=normed)
+    norm2 = normed.sum(axis=2, keepdims=True)
     if np.any(norm2 <= ZERO_NORM_EPS**2):
         raise ZeroNormError("contrastive loss undefined for (near-)zero representations")
     norm = np.sqrt(norm2)
-    normed = h_all / norm
-    logits = (normed @ normed.transpose(0, 2, 1)) * (1.0 / tau_cl)
-    pos_col, neg_mask = _pair_masks(batch_size)
-    rows = np.arange(n_rows)
+    np.divide(h_all, norm, out=normed)
+    logits = np.matmul(normed, normed.transpose(0, 2, 1), out=logits)
+    logits *= 1.0 / tau_cl
+    rows, pos_col = np.arange(n_rows), _partner_columns(batch_size)
     pos = logits[:, rows, pos_col]
+    # a row's own and partner columns leave the negatives' max and sum
+    logits[:, rows, rows] = -np.inf
+    logits[:, rows, pos_col] = -np.inf
     # shift by each row's largest allowed logit; 1/tau_cl would underflow
-    shift = np.maximum(pos, logits.max(axis=2, where=neg_mask, initial=-np.inf))
-    weights = np.exp(logits - shift[:, :, None], out=np.zeros_like(logits), where=neg_mask)
+    shift = np.maximum(pos, logits.max(axis=2))
+    logits -= shift[:, :, None]
+    weights = np.exp(logits, out=logits)
     e_pos = np.exp(pos - shift)
     denom = e_pos + weights.sum(axis=2)
     log_ratio = pos - (np.log(denom) + shift)
@@ -318,32 +333,99 @@ def sample_soft_losses(
 
 # --- the training objective and its closed-form gradient ------------------
 
+class StepWorkspace:
+    """The float64 arrays of one training step on ``batch_size`` documents.
+
+    :func:`loss_and_gradients` writes its forward and backward arrays here
+    instead of allocating them, so a training loop that keeps one
+    workspace per batch size maps no new memory step after step.  The
+    returned weight gradient lives here too, until the next step.  A
+    workspace built with ``base``, one for at least as many documents,
+    takes its arrays from the front of ``base``'s memory."""
+
+    def __init__(
+        self,
+        batch_size: int,
+        d_in: int,
+        n_books: int,
+        n_words: int,
+        sub_dim: int,
+        base: StepWorkspace | None = None,
+    ) -> None:
+        n_rows, d_out = 2 * batch_size, n_books * sub_dim
+        per_book = (n_books, n_rows, n_words)
+        shapes = {
+            "refined": (n_rows, d_out),
+            "mixtures": (n_rows, d_out),
+            "normed": (n_rows, d_out),
+            "grad": (n_rows, d_out),
+            "logits": (1, n_rows, n_rows),
+            "sym": (n_rows, n_rows),
+            "d2": per_book,  # the backward's gradient of the Gumbel-softmax weights, too
+            "soft": per_book,
+            "probs": per_book,
+            "log_probs": per_book,
+            "grad_d2": per_book,
+            "grad_weight": (d_out, d_in),
+        }
+        if base is not None and base.batch_size < batch_size:
+            raise DimMismatchError(
+                f"a workspace for {base.batch_size} documents cannot hold {batch_size}"
+            )
+        self.batch_size = batch_size
+        self._memory = (
+            base._memory if base is not None
+            else {name: np.empty(math.prod(shape)) for name, shape in shapes.items()}
+        )
+        for name, shape in shapes.items():
+            setattr(self, name, self._memory[name][:math.prod(shape)].reshape(shape))
+
+
+def draw_noise(
+    batch: np.ndarray, cfg: LossConfig, seed: int, inputs: np.ndarray, gumbel: np.ndarray
+) -> None:
+    """Draw one step's noise from ``seed``: the two inverted-dropout views
+    of the (B, d_in) ``batch``, stacked into the (2B, d_in) ``inputs``, and
+    the Gumbel noise of both views into the (M, 2B, K) ``gumbel``, whose
+    (2B, M, K) transpose must be C-contiguous.  The noise reads no model
+    parameter, so it can be drawn while another step runs."""
+    batch_size = batch.shape[0]
+    seeds = [rng.derive_seed(seed, s) for s in range(4)]
+    by_row = gumbel.transpose(1, 0, 2)
+    for i in range(2):
+        view = slice(i * batch_size, (i + 1) * batch_size)
+        dropout_view(batch, DropoutConfig(cfg.p_drop, seeds[i]), out=inputs[view])
+        rng.spawn(seeds[2 + i]).random(out=by_row[view])
+        gumbel_from_uniform(by_row[view], out=by_row[view])
+
+
 @dataclass
 class _ForwardPass:
     """One mini-batch's loss values and the intermediates its backward reads.
 
     Rows are the 2B inputs, first views then second views; per-book arrays
-    are (M, 2B, ...)."""
+    are (M, 2B, ...).  The large arrays live in a :class:`StepWorkspace`."""
 
     values: LossValues
     inputs: np.ndarray     # (2B, d_in) dropout views
-    refined: np.ndarray    # (2B, D) encoder outputs
-    segments: np.ndarray   # (M, 2B, sub) view of ``refined``
+    segments: np.ndarray   # (M, 2B, sub) view of the encoder outputs
     codewords: np.ndarray  # (M, K, sub) float64 books
-    soft: np.ndarray       # (M, 2B, K) Gumbel-softmax weights
-    probs: np.ndarray      # (M, 2B, K) noise-free assignment probabilities
-    marginal: np.ndarray   # (M, K) mean of ``probs`` over the rows
+    marginal: np.ndarray   # (M, K) mean of the probabilities over the rows
     log_marginal: np.ndarray  # (M, K) log of the marginal, clamped at ENTROPY_LOG_EPS
-    log_probs: np.ndarray  # (M, 2B, K) log of ``probs``, clamped likewise
-    normed: np.ndarray     # (2B, D) unit-norm mixtures
     norm: np.ndarray       # (2B, 1) mixture norms
-    weights: np.ndarray    # (2B, 2B) softmax of each row over its positive and negatives
+    ws: StepWorkspace
 
 
 def _forward(
-    params: EncoderParams, books: CodebookSet, batch: np.ndarray, cfg: LossConfig, seed: int
+    params: EncoderParams,
+    books: CodebookSet,
+    batch: np.ndarray,
+    cfg: LossConfig,
+    seed: int,
+    noise: tuple[np.ndarray, np.ndarray] | None,
+    ws: StepWorkspace | None,
 ) -> _ForwardPass:
-    data = np.asarray(getattr(batch, "values", batch), dtype=np.float64)
+    data = np.asarray(getattr(batch, "values", batch))
     if data.ndim != 2 or data.shape[0] < 1:
         raise DimMismatchError("batch must be a non-empty 2-D array")
     if data.shape[1] != params.d_in:
@@ -356,30 +438,38 @@ def _forward(
         )
     batch_size, n_rows = data.shape[0], 2 * data.shape[0]
     n_books, n_words, sub = books.books.shape
+    if ws is None:
+        ws = StepWorkspace(batch_size, params.d_in, n_books, n_words, sub)
+    elif ws.batch_size != batch_size:
+        raise DimMismatchError(
+            f"workspace for {ws.batch_size} documents given a batch of {batch_size}"
+        )
+    if noise is None:
+        by_row = np.empty((n_rows, n_books, n_words))
+        noise = np.empty((n_rows, params.d_in)), by_row.transpose(1, 0, 2)
+        draw_noise(data, cfg, seed, *noise)
+    inputs, gumbel = noise
 
-    seeds = [rng.derive_seed(seed, s) for s in range(4)]
-    inputs = np.concatenate(
-        [dropout_view(data, DropoutConfig(cfg.p_drop, seeds[i])) for i in range(2)]
-    )
-    gumbel = np.concatenate([
-        gumbel_from_uniform(rng.spawn(seeds[2 + i]).random((batch_size, n_books, n_words)))
-        for i in range(2)
-    ]).transpose(1, 0, 2)
-
-    refined = forward_batch(params, inputs)
+    refined = forward_batch(params, inputs, out=ws.refined)
     segments = refined.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
     codewords = books.books.astype(np.float64)
-    d2 = squared_distances_books(refined, codewords)
-    soft = stable_softmax((d2 + gumbel) * (-1.0 / cfg.tau_gumbel))
-    probs = stable_softmax(-d2)
-    mixtures = (soft @ codewords).transpose(1, 0, 2).reshape(n_rows, books.dim)
-    losses, normed, norm, weights = _contrastive_forward(mixtures[None], cfg.tau_cl)
+    d2 = squared_distances_books(refined, codewords, out=ws.d2)
+    soft = np.add(d2, gumbel, out=ws.soft)
+    soft *= -1.0 / cfg.tau_gumbel
+    stable_softmax(soft, out=soft)
+    probs = stable_softmax(np.negative(d2, out=ws.probs), out=ws.probs)
+    mixtures = ws.mixtures.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
+    np.matmul(soft, codewords, out=mixtures)
+    losses, _, norm, _ = _contrastive_forward(
+        ws.mixtures[None], cfg.tau_cl, normed=ws.normed[None], logits=ws.logits
+    )
 
     marginal = probs.sum(axis=1) * (1.0 / n_rows)
     log_marginal = np.log(np.maximum(marginal, ENTROPY_LOG_EPS))
-    log_probs = np.log(np.maximum(probs, ENTROPY_LOG_EPS))
+    log_probs = np.log(np.maximum(probs, ENTROPY_LOG_EPS, out=ws.log_probs), out=ws.log_probs)
     h_marginal = -(marginal * log_marginal).sum(axis=1)
-    h_conditional = (probs * log_probs).reshape(n_books, -1).sum(axis=1) * (-1.0 / n_rows)
+    entropy_terms = np.multiply(probs, log_probs, out=ws.grad_d2)
+    h_conditional = entropy_terms.reshape(n_books, -1).sum(axis=1) * (-1.0 / n_rows)
     mi_per_book = h_marginal - cfg.alpha * h_conditional
     contrastive = losses[0]
     values = LossValues(
@@ -387,10 +477,7 @@ def _forward(
         contrastive=float(contrastive),
         mi_per_book=mi_per_book,
     )
-    return _ForwardPass(
-        values, inputs, refined, segments, codewords, soft, probs, marginal, log_marginal,
-        log_probs, normed[0], norm[0], weights[0],
-    )
+    return _ForwardPass(values, inputs, segments, codewords, marginal, log_marginal, norm[0], ws)
 
 
 def loss_values(
@@ -402,7 +489,7 @@ def loss_values(
 ) -> LossValues:
     """The loss values of :func:`loss_and_gradients`, bit for bit, without
     the backward pass."""
-    return _forward(params, books, batch, cfg, seed).values
+    return _forward(params, books, batch, cfg, seed, None, None).values
 
 
 def loss_and_gradients(
@@ -411,6 +498,9 @@ def loss_and_gradients(
     batch: np.ndarray,
     cfg: LossConfig,
     seed: int,
+    *,
+    noise: tuple[np.ndarray, np.ndarray] | None = None,
+    workspace: StepWorkspace | None = None,
 ) -> tuple[LossValues, ParamGrads]:
     """Evaluate the full objective on one mini-batch and differentiate it.
 
@@ -420,38 +510,65 @@ def loss_and_gradients(
     to the encoder weights, bias and every codeword.  All noise (two
     dropout masks, two Gumbel blocks) is derived from ``seed``, so equal
     seeds give bit-identical results.
+
+    ``noise``, when given, is the ``(inputs, gumbel)`` pair that
+    :func:`draw_noise` filled from ``batch`` and ``seed``, drawn ahead of
+    time.  ``workspace`` holds the step's arrays; without one a fresh
+    :class:`StepWorkspace` is built.
     """
-    fwd = _forward(params, books, batch, cfg, seed)
+    fwd = _forward(params, books, batch, cfg, seed, noise, workspace)
+    ws = fwd.ws
     n_rows = fwd.inputs.shape[0]
     n_books, _, sub = fwd.codewords.shape
-    soft, probs, codewords, segments = fwd.soft, fwd.probs, fwd.codewords, fwd.segments
+    soft, probs, codewords, segments = ws.soft, ws.probs, fwd.codewords, fwd.segments
+    normed = ws.normed
 
     # contrastive loss -> logits -> unit rows -> mixtures
     batch_size = n_rows // 2
-    pos_col, _ = _pair_masks(batch_size)
-    grad_logits = fwd.weights
-    grad_logits[np.arange(n_rows), pos_col] -= 1.0
+    grad_logits = ws.logits[0]
+    grad_logits[np.arange(n_rows), _partner_columns(batch_size)] -= 1.0
     grad_logits *= 1.0 / batch_size
-    grad_normed = (grad_logits + grad_logits.T) @ fwd.normed * (1.0 / cfg.tau_cl)
-    radial = (fwd.normed * grad_normed).sum(axis=1, keepdims=True)
-    grad_mix = ((grad_normed - fwd.normed * radial) / fwd.norm).reshape(n_rows, n_books, sub)
-    grad_mix = grad_mix.transpose(1, 0, 2)
+    grad_normed = np.matmul(
+        np.add(grad_logits, grad_logits.T, out=ws.sym), normed, out=ws.grad
+    )
+    grad_normed *= 1.0 / cfg.tau_cl
+    scratch = np.multiply(normed, grad_normed, out=ws.mixtures)
+    radial = scratch.sum(axis=1, keepdims=True)
+    grad_mix = np.subtract(grad_normed, np.multiply(normed, radial, out=scratch), out=ws.grad)
+    grad_mix /= fwd.norm
+    grad_mix = grad_mix.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
     grad_books = soft.transpose(0, 2, 1) @ grad_mix
-    grad_soft = grad_mix @ codewords.transpose(0, 2, 1)
+    grad_soft = np.matmul(grad_mix, codewords.transpose(0, 2, 1), out=ws.d2)
 
     # Gumbel softmax, and the MI term through the plain softmax, into d2
-    grad_d2 = soft * (grad_soft - (soft * grad_soft).sum(axis=2, keepdims=True))
+    grad_d2 = np.multiply(soft, grad_soft, out=ws.grad_d2)
+    grad_soft -= grad_d2.sum(axis=2, keepdims=True)
+    np.multiply(soft, grad_soft, out=grad_d2)
     grad_d2 *= -1.0 / cfg.tau_gumbel
     grad_marginal = fwd.log_marginal + (fwd.marginal > ENTROPY_LOG_EPS)
-    grad_rows = fwd.log_probs + (probs > ENTROPY_LOG_EPS)
-    grad_probs = (cfg.alpha * grad_rows - grad_marginal[:, None, :]) * (-cfg.mi_weight / n_rows)
-    grad_d2 -= probs * (grad_probs - (probs * grad_probs).sum(axis=2, keepdims=True))
+    grad_probs = ws.log_probs  # becomes the gradient of the row entropies, then of probs
+    grad_probs += probs > ENTROPY_LOG_EPS
+    grad_probs *= cfg.alpha
+    grad_probs -= grad_marginal[:, None, :]
+    grad_probs *= -cfg.mi_weight / n_rows
+    scratch = np.multiply(probs, grad_probs, out=ws.d2)
+    grad_probs -= scratch.sum(axis=2, keepdims=True)
+    grad_d2 -= np.multiply(probs, grad_probs, out=grad_probs)
 
     # d2 = |s|^2 - 2 s.c + |c|^2 -> segments and codewords -> encoder
-    grad_seg = 2.0 * (segments * grad_d2.sum(axis=2, keepdims=True) - grad_d2 @ codewords)
+    grad_seg = ws.mixtures.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
+    np.matmul(grad_d2, codewords, out=grad_seg)
+    scratch = ws.grad.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
+    np.subtract(
+        np.multiply(segments, grad_d2.sum(axis=2, keepdims=True), out=scratch),
+        grad_seg,
+        out=grad_seg,
+    )
+    grad_seg *= 2.0
     grad_books += 2.0 * (
         codewords * grad_d2.sum(axis=1)[:, :, None] - grad_d2.transpose(0, 2, 1) @ segments
     )
-    grad_refined = grad_seg.transpose(1, 0, 2).reshape(n_rows, n_books * sub)
-    grad_weight, grad_bias = backward_batch(fwd.inputs, fwd.refined, grad_refined)
+    grad_weight, grad_bias = backward_batch(
+        fwd.inputs, ws.refined, ws.mixtures, out=ws.grad_weight
+    )
     return fwd.values, ParamGrads(weight=grad_weight, bias=grad_bias, books=grad_books)

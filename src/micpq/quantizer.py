@@ -133,10 +133,13 @@ def squared_distances(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
     return np.einsum("kd,kd->k", diff, diff)
 
 
-def stable_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, shifted by each row's maximum."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, shifted by each row's maximum; written
+    to ``out`` when given, which may be ``logits`` itself."""
+    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def assign_probs(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
@@ -147,11 +150,15 @@ def assign_probs(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
     return stable_softmax(-squared_distances(segment, book))
 
 
-def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
+def gumbel_from_uniform(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map uniforms in (0,1) to standard Gumbel draws, clamped away from
-    0 and 1 so the result is always finite."""
-    u = np.clip(np.asarray(u, dtype=np.float64), GUMBEL_CLAMP, 1.0 - GUMBEL_CLAMP)
-    return -np.log(-np.log(u))
+    0 and 1 so the result is always finite.  Written to ``out`` when
+    given, a float64 array that may be ``u`` itself."""
+    g = np.clip(np.asarray(u, dtype=np.float64), GUMBEL_CLAMP, 1.0 - GUMBEL_CLAMP, out=out)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.log(g, out=g)
+    return np.negative(g, out=g)
 
 
 def sample_gumbel(k: int, seed: int) -> np.ndarray:
@@ -187,18 +194,20 @@ def hard_assign(segment: np.ndarray, book: np.ndarray) -> int:
     return int(np.argmin(squared_distances(segment, book)))
 
 
-def squared_distances_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
+def squared_distances_books(
+    refined: np.ndarray, books: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """(M, n, K) squared distances ``|s|^2 - 2 s.c + |c|^2`` from each of
     the n rows' M segments to every codeword of (M, K, sub_dim) books, in
-    the dtype of the inputs."""
+    the dtype of the inputs; written to ``out`` when given."""
     refined = np.asarray(refined)
     n_books, _, sub = books.shape
     segments = refined.reshape(refined.shape[0], n_books, sub).transpose(1, 0, 2)
-    return (
-        (segments * segments).sum(axis=2, keepdims=True)
-        - 2.0 * segments @ books.transpose(0, 2, 1)
-        + (books * books).sum(axis=2)[:, None, :]
-    )
+    norms = (segments * segments).sum(axis=2, keepdims=True)
+    out = np.matmul(2.0 * segments, books.transpose(0, 2, 1), out=out)
+    np.subtract(norms, out, out=out)
+    out += (books * books).sum(axis=2)[:, None, :]
+    return out
 
 
 def hard_assign_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
@@ -214,7 +223,19 @@ def hard_assign_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
     return codes
 
 
-def encode_rows(params: EncoderParams, books: np.ndarray, values: np.ndarray) -> np.ndarray:
+def encode_buffer(params: EncoderParams, values: np.ndarray) -> np.ndarray:
+    """An array that holds the largest refined block :func:`encode_rows`
+    makes of ``values``."""
+    n_rows = len(values)
+    return np.empty(
+        (min(n_rows, ASSIGN_ROWS + n_rows % ASSIGN_ROWS), params.d_out),
+        np.result_type(values, params.weight, params.bias),
+    )
+
+
+def encode_rows(
+    params: EncoderParams, books: np.ndarray, values: np.ndarray, buffer: np.ndarray | None = None
+) -> np.ndarray:
     """(n, M) uint16 nearest-codeword indices of each row of ``values``
     refined with dropout disabled, against (M, K, sub_dim) books.  Rows are
     refined and assigned ``ASSIGN_ROWS`` at a time, so no (n, D) refined
@@ -223,14 +244,23 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values: np.ndarray) ->
     bits differ from the same rows inside a larger batch.  Blocks then
     start at multiples of ``ASSIGN_ROWS``, as the chunks of
     :func:`hard_assign_books` do, and the codes equal those of one whole
-    :func:`~micpq.encoder.forward_batch` followed by it."""
+    :func:`~micpq.encoder.forward_batch` followed by it.
+
+    ``buffer``, when given, is an array from :func:`encode_buffer` that
+    each block is refined into; a caller that encodes the same rows again
+    and again keeps one, instead of mapping fresh blocks every time."""
     values = np.asarray(values)
     n_blocks = max(len(values) // ASSIGN_ROWS, 1)
     codes = np.empty((len(values), np.shape(books)[0]), dtype=np.uint16)
     for block in range(n_blocks):
         start = block * ASSIGN_ROWS
         stop = len(codes) if block == n_blocks - 1 else start + ASSIGN_ROWS
-        codes[start:stop] = hard_assign_books(forward_batch(params, values[start:stop]), books)
+        rows = values[start:stop]
+        if buffer is None:
+            refined = forward_batch(params, rows)
+        else:
+            refined = forward_batch(params, rows, out=buffer[:len(rows)])
+        codes[start:stop] = hard_assign_books(refined, books)
     return codes
 
 

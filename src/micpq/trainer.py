@@ -23,8 +23,22 @@ from . import rng
 from .dataio import EmbeddingMatrix, atomic_write, check_file_size, read_header
 from .encoder import EncoderParams, forward_batch, init_encoder
 from .errors import InvalidConfigError, NonFiniteGradientError
-from .objectives import LossConfig, ParamGrads, loss_and_gradients, loss_values
-from .quantizer import CodebookSet, bits_per_index, encode_rows, init_codebooks, is_pow2
+from .objectives import (
+    LossConfig,
+    ParamGrads,
+    StepWorkspace,
+    draw_noise,
+    loss_and_gradients,
+    loss_values,
+)
+from .quantizer import (
+    CodebookSet,
+    bits_per_index,
+    encode_buffer,
+    encode_rows,
+    init_codebooks,
+    is_pow2,
+)
 
 MAGIC_CHECKPOINT = b"MICPQCKP"
 CHECKPOINT_VERSION = 1
@@ -162,18 +176,30 @@ def init_model(
     )
 
 
-def _adam_update(param, m, v, grad, lr, beta1, beta2, eps, t):
-    grad = grad.astype(np.float64)
-    m64 = beta1 * m.astype(np.float64) + (1.0 - beta1) * grad
-    v64 = beta2 * v.astype(np.float64) + (1.0 - beta2) * grad * grad
-    m_hat = m64 / (1.0 - beta1**t)
-    v_hat = v64 / (1.0 - beta2**t)
-    new_param = param.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return (
-        new_param.astype(param.dtype),
-        m64.astype(m.dtype),
-        v64.astype(v.dtype),
-    )
+def _adam_update(param, m, v, grad, lr, beta1, beta2, eps, t, scratch):
+    """Update ``param``, ``m`` and ``v`` in place; the arithmetic runs in
+    float64 in three (3, >= param.size) ``scratch`` rows."""
+    m64, v64, tmp = (row[:param.size].reshape(param.shape) for row in scratch)
+    np.multiply(m, beta1, out=m64, dtype=np.float64)
+    m64 += np.multiply(grad, 1.0 - beta1, out=tmp, dtype=np.float64)
+    np.multiply(grad, 1.0 - beta2, out=tmp, dtype=np.float64)
+    np.multiply(tmp, grad, out=tmp, dtype=np.float64)
+    np.multiply(v, beta2, out=v64, dtype=np.float64)
+    v64 += tmp
+    m[...] = m64
+    v[...] = v64
+    m64 /= 1.0 - beta1**t  # m_hat
+    v64 /= 1.0 - beta2**t  # v_hat
+    np.sqrt(v64, out=v64)
+    v64 += eps
+    m64 *= lr
+    m64 /= v64
+    param[...] = np.subtract(param, m64, out=tmp, dtype=np.float64)
+
+
+def adam_scratch(state: ModelState) -> np.ndarray:
+    """Float64 scratch rows for :func:`adam_step` on ``state``'s parameters."""
+    return np.empty((3, max(state.encoder.weight.size, state.books.books.size)))
 
 
 def adam_step(
@@ -183,38 +209,48 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    *,
+    scratch: np.ndarray | None = None,
 ) -> ModelState:
-    """One bias-corrected Adam update of encoder and codebooks, in place."""
-    for name, grad in (("weight", grads.weight), ("bias", grads.bias), ("books", grads.books)):
+    """One bias-corrected Adam update of encoder and codebooks, in place.
+
+    ``scratch``, when given, is a float64 array of shape (3, n), n at
+    least the largest parameter's size (:func:`adam_scratch`); the
+    update's float64 arithmetic runs there instead of in fresh arrays."""
+    params = (
+        ("weight", state.encoder.weight, state.m_weight, state.v_weight, grads.weight),
+        ("bias", state.encoder.bias, state.m_bias, state.v_bias, grads.bias),
+        ("books", state.books.books, state.m_books, state.v_books, grads.books),
+    )
+    for name, param, _, _, grad in params:
         if not np.all(np.isfinite(grad)):
             raise NonFiniteGradientError(
                 f"non-finite gradient for {name} at step {state.step}"
             )
-    if grads.weight.shape != state.encoder.weight.shape or grads.books.shape != state.books.books.shape:
-        raise InvalidConfigError("gradient shapes do not match the model")
+    for name, param, _, _, grad in params:
+        if np.shape(grad) != param.shape:
+            raise InvalidConfigError(
+                f"{name} gradient of shape {np.shape(grad)} does not match the model's {param.shape}"
+            )
+    if scratch is None:
+        scratch = adam_scratch(state)
     t = state.step + 1
-    w, mw, vw = _adam_update(
-        state.encoder.weight, state.m_weight, state.v_weight, grads.weight, lr, beta1, beta2, eps, t
-    )
-    b, mb, vb = _adam_update(
-        state.encoder.bias, state.m_bias, state.v_bias, grads.bias, lr, beta1, beta2, eps, t
-    )
-    c, mc, vc = _adam_update(
-        state.books.books, state.m_books, state.v_books, grads.books, lr, beta1, beta2, eps, t
-    )
-    state.encoder = EncoderParams(w, b)
-    state.books = CodebookSet(c)
-    state.m_weight, state.v_weight = mw, vw
-    state.m_bias, state.v_bias = mb, vb
-    state.m_books, state.v_books = mc, vc
+    for _, param, m, v, grad in params:
+        _adam_update(param, m, v, grad, lr, beta1, beta2, eps, t, scratch)
+    # revalidate: an update can overflow float32
+    state.encoder = EncoderParams(state.encoder.weight, state.encoder.bias)
+    state.books = CodebookSet(state.books.books)
     state.step = t
     return state
 
 
-def usage_histogram(state: ModelState, data: np.ndarray) -> np.ndarray:
-    """(M, K) hard-assignment counts over a corpus, dropout disabled."""
+def usage_histogram(
+    state: ModelState, data: np.ndarray, buffer: np.ndarray | None = None
+) -> np.ndarray:
+    """(M, K) hard-assignment counts over a corpus, dropout disabled.
+    ``buffer`` is :func:`~micpq.quantizer.encode_rows`' refine buffer."""
     values = np.asarray(getattr(data, "values", data))
-    codes = encode_rows(state.encoder, state.books.books, values)
+    codes = encode_rows(state.encoder, state.books.books, values, buffer)
     n_books, n_words = state.books.n_codebooks, state.books.n_codewords
     slots = codes + n_words * np.arange(n_books)
     return np.bincount(slots.ravel(), minlength=n_books * n_words).reshape(n_books, n_words)
@@ -229,6 +265,24 @@ def usage_entropy(counts: np.ndarray) -> float:
     return float(per_book.mean())
 
 
+def _step_plan(cfg: TrainConfig, n_docs: int, first_perm: np.ndarray):
+    """(epoch, step, batch rows, step seed) of every training step, in
+    order.  Steps are counted across epochs; a trailing single document
+    cannot form a contrastive batch and is skipped."""
+    step = 0
+    for epoch in range(cfg.n_epochs):
+        perm = (
+            first_perm
+            if epoch == 0
+            else rng.spawn(cfg.seed, rng.STREAM_SHUFFLE, epoch).permutation(n_docs)
+        )
+        for start in range(0, n_docs, cfg.batch_size):
+            rows = perm[start:start + cfg.batch_size]
+            if rows.shape[0] >= 2:
+                yield epoch, step, rows, rng.derive_seed(cfg.seed, rng.STREAM_STEP, step)
+                step += 1
+
+
 def train(
     cfg: TrainConfig,
     data: EmbeddingMatrix,
@@ -239,9 +293,17 @@ def train(
     """Run the full training loop; deterministic given (cfg, data).
 
     ``on_epoch``, when given, is called with each finished EpochRecord.
+
+    One helper thread gathers step t+1's batch and draws its noise
+    (:func:`~micpq.objectives.draw_noise`) while step t runs; the two
+    steps' buffers alternate by parity.  The noise does not depend on the
+    parameters, so the result is the serial loop's, bit for bit.  The
+    thread ends before ``train`` returns or raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     values = data.values
-    n_docs = values.shape[0]
+    n_docs, d_in = values.shape
     if n_docs < 2:
         raise InvalidConfigError("training needs at least 2 documents")
 
@@ -249,53 +311,84 @@ def train(
     warmup = values[first_perm[: min(cfg.batch_size, n_docs)]]
     state = init_model(cfg, warmup, codebook_init=codebook_init)
 
-    log = TrainLog()
-    global_step = 0
-    for epoch in range(cfg.n_epochs):
-        perm = (
-            first_perm
-            if epoch == 0
-            else rng.spawn(cfg.seed, rng.STREAM_SHUFFLE, epoch).permutation(n_docs)
+    capacity = min(cfg.batch_size, n_docs)
+    slots = [
+        (
+            np.empty((capacity, d_in), values.dtype),
+            np.empty((2 * capacity, d_in)),
+            np.empty((2 * capacity, cfg.n_codebooks, cfg.n_codewords)),
         )
-        sums = np.zeros(3)
-        n_steps = 0
-        for start in range(0, n_docs, cfg.batch_size):
-            batch_idx = perm[start:start + cfg.batch_size]
-            if batch_idx.shape[0] < 2:
-                continue  # a trailing single document cannot form a contrastive batch
-            step_seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, global_step)
+        for _ in range(2)
+    ]
+
+    def prepare(step, rows, seed):
+        gathered, inputs, by_row = slots[step % 2]
+        n = rows.shape[0]
+        batch = np.take(values, rows, axis=0, out=gathered[:n], mode="clip")
+        noise = inputs[:2 * n], by_row[:2 * n].transpose(1, 0, 2)
+        draw_noise(batch, cfg.loss, seed, *noise)
+        return batch, noise
+
+    full = StepWorkspace(capacity, d_in, cfg.n_codebooks, cfg.n_codewords, cfg.sub_dim)
+    workspaces = {capacity: full}  # the last batch of an epoch may be smaller
+    scratch = adam_scratch(state)
+    usage_buffer = encode_buffer(state.encoder, values)
+    log = TrainLog()
+    sums, n_steps = np.zeros(3), 0
+    plan = _step_plan(cfg, n_docs, first_perm)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        following = next(plan)
+        pending = helper.submit(prepare, *following[1:])
+        while following is not None:
+            epoch, step, _, step_seed = following
+            batch, noise = pending.result()
+            following = next(plan, None)
+            if following is not None:
+                pending = helper.submit(prepare, *following[1:])
+            n = batch.shape[0]
+            if n not in workspaces:
+                workspaces[n] = StepWorkspace(
+                    n, d_in, cfg.n_codebooks, cfg.n_codewords, cfg.sub_dim, base=full
+                )
             try:
                 step_values, grads = loss_and_gradients(
-                    state.encoder, state.books, values[batch_idx], cfg.loss, step_seed
+                    state.encoder, state.books, batch, cfg.loss, step_seed,
+                    noise=noise, workspace=workspaces[n],
                 )
-                adam_step(state, grads, cfg.learning_rate)
+                adam_step(state, grads, cfg.learning_rate, scratch=scratch)
             except NonFiniteGradientError as err:
-                raise NonFiniteGradientError(
-                    f"epoch {epoch}, step {global_step}: {err}"
-                ) from err
+                raise NonFiniteGradientError(f"epoch {epoch}, step {step}: {err}") from err
             sums += (step_values.total, step_values.contrastive, step_values.mi_per_book.sum())
             n_steps += 1
-            global_step += 1
+            if following is not None and following[0] == epoch:
+                continue
 
-        counts = usage_histogram(state, values)
-        val_loss = None
-        if val is not None:
-            val_seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, 2**31 + epoch)
-            val_loss = loss_values(state.encoder, state.books, val.values, cfg.loss, val_seed).total
-        record = EpochRecord(
-            epoch=epoch,
-            total_loss=float(sums[0] / n_steps),
-            contrastive_loss=float(sums[1] / n_steps),
-            mi_sum=float(sums[2] / n_steps),
-            usage=counts,
-            usage_entropy=usage_entropy(counts),
-            val_loss=val_loss,
-        )
-        log.records.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
-        if cfg.checkpoint_path and cfg.checkpoint_every > 0 and (epoch + 1) % cfg.checkpoint_every == 0:
-            save_checkpoint(state, cfg.checkpoint_path)
+            counts = usage_histogram(state, values, usage_buffer)
+            val_loss = None
+            if val is not None:
+                val_seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, 2**31 + epoch)
+                val_loss = loss_values(
+                    state.encoder, state.books, val.values, cfg.loss, val_seed
+                ).total
+            record = EpochRecord(
+                epoch=epoch,
+                total_loss=float(sums[0] / n_steps),
+                contrastive_loss=float(sums[1] / n_steps),
+                mi_sum=float(sums[2] / n_steps),
+                usage=counts,
+                usage_entropy=usage_entropy(counts),
+                val_loss=val_loss,
+            )
+            sums, n_steps = np.zeros(3), 0
+            log.records.append(record)
+            if on_epoch is not None:
+                on_epoch(record)
+            if (
+                cfg.checkpoint_path
+                and cfg.checkpoint_every > 0
+                and (epoch + 1) % cfg.checkpoint_every == 0
+            ):
+                save_checkpoint(state, cfg.checkpoint_path)
 
     if cfg.checkpoint_path:
         save_checkpoint(state, cfg.checkpoint_path)

@@ -224,6 +224,33 @@ class TestTrain:
         capsys.readouterr()
         assert hashlib.sha256(emb_path.read_bytes()).hexdigest() == before
 
+    @pytest.mark.parametrize("split", ["train", "all"])
+    def test_reads_only_its_split(self, tmp_path, capsys, monkeypatch, split):
+        from micpq import dataio, trainer
+        from micpq.dataio import EmbeddingMatrix
+        from micpq.objectives import LossConfig
+
+        emb_path, _ = _synth(tmp_path)
+        whole = read_embeddings(emb_path)
+        rows = np.arange(60) if split == "all" else np.sort(
+            evaluation.split_indices(60, (0.8, 0.1, 0.1), 0)[0]
+        )
+        requested = []
+
+        def spy(path, rows=None):
+            requested.append(rows)
+            return read_embeddings(path, rows)
+
+        monkeypatch.setattr(dataio, "read_embeddings", spy)
+        ckpt = _train(tmp_path, emb_path, extra=["--split", split])
+        assert f"training on {len(rows)} of 60 documents (split={split})" in capsys.readouterr().out
+        assert len(requested) == 1 and np.array_equal(requested[0], rows)
+
+        cfg = TrainConfig(n_codebooks=2, n_codewords=4, sub_dim=3, batch_size=24, n_epochs=2,
+                          seed=3, loss=LossConfig(tau_gumbel=5.0), checkpoint_path=str(tmp_path / "lib.ckpt"))
+        trainer.train(cfg, EmbeddingMatrix(whole.values[rows]))
+        assert ckpt.read_bytes() == (tmp_path / "lib.ckpt").read_bytes()
+
     def test_missing_embedding_file_is_runtime_error(self, tmp_path, capsys):
         code = main(
             ["train", "--emb", str(tmp_path / "nope.emb"), "--M", "2",

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from micpq.encoder import EncoderParams, forward_batch
+from micpq.encoder import DropoutConfig, EncoderParams, dropout_view, forward_batch
 from micpq.errors import (
+    DimMismatchError,
     RowNotNormalizedError,
     TooLargeToEnumerateError,
     ZeroNormError,
@@ -12,8 +13,11 @@ from micpq.errors import (
 from micpq.objectives import (
     BatchViews,
     LossConfig,
+    StepWorkspace,
+    _contrastive_forward,
     contrastive_loss,
     cosine_sim,
+    draw_noise,
     expected_loss_oracle,
     loss_and_gradients,
     loss_values,
@@ -23,6 +27,7 @@ from micpq.objectives import (
     total_loss,
 )
 from micpq.quantizer import CodebookSet, assign_probs
+from micpq.rng import derive_seed
 
 
 class TestCosine:
@@ -325,3 +330,96 @@ class TestLossAndGradients:
         params, books, data = self._instance(18, batch=1)
         values, _ = loss_and_gradients(params, books, data, LossConfig(), seed=19)
         assert values.contrastive == pytest.approx(0.0, abs=1e-12)
+
+
+def _masked_contrastive_forward(h_all, tau_cl):
+    """The contrastive forward as it was written before the masked passes
+    were folded: max and exp restricted to each row's negatives by a
+    (2B, 2B) mask, the exp written into zeros."""
+    n_rows = h_all.shape[1]
+    batch_size = n_rows // 2
+    norm = np.sqrt((h_all * h_all).sum(axis=2, keepdims=True))
+    normed = h_all / norm
+    logits = (normed @ normed.transpose(0, 2, 1)) * (1.0 / tau_cl)
+    rows = np.arange(n_rows)
+    doc = rows % batch_size
+    pos_col, neg_mask = (rows + batch_size) % n_rows, doc[:, None] != doc[None, :]
+    pos = logits[:, rows, pos_col]
+    shift = np.maximum(pos, logits.max(axis=2, where=neg_mask, initial=-np.inf))
+    weights = np.exp(logits - shift[:, :, None], out=np.zeros_like(logits), where=neg_mask)
+    e_pos = np.exp(pos - shift)
+    denom = e_pos + weights.sum(axis=2)
+    log_ratio = pos - (np.log(denom) + shift)
+    weights[:, rows, pos_col] = e_pos
+    weights /= denom[:, :, None]
+    return log_ratio.sum(axis=1) * (-1.0 / batch_size), normed, norm, weights
+
+
+class TestFoldedContrastiveForward:
+    @pytest.mark.parametrize("n_inst, n_rows, dim", [
+        (1, 512, 192), (1, 512, 384), (50, 8, 6), (3, 2, 5),  # 2B = 2: no negatives
+    ])
+    @pytest.mark.parametrize("given_buffers", [False, True])
+    def test_bit_identical_to_the_masked_forward(self, n_inst, n_rows, dim, given_buffers):
+        h_all = np.random.default_rng(n_rows + dim).random((n_inst, n_rows, dim))
+        out = {}
+        if given_buffers:
+            out = {"normed": np.full_like(h_all, np.nan),
+                   "logits": np.full((n_inst, n_rows, n_rows), np.nan)}
+        got = _contrastive_forward(h_all, 0.3, **out)
+        want = _masked_contrastive_forward(h_all, 0.3)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        if given_buffers:
+            assert got[1] is out["normed"] and got[3] is out["logits"]
+
+
+class TestPreparedNoiseAndWorkspace:
+    def _instance(self, batch=6, d_in=5, n_books=3, n_words=4, sub=2, dtype=np.float32):
+        rng = np.random.default_rng(batch + d_in)
+        d_out = n_books * sub
+        params = EncoderParams(rng.normal(size=(d_out, d_in)).astype(dtype),
+                               (rng.normal(size=d_out) + 0.5).astype(dtype))
+        books = CodebookSet(rng.normal(size=(n_books, n_words, sub)).astype(dtype))
+        return params, books, rng.normal(size=(batch, d_in)).astype(np.float32)
+
+    def _same(self, first, second):
+        assert first[0].total == second[0].total
+        assert first[0].contrastive == second[0].contrastive
+        assert first[0].mi_per_book.tobytes() == second[0].mi_per_book.tobytes()
+        for name in ("weight", "bias", "books"):
+            assert getattr(first[1], name).tobytes() == getattr(second[1], name).tobytes()
+
+    @pytest.mark.parametrize("p_drop", [0.0, 0.3])
+    def test_noise_drawn_ahead_gives_the_same_step(self, p_drop):
+        params, books, data = self._instance()
+        cfg = LossConfig(tau_gumbel=2.0, p_drop=p_drop)
+        inputs, by_row = np.empty((12, 5)), np.empty((12, 3, 4))
+        draw_noise(data, cfg, 41, inputs, by_row.transpose(1, 0, 2))
+        # the views are the float64 batch's dropout views at the step's first two sub-seeds
+        views = [dropout_view(data.astype(np.float64), DropoutConfig(p_drop, derive_seed(41, s)))
+                 for s in range(2)]
+        assert inputs.tobytes() == np.concatenate(views).tobytes()
+        ahead = loss_and_gradients(params, books, data, cfg, 41,
+                                   noise=(inputs, by_row.transpose(1, 0, 2)))
+        self._same(ahead, loss_and_gradients(params, books, data, cfg, 41))
+
+    def test_reused_and_shared_workspaces_give_fresh_results(self):
+        params, books, data = self._instance(batch=6)
+        cfg = LossConfig(tau_gumbel=2.0)
+        full = StepWorkspace(6, 5, 3, 4, 2)
+        tail = StepWorkspace(4, 5, 3, 4, 2, base=full)
+        for seed in (1, 2):
+            fresh = loss_and_gradients(params, books, data, cfg, seed)
+            self._same(loss_and_gradients(params, books, data, cfg, seed, workspace=full), fresh)
+            fresh = loss_and_gradients(params, books, data[:4], cfg, seed)
+            self._same(loss_and_gradients(params, books, data[:4], cfg, seed, workspace=tail), fresh)
+
+    def test_workspace_of_another_batch_size_is_refused(self):
+        params, books, data = self._instance(batch=6)
+        with pytest.raises(DimMismatchError):
+            loss_and_gradients(params, books, data, LossConfig(), 1,
+                               workspace=StepWorkspace(5, 5, 3, 4, 2))
+        with pytest.raises(DimMismatchError):
+            StepWorkspace(7, 5, 3, 4, 2, base=StepWorkspace(6, 5, 3, 4, 2))

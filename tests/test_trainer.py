@@ -1,4 +1,6 @@
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,22 +12,26 @@ from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     BadMagicError,
     FileFormatError,
+    InvalidConfigError,
     NonFiniteGradientError,
     TruncatedFileError,
     VersionMismatchError,
 )
-from micpq.objectives import LossConfig, ParamGrads, loss_and_gradients
+from micpq.objectives import LossConfig, ParamGrads, draw_noise, loss_and_gradients
 from micpq.quantizer import CodebookSet, hard_assign_batch
 from micpq import trainer
 from micpq.trainer import (
+    EpochRecord,
     ModelState,
     TrainConfig,
+    TrainLog,
     adam_step,
     default_gumbel_temperature,
     init_model,
     load_checkpoint,
     save_checkpoint,
     train,
+    usage_entropy,
     usage_histogram,
 )
 
@@ -330,3 +336,149 @@ class TestTrain:
         seen = []
         train(_tiny_config(n_epochs=3), _tiny_corpus(), on_epoch=lambda r: seen.append(r.epoch))
         assert seen == [0, 1, 2]
+
+
+class TestAdamShapes:
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_bias_gradient_of_another_shape_is_refused(self, length):
+        state = _tiny_state(4)  # d_out = 2
+        grads = _zero_grads(state)
+        grads.bias = np.zeros(length)
+        before = state.encoder.bias.copy()
+        with pytest.raises(InvalidConfigError):
+            adam_step(state, grads, lr=0.01)
+        assert np.array_equal(state.encoder.bias, before)
+        assert state.step == 0
+
+    def test_scratch_gives_the_fresh_update(self):
+        grads = _zero_grads(_tiny_state(5, d_in=3, n_words=5))
+        grads.weight += 0.3
+        grads.bias -= 0.2
+        grads.books += 0.1
+        a, b = _tiny_state(5, d_in=3, n_words=5), _tiny_state(5, d_in=3, n_words=5)
+        scratch = trainer.adam_scratch(b)
+        for _ in range(3):
+            adam_step(a, grads, lr=0.01)
+            adam_step(b, grads, lr=0.01, scratch=scratch)
+        for (name, x), (_, y) in zip(a._arrays(), b._arrays()):
+            assert x.tobytes() == y.tobytes(), name
+
+
+def _serial_train(cfg, data):
+    """The training loop without the helper thread: each step gathers its
+    batch, draws its noise from the step seed and updates in turn."""
+    values = data.values
+    n_docs = len(values)
+    perms = [
+        rng.spawn(cfg.seed, rng.STREAM_SHUFFLE, epoch).permutation(n_docs)
+        for epoch in range(cfg.n_epochs)
+    ]
+    state = init_model(cfg, values[perms[0][: min(cfg.batch_size, n_docs)]])
+    log, step = TrainLog(), 0
+    for epoch, perm in enumerate(perms):
+        sums, n_steps = np.zeros(3), 0
+        for start in range(0, n_docs, cfg.batch_size):
+            rows = perm[start:start + cfg.batch_size]
+            if len(rows) < 2:
+                continue
+            seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, step)
+            step_values, grads = loss_and_gradients(
+                state.encoder, state.books, values[rows], cfg.loss, seed
+            )
+            adam_step(state, grads, cfg.learning_rate)
+            sums += (step_values.total, step_values.contrastive, step_values.mi_per_book.sum())
+            n_steps += 1
+            step += 1
+        counts = usage_histogram(state, values)
+        log.records.append(EpochRecord(
+            epoch=epoch,
+            total_loss=float(sums[0] / n_steps),
+            contrastive_loss=float(sums[1] / n_steps),
+            mi_sum=float(sums[2] / n_steps),
+            usage=counts,
+            usage_entropy=usage_entropy(counts),
+        ))
+    return state, log
+
+
+class TestPrefetchedTraining:
+    """``train`` prepares step t+1's noise on a helper thread while step t
+    runs; the result must be the serial loop's, byte for byte."""
+
+    @pytest.mark.parametrize("p_drop", [0.0, 0.3])
+    @pytest.mark.parametrize("n_docs, batch_size, steps_per_epoch", [
+        (120, 32, 4),  # full batches and a 24-document tail
+        (97, 32, 3),   # a trailing single document, skipped every epoch
+        (20, 64, 1),   # batch_size larger than the corpus
+    ])
+    def test_equals_the_serial_loop(self, tmp_path, p_drop, n_docs, batch_size, steps_per_epoch):
+        data = EmbeddingMatrix(_tiny_corpus().values[:n_docs])
+        cfg = _tiny_config(
+            n_epochs=3, batch_size=batch_size, loss=LossConfig(tau_gumbel=2.0, p_drop=p_drop)
+        )
+        state, log = train(cfg, data)
+        ref_state, ref_log = _serial_train(cfg, data)
+        assert state.step == ref_state.step == 3 * steps_per_epoch
+        save_checkpoint(state, tmp_path / "threaded.ckpt")
+        save_checkpoint(ref_state, tmp_path / "serial.ckpt")
+        assert (tmp_path / "threaded.ckpt").read_bytes() == (tmp_path / "serial.ckpt").read_bytes()
+        assert log.format_lines() == ref_log.format_lines()
+        for got, want in zip(log.records, ref_log.records):
+            assert (got.total_loss, got.contrastive_loss, got.mi_sum) == (
+                want.total_loss, want.contrastive_loss, want.mi_sum
+            )
+
+
+    def test_equals_the_serial_loop_under_rapid_thread_switching(self, tmp_path):
+        data = _tiny_corpus()
+        cfg = _tiny_config(n_epochs=2, batch_size=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            state, log = train(cfg, data)
+        finally:
+            sys.setswitchinterval(interval)
+        ref_state, ref_log = _serial_train(cfg, data)
+        for (name, got), (_, want) in zip(state._arrays(), ref_state._arrays()):
+            assert got.tobytes() == want.tobytes(), name
+        assert log.format_lines() == ref_log.format_lines()
+
+
+class TestHelperThread:
+    def test_no_thread_outlives_a_finished_run(self):
+        before = threading.active_count()
+        train(_tiny_config(n_epochs=2), _tiny_corpus())
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_nonfinite_gradient(self, monkeypatch):
+        calls = []
+
+        def broken_at_step_2(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NonFiniteGradientError("non-finite gradient for weight at step 2")
+            return loss_and_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "loss_and_gradients", broken_at_step_2)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteGradientError) as err:
+            train(_tiny_config(n_epochs=2, batch_size=50), _tiny_corpus())  # 3 steps an epoch
+        assert str(err.value).startswith("epoch 0, step 2: ")
+        assert threading.active_count() == before
+
+    def test_a_failed_preparation_reaches_the_caller(self, monkeypatch):
+        calls = []
+
+        def fails_third(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise RuntimeError("preparation failed")
+            return draw_noise(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "draw_noise", fails_third)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="preparation failed"):
+            train(_tiny_config(n_epochs=2), _tiny_corpus())
+        assert len(calls) == 3
+        assert all(t is not threading.main_thread() for t in calls)
+        assert threading.active_count() == before
