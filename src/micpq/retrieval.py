@@ -9,10 +9,16 @@ entries, the squared distance from the refined query to its reconstructed
 codeword.  When log2(K) divides 8 the table is folded into one 256-entry
 table per code byte; the scan gathers each byte column into one float32
 buffer and adds its rows in place as a tree of pairs, numpy's own order at
-M=8, K=16.  K = 2 also ranks by Hamming distance: the popcounts of packed
-query XOR document, summed byte column by byte column into uint16.
+M=8, K=16.  An index of more than ``PAIR_ENTRIES`` rows with two or more
+code bytes is gathered one byte pair at a time instead: pair j's
+65,536-entry table holds the tree's first-level sums of bytes 2j and
+2j+1, so building it costs about a 65,536-row gather and the distances
+keep their bits.  K = 2 also ranks by Hamming distance: the popcounts of
+packed query XOR document, summed byte column by byte column into uint16.
 Top-k partitions around the k-th distance and sorts only the documents at
-or below it, ties included, by (distance, doc id).
+or below it, ties included, by (distance, doc id).  When k * k <= n, only
+the documents at or below the largest minimum of k row blocks are
+partitioned: those k minima bound the k-th distance.
 
 Index file layout (little-endian, unchanged): magic ``MICPQIDX`` | version
 u32 | M u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32
@@ -35,6 +41,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidConfigError,
     KNot2Error,
+    NonFiniteInputError,
 )
 from .quantizer import (
     CodebookSet,
@@ -53,6 +60,7 @@ MAGIC_INDEX = b"MICPQIDX"
 INDEX_VERSION = 1
 _HEADER = struct.Struct("<IIIIQ")
 SCAN_ROWS = 65536  # rows unpacked at a time when log2(K) does not divide 8
+PAIR_ENTRIES = 1 << 16  # rows above which the byte scan reads byte pairs
 
 
 def _checked_codes(codes, n_books: int, n_words: int) -> np.ndarray:
@@ -193,9 +201,25 @@ def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
     bits = bits_per_index(n_words)
     if 8 % bits == 0:
         tables = _byte_tables(table, bits)
-        parts = np.empty((len(tables), packed.shape[0]), tables.dtype)
-        for byte_table, column, part in zip(tables, packed.T, parts):
-            byte_table.take(column, out=part, mode="clip")  # a byte is < 256
+        n_rows, n_bytes = packed.shape
+        columns = packed.T
+        if n_rows <= PAIR_ENTRIES or n_bytes < 2:
+            parts = np.empty((n_bytes, n_rows), tables.dtype)
+            for byte_table, column, part in zip(tables, columns, parts):
+                byte_table.take(column, out=part, mode="clip")  # a byte is < 256
+        else:
+            # one 65,536-entry table per byte pair: the tree's first level
+            n_pairs = n_bytes // 2
+            pair_tables = np.empty((n_pairs, 256, 256), tables.dtype)
+            np.add(tables[1::2, :, None], tables[0:2 * n_pairs:2, None, :], out=pair_tables)
+            parts = np.empty((n_bytes - n_pairs, n_rows), tables.dtype)
+            pair = np.empty(n_rows, np.uint16)
+            for j in range(n_pairs):
+                np.left_shift(columns[2 * j + 1], 8, out=pair, dtype=np.uint16)
+                np.bitwise_or(pair, columns[2 * j], out=pair)
+                pair_tables[j].ravel().take(pair, out=parts[j], mode="clip")
+            if n_bytes % 2:
+                tables[-1].take(columns[-1], out=parts[-1], mode="clip")
         return _pairwise(parts)
     out = np.empty(packed.shape[0], table.dtype)
     for start in range(0, len(out), SCAN_ROWS):
@@ -213,18 +237,33 @@ def adc_distance(lut: DistanceLUT, code: QuantCode) -> float:
     return float(adc_distances(lut, code.indices[None, :])[0])
 
 
+def _at_or_below_kth(values: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the values at or below the k-th smallest; all if that is NaN."""
+    return (~(values > np.partition(values, k - 1)[k - 1])).nonzero()[0]
+
+
 def _ranked(doc_ids: np.ndarray, distances: np.ndarray, k: int) -> list[tuple[int, float]]:
-    if k < len(distances):
-        # every row at or below the k-th distance; all rows if that is NaN
-        rows = np.flatnonzero(~(distances > np.partition(distances, k - 1)[k - 1]))
+    n = len(distances)
+    width = n // k
+    if k <= width:
+        # the minima of k blocks are k rows at or below the largest of
+        # them, so the k-th distance is too; NaN in a block keeps every row
+        bound = distances[:k * width].reshape(k, width).min(axis=1).max()
+        rows = (~(distances > bound)).nonzero()[0]
+        rows = rows[_at_or_below_kth(distances[rows], k)]
+    elif k < n:
+        rows = _at_or_below_kth(distances, k)
     else:
-        rows = np.arange(len(distances))
+        rows = np.arange(n)
     rows = rows[np.lexsort((doc_ids[rows], distances[rows]))[:k]]
     return list(zip(doc_ids[rows].tolist(), distances[rows].astype(np.float64).tolist()))
 
 
 def _refine_query(index: RetrievalIndex, model: ModelState, query_embedding, k: int) -> np.ndarray:
-    """Check k and the index, then refine the query with dropout disabled."""
+    """Check k, the index and the query, then refine the query with dropout
+    disabled."""
+    if not isinstance(k, (int, np.integer)):
+        raise InvalidConfigError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise InvalidConfigError("k must be >= 1")
     if index.n_docs == 0:
@@ -234,6 +273,8 @@ def _refine_query(index: RetrievalIndex, model: ModelState, query_embedding, k: 
         raise DimMismatchError(
             f"query length {query.shape} != encoder input width {model.encoder.d_in}"
         )
+    if not np.isfinite(query).all():
+        raise NonFiniteInputError("query must be finite")
     return forward_batch(model.encoder, query[None, :])[0]
 
 

@@ -13,7 +13,9 @@ from micpq.errors import (
     ConfigMismatchError,
     EmptyIndexError,
     FileFormatError,
+    InvalidConfigError,
     KNot2Error,
+    NonFiniteInputError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -28,8 +30,10 @@ from micpq.quantizer import (
 from micpq.retrieval import (
     INDEX_VERSION,
     MAGIC_INDEX,
+    PAIR_ENTRIES,
     DistanceLUT,
     RetrievalIndex,
+    _ranked,
     adc_distance,
     adc_distances,
     build_index,
@@ -252,6 +256,23 @@ class TestSearchTopK:
         )
         with pytest.raises(EmptyIndexError):
             search_topk(index, np.zeros(2, dtype=np.float32), _identity_model(books), 1)
+
+    @pytest.mark.parametrize("search", [search_topk, search_topk_hamming])
+    def test_non_finite_query_and_non_integer_k_rejected(self, search):
+        model, index, _, gen = _random_index(15, 16, 2, n_docs=200, sub=2)
+        query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
+        for bad in (np.nan, np.inf, -np.inf):
+            one = query.copy()
+            one[3] = bad
+            with pytest.raises(NonFiniteInputError):
+                search(index, one, model, 5)
+        with pytest.raises(NonFiniteInputError):
+            search(index, np.full_like(query, np.nan), model, 5)
+        for k in (2.5, 3.0, np.float64(3), "3"):
+            with pytest.raises(InvalidConfigError):
+                search(index, query, model, k)
+        assert search(index, query, model, np.int64(3)) == search(index, query, model, 3)
+        assert search(index, query, model, np.int32(50_000)) == search(index, query, model, 200)
 
 
 class TestHamming:
@@ -520,31 +541,35 @@ class TestFastPaths:
                 assert [doc for doc, _ in got] == _oracle_ranking(index, oracle, k)
                 assert [dist for _, dist in got] == sorted(oracle)[:k]
 
-    @pytest.mark.parametrize(
-        "n_books,n_words", [(8, 16), (7, 16), (4, 4), (3, 256), (16, 2), (9, 2)]
+    @pytest.mark.parametrize(  # (5, 16) and (3, 256): 3 bytes; (4, 4) and (1, 16): 1 byte
+        "n_books,n_words", [(8, 16), (7, 16), (4, 4), (3, 256), (16, 2), (9, 2), (5, 16), (1, 16)]
     )
     def test_adc_scan_is_bit_identical_to_flat_gather(self, n_books, n_words):
-        _, index, codes, gen = _random_index(60 + n_books * n_words, n_books, n_words, n_docs=999)
-        assert index.packed.flags.f_contiguous
-        raw_packed = pack_codes_batch(codes, n_words)
-        assert raw_packed.flags.c_contiguous
-        for _ in range(5):
-            lut = build_lut(gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32),
-                            index.books)
-            expected = _flat_gather_scan(lut.table, raw_packed).view(np.uint32)
-            for scanned in (adc_distances(lut, index), adc_distances(lut, codes)):
-                assert scanned.dtype == np.float32
-                assert np.array_equal(scanned.view(np.uint32), expected)
+        # above PAIR_ENTRIES rows the scan reads byte pairs, and an odd
+        # last byte alone
+        for n_docs in (999, PAIR_ENTRIES + 1):
+            _, index, codes, gen = _random_index(60 + n_books * n_words, n_books, n_words,
+                                                 n_docs=n_docs)
+            assert index.packed.flags.f_contiguous
+            raw_packed = pack_codes_batch(codes, n_words)
+            assert raw_packed.flags.c_contiguous
+            for _ in range(5):
+                lut = build_lut(gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32),
+                                index.books)
+                expected = _flat_gather_scan(lut.table, raw_packed).view(np.uint32)
+                for scanned in (adc_distances(lut, index), adc_distances(lut, codes)):
+                    assert scanned.dtype == np.float32
+                    assert np.array_equal(scanned.view(np.uint32), expected)
 
-    @pytest.mark.parametrize("search,n_books,n_words,per_doc", [
-        (search_topk_hamming, 16, 2, 6),
-        (search_topk, 8, 16, 32),
-    ], ids=["hamming", "adc"])
+    @pytest.mark.parametrize("search,n_books,n_words,n_docs,per_doc", [
+        (search_topk_hamming, 16, 2, 100_000, 6),
+        (search_topk, 8, 16, 100_000, 24),
+        (search_topk, 8, 16, 200_000, 24),
+    ], ids=["hamming", "adc", "adc-200k"])
     def test_query_allocates_no_wide_per_document_arrays(self, search, n_books, n_words,
-                                                         per_doc):
-        # tracemalloc sees numpy's data buffers; an int64 array the size of
-        # the corpus would add 8 bytes per document
-        n_docs = 100_000
+                                                         n_docs, per_doc):
+        # tracemalloc sees numpy's data buffers; one more int64 array the
+        # size of the corpus would add 8 bytes per document
         model, index, _, gen = _random_index(61, n_books, n_words, n_docs=n_docs, sub=2)
         query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
         search(index, query, model, 100)  # warm
@@ -565,15 +590,47 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("n_books,n_words", [(8, 16), (4, 3)])
     def test_ties_at_the_cut_come_in_doc_id_order(self, n_books, n_words):
-        model, index, codes, gen = _random_index(41, n_books, n_words, n_docs=2000, distinct=4)
-        for _ in range(4):
-            query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
-            distances = adc_distances(build_lut(query, index.books), index)
-            for k in (1, 10, 700):
-                got = search_topk(index, query, model, k)
-                kth = np.sort(distances)[k - 1]
-                assert np.count_nonzero(distances <= kth) > k  # the cut splits a tie group
-                assert [doc for doc, _ in got] == _oracle_ranking(index, distances, k)
+        for n_docs in (2000, 10_000):
+            model, index, codes, gen = _random_index(41, n_books, n_words, n_docs=n_docs,
+                                                     distinct=4)
+            for _ in range(4):
+                query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
+                distances = adc_distances(build_lut(query, index.books), index)
+                for k in (1, 10, 44, 45, 100, 700):  # k * k <= n bounds the cut by block minima
+                    got = search_topk(index, query, model, k)
+                    kth = np.sort(distances)[k - 1]
+                    assert np.count_nonzero(distances <= kth) > k  # the cut splits a tie group
+                    assert [doc for doc, _ in got] == _oracle_ranking(index, distances, k)
+
+    def test_ranked_equals_the_plain_partition_on_nan_and_ties(self):
+        def plain(doc_ids, distances, k):
+            # the selection without the block bound
+            if k < len(distances):
+                rows = np.flatnonzero(~(distances > np.partition(distances, k - 1)[k - 1]))
+            else:
+                rows = np.arange(len(distances))
+            rows = rows[np.lexsort((doc_ids[rows], distances[rows]))[:k]]
+            return list(zip(doc_ids[rows].tolist(), distances[rows].astype(np.float64).tolist()))
+
+        gen = np.random.default_rng(45)
+        k = 30
+        for n in (k * k - 1, k * k, k * k + 17, 5000):
+            ids = gen.permutation(2 * n)[:n].astype(np.uint64)
+            ties = gen.integers(0, 9, size=n)
+            nan_block = ties.astype(np.float32)
+            nan_block[gen.integers(0, n, size=3)] = np.nan
+            nan_tail = ties.astype(np.float32)
+            nan_tail[-5:] = np.nan  # beyond k blocks when n % k
+            mostly_nan = np.full(n, np.nan, np.float32)
+            mostly_nan[gen.integers(0, n, size=40)] = 2.0
+            # the k-1 smallest one per block (blocks of k or k+1 rows) and
+            # the k-th in the last row: k-1 block minima do not bound the cut
+            spread = ties.astype(np.float32) + 10
+            spread[np.arange(k - 1) * (k + 1)] = gen.integers(0, 3, size=k - 1)
+            spread[-1] = 5
+            for distances in (ties.astype(np.uint16), nan_block, nan_tail, mostly_nan, spread):
+                for kk in (1, 7, k - 1, k, k + 1, n - 1, n):
+                    assert repr(_ranked(ids, distances, kk)) == repr(plain(ids, distances, kk))
 
     def test_k_one_n_and_beyond(self):
         model, index, codes, gen = _random_index(42, 8, 16, n_docs=300, distinct=40)
@@ -583,7 +640,9 @@ class TestFastPaths:
             got = search_topk(index, query, model, k)
             assert [doc for doc, _ in got] == full[:k]
 
-    @pytest.mark.parametrize("n_docs,distinct", [(3000, None), (3000, 25), (64, 8)])
+    @pytest.mark.parametrize(
+        "n_docs,distinct", [(3000, None), (3000, 25), (64, 8), (10_000, 25)]
+    )
     def test_hamming_matches_popcount_oracle(self, n_docs, distinct):
         for n_books in (9, 16, 24, 40):  # 2-5 byte columns, the last one partial at 9
             model, index, codes, gen = _random_index(
