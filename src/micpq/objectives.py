@@ -453,7 +453,7 @@ def _forward(
     refined = forward_batch(params, inputs, out=ws.refined)
     segments = refined.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
     codewords = books.books.astype(np.float64)
-    d2 = squared_distances_books(refined, codewords, out=ws.d2)
+    d2 = squared_distances_books(refined, codewords, out=ws.d2, scratch=ws.normed)
     soft = np.add(d2, gumbel, out=ws.soft)
     soft *= -1.0 / cfg.tau_gumbel
     stable_softmax(soft, out=soft)

@@ -13,6 +13,7 @@ bit of byte 0, and the final partial byte zero-padded.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
 )
 
 GUMBEL_CLAMP = 1e-12
-ASSIGN_ROWS = 4096  # rows per refine block in encode_rows and per distance block in hard_assign_books
+ASSIGN_ROWS = 4096  # rows per refine block in encode_rows, per distance chunk, per packed chunk
 
 
 @dataclass
@@ -195,16 +196,25 @@ def hard_assign(segment: np.ndarray, book: np.ndarray) -> int:
 
 
 def squared_distances_books(
-    refined: np.ndarray, books: np.ndarray, out: np.ndarray | None = None
+    refined: np.ndarray,
+    books: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """(M, n, K) squared distances ``|s|^2 - 2 s.c + |c|^2`` from each of
     the n rows' M segments to every codeword of (M, K, sub_dim) books, in
-    the dtype of the inputs; written to ``out`` when given."""
+    the dtype of the inputs; written to ``out`` when given.  ``scratch``,
+    when given, is a C-contiguous array of ``refined``'s shape and dtype
+    that takes the squared segments; it may be ``refined`` itself, which
+    is read first."""
     refined = np.asarray(refined)
     n_books, _, sub = books.shape
     segments = refined.reshape(refined.shape[0], n_books, sub).transpose(1, 0, 2)
-    norms = (segments * segments).sum(axis=2, keepdims=True)
-    out = np.matmul(2.0 * segments, books.transpose(0, 2, 1), out=out)
+    # doubling is exact, so 2c in place of 2s keeps every product's bits
+    out = np.matmul(segments, (2.0 * books).transpose(0, 2, 1), out=out)
+    if scratch is not None:
+        scratch = scratch.reshape(segments.shape[1], n_books, sub).transpose(1, 0, 2)
+    norms = np.multiply(segments, segments, out=scratch).sum(axis=2, keepdims=True)
     np.subtract(norms, out, out=out)
     out += (books * books).sum(axis=2)[:, None, :]
     return out
@@ -223,44 +233,120 @@ def hard_assign_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
     return codes
 
 
-def encode_buffer(params: EncoderParams, values: np.ndarray) -> np.ndarray:
-    """An array that holds the largest refined block :func:`encode_rows`
-    makes of ``values``."""
-    n_rows = len(values)
-    return np.empty(
-        (min(n_rows, ASSIGN_ROWS + n_rows % ASSIGN_ROWS), params.d_out),
-        np.result_type(values, params.weight, params.bias),
-    )
+def _blas_threads() -> int | None:
+    """The BLAS thread count the environment asks for, read as OpenBLAS
+    reads it: the first positive integer among ``OPENBLAS_NUM_THREADS``
+    and ``OMP_NUM_THREADS``; None when neither holds one."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+def encode_workers(n_blocks: int) -> int:
+    """Threads that :func:`encode_rows` spreads ``n_blocks`` row blocks
+    over: the CPUs this process may run on, divided by the BLAS threads
+    (all of those CPUs unless the environment caps them), at most one per
+    block and at least 1.  BLAS then never has more threads than CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_blocks, cpus // (_blas_threads() or cpus)))
+
+
+def _blocks(n_rows: int) -> int:
+    return max(n_rows // ASSIGN_ROWS, 1)
+
+
+def encode_buffer(params: EncoderParams, books: np.ndarray, values: np.ndarray) -> list:
+    """One workspace per worker of :func:`encode_rows` on ``values``: the
+    worker's refined rows, sized to the largest block it runs, an
+    (M, ``ASSIGN_ROWS``, K) distance chunk and the chunk's (M,
+    ``ASSIGN_ROWS``) argmin indices, the last two flat."""
+    n_rows, n_blocks = len(values), _blocks(len(values))
+    n_workers = encode_workers(n_blocks)
+    n_books, n_words = np.shape(books)[:2]
+    refined_dtype = np.result_type(values, params.weight, params.bias)
+    chunk = min(n_rows, ASSIGN_ROWS)
+    last = n_rows - (n_blocks - 1) * ASSIGN_ROWS  # the merged tail, or every row
+    return [
+        (
+            np.empty((last if w == (n_blocks - 1) % n_workers else chunk, params.d_out),
+                     refined_dtype),
+            np.empty(n_books * chunk * n_words, np.result_type(refined_dtype, books)),
+            np.empty(n_books * chunk, np.intp),
+        )
+        for w in range(n_workers)
+    ]
 
 
 def encode_rows(
-    params: EncoderParams, books: np.ndarray, values: np.ndarray, buffer: np.ndarray | None = None
+    params: EncoderParams, books: np.ndarray, values: np.ndarray, workspaces: list | None = None
 ) -> np.ndarray:
     """(n, M) uint16 nearest-codeword indices of each row of ``values``
     refined with dropout disabled, against (M, K, sub_dim) books.  Rows are
-    refined and assigned ``ASSIGN_ROWS`` at a time, so no (n, D) refined
-    array is held.  A last block shorter than ``ASSIGN_ROWS`` joins the
-    block before it: OpenBLAS refines a few rows with other kernels, whose
-    bits differ from the same rows inside a larger batch.  Blocks then
-    start at multiples of ``ASSIGN_ROWS``, as the chunks of
-    :func:`hard_assign_books` do, and the codes equal those of one whole
+    refined ``ASSIGN_ROWS`` at a time, so no (n, D) refined array is held.
+    A last block shorter than ``ASSIGN_ROWS`` joins the block before it:
+    OpenBLAS refines a few rows with other kernels, whose bits differ from
+    the same rows inside a larger batch.  Each block's distances are then
+    taken in ``ASSIGN_ROWS``-row chunks, the chunks of
+    :func:`hard_assign_books`, so the codes equal those of one whole
     :func:`~micpq.encoder.forward_batch` followed by it.
 
-    ``buffer``, when given, is an array from :func:`encode_buffer` that
-    each block is refined into; a caller that encodes the same rows again
-    and again keeps one, instead of mapping fresh blocks every time."""
+    The blocks are independent: worker w of W (:func:`encode_workers`)
+    runs blocks w, w+W, ..., each on its own thread when W > 1, and writes
+    disjoint rows of the codes.  A block holding a non-finite value raises
+    :class:`NonFiniteInputError`; every worker has ended before this
+    returns or raises.  ``workspaces``, when given, is
+    :func:`encode_buffer`'s list for the same ``values``; a caller that
+    encodes the same rows again and again keeps one, instead of mapping
+    fresh arrays every time."""
     values = np.asarray(values)
-    n_blocks = max(len(values) // ASSIGN_ROWS, 1)
-    codes = np.empty((len(values), np.shape(books)[0]), dtype=np.uint16)
-    for block in range(n_blocks):
-        start = block * ASSIGN_ROWS
-        stop = len(codes) if block == n_blocks - 1 else start + ASSIGN_ROWS
-        rows = values[start:stop]
-        if buffer is None:
-            refined = forward_batch(params, rows)
-        else:
-            refined = forward_batch(params, rows, out=buffer[:len(rows)])
-        codes[start:stop] = hard_assign_books(refined, books)
+    books = np.asarray(books)
+    n_rows, n_blocks = len(values), _blocks(len(values))
+    n_books, n_words = books.shape[:2]
+    if workspaces is None:
+        workspaces = encode_buffer(params, books, values)
+    codes = np.empty((n_rows, n_books), dtype=np.uint16)
+
+    def work(worker: int) -> None:
+        refined_rows, d2, nearest = workspaces[worker]
+        for block in range(worker, n_blocks, len(workspaces)):
+            start = block * ASSIGN_ROWS
+            stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
+            rows = values[start:stop]
+            # a row sum is finite when every value of the row is, unless it
+            # overflowed: only those rows are looked at value by value
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = rows @ np.ones(rows.shape[-1], rows.dtype)
+            for row in np.flatnonzero(~np.isfinite(sums)):
+                if not np.isfinite(rows[row]).all():
+                    raise NonFiniteInputError(f"non-finite value in row {start + row}")
+            refined = forward_batch(params, rows, out=refined_rows[:stop - start])
+            for at in range(0, len(refined), ASSIGN_ROWS):
+                chunk = refined[at:at + ASSIGN_ROWS]
+                n = len(chunk)
+                dist = squared_distances_books(
+                    chunk, books, out=d2[:n_books * n * n_words].reshape(n_books, n, n_words),
+                    scratch=chunk,
+                )
+                nearest_chunk = nearest[:n_books * n].reshape(n_books, n)
+                np.argmin(dist, axis=2, out=nearest_chunk)
+                codes[start + at:start + at + n] = nearest_chunk.T
+
+    if len(workspaces) == 1:
+        work(0)
+        return codes
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(workspaces)) as pool:
+        for done in [pool.submit(work, w) for w in range(len(workspaces))]:
+            done.result()
     return codes
 
 
@@ -315,15 +401,27 @@ def unpack_codes(data: bytes, n_codebooks: int, n_codewords: int) -> np.ndarray:
 
 
 def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
-    """Pack an (n, M) index matrix into an (n, bytes_per_code) uint8 array."""
+    """Pack an (n, M) index matrix into an (n, bytes_per_code) uint8 array,
+    ``ASSIGN_ROWS`` rows at a time, so the bit planes of only one chunk
+    are held."""
     b = bits_per_index(n_codewords)
     indices = np.asarray(indices)
-    if np.any(indices < 0) or np.any(indices >= n_codewords):
+    if indices.size and (indices.min() < 0 or indices.max() >= n_codewords):
         raise IndexOutOfRangeError(f"code indices must lie in [0, {n_codewords})")
     n, m = indices.shape
     shifts = np.arange(b, dtype=np.uint16)
-    bits = (indices.astype(np.uint16)[:, :, None] >> shifts) & 1
-    return np.packbits(bits.reshape(n, m * b).astype(np.uint8), axis=1, bitorder="little")
+
+    def pack(chunk: np.ndarray) -> np.ndarray:
+        bits = (chunk.astype(np.uint16)[:, :, None] >> shifts) & 1
+        return np.packbits(bits.reshape(len(chunk), m * b).astype(np.uint8), axis=1,
+                           bitorder="little")
+
+    if n <= ASSIGN_ROWS:  # one chunk, the query path's single code among them
+        return pack(indices)
+    packed = np.empty((n, packed_code_nbytes(m, n_codewords)), np.uint8)
+    for start in range(0, n, ASSIGN_ROWS):
+        packed[start:start + ASSIGN_ROWS] = pack(indices[start:start + ASSIGN_ROWS])
+    return packed
 
 
 def unpack_codes_batch(payload: np.ndarray, n_codebooks: int, n_codewords: int) -> np.ndarray:

@@ -79,17 +79,20 @@ class RetrievalIndex:
     Give either ``codes``, an (n_docs, M) sub-index matrix, or ``packed``,
     the (n_docs, bytes_per_code) payload of a power-of-two K.  Only one
     layout is kept: ``packed`` for power-of-two K, else uint16 codes.
+    ``doc_ids`` default to the row numbers.
     """
 
     def __init__(self, books: CodebookSet, codes=None, doc_ids=None, packed=None) -> None:
         self.books = books
-        self.doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
         n_books, n_words = books.n_codebooks, books.n_codewords
         self._codes = None if packed is not None else _checked_codes(codes, n_books, n_words)
         if packed is None and is_pow2(n_words):
             packed, self._codes = pack_codes_batch(self._codes, n_words), None
         self.packed = None if packed is None else np.asfortranarray(packed, dtype=np.uint8)
         stored = self._codes if packed is None else self.packed
+        if doc_ids is None:
+            doc_ids = np.arange(len(stored), dtype=np.uint64)
+        self.doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
         width = n_books if packed is None else packed_code_nbytes(n_books, n_words)
         if stored.shape != (len(self.doc_ids), width):
             raise DimMismatchError(
@@ -133,13 +136,12 @@ def build_index(
     """Encode a corpus: refine (dropout disabled) and hard-assign it in row
     blocks with :func:`~micpq.quantizer.encode_rows`, then pack."""
     values = np.asarray(getattr(corpus, "values", corpus))
-    if values.shape[1] != model.encoder.d_in:
+    if values.ndim != 2 or values.shape[1] != model.encoder.d_in:
         raise DimMismatchError(
-            f"corpus width {values.shape[1]} != encoder input width {model.encoder.d_in}"
+            f"corpus of shape {values.shape} is not (n, {model.encoder.d_in}), "
+            "the encoder's input width"
         )
     codes = encode_rows(model.encoder, model.books.books, values)
-    if ids is None:
-        ids = np.arange(values.shape[0], dtype=np.uint64)
     return RetrievalIndex(books=model.books, codes=codes, doc_ids=ids)
 
 

@@ -245,12 +245,13 @@ def adam_step(
 
 
 def usage_histogram(
-    state: ModelState, data: np.ndarray, buffer: np.ndarray | None = None
+    state: ModelState, data: np.ndarray, workspaces: list | None = None
 ) -> np.ndarray:
     """(M, K) hard-assignment counts over a corpus, dropout disabled.
-    ``buffer`` is :func:`~micpq.quantizer.encode_rows`' refine buffer."""
+    ``workspaces`` are :func:`~micpq.quantizer.encode_rows`' own, from
+    :func:`~micpq.quantizer.encode_buffer`."""
     values = np.asarray(getattr(data, "values", data))
-    codes = encode_rows(state.encoder, state.books.books, values, buffer)
+    codes = encode_rows(state.encoder, state.books.books, values, workspaces)
     n_books, n_words = state.books.n_codebooks, state.books.n_codewords
     slots = codes + n_words * np.arange(n_books)
     return np.bincount(slots.ravel(), minlength=n_books * n_words).reshape(n_books, n_words)
@@ -332,7 +333,7 @@ def train(
     full = StepWorkspace(capacity, d_in, cfg.n_codebooks, cfg.n_codewords, cfg.sub_dim)
     workspaces = {capacity: full}  # the last batch of an epoch may be smaller
     scratch = adam_scratch(state)
-    usage_buffer = encode_buffer(state.encoder, values)
+    usage_workspaces = encode_buffer(state.encoder, state.books.books, values)
     log = TrainLog()
     sums, n_steps = np.zeros(3), 0
     plan = _step_plan(cfg, n_docs, first_perm)
@@ -363,7 +364,7 @@ def train(
             if following is not None and following[0] == epoch:
                 continue
 
-            counts = usage_histogram(state, values, usage_buffer)
+            counts = usage_histogram(state, values, usage_workspaces)
             val_loss = None
             if val is not None:
                 val_seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, 2**31 + epoch)

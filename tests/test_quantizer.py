@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,7 @@ from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
 from micpq.errors import (
     IndexOutOfRangeError,
     KNotPowerOfTwoError,
+    NonFiniteInputError,
     NonPositiveTemperatureError,
 )
 from micpq.quantizer import (
@@ -26,6 +32,7 @@ from micpq.quantizer import (
     sample_gumbel,
     soft_assign,
     soft_codeword,
+    squared_distances_books,
     unpack_codes,
     unpack_codes_batch,
 )
@@ -195,17 +202,20 @@ class TestEncodeRows:
         books = np.abs(gen.normal(size=(n_books, n_words, sub))).astype(np.float32)
         values = gen.normal(size=(2 * quantizer.ASSIGN_ROWS + tail, d_in)).astype(np.float32)
 
-        blocks = []
-        def recording(params, batch):
-            blocks.append(forward_batch(params, batch))
-            return blocks[-1]
+        blocks = {}  # first row -> refined block; workers finish in any order
+        def recording(params, batch, out=None):
+            refined = forward_batch(params, batch, out=out)
+            blocks[(batch.ctypes.data - values.ctypes.data) // values.strides[0]] = refined.copy()
+            return refined
         monkeypatch.setattr(quantizer, "forward_batch", recording)
         codes = encode_rows(encoder, books, values)
         monkeypatch.undo()
 
         whole = forward_batch(encoder, values)
-        assert [len(b) for b in blocks] == [quantizer.ASSIGN_ROWS, quantizer.ASSIGN_ROWS + tail]
-        assert np.array_equal(np.concatenate(blocks).view(np.uint32), whole.view(np.uint32))
+        ordered = [blocks[start] for start in sorted(blocks)]
+        assert sorted(blocks) == [0, quantizer.ASSIGN_ROWS]
+        assert [len(b) for b in ordered] == [quantizer.ASSIGN_ROWS, quantizer.ASSIGN_ROWS + tail]
+        assert np.array_equal(np.concatenate(ordered).view(np.uint32), whole.view(np.uint32))
         assert np.array_equal(codes, hard_assign_books(whole, books))
 
     @pytest.mark.parametrize("n", [1, 5, 4095, 4096, 4100, 8192])
@@ -216,6 +226,164 @@ class TestEncodeRows:
         values = gen.normal(size=(n, 4)).astype(np.float32)
         expected = hard_assign_books(forward_batch(encoder, values), books)
         assert np.array_equal(encode_rows(encoder, books, values), expected)
+
+
+def _use_workers(monkeypatch, n_cpus, openblas="1", omp=None):
+    """Make this process look like it may run on ``n_cpus`` CPUs with the
+    given thread variables (None: unset)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+
+
+def _encoder_and_books(seed, d_in=8, n_books=4, n_words=16, sub=3):
+    gen = np.random.default_rng(seed)
+    d_out = n_books * sub
+    encoder = EncoderParams(
+        (gen.normal(size=(d_out, d_in)) / np.sqrt(d_in)).astype(np.float32),
+        gen.normal(0.0, 0.1, size=d_out).astype(np.float32),
+    )
+    return gen, encoder, np.abs(gen.normal(size=(n_books, n_words, sub))).astype(np.float32)
+
+
+class TestEncodePool:
+    """encode_rows spreads its blocks over encode_workers() threads."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("tail", [0, 1, 3, 100])
+    def test_any_worker_count_gives_the_whole_pass_codes(self, monkeypatch, n_workers, tail):
+        _use_workers(monkeypatch, n_workers)
+        gen, encoder, books = _encoder_and_books(tail)
+        values = gen.normal(size=(5 * quantizer.ASSIGN_ROWS + tail, encoder.d_in))
+        values = values.astype(np.float32)
+        workspaces = quantizer.encode_buffer(encoder, books, values)
+        assert len(workspaces) == n_workers
+        # only the worker that runs the last block holds its merged tail
+        assert sorted(len(ws[0]) for ws in workspaces)[-1] == quantizer.ASSIGN_ROWS + tail
+        assert sum(len(ws[0]) > quantizer.ASSIGN_ROWS for ws in workspaces) == (tail > 0)
+        expected = hard_assign_books(forward_batch(encoder, values), books)
+        assert np.array_equal(encode_rows(encoder, books, values), expected)
+        assert np.array_equal(encode_rows(encoder, books, values, workspaces), expected)
+
+    def test_many_workers_switching_often_match_the_serial_loop(self, monkeypatch):
+        monkeypatch.setattr(quantizer, "ASSIGN_ROWS", 64)
+        gen, encoder, books = _encoder_and_books(7)
+        values = gen.normal(size=(40 * 64 + 17, encoder.d_in)).astype(np.float32)
+        _use_workers(monkeypatch, 1)
+        serial = encode_rows(encoder, books, values)
+        _use_workers(monkeypatch, 8)
+        pooled = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: pooled.append(encode_rows(encoder, books, values))
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert np.array_equal(pooled[0], serial)
+
+    def test_distances_are_taken_in_the_chunks_of_hard_assign_books(self, monkeypatch):
+        _use_workers(monkeypatch, 2)
+        gen, encoder, books = _encoder_and_books(4)
+        values = gen.normal(size=(2 * quantizer.ASSIGN_ROWS + 1, encoder.d_in)).astype(np.float32)
+        calls = []
+        def recording(refined, *args, **kwargs):
+            calls.append(len(refined))
+            return squared_distances_books(refined, *args, **kwargs)
+        monkeypatch.setattr(quantizer, "squared_distances_books", recording)
+        encode_rows(encoder, books, values)
+        pooled, calls[:] = sorted(calls), []
+        hard_assign_books(forward_batch(encoder, values), books)
+        assert pooled == sorted(calls) == [1, quantizer.ASSIGN_ROWS, quantizer.ASSIGN_ROWS]
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_a_failing_block_reaches_the_caller_and_ends_every_worker(self, monkeypatch,
+                                                                      n_workers):
+        _use_workers(monkeypatch, n_workers)
+        gen, encoder, books = _encoder_and_books(5)
+        values = gen.normal(size=(4 * quantizer.ASSIGN_ROWS, encoder.d_in)).astype(np.float32)
+        def failing(params, batch, out=None):
+            if batch.ctypes.data == values[2 * quantizer.ASSIGN_ROWS:].ctypes.data:
+                raise RuntimeError("block 2")
+            return forward_batch(params, batch, out=out)
+        monkeypatch.setattr(quantizer, "forward_batch", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 2"):
+            encode_rows(encoder, books, values)
+        assert threading.active_count() == threads
+
+    def test_non_finite_rows_are_named(self, monkeypatch):
+        _use_workers(monkeypatch, 2)
+        gen, encoder, books = _encoder_and_books(6)
+        values = gen.normal(size=(3 * quantizer.ASSIGN_ROWS, encoder.d_in)).astype(np.float32)
+        for bad, value in ((5000, np.nan), (3 * quantizer.ASSIGN_ROWS - 1, -np.inf)):
+            broken = values.copy()
+            broken[bad, 3] = value
+            with pytest.raises(NonFiniteInputError, match=f"row {bad}"):
+                encode_rows(encoder, books, broken)
+        # finite rows are accepted at any magnitude
+        tiny = EncoderParams(encoder.weight * np.float32(1e-30), encoder.bias)
+        huge = np.full((10, encoder.d_in), 3e38, np.float32)
+        assert np.array_equal(encode_rows(tiny, books, huge),
+                              hard_assign_books(forward_batch(tiny, huge), books))
+
+    @pytest.mark.parametrize("openblas,omp,n_blocks,expected", [
+        ("1", None, 100, 4),      # one BLAS thread: one worker per CPU
+        (None, None, 100, 1),     # BLAS takes every CPU: the serial loop
+        (None, "2", 100, 2),      # OMP_NUM_THREADS when OPENBLAS_NUM_THREADS is unset
+        ("2", "1", 100, 2),       # OPENBLAS_NUM_THREADS first
+        ("x", "4", 100, 1),       # a non-numeric value is skipped
+        ("0", "x", 100, 1),       # as is zero; neither holds a count
+        (" 1 ", None, 100, 4),
+        ("8", None, 100, 1),      # more BLAS threads than CPUs: still one worker
+        ("1", None, 3, 3),        # fewer blocks than CPUs
+        ("1", None, 1, 1),
+    ])
+    def test_worker_count_rule(self, monkeypatch, openblas, omp, n_blocks, expected):
+        _use_workers(monkeypatch, 4, openblas, omp)
+        assert quantizer.encode_workers(n_blocks) == expected
+
+    def test_worker_count_without_an_affinity_call(self, monkeypatch):
+        _use_workers(monkeypatch, 4)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert quantizer.encode_workers(100) == 3
+
+
+class TestSquaredDistancesBooks:
+    @staticmethod
+    def _reference(refined, books):
+        """The kernel as it doubled the segments, not the books."""
+        n_books, _, sub = books.shape
+        segments = refined.reshape(len(refined), n_books, sub).transpose(1, 0, 2)
+        norms = (segments * segments).sum(axis=2, keepdims=True)
+        out = np.matmul(2.0 * segments, books.transpose(0, 2, 1))
+        np.subtract(norms, out, out=out)
+        out += (books * books).sum(axis=2)[:, None, :]
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scratch", ["none", "separate", "refined"])
+    @pytest.mark.parametrize("n_books,n_words,sub,rows", [
+        (8, 16, 24, 4096), (16, 2, 24, 1), (3, 256, 8, 777), (1, 4, 1, 50),
+    ])
+    def test_bits_equal_the_reference(self, dtype, scratch, n_books, n_words, sub, rows):
+        gen = np.random.default_rng(rows + n_books)
+        refined = np.abs(gen.normal(size=(rows, n_books * sub))).astype(dtype)
+        books = gen.normal(size=(n_books, n_words, sub)).astype(dtype)
+        expected = self._reference(refined, books)
+        given = {"none": None, "separate": np.empty_like(refined), "refined": refined}[scratch]
+        out = np.empty_like(expected)
+        got = squared_distances_books(refined, books, out=out, scratch=given)
+        assert got is out
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
 
 
 class TestSampling:
@@ -306,6 +474,38 @@ class TestQuantizeDocument:
 
 
 class TestPacking:
+    @staticmethod
+    def _planes(indices, n_words):
+        """Every row's bit planes packed in one pass."""
+        b = n_words.bit_length() - 1
+        bits = (indices.astype(np.uint16)[:, :, None] >> np.arange(b, dtype=np.uint16)) & 1
+        return np.packbits(bits.reshape(len(indices), -1).astype(np.uint8), axis=1,
+                           bitorder="little")
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_chunks_pack_like_one_pass(self, monkeypatch, rows):
+        gen = np.random.default_rng(rows)
+        monkeypatch.setattr(quantizer, "ASSIGN_ROWS", rows)
+        for n_books in (1, 3, 8, 9):
+            for n_words in (2, 16, 256, 65536):
+                idx = gen.integers(0, n_words, size=(50, n_books)).astype(np.uint16)
+                assert np.array_equal(pack_codes_batch(idx, n_words), self._planes(idx, n_words))
+                assert np.array_equal(pack_codes_batch(idx[:1], n_words),
+                                      self._planes(idx[:1], n_words))
+
+    def test_pack_holds_one_chunk_of_bit_planes(self):
+        # 200,000 x 8 codes at K=16: the packed result is 0.8 MB, and one
+        # pass over every row's bit planes peaked at 25.6 MB
+        idx = np.random.default_rng(19).integers(0, 16, size=(200_000, 8)).astype(np.uint16)
+        tracemalloc.start()
+        try:
+            packed = pack_codes_batch(idx, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert np.array_equal(packed, self._planes(idx, 16))
+
     def test_four_nibbles(self):
         assert pack_codes(np.array([1, 2, 3, 4]), 16) == b"\x21\x43"
 

@@ -11,6 +11,7 @@ from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
 from micpq.errors import (
     BadMagicError,
     ConfigMismatchError,
+    DimMismatchError,
     EmptyIndexError,
     FileFormatError,
     InvalidConfigError,
@@ -188,6 +189,35 @@ class TestBuildIndex:
         finally:
             tracemalloc.stop()
         assert peak < 30e6
+
+    def test_non_finite_corpus_rejected_naming_the_row(self):
+        gen = np.random.default_rng(15)
+        model = _random_model(gen, 8, 4, 2, 3)
+        corpus = gen.normal(size=(2 * quantizer.ASSIGN_ROWS + 7, 8)).astype(np.float32)
+        corpus[quantizer.ASSIGN_ROWS + 9, 2] = np.nan
+        with pytest.raises(NonFiniteInputError, match=f"row {quantizer.ASSIGN_ROWS + 9}"):
+            build_index(model, corpus)
+        corpus[quantizer.ASSIGN_ROWS + 9, 2] = 0.0
+        corpus[3, 0] = np.inf
+        with pytest.raises(NonFiniteInputError, match="row 3"):
+            build_index(model, corpus)
+
+    @pytest.mark.parametrize("shape", [(8,), (5, 2, 8), (5, 7)])
+    def test_corpus_that_is_not_n_by_d_in_rejected(self, shape):
+        model = _random_model(np.random.default_rng(16), 8, 4, 2, 3)
+        with pytest.raises(DimMismatchError, match=r"not \(n, 8\)"):
+            build_index(model, np.zeros(shape, np.float32))
+
+    def test_doc_ids_default_to_row_numbers(self):
+        books = _nonneg_books(17, 2, 4, 3)
+        codes = np.random.default_rng(18).integers(0, 4, size=(6, 2))
+        for index in (RetrievalIndex(books, codes),
+                      RetrievalIndex(books, packed=pack_codes_batch(codes, 4))):
+            assert index.doc_ids.dtype == np.uint64
+            assert index.doc_ids.tolist() == list(range(6))
+            assert np.array_equal(index.codes, codes)
+        non_pow2 = CodebookSet(np.ones((2, 3, 1), np.float32))
+        assert RetrievalIndex(non_pow2, codes % 3).doc_ids.tolist() == list(range(6))
 
     @pytest.mark.parametrize("split", ["all", "train"])
     def test_cli_index_file_equals_the_whole_pass_reference(self, tmp_path, monkeypatch, split):
