@@ -282,13 +282,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    import numpy as np
-
     from . import retrieval, trainer
 
     model = trainer.load_checkpoint(args.ckpt)
     rows, _, data = _read_split(args.emb, args.split, args.split_ratios, args.split_seed)
-    index = retrieval.build_index(model, data, ids=rows.astype(np.uint64))
+    index = retrieval.build_index(model, data, ids=rows)
     retrieval.save_index(index, args.out)
     print(
         f"indexed {index.n_docs} documents "

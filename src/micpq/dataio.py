@@ -57,9 +57,11 @@ class EmbeddingMatrix:
             raise InvalidSpecError(
                 f"embedding matrix must be 2-D and non-empty, got shape {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
-            bad = int(np.flatnonzero(~np.isfinite(self.values.ravel()))[0])
-            raise NonFiniteValueError(f"non-finite embedding value at flat position {bad}")
+        bad = non_finite_at(self.values)
+        if bad is not None:
+            raise NonFiniteValueError(
+                f"non-finite embedding value at flat position {bad[0] * self.dim + bad[1]}"
+            )
 
     @property
     def n_docs(self) -> int:
@@ -117,6 +119,22 @@ class MixtureSpec:
             raise InvalidSpecError("noise_sigma must be > 0")
 
 
+def non_finite_at(values: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first NaN or infinity of a 2-D array in row
+    order, else None.  A row's sum is finite when every value of the row
+    is, unless it overflowed, so only the rows whose sum is not finite
+    are looked at value by value: no mask of the whole array is made
+    unless every row's sum is non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = values @ np.ones(values.shape[1], values.dtype)
+    rows = np.flatnonzero(~np.isfinite(sums))
+    bad = ~np.isfinite(values[rows])
+    hit = np.flatnonzero(bad.any(axis=1))
+    if not len(hit):
+        return None
+    return int(rows[hit[0]]), int(np.flatnonzero(bad[hit[0]])[0])
+
+
 def check_file_size(f, declared: int) -> None:
     """Reject an open file whose size differs from the ``declared`` byte
     count, before any payload is read: a short file raises
@@ -172,9 +190,11 @@ def atomic_write(path, text: bool = False):
 
 def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Write an embedding matrix; exact inverse of :func:`read_embeddings`."""
-    if not np.all(np.isfinite(matrix.values)):
-        bad = int(np.flatnonzero(~np.isfinite(matrix.values.ravel()))[0])
-        raise NonFiniteValueError(f"refusing to write non-finite value at flat position {bad}")
+    bad = non_finite_at(matrix.values)
+    if bad is not None:
+        raise NonFiniteValueError(
+            f"refusing to write non-finite value at flat position {bad[0] * matrix.dim + bad[1]}"
+        )
     with atomic_write(path) as f:
         f.write(MAGIC_EMBEDDINGS)
         f.write(_EMBEDDINGS_HEADER.pack(FORMAT_VERSION, matrix.n_docs, matrix.dim))
@@ -193,14 +213,16 @@ def read_embeddings_header(f) -> tuple[int, int]:
     return n_docs, dim
 
 
-def _raise_non_finite(values: np.ndarray, rows: np.ndarray) -> None:
-    """Name the file byte offset of the first non-finite value of
-    ``values``, whose i-th row is file row ``rows[i]``."""
-    i, j = divmod(int(np.flatnonzero(~np.isfinite(values.ravel()))[0]), values.shape[1])
-    element = int(rows[i]) * values.shape[1] + j
-    raise NonFiniteValueError(
-        f"non-finite value at byte {_EMBEDDINGS_PAYLOAD + element * 4} (element {element})"
-    )
+def _check_finite(values: np.ndarray, rows) -> None:
+    """Raise :class:`NonFiniteValueError` naming the file byte offset of
+    the first non-finite value of ``values``, whose i-th row is file row
+    ``rows[i]``."""
+    bad = non_finite_at(values)
+    if bad is not None:
+        element = int(rows[bad[0]]) * values.shape[1] + bad[1]
+        raise NonFiniteValueError(
+            f"non-finite value at byte {_EMBEDDINGS_PAYLOAD + element * 4} (element {element})"
+        )
 
 
 def read_embeddings(path, rows=None) -> EmbeddingMatrix:
@@ -215,8 +237,7 @@ def read_embeddings(path, rows=None) -> EmbeddingMatrix:
         n_docs, dim = read_embeddings_header(f)
         if rows is None:
             values = np.fromfile(f, "<f4", n_docs * dim).reshape(n_docs, dim)
-            if not np.all(np.isfinite(values)):
-                _raise_non_finite(values, np.arange(n_docs))
+            _check_finite(values, range(n_docs))
             return EmbeddingMatrix(values)
         rows = np.asarray(rows)
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
@@ -236,8 +257,7 @@ def read_embeddings(path, rows=None) -> EmbeddingMatrix:
                 raise TruncatedFileError(f"file shrank while reading rows from {start}")
             lo, hi = np.searchsorted(wanted, (start, start + count))
             picked = buffer[:count * dim].reshape(count, dim)[wanted[lo:hi] - start]
-            if not np.all(np.isfinite(picked)):
-                _raise_non_finite(picked, wanted[lo:hi])
+            _check_finite(picked, wanted[lo:hi])
             values[order[lo:hi]] = picked
     return EmbeddingMatrix(values)
 

@@ -307,11 +307,7 @@ def retrieval_eval(
     start = time.perf_counter()
     train_idx, _, test_idx = split_indices(data.n_docs, ratios, split_seed)
     if index is None:
-        index = build_index(
-            model,
-            EmbeddingMatrix(data.values[train_idx]),
-            ids=train_idx.astype(np.uint64),
-        )
+        index = build_index(model, EmbeddingMatrix(data.values[train_idx]), ids=train_idx)
     search = search_topk_hamming if mode == "hamming" else search_topk
     results = [
         np.array([doc for doc, _ in search(index, data.values[q], model, k)])

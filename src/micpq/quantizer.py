@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .dataio import non_finite_at
 from .encoder import EncoderParams, forward_batch
 from .errors import (
     DimMismatchError,
@@ -30,7 +31,7 @@ from .errors import (
 )
 
 GUMBEL_CLAMP = 1e-12
-ASSIGN_ROWS = 4096  # rows per refine block in encode_rows, per distance chunk, per packed chunk
+ASSIGN_ROWS = 4096  # rows per refine block in encode_rows, per distance chunk; packbits up to it
 
 
 @dataclass
@@ -320,13 +321,9 @@ def encode_rows(
             start = block * ASSIGN_ROWS
             stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
             rows = values[start:stop]
-            # a row sum is finite when every value of the row is, unless it
-            # overflowed: only those rows are looked at value by value
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = rows @ np.ones(rows.shape[-1], rows.dtype)
-            for row in np.flatnonzero(~np.isfinite(sums)):
-                if not np.isfinite(rows[row]).all():
-                    raise NonFiniteInputError(f"non-finite value in row {start + row}")
+            bad = non_finite_at(rows)
+            if bad is not None:
+                raise NonFiniteInputError(f"non-finite value in row {start + bad[0]}")
             refined = forward_batch(params, rows, out=refined_rows[:stop - start])
             for at in range(0, len(refined), ASSIGN_ROWS):
                 chunk = refined[at:at + ASSIGN_ROWS]
@@ -401,27 +398,29 @@ def unpack_codes(data: bytes, n_codebooks: int, n_codewords: int) -> np.ndarray:
 
 
 def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
-    """Pack an (n, M) index matrix into an (n, bytes_per_code) uint8 array,
-    ``ASSIGN_ROWS`` rows at a time, so the bit planes of only one chunk
-    are held."""
+    """Pack an (n, M) index matrix into a row-major (n, bytes_per_code)
+    uint8 array.  Up to ``ASSIGN_ROWS`` rows, a Hamming query's single code
+    among them, go through their bit planes and ``packbits`` in one pass.
+    More rows are packed into byte planes: index m is shifted to its bit
+    offset m*log2(K) and ORed into each byte it touches, its high bits
+    into the next byte when it straddles a byte boundary."""
     b = bits_per_index(n_codewords)
     indices = np.asarray(indices)
     if indices.size and (indices.min() < 0 or indices.max() >= n_codewords):
         raise IndexOutOfRangeError(f"code indices must lie in [0, {n_codewords})")
     n, m = indices.shape
-    shifts = np.arange(b, dtype=np.uint16)
-
-    def pack(chunk: np.ndarray) -> np.ndarray:
-        bits = (chunk.astype(np.uint16)[:, :, None] >> shifts) & 1
-        return np.packbits(bits.reshape(len(chunk), m * b).astype(np.uint8), axis=1,
-                           bitorder="little")
-
-    if n <= ASSIGN_ROWS:  # one chunk, the query path's single code among them
-        return pack(indices)
-    packed = np.empty((n, packed_code_nbytes(m, n_codewords)), np.uint8)
-    for start in range(0, n, ASSIGN_ROWS):
-        packed[start:start + ASSIGN_ROWS] = pack(indices[start:start + ASSIGN_ROWS])
-    return packed
+    if n <= ASSIGN_ROWS:
+        bits = (indices.astype(np.uint16)[:, :, None] >> np.arange(b, dtype=np.uint16)) & 1
+        return np.packbits(bits.reshape(n, m * b).astype(np.uint8), axis=1, bitorder="little")
+    planes = np.zeros((packed_code_nbytes(m, n_codewords), n), np.uint8)
+    for book in range(m):
+        field = indices[:, book].astype(np.uint16, copy=False)
+        at = book * b
+        for byte in range(at // 8, (at + b - 1) // 8 + 1):
+            shift = at - 8 * byte
+            part = field << shift if shift >= 0 else field >> -shift
+            np.bitwise_or(planes[byte], part, out=planes[byte], casting="unsafe")
+    return np.ascontiguousarray(planes.T)
 
 
 def unpack_codes_batch(payload: np.ndarray, n_codebooks: int, n_codewords: int) -> np.ndarray:

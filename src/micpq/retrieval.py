@@ -20,6 +20,13 @@ or below it, ties included, by (distance, doc id).  When k * k <= n, only
 the documents at or below the largest minimum of k row blocks are
 partitioned: those k minima bound the k-th distance.
 
+Doc ids are resident as uint32 when every id is below 2^32, else as
+uint64; the file always stores u64.  :func:`load_index` reads the ids,
+and packed codes of 2 or 4 bytes, through one reused buffer of
+``LOAD_BYTES``: ids are narrowed chunk by chunk, and each chunk of code
+words is shifted apart into the resident byte planes, so neither is
+copied whole after the read.
+
 Index file layout (little-endian, unchanged): magic ``MICPQIDX`` | version
 u32 | M u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32
 | doc ids n_docs u64 | codes (packed row by row for power-of-two K, else
@@ -38,10 +45,13 @@ from .errors import (
     ConfigMismatchError,
     DimMismatchError,
     EmptyIndexError,
+    FileFormatError,
     IndexOutOfRangeError,
     InvalidConfigError,
+    InvalidSpecError,
     KNot2Error,
     NonFiniteInputError,
+    TruncatedFileError,
 )
 from .quantizer import (
     CodebookSet,
@@ -61,6 +71,7 @@ INDEX_VERSION = 1
 _HEADER = struct.Struct("<IIIIQ")
 SCAN_ROWS = 65536  # rows unpacked at a time when log2(K) does not divide 8
 PAIR_ENTRIES = 1 << 16  # rows above which the byte scan reads byte pairs
+LOAD_BYTES = 1 << 18  # bytes per read of load_index's reused buffer
 
 
 def _checked_codes(codes, n_books: int, n_words: int) -> np.ndarray:
@@ -79,7 +90,10 @@ class RetrievalIndex:
     Give either ``codes``, an (n_docs, M) sub-index matrix, or ``packed``,
     the (n_docs, bytes_per_code) payload of a power-of-two K.  Only one
     layout is kept: ``packed`` for power-of-two K, else uint16 codes.
-    ``doc_ids`` default to the row numbers.
+    ``doc_ids`` default to the row numbers.  They are kept as uint32 when
+    the array is empty or every id is below 2^32, else as uint64; a
+    uint32 array is kept as given.  Negative or non-integer ids raise
+    :class:`InvalidSpecError`.
     """
 
     def __init__(self, books: CodebookSet, codes=None, doc_ids=None, packed=None) -> None:
@@ -90,13 +104,17 @@ class RetrievalIndex:
             packed, self._codes = pack_codes_batch(self._codes, n_words), None
         self.packed = None if packed is None else np.asfortranarray(packed, dtype=np.uint8)
         stored = self._codes if packed is None else self.packed
-        if doc_ids is None:
-            doc_ids = np.arange(len(stored), dtype=np.uint64)
-        self.doc_ids = np.ascontiguousarray(doc_ids, dtype=np.uint64)
+        ids = np.arange(len(stored), dtype=np.uint32) if doc_ids is None else np.asarray(doc_ids)
+        if ids.dtype != np.uint32:
+            if ids.size and (ids.dtype.kind not in "iu" or ids.dtype.kind == "i" and ids.min() < 0):
+                raise InvalidSpecError(f"doc ids must be non-negative integers, got {ids.dtype}")
+            wide = ids.size and ids.max() >= 1 << 32
+            ids = ids.astype(np.uint64 if wide else np.uint32, copy=False)
+        self.doc_ids = np.ascontiguousarray(ids)
         width = n_books if packed is None else packed_code_nbytes(n_books, n_words)
-        if stored.shape != (len(self.doc_ids), width):
+        if stored.shape != (*self.doc_ids.shape, width):
             raise DimMismatchError(
-                f"codes of shape {stored.shape} for {len(self.doc_ids)} doc ids "
+                f"codes of shape {stored.shape} for doc ids of shape {self.doc_ids.shape} "
                 f"(width {width} expected)"
             )
 
@@ -330,9 +348,17 @@ def save_index(index: RetrievalIndex, path) -> None:
             INDEX_VERSION, books.n_codebooks, books.n_codewords, books.sub_dim, index.n_docs
         ))
         f.write(np.ascontiguousarray(books.books, dtype="<f4").tobytes())
-        f.write(index.doc_ids.astype("<u8", copy=False).tobytes())
+        f.write(index.doc_ids.astype("<u8", copy=False))  # u64 whatever the resident width
         stored = index.codes.astype("<u2", copy=False) if index.packed is None else index.packed
         f.write(stored.tobytes())  # row by row, whatever the memory order
+
+
+def _read_exact(f, array: np.ndarray) -> np.ndarray:
+    """Fill a contiguous array from ``f``; a short read raises
+    :class:`TruncatedFileError`."""
+    if f.readinto(array) != array.nbytes:
+        raise TruncatedFileError(f"file shrank while reading {array.nbytes} bytes")
+    return array
 
 
 def load_index(path) -> RetrievalIndex:
@@ -340,14 +366,36 @@ def load_index(path) -> RetrievalIndex:
     differs from what its header declares is rejected before any read."""
     with open(path, "rb") as f:
         n_books, n_words, sub_dim, n_docs = read_header(f, MAGIC_INDEX, _HEADER, INDEX_VERSION)
+        if n_words > 1 << 16:
+            raise FileFormatError(f"K={n_words} does not fit the format's u16 sub-indices")
         packed = is_pow2(n_words)
         code_nbytes = packed_code_nbytes(n_books, n_words) if packed else 2 * n_books
         declared = 8 + _HEADER.size + n_books * n_words * sub_dim * 4 + n_docs * (8 + code_nbytes)
         check_file_size(f, declared)
-        books = np.fromfile(f, "<f4", n_books * n_words * sub_dim)
-        doc_ids = np.fromfile(f, "<u8", n_docs)
-        codes = np.fromfile(f, np.uint8, n_docs * code_nbytes).reshape(n_docs, code_nbytes)
-    books = CodebookSet(books.reshape(n_books, n_words, sub_dim))
+        books = _read_exact(f, np.empty((n_books, n_words, sub_dim), "<f4"))
+        buffer = np.empty(LOAD_BYTES, np.uint8)
+        ids_at, doc_ids = f.tell(), np.empty(n_docs, np.uint32)
+        for start in range(0, n_docs, LOAD_BYTES // 8):
+            chunk = _read_exact(f, buffer[:8 * min(LOAD_BYTES // 8, n_docs - start)]).view("<u8")
+            if chunk.max() >= 1 << 32:  # read every id again, as uint64
+                f.seek(ids_at)
+                doc_ids = _read_exact(f, np.empty(n_docs, "<u8"))
+                break
+            doc_ids[start:start + len(chunk)] = chunk
+        if not packed:
+            codes = _read_exact(f, np.empty((n_docs, n_books), "<u2"))
+        elif code_nbytes in (2, 4):
+            # byte j of each little-endian code word is shifted out into plane j
+            planes = np.empty((code_nbytes, n_docs), np.uint8)
+            step = LOAD_BYTES // code_nbytes
+            for start in range(0, n_docs, step):
+                words = _read_exact(f, buffer[:code_nbytes * min(step, n_docs - start)])
+                words = words.view(f"<u{code_nbytes}")
+                for j, plane in enumerate(planes[:, start:start + len(words)]):
+                    np.right_shift(words, 8 * j, out=plane, casting="unsafe")
+            codes = planes.T
+        else:
+            codes = _read_exact(f, np.empty((n_docs, code_nbytes), np.uint8))
     if packed:
-        return RetrievalIndex(books, doc_ids=doc_ids, packed=codes)
-    return RetrievalIndex(books, codes.view("<u2"), doc_ids)
+        return RetrievalIndex(CodebookSet(books), doc_ids=doc_ids, packed=codes)
+    return RetrievalIndex(CodebookSet(books), codes, doc_ids)

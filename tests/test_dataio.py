@@ -15,6 +15,7 @@ from micpq.dataio import (
     EmbeddingMatrix,
     LabelVector,
     MixtureSpec,
+    non_finite_at,
     read_embeddings,
     read_labels,
     synth_mixture,
@@ -85,6 +86,25 @@ class TestEmbeddingFormat:
             read_embeddings(path)
         assert "byte 24" in str(err.value)
 
+
+
+class TestNonFiniteAt:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_bad_value_is_the_whole_mask_first(self, dtype):
+        gen = np.random.default_rng(3)
+        for _ in range(60):
+            values = gen.normal(size=(40, 7)).astype(dtype)
+            values[gen.integers(0, 40, 3), gen.integers(0, 7, 3)] = 3e38  # sums that overflow
+            n_bad = int(gen.integers(0, 4))
+            values[gen.integers(0, 40, n_bad), gen.integers(0, 7, n_bad)] = gen.choice(
+                [np.nan, np.inf, -np.inf], n_bad)
+            mask = ~np.isfinite(values)
+            expected = divmod(int(np.flatnonzero(mask)[0]), 7) if mask.any() else None
+            assert non_finite_at(values) == expected
+            if expected is not None and dtype == np.float32:
+                with pytest.raises(NonFiniteValueError,
+                                   match=f"flat position {expected[0] * 7 + expected[1]}$"):
+                    EmbeddingMatrix(values)
 
 
 class TestRowSelectiveRead:

@@ -493,6 +493,17 @@ class TestPacking:
                 assert np.array_equal(pack_codes_batch(idx[:1], n_words),
                                       self._planes(idx[:1], n_words))
 
+    @pytest.mark.parametrize("n", [1, 4096, 4097, 3 * 4096 + 7])
+    def test_byte_planes_pack_like_packbits(self, n):
+        gen = np.random.default_rng(n)
+        for n_books, n_words in [(1, 2), (3, 4), (8, 8), (5, 8), (8, 16), (9, 16), (4, 32),
+                                 (7, 64), (6, 128), (3, 256), (2, 65536)]:
+            idx = gen.integers(0, n_words, size=(n, n_books))
+            for given in (idx, idx.astype(np.uint16)):
+                packed = pack_codes_batch(given, n_words)
+                assert packed.flags.c_contiguous
+                assert np.array_equal(packed, self._planes(idx, n_words))
+
     def test_pack_holds_one_chunk_of_bit_planes(self):
         # 200,000 x 8 codes at K=16: the packed result is 0.8 MB, and one
         # pass over every row's bit planes peaked at 25.6 MB

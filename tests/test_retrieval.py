@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from micpq import dataio, quantizer
+from micpq import dataio, quantizer, retrieval
 from micpq.cli import main
 from micpq.dataio import EmbeddingMatrix, write_embeddings
 from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
@@ -15,7 +17,9 @@ from micpq.errors import (
     EmptyIndexError,
     FileFormatError,
     InvalidConfigError,
+    InvalidSpecError,
     KNot2Error,
+    MicpqError,
     NonFiniteInputError,
     TruncatedFileError,
     VersionMismatchError,
@@ -26,10 +30,12 @@ from micpq.quantizer import (
     hard_assign_batch,
     hard_assign_books,
     pack_codes_batch,
+    packed_code_nbytes,
     reconstruct,
 )
 from micpq.retrieval import (
     INDEX_VERSION,
+    LOAD_BYTES,
     MAGIC_INDEX,
     PAIR_ENTRIES,
     DistanceLUT,
@@ -213,11 +219,45 @@ class TestBuildIndex:
         codes = np.random.default_rng(18).integers(0, 4, size=(6, 2))
         for index in (RetrievalIndex(books, codes),
                       RetrievalIndex(books, packed=pack_codes_batch(codes, 4))):
-            assert index.doc_ids.dtype == np.uint64
+            assert index.doc_ids.dtype == np.uint32
             assert index.doc_ids.tolist() == list(range(6))
             assert np.array_equal(index.codes, codes)
         non_pow2 = CodebookSet(np.ones((2, 3, 1), np.float32))
         assert RetrievalIndex(non_pow2, codes % 3).doc_ids.tolist() == list(range(6))
+        wide = RetrievalIndex(books, codes, np.array([5, 1 << 32, 0, 1, 2, 3]))
+        assert wide.doc_ids.dtype == np.uint64
+        assert wide.doc_ids.tolist() == [5, 1 << 32, 0, 1, 2, 3]
+        given_u32 = np.arange(6, dtype=np.uint32)
+        assert RetrievalIndex(books, codes, given_u32).doc_ids is given_u32
+        assert RetrievalIndex(books, codes[:0], np.zeros(0)).doc_ids.dtype == np.uint32
+
+    @pytest.mark.parametrize("ids, dtype", [
+        (np.arange(6, dtype=np.uint64), np.uint32),
+        (np.array([0, 1, 2, 3, 4, (1 << 32) - 1]), np.uint32),
+        (np.array([0, 1, 2, 3, 4, 1 << 32], np.uint64), np.uint64),
+        ([9, 2, 5, 7, 0, 1], np.uint32),
+    ])
+    def test_doc_ids_narrow_to_uint32_below_2_to_the_32(self, ids, dtype):
+        books = _nonneg_books(17, 2, 4, 3)
+        codes = np.random.default_rng(18).integers(0, 4, size=(6, 2))
+        index = RetrievalIndex(books, codes, ids)
+        assert index.doc_ids.dtype == dtype
+        assert index.doc_ids.tolist() == np.asarray(ids).tolist()
+
+    @pytest.mark.parametrize("ids", [np.arange(3).reshape(3, 1), np.arange(4), np.uint32(2)])
+    def test_doc_ids_that_are_not_one_per_code_rejected(self, ids):
+        books = _nonneg_books(17, 2, 4, 3)
+        codes = np.random.default_rng(18).integers(0, 4, size=(3, 2))
+        with pytest.raises(DimMismatchError, match="doc ids of shape"):
+            RetrievalIndex(books, codes, ids)
+
+    @pytest.mark.parametrize("ids", [[0, 1, -1], [0.0, 1.0, 2.0], [True, False, True],
+                                     [0, 1, 1 << 64]])
+    def test_negative_or_non_integer_doc_ids_rejected(self, ids):
+        books = _nonneg_books(17, 2, 4, 3)
+        corpus = np.random.default_rng(18).uniform(0, 1, (3, books.dim)).astype(np.float32)
+        with pytest.raises(InvalidSpecError, match="non-negative integers"):
+            build_index(_identity_model(books), EmbeddingMatrix(corpus), ids=np.array(ids))
 
     @pytest.mark.parametrize("split", ["all", "train"])
     def test_cli_index_file_equals_the_whole_pass_reference(self, tmp_path, monkeypatch, split):
@@ -484,6 +524,160 @@ class TestIndexFile:
         assert code == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def _whole_file_reader(path):
+    """The reader before the chunked one: every array in one ``fromfile``,
+    the codes made column-major by ``asfortranarray``."""
+    with open(path, "rb") as f:
+        f.read(len(MAGIC_INDEX))
+        _, n_books, n_words, sub_dim, n_docs = struct.unpack("<IIIIQ", f.read(24))
+        books = np.fromfile(f, "<f4", n_books * n_words * sub_dim)
+        doc_ids = np.fromfile(f, "<u8", n_docs)
+        width = packed_code_nbytes(n_books, n_words)
+        codes = np.fromfile(f, np.uint8, n_docs * width).reshape(n_docs, width)
+    return books.reshape(n_books, n_words, sub_dim), doc_ids, np.asfortranarray(codes)
+
+
+class TestLoadIndex:
+    # (M, K) of packed codes 1, 2, 2, 3, 4, 4, 5 and 8 bytes wide; K = 8 straddles bytes
+    WIDTHS = [(2, 4), (4, 16), (5, 8), (8, 8), (8, 16), (10, 8), (5, 256), (8, 256)]
+
+    @pytest.mark.parametrize("load_bytes", [64, LOAD_BYTES])
+    @pytest.mark.parametrize("n_books, n_words", WIDTHS)
+    def test_codes_and_ids_equal_the_whole_file_reader(self, tmp_path, monkeypatch, load_bytes,
+                                                       n_books, n_words):
+        monkeypatch.setattr(retrieval, "LOAD_BYTES", load_bytes)
+        # crosses a chunk boundary of the ids and of the 2- and 4-byte codes
+        n_docs = 77 if load_bytes == 64 else LOAD_BYTES // 2 + 3
+        gen = np.random.default_rng(n_books * n_words)
+        codes = gen.integers(0, n_words, size=(n_docs, n_books))
+        ids = gen.permutation(2 * n_docs)[:n_docs]
+        save_index(RetrievalIndex(_nonneg_books(3, n_books, n_words, 2), codes, ids),
+                   tmp_path / "w.idx")
+        books, old_ids, old_codes = _whole_file_reader(tmp_path / "w.idx")
+        loaded = load_index(tmp_path / "w.idx")
+        assert loaded.packed.flags.f_contiguous
+        assert loaded.packed.shape == old_codes.shape
+        assert np.array_equal(loaded.packed, old_codes)
+        assert loaded.doc_ids.dtype == np.uint32
+        assert np.array_equal(loaded.doc_ids, old_ids)
+        assert np.array_equal(loaded.books.books, books)
+        assert np.array_equal(loaded.codes, codes)
+
+    @pytest.mark.parametrize("chunk", ["first", "middle", "last"])
+    def test_ids_from_2_to_the_32_keep_uint64_and_rank_by_id(self, tmp_path, chunk):
+        step = LOAD_BYTES // 8  # ids per read
+        n_docs = 3 * step + 5
+        wide_row = {"first": 5, "middle": step + 17, "last": n_docs - 1}[chunk]
+        books = _nonneg_books(4, 2, 4, 1)
+        gen = np.random.default_rng(5)
+        codes = gen.integers(0, 4, size=(n_docs, 2))
+        codes[codes[:, 0] == 0, 0] = 1  # code (0, 0) is only the tie group's
+        tied = [wide_row, 2 * step + 1, 3]
+        codes[tied] = 0
+        ids = 2 * np.arange(n_docs, dtype=np.uint64)
+        ids[tied] = [(1 << 32) + 1, (1 << 32) - 1, 3]
+        model = _identity_model(books)
+        corpus = books.books[np.arange(2), codes].reshape(n_docs, 2)
+        index = build_index(model, EmbeddingMatrix(corpus), ids=ids)
+        assert index.doc_ids.dtype == np.uint64
+        save_index(index, tmp_path / "a.idx")
+        loaded = load_index(tmp_path / "a.idx")
+        assert loaded.doc_ids.dtype == np.uint64
+        assert np.array_equal(loaded.doc_ids, ids)
+        save_index(loaded, tmp_path / "b.idx")
+        assert (tmp_path / "b.idx").read_bytes() == (tmp_path / "a.idx").read_bytes()
+        query = books.books[:, 0, :].reshape(-1)
+        got = search_topk(loaded, query, model, k=5)
+        assert got[:3] == [(3, 0.0), ((1 << 32) - 1, 0.0), ((1 << 32) + 1, 0.0)]
+        distances = adc_distances(build_lut(query, books), loaded)
+        assert [doc for doc, _ in got] == _oracle_ranking(loaded, distances, 5)
+
+
+def _index_bytes(tmp_path, n_books, n_words):
+    gen = np.random.default_rng(n_words)
+    codes = gen.integers(0, n_words, size=(9, n_books))
+    ids = gen.permutation(30)[:9]
+    save_index(RetrievalIndex(_nonneg_books(6, n_books, n_words, 2), codes, ids),
+               tmp_path / "src.idx")
+    return (tmp_path / "src.idx").read_bytes()
+
+
+def _load_or_micpq_error(path):
+    """The loaded index, or None when ``load_index`` raised a MicpqError;
+    any other exception fails the test."""
+    try:
+        return load_index(path)
+    except MicpqError:
+        return None
+
+
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+# packed 2-byte codes, packed 3-byte codes at K = 8, and one u16 per sub-index
+_LAYOUTS = [(4, 16), (8, 8), (3, 5)]
+
+
+class TestLoadIndexFuzz:
+    @pytest.mark.parametrize("n_books, n_words", _LAYOUTS)
+    @pytest.mark.parametrize("region", ["magic", "header", "books", "ids", "codes"])
+    @_FUZZ
+    @given(data=st.data())
+    def test_truncation_in_every_region_raises(self, tmp_path, n_books, n_words, region, data):
+        raw = _index_bytes(tmp_path, n_books, n_words)
+        ids_at = 32 + n_books * n_words * 2 * 4
+        lo, hi = {"magic": (0, 8), "header": (8, 32), "books": (32, ids_at),
+                  "ids": (ids_at, ids_at + 9 * 8), "codes": (ids_at + 9 * 8, len(raw))}[region]
+        cut = data.draw(st.integers(lo, hi - 1))
+        (tmp_path / "cut.idx").write_bytes(raw[:cut])
+        with pytest.raises(MicpqError):
+            load_index(tmp_path / "cut.idx")
+
+    @pytest.mark.parametrize("n_books, n_words", _LAYOUTS)
+    @_FUZZ
+    @given(flips=st.lists(st.tuples(st.integers(0, 31), st.integers(1, 255)), min_size=1,
+                          max_size=3, unique_by=lambda flip: flip[0]))
+    def test_flipped_header_bytes_raise(self, tmp_path, n_books, n_words, flips):
+        raw = bytearray(_index_bytes(tmp_path, n_books, n_words))
+        for at, mask in flips:
+            raw[at] ^= mask
+        (tmp_path / "flip.idx").write_bytes(bytes(raw))
+        with pytest.raises(MicpqError):
+            load_index(tmp_path / "flip.idx")
+
+    @pytest.mark.parametrize("n_books, n_words", _LAYOUTS)
+    @_FUZZ
+    @given(n_docs=st.integers(10, (1 << 64) - 1))
+    def test_oversized_n_docs_raises(self, tmp_path, n_books, n_words, n_docs):
+        raw = bytearray(_index_bytes(tmp_path, n_books, n_words))
+        raw[24:32] = n_docs.to_bytes(8, "little")
+        (tmp_path / "big.idx").write_bytes(bytes(raw))
+        with pytest.raises(MicpqError):
+            load_index(tmp_path / "big.idx")
+
+    @_FUZZ
+    @given(fields=st.tuples(st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 32) - 1),
+                            st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 64) - 1)),
+           payload=st.binary(max_size=64))
+    @example(fields=((1 << 32) - 1, (1 << 32) - 1, 0, 0), payload=b"")  # zero-size, huge shape
+    def test_any_header_loads_or_raises_a_micpq_error(self, tmp_path, fields, payload):
+        path = tmp_path / "any.idx"
+        path.write_bytes(MAGIC_INDEX + struct.pack("<IIIIQ", INDEX_VERSION, *fields) + payload)
+        _load_or_micpq_error(path)
+
+    @pytest.mark.parametrize("n_books, n_words", _LAYOUTS)
+    @_FUZZ
+    @given(data=st.data())
+    def test_flipped_payload_bytes_load_exactly_or_raise(self, tmp_path, n_books, n_words, data):
+        raw = bytearray(_index_bytes(tmp_path, n_books, n_words))
+        at = data.draw(st.integers(32, len(raw) - 1))
+        raw[at] ^= data.draw(st.integers(1, 255))
+        (tmp_path / "flip.idx").write_bytes(bytes(raw))
+        loaded = _load_or_micpq_error(tmp_path / "flip.idx")
+        if loaded is not None:
+            save_index(loaded, tmp_path / "again.idx")
+            assert (tmp_path / "again.idx").read_bytes() == bytes(raw)
 
 
 def _random_index(seed, n_books, n_words, n_docs=600, sub=3, distinct=None, grid=False):
