@@ -45,9 +45,10 @@ def _split_ratios(text: str) -> tuple[float, float, float]:
 _SHARED_OPTS = {
     "seed": (int, 0, "root random seed"),
     "threads": (int, None, "cap the BLAS and OpenMP thread pools (default: available "
-                "parallelism); train also runs one thread that prepares the next step's noise, "
-                "and index, eval without --index and train's usage histogram encode row blocks "
-                "on (affinity CPUs // BLAS threads) threads"),
+                "parallelism); train also runs one thread that prepares the next step's noise; "
+                "with W = affinity CPUs // BLAS threads, train splits each step's large products "
+                "and Adam's weight update over W threads, and index, eval without --index and "
+                "train's usage histogram encode row blocks on W threads"),
     "config": (str, None, "key=value lines read as flags placed before the command line's own"),
 }
 

@@ -99,19 +99,28 @@ def forward(params: EncoderParams, z: np.ndarray, sub_dim: int | None = None) ->
 
 
 def forward_batch(
-    params: EncoderParams, batch: np.ndarray, out: np.ndarray | None = None
+    params: EncoderParams,
+    batch: np.ndarray,
+    out: np.ndarray | None = None,
+    weight_t: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row-wise refinement of a batch, written to ``out`` when given.  Row
     i depends only on input row i up to BLAS rounding, which depends on
     the shape of the batch: one row refined alone can differ in its last
-    bits from the same row inside a batch."""
+    bits from the same row inside a batch.
+
+    ``weight_t``, when given, is ``params.weight.T`` as a C-contiguous
+    array in the batch's dtype, read in place of the weight.  numpy casts
+    a weight of another dtype to that layout inside the matmul, so the
+    bits are those of the call without it; a caller that keeps one spares
+    every call the cast."""
     batch = np.asarray(batch)
     if batch.ndim != 2 or batch.shape[1] != params.d_in:
         raise DimMismatchError(
             f"expected batch of width {params.d_in}, got shape {batch.shape}"
         )
     # in place: the peak holds one (n, d_out) array, not two
-    out = np.matmul(batch, params.weight.T, out=out)
+    out = np.matmul(batch, params.weight.T if weight_t is None else weight_t, out=out)
     out = out.astype(np.result_type(out, params.bias), copy=False)
     out += params.bias
     return np.maximum(out, 0, out=out)

@@ -34,6 +34,21 @@ which a loop keeps from step to step.  The contrastive softmax drops
 each row's own and partner columns by setting them to ``-inf`` before
 its max and exp, which gives the bits of a masked max and exp.
 
+The large products run in row pieces on the CPUs that BLAS leaves idle
+(:func:`~micpq.quantizer.split_rows`): the encoder forward by input row,
+the logits ``N N^T`` and their masked softmax by row, ``(G + G^T) N`` by
+row, and the weight gradient ``G^T X`` by output row.  Each piece writes
+disjoint rows of the workspace's arrays.  Every piece holds at least
+``quantizer.PIECE_ROWS`` rows: OpenBLAS rounds a few rows with other
+kernels, but pieces that large round every row as the single call does
+(tests check each batch size up to 256), so the bits do not depend on
+the split.  numpy takes ``N N^T`` with syrk, whose bits equal gemm row
+pieces only at row counts that are a multiple of ``SYRK_PIECE_ALIGN``;
+at other counts the logits and their softmax stay one call.  The one
+reduction over rows, the sum of the per-row log ratios, runs after the
+pieces.  Under default threading each product is one call on the
+calling thread.
+
 :func:`expected_loss_oracle` enumerates every joint hard-assignment
 outcome to compute the exact expected contrastive loss that the
 Gumbel-softmax estimator approximates; the Monte-Carlo samplers draw
@@ -56,10 +71,19 @@ from .errors import (
     TooLargeToEnumerateError,
     ZeroNormError,
 )
-from .quantizer import CodebookSet, gumbel_from_uniform, squared_distances_books, stable_softmax
+from .quantizer import (
+    CodebookSet,
+    gumbel_from_uniform,
+    split_rows,
+    squared_distances_books,
+    stable_softmax,
+)
 
 ZERO_NORM_EPS = 1e-12
 ENTROPY_LOG_EPS = 1e-12
+# numpy takes N @ N^T with syrk; its row pieces, taken with gemm, keep
+# syrk's bits only at row counts that are a multiple of this
+SYRK_PIECE_ALIGN = 8
 
 
 @dataclass(frozen=True)
@@ -154,6 +178,7 @@ def _contrastive_forward(
     tau_cl: float,
     normed: np.ndarray | None = None,
     logits: np.ndarray | None = None,
+    pool=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cosine contrastive loss of T instances of 2B representations.
 
@@ -161,7 +186,9 @@ def _contrastive_forward(
     Returns the (T,) losses, the unit rows, the (T, 2B, 1) row norms and
     each row's softmax weights over its positive and negative columns,
     (T, 2B, 2B) and zero elsewhere.  The unit rows and the weights are
-    written to ``normed`` and ``logits`` when given.
+    written to ``normed`` and ``logits`` when given.  The logits and
+    their softmax are taken in row pieces
+    (:func:`~micpq.quantizer.split_rows` on ``pool``).
     """
     n_rows = h_all.shape[1]
     batch_size = n_rows // 2
@@ -171,23 +198,35 @@ def _contrastive_forward(
         raise ZeroNormError("contrastive loss undefined for (near-)zero representations")
     norm = np.sqrt(norm2)
     np.divide(h_all, norm, out=normed)
-    logits = np.matmul(normed, normed.transpose(0, 2, 1), out=logits)
-    logits *= 1.0 / tau_cl
-    rows, pos_col = np.arange(n_rows), _partner_columns(batch_size)
-    pos = logits[:, rows, pos_col]
-    # a row's own and partner columns leave the negatives' max and sum
-    logits[:, rows, rows] = -np.inf
-    logits[:, rows, pos_col] = -np.inf
-    # shift by each row's largest allowed logit; 1/tau_cl would underflow
-    shift = np.maximum(pos, logits.max(axis=2))
-    logits -= shift[:, :, None]
-    weights = np.exp(logits, out=logits)
-    e_pos = np.exp(pos - shift)
-    denom = e_pos + weights.sum(axis=2)
-    log_ratio = pos - (np.log(denom) + shift)
-    weights[:, rows, pos_col] = e_pos
-    weights /= denom[:, :, None]
-    return log_ratio.sum(axis=1) * (-1.0 / batch_size), normed, norm, weights
+    if logits is None:
+        logits = np.empty(h_all.shape[:2] + (n_rows,))
+    partner = _partner_columns(batch_size)
+    log_ratio = np.empty(h_all.shape[:2])
+
+    def softmax_rows(start, stop):
+        np.matmul(normed[:, start:stop], normed.transpose(0, 2, 1), out=logits[:, start:stop])
+        block = logits[:, start:stop]
+        block *= 1.0 / tau_cl
+        rows, own, pos_col = np.arange(stop - start), np.arange(start, stop), partner[start:stop]
+        pos = block[:, rows, pos_col]
+        # a row's own and partner columns leave the negatives' max and sum
+        block[:, rows, own] = -np.inf
+        block[:, rows, pos_col] = -np.inf
+        # shift by each row's largest allowed logit; 1/tau_cl would underflow
+        shift = np.maximum(pos, block.max(axis=2))
+        block -= shift[:, :, None]
+        weights = np.exp(block, out=block)
+        e_pos = np.exp(pos - shift)
+        denom = e_pos + weights.sum(axis=2)
+        log_ratio[:, start:stop] = pos - (np.log(denom) + shift)
+        weights[:, rows, pos_col] = e_pos
+        weights /= denom[:, :, None]
+
+    if n_rows % SYRK_PIECE_ALIGN == 0:
+        split_rows(softmax_rows, n_rows, pool)
+    else:  # one call, which numpy takes with syrk
+        softmax_rows(0, n_rows)
+    return log_ratio.sum(axis=1) * (-1.0 / batch_size), normed, norm, logits
 
 
 def _contrastive_losses(h_all: np.ndarray, tau_cl: float) -> np.ndarray:
@@ -339,7 +378,7 @@ class StepWorkspace:
     :func:`loss_and_gradients` writes its forward and backward arrays here
     instead of allocating them, so a training loop that keeps one
     workspace per batch size maps no new memory step after step.  The
-    returned weight gradient lives here too, until the next step.  A
+    returned weight and bias gradients live here too, until the next step.  A
     workspace built with ``base``, one for at least as many documents,
     takes its arrays from the front of ``base``'s memory."""
 
@@ -367,6 +406,8 @@ class StepWorkspace:
             "log_probs": per_book,
             "grad_d2": per_book,
             "grad_weight": (d_out, d_in),
+            "grad_bias": (d_out,),
+            "weight_t": (d_in, d_out),  # the encoder weight's float64 transpose
         }
         if base is not None and base.batch_size < batch_size:
             raise DimMismatchError(
@@ -424,6 +465,7 @@ def _forward(
     seed: int,
     noise: tuple[np.ndarray, np.ndarray] | None,
     ws: StepWorkspace | None,
+    pool=None,
 ) -> _ForwardPass:
     data = np.asarray(getattr(batch, "values", batch))
     if data.ndim != 2 or data.shape[0] < 1:
@@ -450,7 +492,17 @@ def _forward(
         draw_noise(data, cfg, seed, *noise)
     inputs, gumbel = noise
 
-    refined = forward_batch(params, inputs, out=ws.refined)
+    weight_t = None
+    if params.weight.dtype != ws.weight_t.dtype:  # cast once, not in every matmul
+        weight_t = ws.weight_t
+        np.copyto(weight_t, params.weight.T)
+    split_rows(
+        lambda start, stop: forward_batch(
+            params, inputs[start:stop], out=ws.refined[start:stop], weight_t=weight_t
+        ),
+        n_rows, pool,
+    )
+    refined = ws.refined
     segments = refined.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
     codewords = books.books.astype(np.float64)
     d2 = squared_distances_books(refined, codewords, out=ws.d2, scratch=ws.normed)
@@ -461,7 +513,7 @@ def _forward(
     mixtures = ws.mixtures.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
     np.matmul(soft, codewords, out=mixtures)
     losses, _, norm, _ = _contrastive_forward(
-        ws.mixtures[None], cfg.tau_cl, normed=ws.normed[None], logits=ws.logits
+        ws.mixtures[None], cfg.tau_cl, normed=ws.normed[None], logits=ws.logits, pool=pool
     )
 
     marginal = probs.sum(axis=1) * (1.0 / n_rows)
@@ -501,6 +553,7 @@ def loss_and_gradients(
     *,
     noise: tuple[np.ndarray, np.ndarray] | None = None,
     workspace: StepWorkspace | None = None,
+    pool=None,
 ) -> tuple[LossValues, ParamGrads]:
     """Evaluate the full objective on one mini-batch and differentiate it.
 
@@ -514,9 +567,11 @@ def loss_and_gradients(
     ``noise``, when given, is the ``(inputs, gumbel)`` pair that
     :func:`draw_noise` filled from ``batch`` and ``seed``, drawn ahead of
     time.  ``workspace`` holds the step's arrays; without one a fresh
-    :class:`StepWorkspace` is built.
+    :class:`StepWorkspace` is built.  ``pool``, a thread pool, runs the
+    row pieces of the large products (:func:`~micpq.quantizer.split_rows`);
+    without one, a call split into pieces makes its own threads.
     """
-    fwd = _forward(params, books, batch, cfg, seed, noise, workspace)
+    fwd = _forward(params, books, batch, cfg, seed, noise, workspace, pool)
     ws = fwd.ws
     n_rows = fwd.inputs.shape[0]
     n_books, _, sub = fwd.codewords.shape
@@ -528,9 +583,13 @@ def loss_and_gradients(
     grad_logits = ws.logits[0]
     grad_logits[np.arange(n_rows), _partner_columns(batch_size)] -= 1.0
     grad_logits *= 1.0 / batch_size
-    grad_normed = np.matmul(
-        np.add(grad_logits, grad_logits.T, out=ws.sym), normed, out=ws.grad
-    )
+
+    def symmetric_rows(start, stop):
+        sym = np.add(grad_logits[start:stop], grad_logits.T[start:stop], out=ws.sym[start:stop])
+        np.matmul(sym, normed, out=ws.grad[start:stop])
+
+    split_rows(symmetric_rows, n_rows, pool)
+    grad_normed = ws.grad
     grad_normed *= 1.0 / cfg.tau_cl
     scratch = np.multiply(normed, grad_normed, out=ws.mixtures)
     radial = scratch.sum(axis=1, keepdims=True)
@@ -568,7 +627,12 @@ def loss_and_gradients(
     grad_books += 2.0 * (
         codewords * grad_d2.sum(axis=1)[:, :, None] - grad_d2.transpose(0, 2, 1) @ segments
     )
-    grad_weight, grad_bias = backward_batch(
-        fwd.inputs, ws.refined, ws.mixtures, out=ws.grad_weight
-    )
-    return fwd.values, ParamGrads(weight=grad_weight, bias=grad_bias, books=grad_books)
+
+    def weight_rows(start, stop):
+        ws.grad_bias[start:stop] = backward_batch(
+            fwd.inputs, ws.refined[:, start:stop], ws.mixtures[:, start:stop],
+            out=ws.grad_weight[start:stop],
+        )[1]
+
+    split_rows(weight_rows, ws.grad_weight.shape[0], pool)
+    return fwd.values, ParamGrads(weight=ws.grad_weight, bias=ws.grad_bias, books=grad_books)

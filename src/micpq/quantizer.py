@@ -13,7 +13,9 @@ bit of byte 0, and the final partial byte zero-padded.
 """
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ from .errors import (
 
 GUMBEL_CLAMP = 1e-12
 ASSIGN_ROWS = 4096  # rows per refine block in encode_rows, per distance chunk; packbits up to it
+PIECE_ROWS = 64  # fewest rows of one piece of a training step's split call
 
 
 @dataclass
@@ -260,6 +263,57 @@ def encode_workers(n_blocks: int) -> int:
     return max(1, min(n_blocks, cpus // (_blas_threads() or cpus)))
 
 
+def split_rows(work, n_rows: int, pool=None) -> None:
+    """Call ``work(start, stop)`` over the row pieces of a training step's
+    call on ``n_rows`` rows: :func:`fan_out` into :func:`encode_workers`
+    pieces of at least ``PIECE_ROWS`` rows each, one plain call when that
+    is 1.  OpenBLAS takes a few rows with other kernels, whose bits can
+    differ from the same rows inside a larger call."""
+    n_pieces = encode_workers(n_rows // PIECE_ROWS)
+    fan_out(lambda _, start, stop: work(start, stop), n_rows, n_pieces, pool)
+
+
+def fan_out(work, n_rows: int, n_pieces: int, pool=None) -> None:
+    """Call ``work(piece, start, stop)`` on ``n_pieces`` contiguous ranges of
+    near-equal length that cover ``range(n_rows)``.  The calling thread and
+    ``n_pieces - 1`` tasks on ``pool`` (on a pool of its own when ``pool``
+    is None) claim the pieces in order until none is left, so a piece that
+    no pool thread is free to take runs on the calling thread.  One piece
+    is a plain call on no other thread.  Every piece has ended when this
+    returns or raises; a failed piece's error is raised, the lowest
+    piece's first."""
+    if n_pieces == 1:
+        work(0, 0, n_rows)
+        return
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_pieces - 1) as own:
+            fan_out(work, n_rows, n_pieces, own)
+        return
+    bounds = [piece * n_rows // n_pieces for piece in range(n_pieces + 1)]
+    claims, errors, ended = itertools.count(), [None] * n_pieces, threading.Semaphore(0)
+
+    def claim() -> None:
+        for piece in claims:
+            if piece >= n_pieces:
+                return
+            try:
+                work(piece, bounds[piece], bounds[piece + 1])
+            except BaseException as error:  # re-raised below; escaping, it would hang the caller
+                errors[piece] = error
+            ended.release()
+
+    for _ in range(n_pieces - 1):
+        pool.submit(claim)
+    claim()
+    for _ in range(n_pieces):
+        ended.acquire()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def _blocks(n_rows: int) -> int:
     return max(n_rows // ASSIGN_ROWS, 1)
 
@@ -277,8 +331,7 @@ def encode_buffer(params: EncoderParams, books: np.ndarray, values: np.ndarray) 
     last = n_rows - (n_blocks - 1) * ASSIGN_ROWS  # the merged tail, or every row
     return [
         (
-            np.empty((last if w == (n_blocks - 1) % n_workers else chunk, params.d_out),
-                     refined_dtype),
+            np.empty((last if w == n_workers - 1 else chunk, params.d_out), refined_dtype),
             np.empty(n_books * chunk * n_words, np.result_type(refined_dtype, books)),
             np.empty(n_books * chunk, np.intp),
         )
@@ -299,9 +352,11 @@ def encode_rows(
     :func:`hard_assign_books`, so the codes equal those of one whole
     :func:`~micpq.encoder.forward_batch` followed by it.
 
-    The blocks are independent: worker w of W (:func:`encode_workers`)
-    runs blocks w, w+W, ..., each on its own thread when W > 1, and writes
-    disjoint rows of the codes.  A block holding a non-finite value raises
+    The blocks are independent: :func:`fan_out` splits them into W runs
+    of consecutive blocks (:func:`encode_workers`), one per workspace,
+    claimed by W threads when W > 1, which write disjoint rows of the
+    codes.
+    A block holding a non-finite value raises
     :class:`NonFiniteInputError`; every worker has ended before this
     returns or raises.  ``workspaces``, when given, is
     :func:`encode_buffer`'s list for the same ``values``; a caller that
@@ -315,9 +370,9 @@ def encode_rows(
         workspaces = encode_buffer(params, books, values)
     codes = np.empty((n_rows, n_books), dtype=np.uint16)
 
-    def work(worker: int) -> None:
+    def work(worker: int, first: int, stop_block: int) -> None:
         refined_rows, d2, nearest = workspaces[worker]
-        for block in range(worker, n_blocks, len(workspaces)):
+        for block in range(first, stop_block):
             start = block * ASSIGN_ROWS
             stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
             rows = values[start:stop]
@@ -336,14 +391,7 @@ def encode_rows(
                 np.argmin(dist, axis=2, out=nearest_chunk)
                 codes[start + at:start + at + n] = nearest_chunk.T
 
-    if len(workspaces) == 1:
-        work(0)
-        return codes
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(workspaces)) as pool:
-        for done in [pool.submit(work, w) for w in range(len(workspaces))]:
-            done.result()
+    fan_out(work, n_blocks, len(workspaces))
     return codes
 
 

@@ -363,7 +363,8 @@ def _read_exact(f, array: np.ndarray) -> np.ndarray:
 
 def load_index(path) -> RetrievalIndex:
     """Read an index file written by :func:`save_index`.  A file whose size
-    differs from what its header declares is rejected before any read."""
+    differs from what its header declares is rejected before any read, and
+    packed codes with a padding bit set in their last byte after it."""
     with open(path, "rb") as f:
         n_books, n_words, sub_dim, n_docs = read_header(f, MAGIC_INDEX, _HEADER, INDEX_VERSION)
         if n_words > 1 << 16:
@@ -397,5 +398,9 @@ def load_index(path) -> RetrievalIndex:
         else:
             codes = _read_exact(f, np.empty((n_docs, code_nbytes), np.uint8))
     if packed:
+        # the Hamming scan counts every bit, so the last byte's padding must be 0
+        padding = (0xFF << ((n_books * bits_per_index(n_words)) % 8)) & 0xFF
+        if padding != 0xFF and np.any(codes[:, -1] & padding):
+            raise FileFormatError("packed codes have padding bits set")
         return RetrievalIndex(CodebookSet(books), doc_ids=doc_ids, packed=codes)
     return RetrievalIndex(CodebookSet(books), codes, doc_ids)

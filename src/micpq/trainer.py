@@ -32,12 +32,15 @@ from .objectives import (
     loss_values,
 )
 from .quantizer import (
+    PIECE_ROWS,
     CodebookSet,
     bits_per_index,
     encode_buffer,
     encode_rows,
+    encode_workers,
     init_codebooks,
     is_pow2,
+    split_rows,
 )
 
 MAGIC_CHECKPOINT = b"MICPQCKP"
@@ -211,12 +214,16 @@ def adam_step(
     eps: float = 1e-8,
     *,
     scratch: np.ndarray | None = None,
+    pool=None,
 ) -> ModelState:
     """One bias-corrected Adam update of encoder and codebooks, in place.
 
     ``scratch``, when given, is a float64 array of shape (3, n), n at
     least the largest parameter's size (:func:`adam_scratch`); the
-    update's float64 arithmetic runs there instead of in fresh arrays."""
+    update's float64 arithmetic runs there instead of in fresh arrays.
+    The encoder weight is updated in row pieces, each in its own columns
+    of ``scratch`` (:func:`~micpq.quantizer.split_rows` on ``pool``); the
+    update is elementwise, so the bits do not depend on the pieces."""
     params = (
         ("weight", state.encoder.weight, state.m_weight, state.v_weight, grads.weight),
         ("bias", state.encoder.bias, state.m_bias, state.v_bias, grads.bias),
@@ -235,7 +242,16 @@ def adam_step(
     if scratch is None:
         scratch = adam_scratch(state)
     t = state.step + 1
-    for _, param, m, v, grad in params:
+    weight, m_weight, v_weight, grad_weight = params[0][1:]
+    row = weight.shape[1]
+
+    def weight_rows(start, stop):
+        _adam_update(weight[start:stop], m_weight[start:stop], v_weight[start:stop],
+                     grad_weight[start:stop], lr, beta1, beta2, eps, t,
+                     scratch[:, start * row:stop * row])
+
+    split_rows(weight_rows, len(weight), pool)
+    for _, param, m, v, grad in params[1:]:
         _adam_update(param, m, v, grad, lr, beta1, beta2, eps, t, scratch)
     # revalidate: an update can overflow float32
     state.encoder = EncoderParams(state.encoder.weight, state.encoder.bias)
@@ -295,11 +311,18 @@ def train(
 
     ``on_epoch``, when given, is called with each finished EpochRecord.
 
-    One helper thread gathers step t+1's batch and draws its noise
+    A pool of max(1, W - 1) threads serves the loop, W from
+    :func:`~micpq.quantizer.encode_workers` (1 under default threading).
+    A pool thread gathers step t+1's batch and draws its noise
     (:func:`~micpq.objectives.draw_noise`) while step t runs; the two
     steps' buffers alternate by parity.  The noise does not depend on the
-    parameters, so the result is the serial loop's, bit for bit.  The
-    thread ends before ``train`` returns or raises.
+    parameters.  The step's large products and Adam's weight update run
+    in W row pieces, which the calling thread and the pool's free threads
+    claim (:func:`~micpq.quantizer.fan_out`): a piece left while the pool
+    draws noise runs on the calling thread, so no piece waits behind the
+    noise.  The pieces write disjoint rows of the same arrays.
+    So the result is the serial loop's, bit for bit.  Every thread ends
+    before ``train`` returns or raises.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -337,15 +360,17 @@ def train(
     log = TrainLog()
     sums, n_steps = np.zeros(3), 0
     plan = _step_plan(cfg, n_docs, first_perm)
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    # the most pieces any split call of a step takes; the calling thread runs one
+    n_workers = encode_workers(max(2 * capacity, cfg.d_out) // PIECE_ROWS)
+    with ThreadPoolExecutor(max_workers=max(1, n_workers - 1)) as pool:
         following = next(plan)
-        pending = helper.submit(prepare, *following[1:])
+        pending = pool.submit(prepare, *following[1:])
         while following is not None:
             epoch, step, _, step_seed = following
             batch, noise = pending.result()
             following = next(plan, None)
             if following is not None:
-                pending = helper.submit(prepare, *following[1:])
+                pending = pool.submit(prepare, *following[1:])
             n = batch.shape[0]
             if n not in workspaces:
                 workspaces[n] = StepWorkspace(
@@ -354,9 +379,9 @@ def train(
             try:
                 step_values, grads = loss_and_gradients(
                     state.encoder, state.books, batch, cfg.loss, step_seed,
-                    noise=noise, workspace=workspaces[n],
+                    noise=noise, workspace=workspaces[n], pool=pool,
                 )
-                adam_step(state, grads, cfg.learning_rate, scratch=scratch)
+                adam_step(state, grads, cfg.learning_rate, scratch=scratch, pool=pool)
             except NonFiniteGradientError as err:
                 raise NonFiniteGradientError(f"epoch {epoch}, step {step}: {err}") from err
             sums += (step_values.total, step_values.contrastive, step_values.mi_per_book.sum())
@@ -415,11 +440,19 @@ def save_checkpoint(state: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.  A header whose
+    dimensions are zero, disagree or do not match the file's size is
+    rejected with a :class:`~micpq.errors.MicpqError` before any payload
+    is read."""
     with open(path, "rb") as f:
         d_in, d_out, n_books, n_words, sub_dim, step = read_header(
             f, MAGIC_CHECKPOINT, _HEADER, CHECKPOINT_VERSION
         )
+        if min(d_in, d_out, n_books, sub_dim) < 1 or n_words < 2:
+            raise InvalidConfigError(
+                f"checkpoint dimensions d_in={d_in}, d_out={d_out}, M={n_books}, "
+                f"K={n_words}, sub_dim={sub_dim} describe no model"
+            )
         if d_out != n_books * sub_dim:
             raise InvalidConfigError(
                 f"inconsistent checkpoint dimensions: d_out={d_out}, M*sub_dim={n_books * sub_dim}"

@@ -423,3 +423,99 @@ class TestPreparedNoiseAndWorkspace:
                                workspace=StepWorkspace(5, 5, 3, 4, 2))
         with pytest.raises(DimMismatchError):
             StepWorkspace(7, 5, 3, 4, 2, base=StepWorkspace(6, 5, 3, 4, 2))
+
+
+def _step_instance(batch, d_in, n_books, n_words, sub=24):
+    """Float32 parameters as training keeps them, and a batch."""
+    gen = np.random.default_rng(d_in + n_books)
+    d_out = n_books * sub
+    params = EncoderParams((gen.normal(size=(d_out, d_in)) / np.sqrt(d_in)).astype(np.float32),
+                           gen.normal(0.0, 0.1, size=d_out).astype(np.float32))
+    books = CodebookSet(np.abs(gen.normal(size=(n_books, n_words, sub))).astype(np.float32))
+    return params, books, gen.normal(size=(batch, d_in)).astype(np.float32)
+
+
+class TestRowPieces:
+    """The step's row pieces (the forward, the logits and their softmax,
+    (G + G^T) N and the weight gradient) write the bits of the single
+    calls, at every batch size up to a full 256-document batch."""
+
+    @staticmethod
+    def _step(params, books, data, noise, ws, pool):
+        values, grads = loss_and_gradients(params, books, data, LossConfig(), 3, noise=noise,
+                                           workspace=ws, pool=pool)
+        arrays = [ws.refined, ws.logits, ws.sym, grads.weight, grads.bias, grads.books,
+                  values.mi_per_book, np.array([values.total, values.contrastive])]
+        return [a.tobytes() for a in arrays]
+
+    @pytest.mark.parametrize("d_in, n_books, n_words", [
+        (64, 8, 16), (64, 16, 2), (768, 8, 16), (768, 16, 2),
+    ])
+    def test_every_batch_size_gives_the_single_calls_bits(self, use_workers, d_in, n_books,
+                                                          n_words):
+        from concurrent.futures import ThreadPoolExecutor
+
+        params, books, data = _step_instance(256, d_in, n_books, n_words)
+        full = StepWorkspace(256, d_in, n_books, n_words, 24)
+        inputs, by_row = np.empty((512, d_in)), np.empty((512, n_books, n_words))
+        mismatched = []
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for batch in range(2, 257):
+                ws = StepWorkspace(batch, d_in, n_books, n_words, 24, base=full)
+                noise = inputs[:2 * batch], by_row[:2 * batch].transpose(1, 0, 2)
+                draw_noise(data[:batch], LossConfig(), 3, *noise)
+                use_workers(1)
+                single = self._step(params, books, data[:batch], noise, ws, pool)
+                use_workers(2)
+                if self._step(params, books, data[:batch], noise, ws, pool) != single:
+                    mismatched.append(batch)
+        assert mismatched == []
+
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    def test_large_calls_are_split_and_small_ones_are_not(self, monkeypatch, use_workers,
+                                                          n_cpus):
+        from micpq import objectives, quantizer
+
+        calls = []
+        def recording(work, n_rows, pool=None):
+            ranges = []
+            def tracked(start, stop):
+                ranges.append((start, stop))
+                work(start, stop)
+            quantizer.split_rows(tracked, n_rows, pool)
+            calls.append((work.__name__, n_rows, len(ranges)))
+        monkeypatch.setattr(objectives, "split_rows", recording)
+        use_workers(n_cpus)
+        for batch in (32, 63, 64, 100, 118, 164, 256):
+            params, books, data = _step_instance(batch, 64, 8, 16)
+            calls.clear()
+            loss_and_gradients(params, books, data, LossConfig(), 1)
+            pieces = min(n_cpus, 2 * batch // 64) if batch >= 64 else 1
+            # numpy's syrk keeps the logits one call unless 2B is a multiple of 8
+            softmax = [("softmax_rows", 2 * batch, pieces)] if batch % 4 == 0 else []
+            assert calls == [("<lambda>", 2 * batch, pieces), *softmax,
+                             ("symmetric_rows", 2 * batch, pieces),
+                             ("weight_rows", 192, min(n_cpus, 3))]
+
+    def test_one_worker_makes_single_calls_on_the_calling_thread(self, monkeypatch,
+                                                                  use_workers):
+        import threading
+
+        from micpq import objectives
+
+        threads, rows = set(), []
+        def recording(params, batch, **kwargs):
+            threads.add(threading.current_thread())
+            rows.append(len(batch))
+            return forward_batch(params, batch, **kwargs)
+        monkeypatch.setattr(objectives, "forward_batch", recording)
+        params, books, data = _step_instance(256, 64, 8, 16)
+        before = threading.active_count()
+        use_workers(1)
+        loss_and_gradients(params, books, data, LossConfig(), 1)
+        assert threads == {threading.current_thread()} and rows == [512]
+        rows.clear()
+        use_workers(2)
+        loss_and_gradients(params, books, data, LossConfig(), 1)
+        assert rows == [256, 256]
+        assert threading.active_count() == before

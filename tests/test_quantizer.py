@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -228,17 +229,6 @@ class TestEncodeRows:
         assert np.array_equal(encode_rows(encoder, books, values), expected)
 
 
-def _use_workers(monkeypatch, n_cpus, openblas="1", omp=None):
-    """Make this process look like it may run on ``n_cpus`` CPUs with the
-    given thread variables (None: unset)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False)
-    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-        if value is None:
-            monkeypatch.delenv(var, raising=False)
-        else:
-            monkeypatch.setenv(var, value)
-
-
 def _encoder_and_books(seed, d_in=8, n_books=4, n_words=16, sub=3):
     gen = np.random.default_rng(seed)
     d_out = n_books * sub
@@ -254,8 +244,8 @@ class TestEncodePool:
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("tail", [0, 1, 3, 100])
-    def test_any_worker_count_gives_the_whole_pass_codes(self, monkeypatch, n_workers, tail):
-        _use_workers(monkeypatch, n_workers)
+    def test_any_worker_count_gives_the_whole_pass_codes(self, use_workers, n_workers, tail):
+        use_workers(n_workers)
         gen, encoder, books = _encoder_and_books(tail)
         values = gen.normal(size=(5 * quantizer.ASSIGN_ROWS + tail, encoder.d_in))
         values = values.astype(np.float32)
@@ -268,13 +258,14 @@ class TestEncodePool:
         assert np.array_equal(encode_rows(encoder, books, values), expected)
         assert np.array_equal(encode_rows(encoder, books, values, workspaces), expected)
 
-    def test_many_workers_switching_often_match_the_serial_loop(self, monkeypatch):
+    def test_many_workers_switching_often_match_the_serial_loop(self, monkeypatch,
+                                                               use_workers):
         monkeypatch.setattr(quantizer, "ASSIGN_ROWS", 64)
         gen, encoder, books = _encoder_and_books(7)
         values = gen.normal(size=(40 * 64 + 17, encoder.d_in)).astype(np.float32)
-        _use_workers(monkeypatch, 1)
+        use_workers(1)
         serial = encode_rows(encoder, books, values)
-        _use_workers(monkeypatch, 8)
+        use_workers(8)
         pooled = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -289,8 +280,9 @@ class TestEncodePool:
         assert not runner.is_alive()
         assert np.array_equal(pooled[0], serial)
 
-    def test_distances_are_taken_in_the_chunks_of_hard_assign_books(self, monkeypatch):
-        _use_workers(monkeypatch, 2)
+    def test_distances_are_taken_in_the_chunks_of_hard_assign_books(self, monkeypatch,
+                                                                    use_workers):
+        use_workers(2)
         gen, encoder, books = _encoder_and_books(4)
         values = gen.normal(size=(2 * quantizer.ASSIGN_ROWS + 1, encoder.d_in)).astype(np.float32)
         calls = []
@@ -305,8 +297,9 @@ class TestEncodePool:
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_a_failing_block_reaches_the_caller_and_ends_every_worker(self, monkeypatch,
+                                                                      use_workers,
                                                                       n_workers):
-        _use_workers(monkeypatch, n_workers)
+        use_workers(n_workers)
         gen, encoder, books = _encoder_and_books(5)
         values = gen.normal(size=(4 * quantizer.ASSIGN_ROWS, encoder.d_in)).astype(np.float32)
         def failing(params, batch, out=None):
@@ -319,8 +312,8 @@ class TestEncodePool:
             encode_rows(encoder, books, values)
         assert threading.active_count() == threads
 
-    def test_non_finite_rows_are_named(self, monkeypatch):
-        _use_workers(monkeypatch, 2)
+    def test_non_finite_rows_are_named(self, use_workers):
+        use_workers(2)
         gen, encoder, books = _encoder_and_books(6)
         values = gen.normal(size=(3 * quantizer.ASSIGN_ROWS, encoder.d_in)).astype(np.float32)
         for bad, value in ((5000, np.nan), (3 * quantizer.ASSIGN_ROWS - 1, -np.inf)):
@@ -346,15 +339,83 @@ class TestEncodePool:
         ("1", None, 3, 3),        # fewer blocks than CPUs
         ("1", None, 1, 1),
     ])
-    def test_worker_count_rule(self, monkeypatch, openblas, omp, n_blocks, expected):
-        _use_workers(monkeypatch, 4, openblas, omp)
+    def test_worker_count_rule(self, use_workers, openblas, omp, n_blocks, expected):
+        use_workers(4, openblas, omp)
         assert quantizer.encode_workers(n_blocks) == expected
 
-    def test_worker_count_without_an_affinity_call(self, monkeypatch):
-        _use_workers(monkeypatch, 4)
+    def test_worker_count_without_an_affinity_call(self, monkeypatch, use_workers):
+        use_workers(4)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert quantizer.encode_workers(100) == 3
+
+
+class TestFanOut:
+    """fan_out's threads claim contiguous row pieces in order."""
+
+    @pytest.mark.parametrize("n_rows, n_pieces", [(10, 1), (10, 3), (512, 2), (320, 3), (5, 5)])
+    @pytest.mark.parametrize("own_pool", [False, True])
+    def test_every_piece_runs_once_and_the_pieces_cover_the_rows(self, n_rows, n_pieces,
+                                                                  own_pool):
+        from concurrent.futures import ThreadPoolExecutor
+
+        seen = []
+        def work(piece, start, stop):
+            seen.append((piece, start, stop, threading.current_thread()))
+        before = threading.active_count()
+        if own_pool:
+            quantizer.fan_out(work, n_rows, n_pieces)
+        else:
+            with ThreadPoolExecutor(max_workers=n_pieces) as pool:
+                quantizer.fan_out(work, n_rows, n_pieces, pool)
+        assert threading.active_count() == before
+        assert sorted(p for p, *_ in seen) == list(range(n_pieces))
+        bounds = [(start, stop) for _, start, stop, _ in sorted(seen, key=lambda s: s[0])]
+        assert bounds[0][0] == 0 and bounds[-1][1] == n_rows
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert max(b - a for a, b in bounds) - min(b - a for a, b in bounds) <= 1
+        if n_pieces == 1:
+            assert seen[0][3] is threading.current_thread()
+
+    def test_pieces_left_by_a_busy_pool_run_on_the_calling_thread(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        threads = []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            release = threading.Event()
+            pool.submit(release.wait, 10)  # the pool's one thread is busy
+            quantizer.fan_out(lambda piece, start, stop: threads.append(
+                threading.current_thread()), 300, 4, pool)
+            release.set()
+        assert threads == [threading.current_thread()] * 4
+
+    @pytest.mark.parametrize("failing", [{0}, {2}, {1, 2}])
+    def test_a_failed_piece_is_raised_after_every_piece_ends(self, failing):
+        ended = []
+        def work(piece, start, stop):
+            if piece in failing:
+                raise RuntimeError(f"piece {piece}")
+            time.sleep(0.05)
+            ended.append(piece)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"piece {min(failing)}"):
+            quantizer.fan_out(work, 300, 3)
+        assert sorted(ended) == sorted({0, 1, 2} - failing)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_rows, expected", [
+        (0, 1), (63, 1), (64, 1), (127, 1), (128, 2), (191, 2), (192, 3), (4096, 3),
+    ])
+    def test_step_pieces_hold_at_least_the_minimum_rows(self, use_workers, n_rows, expected):
+        use_workers(3)
+        ranges = []
+        quantizer.split_rows(lambda start, stop: ranges.append((start, stop)), n_rows)
+        assert len(ranges) == expected
+        assert expected == 1 or min(b - a for a, b in ranges) >= quantizer.PIECE_ROWS
+        use_workers(2, openblas=None)  # BLAS takes every CPU: one plain call
+        ranges.clear()
+        quantizer.split_rows(lambda start, stop: ranges.append((start, stop)), n_rows)
+        assert ranges == [(0, n_rows)]
 
 
 class TestSquaredDistancesBooks:

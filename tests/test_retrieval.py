@@ -680,6 +680,29 @@ class TestLoadIndexFuzz:
             assert (tmp_path / "again.idx").read_bytes() == bytes(raw)
 
 
+class TestPaddingBits:
+    """Packed codes of M * log2(K) bits, not a multiple of 8, pad their last
+    byte with zeros; the Hamming scan would count set padding bits."""
+
+    @pytest.mark.parametrize("n_books, n_words, padding", [(12, 2, 0xF0), (3, 8, 0xFE)])
+    @pytest.mark.parametrize("n_docs", [9, 70_000])
+    def test_set_padding_bits_are_refused(self, tmp_path, n_books, n_words, padding, n_docs):
+        gen = np.random.default_rng(n_books)
+        codes = gen.integers(0, n_words, size=(n_docs, n_books))
+        save_index(RetrievalIndex(_nonneg_books(6, n_books, n_words, 2), codes,
+                                  np.arange(n_docs)), tmp_path / "ok.idx")
+        raw = bytearray((tmp_path / "ok.idx").read_bytes())
+        loaded = load_index(tmp_path / "ok.idx")
+        assert np.array_equal(loaded.codes, codes)
+        for bit in range(8):
+            if padding >> bit & 1:
+                flipped = raw.copy()
+                flipped[len(raw) - 1 - 2 * (n_docs // 3)] |= 1 << bit  # a middle doc's last byte
+                (tmp_path / "bad.idx").write_bytes(bytes(flipped))
+                with pytest.raises(FileFormatError, match="padding"):
+                    load_index(tmp_path / "bad.idx")
+
+
 def _random_index(seed, n_books, n_words, n_docs=600, sub=3, distinct=None, grid=False):
     """Identity model, nonnegative books and codes; doc ids are a shuffled
     range.  With ``distinct``, codes repeat a few rows, so ties are large.

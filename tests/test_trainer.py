@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from micpq import rng
 from micpq.cli import main
@@ -13,6 +15,7 @@ from micpq.errors import (
     BadMagicError,
     FileFormatError,
     InvalidConfigError,
+    MicpqError,
     NonFiniteGradientError,
     TruncatedFileError,
     VersionMismatchError,
@@ -21,6 +24,8 @@ from micpq.objectives import LossConfig, ParamGrads, draw_noise, loss_and_gradie
 from micpq.quantizer import CodebookSet, hard_assign_batch
 from micpq import trainer
 from micpq.trainer import (
+    CHECKPOINT_VERSION,
+    MAGIC_CHECKPOINT,
     EpochRecord,
     ModelState,
     TrainConfig,
@@ -228,6 +233,109 @@ class TestCheckpoint:
         assert code == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def _checkpoint_bytes(tmp_path):
+    state = _tiny_state(3, d_in=3, d_out=4, n_books=2, n_words=4, sub=2)
+    state.step = 5
+    save_checkpoint(state, tmp_path / "src.ckpt")
+    return (tmp_path / "src.ckpt").read_bytes()
+
+
+def _load_or_micpq_error(path):
+    """The loaded state, or None when ``load_checkpoint`` raised a
+    MicpqError; any other exception fails the test."""
+    try:
+        return load_checkpoint(path)
+    except MicpqError:
+        return None
+
+
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_HEADER_AT, _PAYLOAD_AT = 8, 40  # magic | version, d_in, d_out, M, K, sub_dim, step | arrays
+# weight, bias, books and their Adam moments at d_in 3, d_out 4, M 2, K 4, sub_dim 2
+_ARRAY_FLOATS = [12, 4, 16, 12, 12, 4, 4, 16, 16]
+
+
+class TestLoadCheckpointFuzz:
+    @pytest.mark.parametrize("region", ["magic", "header"] + [f"array{i}" for i in range(9)])
+    @_FUZZ
+    @given(data=st.data())
+    def test_truncation_in_every_region_raises(self, tmp_path, region, data):
+        raw = _checkpoint_bytes(tmp_path)
+        ends = _PAYLOAD_AT + 4 * np.cumsum([0] + _ARRAY_FLOATS)
+        assert ends[-1] == len(raw)
+        lo, hi = {"magic": (0, _HEADER_AT), "header": (_HEADER_AT, _PAYLOAD_AT),
+                  **{f"array{i}": (ends[i], ends[i + 1]) for i in range(9)}}[region]
+        (tmp_path / "cut.ckpt").write_bytes(raw[:data.draw(st.integers(lo, hi - 1))])
+        with pytest.raises(MicpqError):
+            load_checkpoint(tmp_path / "cut.ckpt")
+
+    @_FUZZ
+    @given(at=st.integers(0, 31), mask=st.integers(1, 255))
+    def test_a_flipped_magic_version_or_dimension_byte_raises(self, tmp_path, at, mask):
+        raw = bytearray(_checkpoint_bytes(tmp_path))
+        raw[at] ^= mask
+        (tmp_path / "flip.ckpt").write_bytes(bytes(raw))
+        with pytest.raises(MicpqError):
+            load_checkpoint(tmp_path / "flip.ckpt")
+
+    @_FUZZ
+    @given(flips=st.lists(st.tuples(st.integers(0, len(MAGIC_CHECKPOINT) + 31),
+                                    st.integers(1, 255)),
+                          min_size=1, max_size=3, unique_by=lambda flip: flip[0]))
+    def test_flipped_header_bytes_raise_or_describe_the_same_bytes(self, tmp_path, flips):
+        # several dimension flips can agree with each other and the size (M and
+        # sub_dim swapped, say), and the step is any u64: such a file loads,
+        # and saving it again gives its bytes
+        raw = bytearray(_checkpoint_bytes(tmp_path))
+        for at, mask in flips:
+            raw[at] ^= mask
+        (tmp_path / "flip.ckpt").write_bytes(bytes(raw))
+        loaded = _load_or_micpq_error(tmp_path / "flip.ckpt")
+        if loaded is not None:
+            save_checkpoint(loaded, tmp_path / "again.ckpt")
+            assert (tmp_path / "again.ckpt").read_bytes() == bytes(raw)
+
+    @_FUZZ
+    @given(dims=st.tuples(*[st.sampled_from([0, 1, 2, 3, 4, 1 << 16, (1 << 32) - 1])] * 5),
+           payload=st.binary(max_size=512))
+    @example(dims=(0, 0, 0, 2, 0), payload=b"")  # zero-size arrays
+    @example(dims=(0, 4, 2, 4, 2), payload=b"\0" * 4 * 56)  # zero-width weight, sizes agree
+    @example(dims=((1 << 32) - 1, (1 << 32) - 1, 1, (1 << 32) - 1, (1 << 32) - 1), payload=b"")
+    def test_zero_or_huge_dimensions_raise(self, tmp_path, dims, payload):
+        d_in, d_out, n_books, n_words, sub_dim = dims
+        path = tmp_path / "dims.ckpt"
+        path.write_bytes(MAGIC_CHECKPOINT + struct.pack("<IIIIIIQ", CHECKPOINT_VERSION, *dims, 0)
+                         + payload)
+        loaded = _load_or_micpq_error(path)
+        if loaded is not None:  # only a small, consistent model whose sizes match
+            assert min(d_in, d_out, n_books, sub_dim) >= 1 and n_words >= 2
+            assert d_out == n_books * sub_dim
+            assert len(payload) == 4 * (3 * d_out * d_in + 3 * d_out + 3 * n_books * n_words * sub_dim)
+
+    @pytest.mark.parametrize("dims", [(0, 4, 2, 4, 2), (3, 0, 0, 4, 2), (3, 4, 2, 1, 2),
+                                      (3, 4, 2, 0, 2), (3, 0, 2, 4, 0)])
+    def test_zero_dimensions_with_an_agreeing_size_raise(self, tmp_path, dims):
+        d_in, d_out, n_books, n_words, sub_dim = dims
+        n_floats = 3 * d_out * d_in + 3 * d_out + 3 * n_books * n_words * sub_dim
+        path = tmp_path / "zero.ckpt"
+        path.write_bytes(MAGIC_CHECKPOINT + struct.pack("<IIIIIIQ", CHECKPOINT_VERSION, *dims, 0)
+                         + b"\0" * 4 * n_floats)
+        with pytest.raises(InvalidConfigError):
+            load_checkpoint(path)
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_flipped_payload_bytes_load_exactly_or_raise(self, tmp_path, data):
+        raw = bytearray(_checkpoint_bytes(tmp_path))
+        raw[data.draw(st.integers(_PAYLOAD_AT, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        (tmp_path / "flip.ckpt").write_bytes(bytes(raw))
+        loaded = _load_or_micpq_error(tmp_path / "flip.ckpt")
+        if loaded is not None:
+            save_checkpoint(loaded, tmp_path / "again.ckpt")
+            assert (tmp_path / "again.ckpt").read_bytes() == bytes(raw)
 
 
 def _tiny_corpus():
@@ -444,13 +552,28 @@ class TestPrefetchedTraining:
         assert log.format_lines() == ref_log.format_lines()
 
 
+def _split_corpus():
+    """200 documents: 64-document batches make 128 step rows, two pieces at W = 2."""
+    emb, _ = synth_mixture(
+        MixtureSpec(n_docs=200, dim=8, n_classes=3, separation=10.0, noise_sigma=1.0, seed=5)
+    )
+    return emb
+
+
+# 64-document batches and d_out 128: at W = 2 every split call of the step and Adam splits
+_SPLIT = dict(batch_size=64, sub_dim=64)
+
+
 class TestHelperThread:
-    def test_no_thread_outlives_a_finished_run(self):
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_no_thread_outlives_a_finished_run(self, use_workers, n_cpus):
+        use_workers(n_cpus)
         before = threading.active_count()
-        train(_tiny_config(n_epochs=2), _tiny_corpus())
+        train(_tiny_config(n_epochs=2, **_SPLIT), _split_corpus())
         assert threading.active_count() == before
 
-    def test_no_thread_outlives_a_nonfinite_gradient(self, monkeypatch):
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_no_thread_outlives_a_nonfinite_gradient(self, monkeypatch, use_workers, n_cpus):
         calls = []
 
         def broken_at_step_2(*args, **kwargs):
@@ -460,13 +583,15 @@ class TestHelperThread:
             return loss_and_gradients(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "loss_and_gradients", broken_at_step_2)
+        use_workers(n_cpus)
         before = threading.active_count()
         with pytest.raises(NonFiniteGradientError) as err:
-            train(_tiny_config(n_epochs=2, batch_size=50), _tiny_corpus())  # 3 steps an epoch
+            train(_tiny_config(n_epochs=2, **_SPLIT), _split_corpus())  # 4 steps an epoch
         assert str(err.value).startswith("epoch 0, step 2: ")
         assert threading.active_count() == before
 
-    def test_a_failed_preparation_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_a_failed_preparation_reaches_the_caller(self, monkeypatch, use_workers, n_cpus):
         calls = []
 
         def fails_third(*args, **kwargs):
@@ -476,9 +601,68 @@ class TestHelperThread:
             return draw_noise(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "draw_noise", fails_third)
+        use_workers(n_cpus)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="preparation failed"):
-            train(_tiny_config(n_epochs=2), _tiny_corpus())
+            train(_tiny_config(n_epochs=2, **_SPLIT), _split_corpus())
         assert len(calls) == 3
         assert all(t is not threading.main_thread() for t in calls)
         assert threading.active_count() == before
+
+    def test_a_failed_piece_reaches_the_caller_and_ends_every_thread(self, monkeypatch,
+                                                                     use_workers):
+        from micpq import objectives
+
+        def fails_on_a_piece(params, batch, **kwargs):
+            if len(batch) < 128:  # a piece of the 128 rows of a 64-document batch
+                raise RuntimeError("piece failed")
+            return forward_batch(params, batch, **kwargs)
+
+        monkeypatch.setattr(objectives, "forward_batch", fails_on_a_piece)
+        use_workers(2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="piece failed"):
+            train(_tiny_config(n_epochs=2, **_SPLIT), _split_corpus())
+        assert threading.active_count() == before
+
+
+class TestPiecedTraining:
+    """At W = 2 and 3 the step's products and Adam's weight update run in
+    row pieces; checkpoints and logs keep the bytes of W = 1."""
+
+    @pytest.mark.parametrize("n_docs", [
+        416,  # a 160-document last batch: 320 step rows, split at every W
+        276,  # a 20-document last batch: 40 step rows, below the split minimum
+    ])
+    def test_checkpoint_and_log_bytes_do_not_depend_on_the_workers(self, tmp_path,
+                                                                   use_workers, n_docs):
+        emb = tmp_path / "data" / "data.emb"
+        assert main(["synth", "--n", str(n_docs), "--dim", "64", "--classes", "5",
+                     "--sigma", "1", "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+        outputs = []
+        for n_cpus in (1, 2, 3):
+            use_workers(n_cpus)
+            ckpt, log = tmp_path / f"w{n_cpus}.ckpt", tmp_path / f"w{n_cpus}.log"
+            assert main(["train", "--emb", str(emb), "--M", "8", "--K", "16", "--sub-dim", "24",
+                         "--epochs", "2", "--split", "all", "--seed", "5", "--out", str(ckpt),
+                         "--log", str(log)]) == 0
+            outputs.append((ckpt.read_bytes(), log.read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("d_in, d_out", [(64, 192), (768, 192), (64, 384), (768, 384)])
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    def test_adam_weight_rows_give_the_single_update_bits(self, use_workers, d_in, d_out,
+                                                          n_cpus):
+        states = []
+        for workers in (1, n_cpus):
+            state = _tiny_state(d_in + d_out, d_in=d_in, d_out=d_out, n_books=8,
+                                sub=d_out // 8)
+            grads = ParamGrads(weight=np.random.default_rng(1).normal(size=(d_out, d_in)),
+                               bias=np.ones(d_out), books=np.ones(state.books.books.shape))
+            use_workers(workers)
+            for _ in range(2):
+                adam_step(state, grads, 1e-3)
+            states.append(state)
+        for (name, single), (_, pieced) in zip(states[0]._arrays(), states[1]._arrays()):
+            assert single.tobytes() == pieced.tobytes(), name
