@@ -46,8 +46,9 @@ _SHARED_OPTS = {
     "seed": (int, 0, "root random seed"),
     "threads": (int, None, "cap the BLAS and OpenMP thread pools (default: available "
                 "parallelism); train also runs one thread that prepares the next step's noise; "
-                "with W = affinity CPUs // BLAS threads, train splits each step's large products "
-                "and Adam's weight update over W threads, and index, eval without --index and "
+                "with W = affinity CPUs // BLAS threads, train runs each step's three phases "
+                "(forward, contrastive softmax, backward), its weight gradient and a large "
+                "weight's Adam update in W row pieces, and index, eval without --index and "
                 "train's usage histogram encode row blocks on W threads"),
     "config": (str, None, "key=value lines read as flags placed before the command line's own"),
 }

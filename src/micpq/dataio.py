@@ -206,9 +206,12 @@ def read_embeddings_header(f) -> tuple[int, int]:
     against it; return (n_docs, dim), leaving ``f`` at the payload.
 
     Raises :class:`BadMagicError`, :class:`VersionMismatchError`,
-    :class:`TruncatedFileError` or :class:`FileFormatError` before any
-    payload is read."""
+    :class:`TruncatedFileError` or :class:`FileFormatError`, or
+    :class:`InvalidSpecError` for an empty matrix, before any payload is
+    read."""
     n_docs, dim = read_header(f, MAGIC_EMBEDDINGS, _EMBEDDINGS_HEADER, FORMAT_VERSION)
+    if n_docs < 1 or dim < 1:  # no payload: the size check passes at any count
+        raise InvalidSpecError(f"header declares an empty {n_docs} x {dim} embedding matrix")
     check_file_size(f, _EMBEDDINGS_PAYLOAD + n_docs * dim * 4)
     return n_docs, dim
 

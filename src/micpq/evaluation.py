@@ -137,11 +137,7 @@ def kmeans(
 
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        dists = (
-            (points * points).sum(axis=1)[:, None]
-            - 2.0 * points @ centers.T
-            + (centers * centers).sum(axis=1)[None, :]
-        )
+        dists = squared_distances_books(points, centers[None])[0]
         new_assignments = dists.argmin(axis=1)
         point_d2 = dists[np.arange(n), new_assignments]
         for j in range(k):

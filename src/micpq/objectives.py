@@ -34,20 +34,23 @@ which a loop keeps from step to step.  The contrastive softmax drops
 each row's own and partner columns by setting them to ``-inf`` before
 its max and exp, which gives the bits of a masked max and exp.
 
-The large products run in row pieces on the CPUs that BLAS leaves idle
-(:func:`~micpq.quantizer.split_rows`): the encoder forward by input row,
-the logits ``N N^T`` and their masked softmax by row, ``(G + G^T) N`` by
-row, and the weight gradient ``G^T X`` by output row.  Each piece writes
-disjoint rows of the workspace's arrays.  Every piece holds at least
+The step runs in three phases of row pieces on the CPUs that BLAS
+leaves idle (:func:`~micpq.quantizer.split_rows`), each over the 2B
+rows: A, the forward to the unit rows and the MI term's entropy terms;
+B, the logits ``N N^T`` and their masked softmax, which becomes ``G`` in
+place; C, the backward from ``(G + G^T) N`` to the segments' gradient.
+A piece writes only its own rows, and reads other rows only of arrays
+that an earlier phase wrote.  Only reductions over rows run as whole
+calls, after their phase: the marginal and the conditional entropy, the
+sum of the log ratios and the codewords' gradient; the weight gradient
+``G^T X`` runs in pieces by output row.  Every piece holds at least
 ``quantizer.PIECE_ROWS`` rows: OpenBLAS rounds a few rows with other
 kernels, but pieces that large round every row as the single call does
 (tests check each batch size up to 256), so the bits do not depend on
 the split.  numpy takes ``N N^T`` with syrk, whose bits equal gemm row
 pieces only at row counts that are a multiple of ``SYRK_PIECE_ALIGN``;
-at other counts the logits and their softmax stay one call.  The one
-reduction over rows, the sum of the per-row log ratios, runs after the
-pieces.  Under default threading each product is one call on the
-calling thread.
+at other counts phase B is one call.  Under default threading each
+phase is one call on the calling thread.
 
 :func:`expected_loss_oracle` enumerates every joint hard-assignment
 outcome to compute the exact expected contrastive loss that the
@@ -173,60 +176,59 @@ def _partner_columns(batch_size: int) -> np.ndarray:
     return (np.arange(2 * batch_size) + batch_size) % (2 * batch_size)
 
 
-def _contrastive_forward(
-    h_all: np.ndarray,
-    tau_cl: float,
-    normed: np.ndarray | None = None,
-    logits: np.ndarray | None = None,
-    pool=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _unit_rows(h: np.ndarray, normed: np.ndarray, norm: np.ndarray) -> None:
+    """Write the rows of ``h`` (..., D) over their norms to ``normed`` and
+    the norms to ``norm`` (..., 1)."""
+    np.multiply(h, h, out=normed)
+    norm2 = normed.sum(axis=-1, keepdims=True)
+    if np.any(norm2 <= ZERO_NORM_EPS**2):
+        raise ZeroNormError("contrastive loss undefined for (near-)zero representations")
+    np.sqrt(norm2, out=norm)
+    np.divide(h, norm, out=normed)
+
+
+def _softmax_rows(normed, tau_cl: float, logits, log_ratio, start: int, stop: int) -> None:
+    """Rows ``start:stop`` of the contrastive softmax of T instances of 2B
+    unit rows ``normed`` (T, 2B, D): each row's weights over its positive
+    and negative columns, zero elsewhere, in ``logits`` (T, 2B, 2B), and
+    its log ratio of positive to denominator in ``log_ratio`` (T, 2B)."""
+    batch_size = normed.shape[1] // 2
+    np.matmul(normed[:, start:stop], normed.transpose(0, 2, 1), out=logits[:, start:stop])
+    block = logits[:, start:stop]
+    block *= 1.0 / tau_cl
+    rows, own = np.arange(stop - start), np.arange(start, stop)
+    pos_col = _partner_columns(batch_size)[start:stop]
+    pos = block[:, rows, pos_col]
+    # a row's own and partner columns leave the negatives' max and sum
+    block[:, rows, own] = -np.inf
+    block[:, rows, pos_col] = -np.inf
+    # shift by each row's largest allowed logit; 1/tau_cl would underflow
+    shift = np.maximum(pos, block.max(axis=2))
+    block -= shift[:, :, None]
+    weights = np.exp(block, out=block)
+    e_pos = np.exp(pos - shift)
+    denom = e_pos + weights.sum(axis=2)
+    log_ratio[:, start:stop] = pos - (np.log(denom) + shift)
+    weights[:, rows, pos_col] = e_pos
+    weights /= denom[:, :, None]
+
+
+def _contrastive_forward(h_all: np.ndarray, tau_cl: float, normed=None, logits=None) -> tuple:
     """Cosine contrastive loss of T instances of 2B representations.
 
     ``h_all`` has shape (T, 2B, D), first-view rows then second-view rows.
     Returns the (T,) losses, the unit rows, the (T, 2B, 1) row norms and
     each row's softmax weights over its positive and negative columns,
     (T, 2B, 2B) and zero elsewhere.  The unit rows and the weights are
-    written to ``normed`` and ``logits`` when given.  The logits and
-    their softmax are taken in row pieces
-    (:func:`~micpq.quantizer.split_rows` on ``pool``).
+    written to ``normed`` and ``logits`` when given.
     """
     n_rows = h_all.shape[1]
-    batch_size = n_rows // 2
-    normed = np.multiply(h_all, h_all, out=normed)
-    norm2 = normed.sum(axis=2, keepdims=True)
-    if np.any(norm2 <= ZERO_NORM_EPS**2):
-        raise ZeroNormError("contrastive loss undefined for (near-)zero representations")
-    norm = np.sqrt(norm2)
-    np.divide(h_all, norm, out=normed)
-    if logits is None:
-        logits = np.empty(h_all.shape[:2] + (n_rows,))
-    partner = _partner_columns(batch_size)
-    log_ratio = np.empty(h_all.shape[:2])
-
-    def softmax_rows(start, stop):
-        np.matmul(normed[:, start:stop], normed.transpose(0, 2, 1), out=logits[:, start:stop])
-        block = logits[:, start:stop]
-        block *= 1.0 / tau_cl
-        rows, own, pos_col = np.arange(stop - start), np.arange(start, stop), partner[start:stop]
-        pos = block[:, rows, pos_col]
-        # a row's own and partner columns leave the negatives' max and sum
-        block[:, rows, own] = -np.inf
-        block[:, rows, pos_col] = -np.inf
-        # shift by each row's largest allowed logit; 1/tau_cl would underflow
-        shift = np.maximum(pos, block.max(axis=2))
-        block -= shift[:, :, None]
-        weights = np.exp(block, out=block)
-        e_pos = np.exp(pos - shift)
-        denom = e_pos + weights.sum(axis=2)
-        log_ratio[:, start:stop] = pos - (np.log(denom) + shift)
-        weights[:, rows, pos_col] = e_pos
-        weights /= denom[:, :, None]
-
-    if n_rows % SYRK_PIECE_ALIGN == 0:
-        split_rows(softmax_rows, n_rows, pool)
-    else:  # one call, which numpy takes with syrk
-        softmax_rows(0, n_rows)
-    return log_ratio.sum(axis=1) * (-1.0 / batch_size), normed, norm, logits
+    normed = np.empty(h_all.shape) if normed is None else normed
+    logits = np.empty(h_all.shape[:2] + (n_rows,)) if logits is None else logits
+    norm, log_ratio = np.empty(h_all.shape[:2] + (1,)), np.empty(h_all.shape[:2])
+    _unit_rows(h_all, normed, norm)
+    _softmax_rows(normed, tau_cl, logits, log_ratio, 0, n_rows)
+    return log_ratio.sum(axis=1) * (-1.0 / (n_rows // 2)), normed, norm, logits
 
 
 def _contrastive_losses(h_all: np.ndarray, tau_cl: float) -> np.ndarray:
@@ -284,11 +286,6 @@ def _slot_sqdists(refined1: np.ndarray, refined2: np.ndarray, books: CodebookSet
     return d2.reshape(books.n_codebooks, 2, -1, books.n_codewords).transpose(1, 2, 0, 3)
 
 
-def _slot_probs(refined1: np.ndarray, refined2: np.ndarray, books: CodebookSet) -> np.ndarray:
-    """Noise-free assignment probabilities per (view, doc, book): (2,B,M,K)."""
-    return stable_softmax(-_slot_sqdists(refined1, refined2, books))
-
-
 def _stack_hard_codes(codes: np.ndarray, books: CodebookSet) -> np.ndarray:
     """Codeword concatenations for (T,2,B,M) index draws: (T, 2B, D)."""
     h = books.books.astype(np.float64)[np.arange(books.n_codebooks), codes]
@@ -309,7 +306,7 @@ def expected_loss_oracle(
     probabilities.  Only feasible for tiny instances; raises
     :class:`TooLargeToEnumerateError` beyond ``max_outcomes`` joint states.
     """
-    probs = _slot_probs(refined1, refined2, books)
+    probs = stable_softmax(-_slot_sqdists(refined1, refined2, books))  # (2, B, M, K)
     batch = probs.shape[1]
     n_books = books.n_codebooks
     n_words = books.n_codewords
@@ -399,7 +396,9 @@ class StepWorkspace:
             "normed": (n_rows, d_out),
             "grad": (n_rows, d_out),
             "logits": (1, n_rows, n_rows),
-            "sym": (n_rows, n_rows),
+            "sym": (n_rows, max(n_rows, d_out)),  # G + G^T rows, then segment products
+            "norm": (n_rows, 1),  # the mixtures' norms
+            "log_ratio": (1, n_rows),
             "d2": per_book,  # the backward's gradient of the Gumbel-softmax weights, too
             "soft": per_book,
             "probs": per_book,
@@ -440,24 +439,7 @@ def draw_noise(
         gumbel_from_uniform(by_row[view], out=by_row[view])
 
 
-@dataclass
-class _ForwardPass:
-    """One mini-batch's loss values and the intermediates its backward reads.
-
-    Rows are the 2B inputs, first views then second views; per-book arrays
-    are (M, 2B, ...).  The large arrays live in a :class:`StepWorkspace`."""
-
-    values: LossValues
-    inputs: np.ndarray     # (2B, d_in) dropout views
-    segments: np.ndarray   # (M, 2B, sub) view of the encoder outputs
-    codewords: np.ndarray  # (M, K, sub) float64 books
-    marginal: np.ndarray   # (M, K) mean of the probabilities over the rows
-    log_marginal: np.ndarray  # (M, K) log of the marginal, clamped at ENTROPY_LOG_EPS
-    norm: np.ndarray       # (2B, 1) mixture norms
-    ws: StepWorkspace
-
-
-def _forward(
+def _step(
     params: EncoderParams,
     books: CodebookSet,
     batch: np.ndarray,
@@ -465,8 +447,11 @@ def _forward(
     seed: int,
     noise: tuple[np.ndarray, np.ndarray] | None,
     ws: StepWorkspace | None,
-    pool=None,
-) -> _ForwardPass:
+    pool,
+    backward: bool,
+) -> tuple[LossValues, ParamGrads | None]:
+    """One mini-batch's loss values and, with ``backward``, gradients.  Rows
+    are the 2B inputs, first views then second views; per-book arrays are (M, 2B, ...)."""
     data = np.asarray(getattr(batch, "values", batch))
     if data.ndim != 2 or data.shape[0] < 1:
         raise DimMismatchError("batch must be a non-empty 2-D array")
@@ -496,40 +481,108 @@ def _forward(
     if params.weight.dtype != ws.weight_t.dtype:  # cast once, not in every matmul
         weight_t = ws.weight_t
         np.copyto(weight_t, params.weight.T)
-    split_rows(
-        lambda start, stop: forward_batch(
-            params, inputs[start:stop], out=ws.refined[start:stop], weight_t=weight_t
-        ),
-        n_rows, pool,
-    )
-    refined = ws.refined
-    segments = refined.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
     codewords = books.books.astype(np.float64)
-    d2 = squared_distances_books(refined, codewords, out=ws.d2, scratch=ws.normed)
-    soft = np.add(d2, gumbel, out=ws.soft)
-    soft *= -1.0 / cfg.tau_gumbel
-    stable_softmax(soft, out=soft)
-    probs = stable_softmax(np.negative(d2, out=ws.probs), out=ws.probs)
     mixtures = ws.mixtures.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
-    np.matmul(soft, codewords, out=mixtures)
-    losses, _, norm, _ = _contrastive_forward(
-        ws.mixtures[None], cfg.tau_cl, normed=ws.normed[None], logits=ws.logits, pool=pool
-    )
 
-    marginal = probs.sum(axis=1) * (1.0 / n_rows)
+    def forward_rows(start, stop):
+        rows = slice(start, stop)
+        refined = forward_batch(params, inputs[rows], out=ws.refined[rows], weight_t=weight_t)
+        d2 = squared_distances_books(refined, codewords, out=ws.d2[:, rows],
+                                     scratch=ws.normed[rows])
+        soft = np.add(d2, gumbel[:, rows], out=ws.soft[:, rows])
+        soft *= -1.0 / cfg.tau_gumbel
+        stable_softmax(soft, out=soft)
+        probs = stable_softmax(np.negative(d2, out=ws.probs[:, rows]), out=ws.probs[:, rows])
+        np.matmul(soft, codewords, out=mixtures[:, rows])
+        _unit_rows(ws.mixtures[rows], ws.normed[rows], ws.norm[rows])
+        log_probs = ws.log_probs[:, rows]
+        np.log(np.maximum(probs, ENTROPY_LOG_EPS, out=log_probs), out=log_probs)
+        np.multiply(probs, log_probs, out=ws.grad_d2[:, rows])  # the entropy terms
+
+    split_rows(forward_rows, n_rows, pool)
+    marginal = ws.probs.sum(axis=1) * (1.0 / n_rows)
     log_marginal = np.log(np.maximum(marginal, ENTROPY_LOG_EPS))
-    log_probs = np.log(np.maximum(probs, ENTROPY_LOG_EPS, out=ws.log_probs), out=ws.log_probs)
     h_marginal = -(marginal * log_marginal).sum(axis=1)
-    entropy_terms = np.multiply(probs, log_probs, out=ws.grad_d2)
-    h_conditional = entropy_terms.reshape(n_books, -1).sum(axis=1) * (-1.0 / n_rows)
+    h_conditional = ws.grad_d2.reshape(n_books, -1).sum(axis=1) * (-1.0 / n_rows)
     mi_per_book = h_marginal - cfg.alpha * h_conditional
-    contrastive = losses[0]
+
+    partner = _partner_columns(batch_size)
+
+    def contrastive_rows(start, stop):
+        _softmax_rows(ws.normed[None], cfg.tau_cl, ws.logits, ws.log_ratio, start, stop)
+        grad_logits = ws.logits[0, start:stop]  # the weights become the logits' gradient
+        grad_logits[np.arange(stop - start), partner[start:stop]] -= 1.0
+        grad_logits *= 1.0 / batch_size
+
+    if n_rows % SYRK_PIECE_ALIGN == 0:
+        split_rows(contrastive_rows, n_rows, pool)
+    else:  # one call, which numpy takes with syrk
+        contrastive_rows(0, n_rows)
+    contrastive = (ws.log_ratio.sum(axis=1) * (-1.0 / batch_size))[0]
     values = LossValues(
         total=float(contrastive + (-cfg.mi_weight) * np.add.accumulate(mi_per_book)[-1]),
         contrastive=float(contrastive),
         mi_per_book=mi_per_book,
     )
-    return _ForwardPass(values, inputs, segments, codewords, marginal, log_marginal, norm[0], ws)
+    if not backward:
+        return values, None
+
+    soft, probs, normed, grad_logits = ws.soft, ws.probs, ws.normed, ws.logits[0]
+    segments = ws.refined.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
+    grad_mix = ws.grad.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
+    grad_marginal = log_marginal + (marginal > ENTROPY_LOG_EPS)
+
+    def backward_rows(start, stop):
+        rows = slice(start, stop)
+        # logits -> unit rows -> mixtures, kept in grad for the codewords' gradient
+        sym = np.add(grad_logits[rows], grad_logits.T[rows], out=ws.sym[rows, :n_rows])
+        grad_normed = np.matmul(sym, normed, out=ws.grad[rows])
+        grad_normed *= 1.0 / cfg.tau_cl
+        scratch = np.multiply(normed[rows], grad_normed, out=ws.mixtures[rows])
+        radial = scratch.sum(axis=1, keepdims=True)
+        np.subtract(grad_normed, np.multiply(normed[rows], radial, out=scratch), out=grad_normed)
+        grad_normed /= ws.norm[rows]
+        grad_soft = np.matmul(grad_mix[:, rows], codewords.transpose(0, 2, 1), out=ws.d2[:, rows])
+
+        # Gumbel softmax, and the MI term through the plain softmax, into d2
+        soft_rows, probs_rows = soft[:, rows], probs[:, rows]
+        grad_d2 = np.multiply(soft_rows, grad_soft, out=ws.grad_d2[:, rows])
+        grad_soft -= grad_d2.sum(axis=2, keepdims=True)
+        np.multiply(soft_rows, grad_soft, out=grad_d2)
+        grad_d2 *= -1.0 / cfg.tau_gumbel
+        grad_probs = ws.log_probs[:, rows]  # the gradient of the row entropies, then of probs
+        grad_probs += probs_rows > ENTROPY_LOG_EPS
+        grad_probs *= cfg.alpha
+        grad_probs -= grad_marginal[:, None, :]
+        grad_probs *= -cfg.mi_weight / n_rows
+        scratch = np.multiply(probs_rows, grad_probs, out=ws.d2[:, rows])
+        grad_probs -= scratch.sum(axis=2, keepdims=True)
+        grad_d2 -= np.multiply(probs_rows, grad_probs, out=grad_probs)
+
+        # d2 = |s|^2 - 2 s.c + |c|^2 -> segments, by row: over (M, n, sub) views it is slower
+        shape = (stop - start, n_books, sub)
+        np.matmul(grad_d2, codewords, out=mixtures[:, rows])
+        seg = ws.mixtures[rows].reshape(shape)
+        product = np.multiply(ws.refined[rows].reshape(shape), grad_d2.sum(axis=2).T[:, :, None],
+                              out=ws.sym[rows, :n_books * sub].reshape(shape))
+        np.subtract(product, seg, out=seg)
+        seg *= 2.0
+
+    split_rows(backward_rows, n_rows, pool)
+    grad_d2 = ws.grad_d2
+    grad_books = soft.transpose(0, 2, 1) @ grad_mix
+    grad_books += 2.0 * (
+        codewords * grad_d2.sum(axis=1)[:, :, None] - grad_d2.transpose(0, 2, 1) @ segments
+    )
+
+    def weight_rows(start, stop):
+        ws.grad_bias[start:stop] = backward_batch(
+            inputs, ws.refined[:, start:stop], ws.mixtures[:, start:stop],
+            out=ws.grad_weight[start:stop],
+        )[1]
+
+    split_rows(weight_rows, ws.grad_weight.shape[0], pool)
+    return values, ParamGrads(weight=ws.grad_weight, bias=ws.grad_bias, books=grad_books)
 
 
 def loss_values(
@@ -541,7 +594,7 @@ def loss_values(
 ) -> LossValues:
     """The loss values of :func:`loss_and_gradients`, bit for bit, without
     the backward pass."""
-    return _forward(params, books, batch, cfg, seed, None, None).values
+    return _step(params, books, batch, cfg, seed, None, None, None, False)[0]
 
 
 def loss_and_gradients(
@@ -568,71 +621,8 @@ def loss_and_gradients(
     :func:`draw_noise` filled from ``batch`` and ``seed``, drawn ahead of
     time.  ``workspace`` holds the step's arrays; without one a fresh
     :class:`StepWorkspace` is built.  ``pool``, a thread pool, runs the
-    row pieces of the large products (:func:`~micpq.quantizer.split_rows`);
-    without one, a call split into pieces makes its own threads.
+    row pieces of the step's three phases and of the weight gradient
+    (:func:`~micpq.quantizer.split_rows`); without one, a call split into
+    pieces makes its own threads.
     """
-    fwd = _forward(params, books, batch, cfg, seed, noise, workspace, pool)
-    ws = fwd.ws
-    n_rows = fwd.inputs.shape[0]
-    n_books, _, sub = fwd.codewords.shape
-    soft, probs, codewords, segments = ws.soft, ws.probs, fwd.codewords, fwd.segments
-    normed = ws.normed
-
-    # contrastive loss -> logits -> unit rows -> mixtures
-    batch_size = n_rows // 2
-    grad_logits = ws.logits[0]
-    grad_logits[np.arange(n_rows), _partner_columns(batch_size)] -= 1.0
-    grad_logits *= 1.0 / batch_size
-
-    def symmetric_rows(start, stop):
-        sym = np.add(grad_logits[start:stop], grad_logits.T[start:stop], out=ws.sym[start:stop])
-        np.matmul(sym, normed, out=ws.grad[start:stop])
-
-    split_rows(symmetric_rows, n_rows, pool)
-    grad_normed = ws.grad
-    grad_normed *= 1.0 / cfg.tau_cl
-    scratch = np.multiply(normed, grad_normed, out=ws.mixtures)
-    radial = scratch.sum(axis=1, keepdims=True)
-    grad_mix = np.subtract(grad_normed, np.multiply(normed, radial, out=scratch), out=ws.grad)
-    grad_mix /= fwd.norm
-    grad_mix = grad_mix.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
-    grad_books = soft.transpose(0, 2, 1) @ grad_mix
-    grad_soft = np.matmul(grad_mix, codewords.transpose(0, 2, 1), out=ws.d2)
-
-    # Gumbel softmax, and the MI term through the plain softmax, into d2
-    grad_d2 = np.multiply(soft, grad_soft, out=ws.grad_d2)
-    grad_soft -= grad_d2.sum(axis=2, keepdims=True)
-    np.multiply(soft, grad_soft, out=grad_d2)
-    grad_d2 *= -1.0 / cfg.tau_gumbel
-    grad_marginal = fwd.log_marginal + (fwd.marginal > ENTROPY_LOG_EPS)
-    grad_probs = ws.log_probs  # becomes the gradient of the row entropies, then of probs
-    grad_probs += probs > ENTROPY_LOG_EPS
-    grad_probs *= cfg.alpha
-    grad_probs -= grad_marginal[:, None, :]
-    grad_probs *= -cfg.mi_weight / n_rows
-    scratch = np.multiply(probs, grad_probs, out=ws.d2)
-    grad_probs -= scratch.sum(axis=2, keepdims=True)
-    grad_d2 -= np.multiply(probs, grad_probs, out=grad_probs)
-
-    # d2 = |s|^2 - 2 s.c + |c|^2 -> segments and codewords -> encoder
-    grad_seg = ws.mixtures.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
-    np.matmul(grad_d2, codewords, out=grad_seg)
-    scratch = ws.grad.reshape(n_rows, n_books, sub).transpose(1, 0, 2)
-    np.subtract(
-        np.multiply(segments, grad_d2.sum(axis=2, keepdims=True), out=scratch),
-        grad_seg,
-        out=grad_seg,
-    )
-    grad_seg *= 2.0
-    grad_books += 2.0 * (
-        codewords * grad_d2.sum(axis=1)[:, :, None] - grad_d2.transpose(0, 2, 1) @ segments
-    )
-
-    def weight_rows(start, stop):
-        ws.grad_bias[start:stop] = backward_batch(
-            fwd.inputs, ws.refined[:, start:stop], ws.mixtures[:, start:stop],
-            out=ws.grad_weight[start:stop],
-        )[1]
-
-    split_rows(weight_rows, ws.grad_weight.shape[0], pool)
-    return fwd.values, ParamGrads(weight=ws.grad_weight, bias=ws.grad_bias, books=grad_books)
+    return _step(params, books, batch, cfg, seed, noise, workspace, pool, True)

@@ -35,6 +35,7 @@ from .errors import (
 GUMBEL_CLAMP = 1e-12
 ASSIGN_ROWS = 4096  # rows per refine block in encode_rows, per distance chunk; packbits up to it
 PIECE_ROWS = 64  # fewest rows of one piece of a training step's split call
+SPLIT_UPDATE_SIZE = 1 << 16  # fewest weight elements whose Adam update runs in row pieces
 
 
 @dataclass
@@ -119,7 +120,16 @@ def bits_per_index(n_codewords: int) -> int:
     return n_codewords.bit_length() - 1
 
 
-def _check_pair(segment: np.ndarray, book: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def diff_distances(segments: np.ndarray, books: np.ndarray) -> np.ndarray:
+    """(..., K) squared distances ``sum((c - s)^2)``, taken as differences,
+    from (..., sub_dim) segments to the codewords of (..., K, sub_dim)
+    books.  The inputs are not checked."""
+    diff = books - segments[..., None, :]
+    return np.einsum("...kd,...kd->...k", diff, diff)
+
+
+def squared_distances(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from one segment to every codeword."""
     segment = np.asarray(segment)
     book = np.asarray(book)
     if segment.ndim != 1 or book.ndim != 2 or book.shape[1] != segment.shape[0]:
@@ -128,14 +138,7 @@ def _check_pair(segment: np.ndarray, book: np.ndarray) -> tuple[np.ndarray, np.n
         )
     if not (np.all(np.isfinite(segment)) and np.all(np.isfinite(book))):
         raise NonFiniteInputError("segment and codebook must be finite")
-    return segment, book
-
-
-def squared_distances(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from one segment to every codeword."""
-    segment, book = _check_pair(segment, book)
-    diff = book - segment
-    return np.einsum("kd,kd->k", diff, diff)
+    return diff_distances(segment, book)
 
 
 def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

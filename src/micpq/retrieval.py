@@ -57,6 +57,7 @@ from .quantizer import (
     CodebookSet,
     QuantCode,
     bits_per_index,
+    diff_distances,
     encode_rows,
     hard_assign_books,
     is_pow2,
@@ -170,8 +171,8 @@ def build_lut(query_refined, books: CodebookSet) -> DistanceLUT:
         raise DimMismatchError(
             f"refined query length {values.shape[0]} != codebooks' width {books.dim}"
         )
-    diff = books.books - values.reshape(books.n_codebooks, 1, books.sub_dim)
-    return DistanceLUT(np.einsum("mkd,mkd->mk", diff, diff).astype(np.float32))
+    segments = values.reshape(books.n_codebooks, books.sub_dim)
+    return DistanceLUT(diff_distances(segments, books.books).astype(np.float32))
 
 
 def _pairwise(parts: np.ndarray) -> np.ndarray:

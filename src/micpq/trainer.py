@@ -33,6 +33,7 @@ from .objectives import (
 )
 from .quantizer import (
     PIECE_ROWS,
+    SPLIT_UPDATE_SIZE,
     CodebookSet,
     bits_per_index,
     encode_buffer,
@@ -221,9 +222,10 @@ def adam_step(
     ``scratch``, when given, is a float64 array of shape (3, n), n at
     least the largest parameter's size (:func:`adam_scratch`); the
     update's float64 arithmetic runs there instead of in fresh arrays.
-    The encoder weight is updated in row pieces, each in its own columns
-    of ``scratch`` (:func:`~micpq.quantizer.split_rows` on ``pool``); the
-    update is elementwise, so the bits do not depend on the pieces."""
+    An encoder weight of at least ``quantizer.SPLIT_UPDATE_SIZE`` elements
+    is updated in row pieces, each in its own columns of ``scratch``
+    (:func:`~micpq.quantizer.split_rows` on ``pool``); the update is
+    elementwise, so the bits do not depend on the pieces."""
     params = (
         ("weight", state.encoder.weight, state.m_weight, state.v_weight, grads.weight),
         ("bias", state.encoder.bias, state.m_bias, state.v_bias, grads.bias),
@@ -250,7 +252,10 @@ def adam_step(
                      grad_weight[start:stop], lr, beta1, beta2, eps, t,
                      scratch[:, start * row:stop * row])
 
-    split_rows(weight_rows, len(weight), pool)
+    if weight.size >= SPLIT_UPDATE_SIZE:
+        split_rows(weight_rows, len(weight), pool)
+    else:  # a fan-out costs more than it saves
+        weight_rows(0, len(weight))
     for _, param, m, v, grad in params[1:]:
         _adam_update(param, m, v, grad, lr, beta1, beta2, eps, t, scratch)
     # revalidate: an update can overflow float32
@@ -316,11 +321,12 @@ def train(
     A pool thread gathers step t+1's batch and draws its noise
     (:func:`~micpq.objectives.draw_noise`) while step t runs; the two
     steps' buffers alternate by parity.  The noise does not depend on the
-    parameters.  The step's large products and Adam's weight update run
-    in W row pieces, which the calling thread and the pool's free threads
-    claim (:func:`~micpq.quantizer.fan_out`): a piece left while the pool
-    draws noise runs on the calling thread, so no piece waits behind the
-    noise.  The pieces write disjoint rows of the same arrays.
+    parameters.  The step's three phases (:mod:`~micpq.objectives`), its
+    weight gradient and a large weight's Adam update run in W row pieces,
+    which the calling thread and the pool's free threads claim
+    (:func:`~micpq.quantizer.fan_out`): a piece left while the pool draws
+    noise runs on the calling thread, so no piece waits behind the noise.
+    The pieces write disjoint rows of the same arrays.
     So the result is the serial loop's, bit for bit.  Every thread ends
     before ``train`` returns or raises.
     """

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from micpq import dataio
 from micpq.cli import main
@@ -28,6 +30,7 @@ from micpq.errors import (
     IndexOutOfRangeError,
     InvalidSpecError,
     LengthMismatchError,
+    MicpqError,
     NonContiguousClassesError,
     NonFiniteValueError,
     TruncatedFileError,
@@ -233,6 +236,140 @@ class TestHostileHeaders:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "m.idx").exists()
+
+
+_FUZZ = settings(max_examples=40, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_EMB_PAYLOAD_AT, _LBL_PAYLOAD_AT = 24, 20  # magic | version, n_docs(, dim) | payload
+_ROWS = st.lists(st.integers(-2, (1 << 63) - 1), max_size=4)
+
+
+def _embedding_bytes(tmp_path):
+    """A 6 x 4 embedding file."""
+    values = np.random.default_rng(6).normal(size=(6, 4)).astype(np.float32)
+    write_embeddings(EmbeddingMatrix(values), tmp_path / "src.emb")
+    return (tmp_path / "src.emb").read_bytes()
+
+
+def _label_bytes(tmp_path):
+    """A 7-document label file over 3 classes."""
+    write_labels(LabelVector(np.array([0, 1, 2, 0, 1, 2, 0], dtype=np.uint32)),
+                 tmp_path / "src.lbl")
+    return (tmp_path / "src.lbl").read_bytes()
+
+
+def _read_or_micpq_error(read, path, *args):
+    """What ``read(path, *args)`` returns, or None when it raised a
+    MicpqError; any other exception fails the test."""
+    try:
+        return read(path, *args)
+    except MicpqError:
+        return None
+
+
+class TestLoaderFuzz:
+    """Malformed or hostile embedding and label files, read whole or by
+    rows, give a matrix or a MicpqError: never a MemoryError, an
+    OverflowError or another traceback."""
+
+    @pytest.mark.parametrize("region", ["magic", "header", "payload"])
+    @pytest.mark.parametrize("rows", [None, [5, 0, 2]])
+    @_FUZZ
+    @given(data=st.data())
+    def test_embedding_truncation_in_every_region_raises(self, tmp_path, region, rows, data):
+        raw = _embedding_bytes(tmp_path)
+        lo, hi = {"magic": (0, 8), "header": (8, _EMB_PAYLOAD_AT),
+                  "payload": (_EMB_PAYLOAD_AT, len(raw))}[region]
+        (tmp_path / "cut.emb").write_bytes(raw[:data.draw(st.integers(lo, hi - 1))])
+        with pytest.raises(MicpqError):
+            read_embeddings(tmp_path / "cut.emb", rows)
+
+    @pytest.mark.parametrize("region", ["magic", "header", "payload"])
+    @_FUZZ
+    @given(data=st.data())
+    def test_label_truncation_in_every_region_raises(self, tmp_path, region, data):
+        raw = _label_bytes(tmp_path)
+        lo, hi = {"magic": (0, 8), "header": (8, _LBL_PAYLOAD_AT),
+                  "payload": (_LBL_PAYLOAD_AT, len(raw))}[region]
+        (tmp_path / "cut.lbl").write_bytes(raw[:data.draw(st.integers(lo, hi - 1))])
+        with pytest.raises(MicpqError):
+            read_labels(tmp_path / "cut.lbl")
+
+    @_FUZZ
+    @given(flips=st.lists(st.tuples(st.integers(0, _EMB_PAYLOAD_AT - 1), st.integers(1, 255)),
+                          min_size=1, max_size=3, unique_by=lambda flip: flip[0]),
+           rows=st.none() | _ROWS)
+    def test_flipped_embedding_header_bytes_raise_or_describe_the_same_bytes(
+            self, tmp_path, flips, rows):
+        # n_docs and dim can change and keep their product (6 x 4 read as 4 x 6,
+        # say): such a file loads, and writing it again gives its bytes
+        raw = bytearray(_embedding_bytes(tmp_path))
+        for at, mask in flips:
+            raw[at] ^= mask
+        (tmp_path / "flip.emb").write_bytes(bytes(raw))
+        loaded = _read_or_micpq_error(read_embeddings, tmp_path / "flip.emb", rows)
+        if loaded is not None and rows is None:
+            write_embeddings(loaded, tmp_path / "again.emb")
+            assert (tmp_path / "again.emb").read_bytes() == bytes(raw)
+
+    @_FUZZ
+    @given(flips=st.lists(st.tuples(st.integers(0, _LBL_PAYLOAD_AT - 1), st.integers(1, 255)),
+                          min_size=1, max_size=3, unique_by=lambda flip: flip[0]))
+    def test_flipped_label_header_bytes_raise(self, tmp_path, flips):
+        raw = bytearray(_label_bytes(tmp_path))
+        for at, mask in flips:
+            raw[at] ^= mask
+        (tmp_path / "flip.lbl").write_bytes(bytes(raw))
+        with pytest.raises(MicpqError):
+            read_labels(tmp_path / "flip.lbl")
+
+    @_FUZZ
+    @given(n_docs=st.integers(0, (1 << 64) - 1), dim=st.integers(0, (1 << 32) - 1),
+           rows=st.none() | _ROWS)
+    @example(n_docs=(1 << 62), dim=4, rows=[0])
+    def test_oversized_embedding_counts_raise(self, tmp_path, n_docs, dim, rows):
+        raw = bytearray(_embedding_bytes(tmp_path))
+        raw[12:24] = struct.pack("<QI", n_docs, dim)
+        (tmp_path / "big.emb").write_bytes(bytes(raw))
+        if n_docs * dim != 24:  # 6 x 4 values in the payload
+            with pytest.raises(MicpqError):
+                read_embeddings(tmp_path / "big.emb", rows)
+
+    @_FUZZ
+    @given(n_docs=st.integers(0, (1 << 64) - 1), expected=st.none() | st.integers(0, 9))
+    @example(n_docs=0, expected=None)
+    def test_oversized_label_counts_raise(self, tmp_path, n_docs, expected):
+        raw = bytearray(_label_bytes(tmp_path))
+        raw[12:20] = struct.pack("<Q", n_docs)
+        (tmp_path / "big.lbl").write_bytes(bytes(raw))
+        if n_docs != 7:
+            with pytest.raises(MicpqError):
+                read_labels(tmp_path / "big.lbl", expected)
+
+    @_FUZZ
+    @given(n_docs=st.integers(0, (1 << 64) - 1), dim=st.integers(0, (1 << 32) - 1),
+           payload=st.binary(max_size=64), rows=st.none() | _ROWS)
+    # empty matrices, whose size check passes with no payload at any count
+    @example(n_docs=0, dim=(1 << 32) - 1, payload=b"", rows=None)
+    @example(n_docs=(1 << 64) - 1, dim=0, payload=b"", rows=None)
+    def test_any_embedding_file_loads_or_raises_a_micpq_error(self, tmp_path, n_docs, dim,
+                                                              payload, rows):
+        path = tmp_path / "any.emb"
+        path.write_bytes(MAGIC_EMBEDDINGS + struct.pack("<IQI", FORMAT_VERSION, n_docs, dim)
+                         + payload)
+        loaded = _read_or_micpq_error(read_embeddings, path, rows)
+        if loaded is not None:
+            assert loaded.values.shape == (n_docs if rows is None else len(rows), dim)
+
+    @_FUZZ
+    @given(n_docs=st.integers(0, (1 << 64) - 1), payload=st.binary(max_size=64))
+    @example(n_docs=2, payload=b"\xff" * 8)  # class ids 2^32 - 1
+    def test_any_label_file_loads_or_raises_a_micpq_error(self, tmp_path, n_docs, payload):
+        path = tmp_path / "any.lbl"
+        path.write_bytes(MAGIC_LABELS + struct.pack("<IQ", FORMAT_VERSION, n_docs) + payload)
+        loaded = _read_or_micpq_error(read_labels, path)
+        if loaded is not None:
+            assert loaded.n_docs == n_docs == len(payload) // 4
 
 
 class TestSynthMixture:

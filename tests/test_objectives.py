@@ -436,9 +436,11 @@ def _step_instance(batch, d_in, n_books, n_words, sub=24):
 
 
 class TestRowPieces:
-    """The step's row pieces (the forward, the logits and their softmax,
-    (G + G^T) N and the weight gradient) write the bits of the single
-    calls, at every batch size up to a full 256-document batch."""
+    """The step's row pieces (its three phases: the forward to the unit
+    rows and entropy terms, the logits and their softmax, the backward to
+    the segments' gradient; then the weight gradient) write the bits of
+    the single calls, at every batch size up to a full 256-document
+    batch."""
 
     @staticmethod
     def _step(params, books, data, noise, ws, pool):
@@ -466,9 +468,11 @@ class TestRowPieces:
                 draw_noise(data[:batch], LossConfig(), 3, *noise)
                 use_workers(1)
                 single = self._step(params, books, data[:batch], noise, ws, pool)
-                use_workers(2)
-                if self._step(params, books, data[:batch], noise, ws, pool) != single:
-                    mismatched.append(batch)
+                # below 96 documents (192 rows) W = 3 cuts the step's rows as W = 2 does
+                for n_cpus in (2, 3) if batch >= 96 else (2,):
+                    use_workers(n_cpus)
+                    if self._step(params, books, data[:batch], noise, ws, pool) != single:
+                        mismatched.append((batch, n_cpus))
         assert mismatched == []
 
     @pytest.mark.parametrize("n_cpus", [2, 3])
@@ -492,9 +496,9 @@ class TestRowPieces:
             loss_and_gradients(params, books, data, LossConfig(), 1)
             pieces = min(n_cpus, 2 * batch // 64) if batch >= 64 else 1
             # numpy's syrk keeps the logits one call unless 2B is a multiple of 8
-            softmax = [("softmax_rows", 2 * batch, pieces)] if batch % 4 == 0 else []
-            assert calls == [("<lambda>", 2 * batch, pieces), *softmax,
-                             ("symmetric_rows", 2 * batch, pieces),
+            logits = [("contrastive_rows", 2 * batch, pieces)] if batch % 4 == 0 else []
+            assert calls == [("forward_rows", 2 * batch, pieces), *logits,
+                             ("backward_rows", 2 * batch, pieces),
                              ("weight_rows", 192, min(n_cpus, 3))]
 
     def test_one_worker_makes_single_calls_on_the_calling_thread(self, monkeypatch,

@@ -627,8 +627,8 @@ class TestHelperThread:
 
 
 class TestPiecedTraining:
-    """At W = 2 and 3 the step's products and Adam's weight update run in
-    row pieces; checkpoints and logs keep the bytes of W = 1."""
+    """At W = 2 and 3 the step's phases and a large weight's Adam update
+    run in row pieces; checkpoints and logs keep the bytes of W = 1."""
 
     @pytest.mark.parametrize("n_docs", [
         416,  # a 160-document last batch: 320 step rows, split at every W
@@ -666,3 +666,19 @@ class TestPiecedTraining:
             states.append(state)
         for (name, single), (_, pieced) in zip(states[0]._arrays(), states[1]._arrays()):
             assert single.tobytes() == pieced.tobytes(), name
+
+    @pytest.mark.parametrize("d_in, d_out, split", [
+        (64, 192, False), (64, 384, False), (768, 192, True),  # 12,288, 24,576, 147,456 values
+    ])
+    def test_adam_splits_only_a_large_weight(self, monkeypatch, use_workers, d_in, d_out, split):
+        calls = []
+        def recording(work, n_rows, pool=None):
+            calls.append(n_rows)
+            work(0, n_rows)
+        monkeypatch.setattr(trainer, "split_rows", recording)
+        use_workers(2)
+        state = _tiny_state(d_in=d_in, d_out=d_out, n_books=8, sub=d_out // 8)
+        grads = ParamGrads(weight=np.ones((d_out, d_in)), bias=np.ones(d_out),
+                           books=np.ones(state.books.books.shape))
+        adam_step(state, grads, 1e-3)
+        assert calls == ([d_out] if split else [])
