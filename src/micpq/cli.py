@@ -190,22 +190,20 @@ def _set_thread_env(threads: int | None) -> None:
         os.environ[var] = str(threads)
 
 
-def _read_split(path: str, which: str, ratios, split_seed: int):
-    """(rows, n_docs, embeddings) of one split of an embedding file.  The
-    header and file size are checked before the split is computed from
-    ``n_docs``, and only the split's rows are read."""
+def _split(path: str, which: str, ratios, split_seed: int):
+    """(n_docs, rows) of an embedding file: its row count and an unread
+    :class:`~micpq.dataio.EmbeddingFile` of one split's rows, in row order.
+    The header and file size are checked before the split is computed
+    from ``n_docs``."""
     import numpy as np
 
     from . import dataio
     from .evaluation import split_indices
 
-    with open(path, "rb") as f:
-        n_docs, _ = dataio.read_embeddings_header(f)
+    whole = dataio.EmbeddingFile(path)
     if which == "all":
-        rows = np.arange(n_docs)
-    else:
-        rows = np.sort(split_indices(n_docs, ratios, split_seed)[0])
-    return rows, n_docs, dataio.read_embeddings(path, rows)
+        return whole.n_docs, whole
+    return whole.n_docs, whole.take(np.sort(split_indices(whole.n_docs, ratios, split_seed)[0]))
 
 
 def _cmd_synth(args) -> int:
@@ -242,10 +240,11 @@ def _banner(n_codebooks: int, n_codewords: int, sub_dim: int) -> str:
 
 
 def _cmd_train(args) -> int:
-    from . import trainer
+    from . import dataio, trainer
     from .objectives import LossConfig
 
-    rows, n_docs, data = _read_split(args.emb, args.split, args.split_ratios, args.split_seed)
+    n_docs, split = _split(args.emb, args.split, args.split_ratios, args.split_seed)
+    data = dataio.read_embeddings(args.emb, split.rows)
     tau_gumbel = args.tau_gumbel
     if tau_gumbel is None:
         tau_gumbel = trainer.default_gumbel_temperature(args.M, args.K)
@@ -273,7 +272,7 @@ def _cmd_train(args) -> int:
         f"lambda={args.mi_weight} alpha={args.alpha} tau_cl={args.tau_cl} "
         f"tau_gumbel={tau_gumbel} p_drop={args.p_drop} seed={args.seed}"
     )
-    print(f"training on {len(rows)} of {n_docs} documents (split={args.split})")
+    print(f"training on {data.n_docs} of {n_docs} documents (split={args.split})")
     _, log = trainer.train(
         cfg, data, on_epoch=lambda record: print(record.format_line(), flush=True)
     )
@@ -287,8 +286,8 @@ def _cmd_index(args) -> int:
     from . import retrieval, trainer
 
     model = trainer.load_checkpoint(args.ckpt)
-    rows, _, data = _read_split(args.emb, args.split, args.split_ratios, args.split_seed)
-    index = retrieval.build_index(model, data, ids=rows)
+    _, split = _split(args.emb, args.split, args.split_ratios, args.split_seed)
+    index = retrieval.build_index(model, split, ids=split.rows)
     retrieval.save_index(index, args.out)
     print(
         f"indexed {index.n_docs} documents "
@@ -317,7 +316,8 @@ def _cmd_eval(args) -> int:
     from . import dataio, evaluation, retrieval, trainer
 
     model = trainer.load_checkpoint(args.ckpt)
-    data = dataio.read_embeddings(args.emb)
+    # only the clustering scores need every row in memory
+    data = (dataio.read_embeddings if args.clustering else dataio.EmbeddingFile)(args.emb)
     labels = dataio.read_labels(args.labels, expected_n_docs=data.n_docs)
     report = evaluation.retrieval_eval(
         model,

@@ -42,7 +42,8 @@ FORMAT_VERSION = 1
 _EMBEDDINGS_HEADER = struct.Struct("<IQI")  # version, n_docs, dim
 _LABELS_HEADER = struct.Struct("<IQ")  # version, n_docs
 _EMBEDDINGS_PAYLOAD = len(MAGIC_EMBEDDINGS) + _EMBEDDINGS_HEADER.size  # payload's byte offset
-READ_BYTES = 1 << 22  # payload bytes per block when read_embeddings selects rows
+READ_BYTES = 1 << 20  # most payload bytes of one read when read_embeddings selects rows
+GAP_BYTES = 1 << 16  # such a read runs on through a shorter gap between wanted rows
 
 
 @dataclass
@@ -53,10 +54,7 @@ class EmbeddingMatrix:
 
     def __post_init__(self) -> None:
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
-        if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise InvalidSpecError(
-                f"embedding matrix must be 2-D and non-empty, got shape {self.values.shape}"
-            )
+        _check_shape(self.values)
         bad = non_finite_at(self.values)
         if bad is not None:
             raise NonFiniteValueError(
@@ -70,6 +68,22 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
+
+
+def _check_shape(values: np.ndarray) -> None:
+    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+        raise InvalidSpecError(
+            f"embedding matrix must be 2-D and non-empty, got shape {values.shape}"
+        )
+
+
+def _checked_matrix(values: np.ndarray) -> EmbeddingMatrix:
+    """An :class:`EmbeddingMatrix` of values that the reader has found
+    finite: only their shape is checked."""
+    matrix = object.__new__(EmbeddingMatrix)
+    matrix.values = np.ascontiguousarray(values, dtype=np.float32)
+    _check_shape(matrix.values)
+    return matrix
 
 
 @dataclass
@@ -228,41 +242,89 @@ def _check_finite(values: np.ndarray, rows) -> None:
         )
 
 
+def _check_rows(rows, n_docs: int) -> np.ndarray:
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise InvalidSpecError(f"rows must be a vector of row numbers, got {rows.dtype} "
+                               f"of shape {rows.shape}")
+    if np.any(rows < 0) or np.any(rows >= n_docs):
+        raise IndexOutOfRangeError(f"embedding rows must lie in [0, {n_docs})")
+    return rows
+
+
 def read_embeddings(path, rows=None) -> EmbeddingMatrix:
     """Read an embedding file, validating header, size and finiteness.
 
     With ``rows``, a vector of row numbers in any order, repeats allowed,
     the result holds those rows in that order, and only they are checked
-    for finiteness.  The payload is then read ``READ_BYTES`` at a time,
-    so memory holds the selected rows and one block, not the file.  A row
-    outside [0, n_docs) raises :class:`IndexOutOfRangeError`."""
+    for finiteness.  Only the runs of the file that hold them are read:
+    one read spans a gap of fewer than ``GAP_BYTES`` between two wanted
+    rows, and at most ``READ_BYTES``, so memory holds the selected rows
+    and one read, not the file.  Runs are read, and checked, in file
+    order, so a non-finite value names the lowest bad row.  A row outside
+    [0, n_docs) raises :class:`IndexOutOfRangeError`."""
     with open(path, "rb") as f:
         n_docs, dim = read_embeddings_header(f)
         if rows is None:
             values = np.fromfile(f, "<f4", n_docs * dim).reshape(n_docs, dim)
             _check_finite(values, range(n_docs))
-            return EmbeddingMatrix(values)
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or rows.dtype.kind not in "iu":
-            raise InvalidSpecError(f"rows must be a vector of row numbers, got {rows.dtype} "
-                                   f"of shape {rows.shape}")
-        if np.any(rows < 0) or np.any(rows >= n_docs):
-            raise IndexOutOfRangeError(f"embedding rows must lie in [0, {n_docs})")
+            return _checked_matrix(values)
+        rows = _check_rows(rows, n_docs)
         order = np.argsort(rows, kind="stable")
         wanted = rows[order]
         values = np.empty((len(rows), dim), dtype=np.float32)
-        block_rows = max(READ_BYTES // (4 * max(dim, 1)), 1)
-        buffer = np.empty(block_rows * dim, dtype="<f4")
-        for start in (np.unique(wanted // block_rows) * block_rows).tolist():
-            count = min(block_rows, n_docs - start)
-            f.seek(_EMBEDDINGS_PAYLOAD + start * dim * 4)
-            if f.readinto(buffer[:count * dim]) != count * dim * 4:
-                raise TruncatedFileError(f"file shrank while reading rows from {start}")
-            lo, hi = np.searchsorted(wanted, (start, start + count))
-            picked = buffer[:count * dim].reshape(count, dim)[wanted[lo:hi] - start]
-            _check_finite(picked, wanted[lo:hi])
-            values[order[lo:hi]] = picked
-    return EmbeddingMatrix(values)
+        if not len(rows):
+            return _checked_matrix(values)  # which rejects the empty matrix
+        row_bytes = 4 * dim
+        read_rows = max(READ_BYTES // row_bytes, 1)
+        # a run of wanted rows ends where the next one lies a gap away
+        ends = np.flatnonzero(np.diff(wanted) > GAP_BYTES // row_bytes + 1) + 1
+        buffer = np.empty(min(read_rows, int(wanted[-1] - wanted[0]) + 1) * dim, dtype="<f4")
+        for lo, hi in zip([0, *ends.tolist()], [*ends.tolist(), len(wanted)]):
+            while lo < hi:  # one read per READ_BYTES of the run
+                start = int(wanted[lo])
+                stop = lo + int(np.searchsorted(wanted[lo:hi], start + read_rows))
+                count = int(wanted[stop - 1]) + 1 - start
+                f.seek(_EMBEDDINGS_PAYLOAD + start * row_bytes)
+                if f.readinto(buffer[:count * dim]) != count * row_bytes:
+                    raise TruncatedFileError(f"file shrank while reading rows from {start}")
+                picked = buffer[:count * dim].reshape(count, dim)[wanted[lo:stop] - start]
+                _check_finite(picked, wanted[lo:stop])
+                values[order[lo:stop]] = picked
+                lo = stop
+    return _checked_matrix(values)
+
+
+class EmbeddingFile:
+    """Rows of an embedding file, read only when asked for: row i is the
+    file's row ``rows[i]`` (every row, in order, by default).  Opening
+    reads and checks the header and the file's size.  ``read`` is
+    :func:`read_embeddings` on a slice of ``rows``, so its rows come
+    checked for finiteness; threads may read at once."""
+
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, path, rows=None) -> None:
+        with open(path, "rb") as f:
+            n_file, self.dim = read_embeddings_header(f)
+        self.path = path
+        self.rows = np.arange(n_file) if rows is None else _check_rows(rows, n_file)
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.rows)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.dim
+
+    def take(self, index) -> EmbeddingFile:
+        """The rows ``index`` of this selection, in that order, unread."""
+        return EmbeddingFile(self.path, self.rows[index])
+
+    def read(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows [start, stop) as an (n, dim) float32 array."""
+        return read_embeddings(self.path, self.rows[start:stop]).values
 
 
 def write_labels(labels: LabelVector, path) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dataio import EmbeddingMatrix, LabelVector, atomic_write
+from .dataio import EmbeddingFile, EmbeddingMatrix, LabelVector, atomic_write
 from .encoder import forward_batch
 from .errors import (
     ConfigMismatchError,
@@ -272,7 +272,7 @@ class EvalReport:
 
 def retrieval_eval(
     model: ModelState,
-    data: EmbeddingMatrix,
+    data: EmbeddingMatrix | EmbeddingFile,
     labels: LabelVector,
     k: int = 100,
     mode: str = "adc",
@@ -283,7 +283,14 @@ def retrieval_eval(
     """Split the corpus, search the training split with held-out queries,
     and report mean precision at k.  A given ``index`` is searched in place
     of one built from the training split; its codebooks must have the
-    model's shape, and its doc ids are row numbers of ``labels``."""
+    model's shape, and its doc ids are row numbers of ``labels``.
+
+    The training split is indexed in row order.  An
+    :class:`~micpq.dataio.EmbeddingFile` ``data`` is read only where it
+    is used: the held-out queries, and the training split block by block
+    as :func:`build_index` encodes it when no ``index`` is given.  Only
+    those rows are checked for finiteness; the report equals that of the
+    whole file read into an :class:`EmbeddingMatrix`."""
     if labels.n_docs != data.n_docs:
         raise LengthMismatchError("labels and embeddings disagree on the document count")
     if mode not in ("adc", "hamming"):
@@ -302,12 +309,19 @@ def retrieval_eval(
         )
     start = time.perf_counter()
     train_idx, _, test_idx = split_indices(data.n_docs, ratios, split_seed)
+    in_file = isinstance(data, EmbeddingFile)
     if index is None:
-        index = build_index(model, EmbeddingMatrix(data.values[train_idx]), ids=train_idx)
+        train_idx = np.sort(train_idx)
+        corpus = data.take(train_idx) if in_file else EmbeddingMatrix(data.values[train_idx])
+        index = build_index(model, corpus, ids=train_idx)
+    if in_file:  # only the query rows are read, none for an empty test split
+        queries = data.take(test_idx).read() if len(test_idx) else None
+        query_rows = range(len(test_idx))
+    else:
+        queries, query_rows = data.values, test_idx
     search = search_topk_hamming if mode == "hamming" else search_topk
     results = [
-        np.array([doc for doc, _ in search(index, data.values[q], model, k)])
-        for q in test_idx
+        np.array([doc for doc, _ in search(index, queries[q], model, k)]) for q in query_rows
     ]
     precision = precision_at_k(results, labels.labels[test_idx], labels.labels, k)
     return EvalReport(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dataio import non_finite_at
+from .dataio import EmbeddingFile, non_finite_at
 from .encoder import EncoderParams, forward_batch
 from .errors import (
     DimMismatchError,
@@ -321,15 +321,15 @@ def _blocks(n_rows: int) -> int:
     return max(n_rows // ASSIGN_ROWS, 1)
 
 
-def encode_buffer(params: EncoderParams, books: np.ndarray, values: np.ndarray) -> list:
+def encode_buffer(params: EncoderParams, books: np.ndarray, values) -> list:
     """One workspace per worker of :func:`encode_rows` on ``values``: the
     worker's refined rows, sized to the largest block it runs, an
     (M, ``ASSIGN_ROWS``, K) distance chunk and the chunk's (M,
     ``ASSIGN_ROWS``) argmin indices, the last two flat."""
-    n_rows, n_blocks = len(values), _blocks(len(values))
+    n_rows, n_blocks = values.shape[0], _blocks(values.shape[0])
     n_workers = encode_workers(n_blocks)
     n_books, n_words = np.shape(books)[:2]
-    refined_dtype = np.result_type(values, params.weight, params.bias)
+    refined_dtype = np.result_type(values.dtype, params.weight, params.bias)
     chunk = min(n_rows, ASSIGN_ROWS)
     last = n_rows - (n_blocks - 1) * ASSIGN_ROWS  # the merged tail, or every row
     return [
@@ -343,10 +343,14 @@ def encode_buffer(params: EncoderParams, books: np.ndarray, values: np.ndarray) 
 
 
 def encode_rows(
-    params: EncoderParams, books: np.ndarray, values: np.ndarray, workspaces: list | None = None
+    params: EncoderParams, books: np.ndarray, values, workspaces: list | None = None
 ) -> np.ndarray:
     """(n, M) uint16 nearest-codeword indices of each row of ``values``
-    refined with dropout disabled, against (M, K, sub_dim) books.  Rows are
+    refined with dropout disabled, against (M, K, sub_dim) books.
+    ``values`` is an (n, d_in) array or a
+    :class:`~micpq.dataio.EmbeddingFile`, whose rows each block reads
+    when it starts and drops when it ends, so no (n, d_in) input is held
+    either.  Rows are
     refined ``ASSIGN_ROWS`` at a time, so no (n, D) refined array is held.
     A last block shorter than ``ASSIGN_ROWS`` joins the block before it:
     OpenBLAS refines a few rows with other kernels, whose bits differ from
@@ -359,15 +363,27 @@ def encode_rows(
     of consecutive blocks (:func:`encode_workers`), one per workspace,
     claimed by W threads when W > 1, which write disjoint rows of the
     codes.
-    A block holding a non-finite value raises
-    :class:`NonFiniteInputError`; every worker has ended before this
-    returns or raises.  ``workspaces``, when given, is
-    :func:`encode_buffer`'s list for the same ``values``; a caller that
-    encodes the same rows again and again keeps one, instead of mapping
-    fresh arrays every time."""
-    values = np.asarray(values)
+    A block of an array holding a non-finite value raises
+    :class:`NonFiniteInputError`; a file's rows come checked by its
+    reader, which raises :class:`~micpq.errors.NonFiniteValueError`.
+    Every worker has ended before this returns or raises.
+    ``workspaces``, when given, is :func:`encode_buffer`'s list for the
+    same ``values``; a caller that encodes the same rows again and again
+    keeps one, instead of mapping fresh arrays every time."""
+    if isinstance(values, EmbeddingFile):
+        read = values.read
+    else:
+        values = np.asarray(values)
+
+        def read(start: int, stop: int) -> np.ndarray:
+            rows = values[start:stop]
+            bad = non_finite_at(rows)
+            if bad is not None:
+                raise NonFiniteInputError(f"non-finite value in row {start + bad[0]}")
+            return rows
+
     books = np.asarray(books)
-    n_rows, n_blocks = len(values), _blocks(len(values))
+    n_rows, n_blocks = values.shape[0], _blocks(values.shape[0])
     n_books, n_words = books.shape[:2]
     if workspaces is None:
         workspaces = encode_buffer(params, books, values)
@@ -378,10 +394,7 @@ def encode_rows(
         for block in range(first, stop_block):
             start = block * ASSIGN_ROWS
             stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
-            rows = values[start:stop]
-            bad = non_finite_at(rows)
-            if bad is not None:
-                raise NonFiniteInputError(f"non-finite value in row {start + bad[0]}")
+            rows = read(start, stop)
             refined = forward_batch(params, rows, out=refined_rows[:stop - start])
             for at in range(0, len(refined), ASSIGN_ROWS):
                 chunk = refined[at:at + ASSIGN_ROWS]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingMatrix, atomic_write, check_file_size, read_header
+from .dataio import EmbeddingFile, EmbeddingMatrix, atomic_write, check_file_size, read_header
 from .encoder import forward_batch
 from .errors import (
     ConfigMismatchError,
@@ -150,12 +150,17 @@ class DistanceLUT:
 
 
 def build_index(
-    model: ModelState, corpus: EmbeddingMatrix, ids: np.ndarray | None = None
+    model: ModelState, corpus: EmbeddingMatrix | EmbeddingFile, ids: np.ndarray | None = None
 ) -> RetrievalIndex:
     """Encode a corpus: refine (dropout disabled) and hard-assign it in row
-    blocks with :func:`~micpq.quantizer.encode_rows`, then pack."""
-    values = np.asarray(getattr(corpus, "values", corpus))
-    if values.ndim != 2 or values.shape[1] != model.encoder.d_in:
+    blocks with :func:`~micpq.quantizer.encode_rows`, then pack.  An
+    :class:`~micpq.dataio.EmbeddingFile` corpus is read block by block as
+    the blocks are encoded, so only the codes outlive a block; its codes
+    equal those of the same rows read whole."""
+    values = corpus
+    if not isinstance(corpus, EmbeddingFile):
+        values = np.asarray(getattr(corpus, "values", corpus))
+    if len(values.shape) != 2 or values.shape[1] != model.encoder.d_in:
         raise DimMismatchError(
             f"corpus of shape {values.shape} is not (n, {model.encoder.d_in}), "
             "the encoder's input width"

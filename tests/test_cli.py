@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,18 @@ import pytest
 import micpq
 from micpq import evaluation
 from micpq.cli import main
-from micpq.dataio import read_embeddings, read_labels
+from micpq.dataio import (
+    EmbeddingMatrix,
+    LabelVector,
+    read_embeddings,
+    read_labels,
+    write_embeddings,
+    write_labels,
+)
 from micpq.errors import ConfigMismatchError, KNot2Error
-from micpq.retrieval import build_index
-from micpq.trainer import TrainConfig, init_model
+from micpq.quantizer import ASSIGN_ROWS
+from micpq.retrieval import build_index, load_index, save_index
+from micpq.trainer import TrainConfig, init_model, load_checkpoint, save_checkpoint
 
 
 def _synth(tmp_path, n=60, dim=6, classes=3, seed=7, name="data"):
@@ -392,6 +402,135 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "avg_accuracy=" in out
         assert "kmeans_avg_accuracy=" in out
+
+
+def _corpus(tmp_path, n, dim=8, seed=21):
+    """(embeddings, labels, checkpoint) paths: n random rows of width dim in
+    5 round-robin classes, and an untrained M=2, K=4 model."""
+    values = np.random.default_rng(seed).normal(size=(n, dim)).astype(np.float32)
+    paths = tmp_path / "c.emb", tmp_path / "c.lbl", tmp_path / "m.ckpt"
+    write_embeddings(EmbeddingMatrix(values), paths[0])
+    write_labels(LabelVector(np.arange(n, dtype=np.uint32) % 5), paths[1])
+    save_checkpoint(init_model(TrainConfig(n_codebooks=2, n_codewords=4, sub_dim=3, seed=seed),
+                               values[:256]), paths[2])
+    return tuple(str(path) for path in paths)
+
+
+def _poison(path, row, dim=8):
+    """Write a NaN into column 1 of an embedding file's row; return its byte offset."""
+    offset = 24 + (int(row) * dim + 1) * 4
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        f.write(np.array([np.nan], "<f4").tobytes())
+    return offset
+
+
+class TestStreamedCorpus:
+    """index and eval read the embedding file block by block, only where
+    they use it, and write the bytes of the same rows read whole."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("tail", [1, 2, 3, 5, 12, ASSIGN_ROWS - 1])
+    def test_index_bytes_equal_those_of_the_split_read_whole(self, tmp_path, use_workers,
+                                                            n_workers, tail):
+        use_workers(n_workers)
+        n_split = 2 * ASSIGN_ROWS + tail  # its last block runs tail rows past 2 * ASSIGN_ROWS
+        n = next(n for n in itertools.count(int(n_split / 0.8) - 2) if int(0.8 * n) == n_split)
+        emb, _, ckpt = _corpus(tmp_path, n)
+        cli_idx = str(tmp_path / "cli.idx")
+        assert main(["index", "--ckpt", ckpt, "--emb", emb, "--out", cli_idx]) == 0
+        rows = np.sort(evaluation.split_indices(n, (0.8, 0.1, 0.1), 0)[0])
+        assert len(rows) == n_split
+        index = build_index(load_checkpoint(ckpt), read_embeddings(emb, rows), ids=rows)
+        save_index(index, tmp_path / "lib.idx")
+        assert (tmp_path / "cli.idx").read_bytes() == (tmp_path / "lib.idx").read_bytes()
+
+    @pytest.mark.parametrize("with_index", [True, False])
+    def test_eval_report_equals_that_of_the_whole_read(self, tmp_path, use_workers, with_index):
+        use_workers(2)
+        n, ratios = 2 * ASSIGN_ROWS + 100, (0.9, 0.05, 0.05)
+        emb, lbl, ckpt = _corpus(tmp_path, n)
+        argv = ["eval", "--ckpt", ckpt, "--emb", emb, "--labels", lbl, "--k", "10",
+                "--split-ratios", "0.9,0.05,0.05", "--report", str(tmp_path / "cli.txt")]
+        model, whole = load_checkpoint(ckpt), read_embeddings(emb)
+        if with_index:
+            idx = str(tmp_path / "c.idx")
+            assert main(["index", "--ckpt", ckpt, "--emb", emb, "--split-ratios", "0.9,0.05,0.05",
+                         "--out", idx]) == 0
+            argv += ["--index", idx]
+            index = load_index(idx)
+        else:
+            # the training split in split order, as eval indexed it before it read by blocks
+            train = evaluation.split_indices(n, ratios, 0)[0]
+            index = build_index(model, EmbeddingMatrix(whole.values[train]), ids=train)
+        assert main(argv) == 0
+        report = evaluation.retrieval_eval(model, whole, read_labels(lbl), k=10, ratios=ratios,
+                                           index=index)
+        assert (tmp_path / "cli.txt").read_text() == "".join(
+            line + "\n" for line in report.format_lines())
+
+    def test_eval_checks_only_the_rows_it_reads(self, tmp_path, capsys):
+        n = 200
+        emb, lbl, ckpt = _corpus(tmp_path, n)
+        train, val, test = evaluation.split_indices(n, (0.8, 0.1, 0.1), 0)
+        idx = str(tmp_path / "c.idx")
+        assert main(["index", "--ckpt", ckpt, "--emb", emb, "--out", idx]) == 0
+        argv = ["eval", "--ckpt", ckpt, "--emb", emb, "--labels", lbl, "--k", "5"]
+
+        _poison(emb, val[3])  # read by neither eval, nor index
+        assert main(argv + ["--index", idx]) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--clustering"]) == 1  # which reads every row
+        assert f"byte {24 + (val[3] * 8 + 1) * 4} " in capsys.readouterr().err
+
+        at = _poison(emb, train[7])  # indexed by eval without --index
+        assert main(argv + ["--index", idx]) == 0
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"byte {at} " in capsys.readouterr().err
+
+        at = _poison(emb, test[3])  # a query
+        assert main(argv + ["--index", idx]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"byte {at} " in captured.err
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("bad", [(ASSIGN_ROWS + 5, 100), (ASSIGN_ROWS + 50, ASSIGN_ROWS + 5)],
+                             ids=["two-blocks", "one-block"])
+    def test_non_finite_split_row_fails_index_naming_the_lowest(self, tmp_path, capsys,
+                                                                use_workers, n_workers, bad):
+        use_workers(n_workers)
+        n = 3 * ASSIGN_ROWS  # the split's 9,830 rows are two blocks
+        emb, _, ckpt = _corpus(tmp_path, n)
+        rows = np.sort(evaluation.split_indices(n, (0.8, 0.1, 0.1), 0)[0])
+        offsets = [_poison(emb, rows[at]) for at in bad]
+        before = sorted(os.listdir(tmp_path))
+        code = main(["index", "--ckpt", ckpt, "--emb", emb, "--out", str(tmp_path / "c.idx")])
+        assert code == 1
+        assert f"byte {min(offsets)} " in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before  # no index, no temporary file
+
+    @pytest.mark.parametrize("command", ["index", "eval"])
+    def test_peak_memory_stays_below_the_corpus(self, tmp_path, use_workers, command):
+        # tracemalloc sees numpy's data buffers; the corpus is 10.24 MB
+        use_workers(1)
+        n, dim = 40_000, 64
+        emb, lbl, ckpt = _corpus(tmp_path, n, dim=dim)
+        idx = str(tmp_path / "c.idx")
+        ratios = ["--split-ratios", "0.9,0.08,0.02"]
+        argv = ["index", "--ckpt", ckpt, "--emb", emb, "--out", idx, *ratios]
+        if command == "eval":
+            assert main(argv) == 0
+            argv = ["eval", "--ckpt", ckpt, "--emb", emb, "--labels", lbl, "--k", "10",
+                    "--index", idx, *ratios]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * 4
 
 
 class TestLibraryRules:

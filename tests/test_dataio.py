@@ -14,6 +14,7 @@ from micpq.dataio import (
     FORMAT_VERSION,
     MAGIC_EMBEDDINGS,
     MAGIC_LABELS,
+    EmbeddingFile,
     EmbeddingMatrix,
     LabelVector,
     MixtureSpec,
@@ -111,8 +112,8 @@ class TestNonFiniteAt:
 
 
 class TestRowSelectiveRead:
-    """read_embeddings(path, rows) reads the payload in blocks and keeps,
-    in the order asked, only the rows asked for."""
+    """read_embeddings(path, rows) reads only the runs of the payload that
+    hold the rows asked for and keeps, in the order asked, only those."""
 
     N_DOCS, DIM = 10, 3
 
@@ -160,6 +161,104 @@ class TestRowSelectiveRead:
         path.write_bytes(MAGIC_EMBEDDINGS + struct.pack("<IQI", FORMAT_VERSION, 2**60, 1))
         with pytest.raises(TruncatedFileError):
             read_embeddings(path, np.array([-1]))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.one_of(
+            st.lists(st.integers(0, 39), min_size=1, max_size=60),  # sparse, any order, repeats
+            st.tuples(st.integers(0, 39), st.integers(1, 40), st.randoms()).map(
+                lambda t: t[2].sample(range(t[0], min(t[0] + t[1], 40)), min(t[1], 40 - t[0]))
+            ),  # dense: a shuffled run
+            st.sets(st.integers(0, 39), min_size=30).map(sorted),  # dense with holes
+        ),
+        read_rows=st.integers(1, 12),
+        gap_rows=st.integers(0, 6),
+    )
+    def test_runs_equal_the_whole_read_indexed(self, tmp_path, rows, read_rows, gap_rows):
+        path = tmp_path / "runs.emb"
+        if not path.exists():
+            values = np.random.default_rng(19).normal(size=(40, 3)).astype(np.float32)
+            write_embeddings(EmbeddingMatrix(values), path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "READ_BYTES", read_rows * 3 * 4)
+            patch.setattr(dataio, "GAP_BYTES", gap_rows * 3 * 4)
+            got = read_embeddings(path, np.array(rows))
+        whole = read_embeddings(path).values[rows]
+        assert got.values.dtype == np.float32 and got.values.flags.c_contiguous
+        assert got.values.tobytes() == whole.tobytes()
+
+    def test_reads_only_the_runs_that_hold_wanted_rows(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.emb"
+        write_embeddings(EmbeddingMatrix(np.ones((1000, 4), np.float32)), path)
+        seeks = []
+        monkeypatch.setattr(dataio, "open", lambda *a: _SeekSpy(open(*a), seeks), raising=False)
+        monkeypatch.setattr(dataio, "GAP_BYTES", 13 * 16)
+        assert read_embeddings(path, np.array([900, 5, 6, 20, 25, 5])).n_docs == 6
+        # one read spans rows 5-25, across a gap of 13 rows; row 900 is read alone
+        assert seeks == [24 + 5 * 16, 24 + 900 * 16]
+
+    def test_every_row_is_checked_once(self, tmp_path, monkeypatch):
+        path = self._file(tmp_path)
+        checked = []
+        monkeypatch.setattr(dataio, "non_finite_at",
+                            lambda values: checked.append(len(values)) or non_finite_at(values))
+        read_embeddings(path)
+        assert checked == [self.N_DOCS]
+        checked.clear()
+        monkeypatch.setattr(dataio, "READ_BYTES", 2 * self.DIM * 4)
+        assert read_embeddings(path, np.array([9, 0, 5, 5, 1])).n_docs == 5
+        assert sum(checked) == 5
+
+
+class TestEmbeddingFile:
+    """An EmbeddingFile reads its rows only when asked, through read_embeddings."""
+
+    def test_take_and_read_equal_the_whole_read_indexed(self, tmp_path):
+        values = np.random.default_rng(20).normal(size=(30, 5)).astype(np.float32)
+        write_embeddings(EmbeddingMatrix(values), tmp_path / "f.emb")
+        whole = EmbeddingFile(tmp_path / "f.emb")
+        assert (whole.n_docs, whole.dim, whole.shape) == (30, 5, (30, 5))
+        taken = whole.take(np.array([7, 3, 3, 29, 0])).take(np.array([4, 1, 2]))
+        assert taken.n_docs == 3 and np.array_equal(taken.rows, [0, 3, 3])
+        assert np.array_equal(taken.read(), values[[0, 3, 3]])
+        assert np.array_equal(whole.read(10, 12), values[10:12])
+
+    def test_opening_checks_header_and_rows_only(self, tmp_path):
+        path = tmp_path / "f.emb"
+        write_embeddings(EmbeddingMatrix(np.ones((4, 2), np.float32)), path)
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = np.array([np.nan], dtype="<f4").tobytes()  # row 0
+        path.write_bytes(bytes(raw))
+        source = EmbeddingFile(path, np.array([3, 1]))
+        assert np.array_equal(source.read(), np.ones((2, 2), np.float32))
+        with pytest.raises(NonFiniteValueError, match="byte 24 "):
+            EmbeddingFile(path).read()
+        with pytest.raises(IndexOutOfRangeError):
+            EmbeddingFile(path, np.array([4]))
+        path.write_bytes(bytes(raw[:-1]))
+        with pytest.raises(TruncatedFileError):
+            EmbeddingFile(path)
+
+
+class _SeekSpy:
+    """An open file that records the offsets it seeks to."""
+
+    def __init__(self, f, seeks):
+        self._f, self._seeks = f, seeks
+
+    def seek(self, at, *whence):
+        self._seeks.append(at)
+        return self._f.seek(at, *whence)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
 
 
 class TestLabelFormat:

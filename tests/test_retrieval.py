@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from micpq import dataio, quantizer, retrieval
 from micpq.cli import main
-from micpq.dataio import EmbeddingMatrix, write_embeddings
+from micpq.dataio import EmbeddingFile, EmbeddingMatrix, non_finite_at, write_embeddings
 from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
 from micpq.errors import (
     BadMagicError,
@@ -207,6 +207,27 @@ class TestBuildIndex:
         corpus[3, 0] = np.inf
         with pytest.raises(NonFiniteInputError, match="row 3"):
             build_index(model, corpus)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_file_rows_are_checked_once_by_their_reader(self, tmp_path, monkeypatch, use_workers,
+                                                        n_workers):
+        use_workers(n_workers)
+        gen = np.random.default_rng(17)
+        model = _random_model(gen, 8, 4, 2, 3)
+        corpus = gen.normal(size=(2 * quantizer.ASSIGN_ROWS + 7, 8)).astype(np.float32)
+        write_embeddings(EmbeddingMatrix(corpus), tmp_path / "c.emb")
+        expected = build_index(model, corpus)
+        checked = []
+
+        def spy(values):
+            checked.append(len(values))
+            return non_finite_at(values)
+
+        monkeypatch.setattr(dataio, "non_finite_at", spy)
+        monkeypatch.setattr(quantizer, "non_finite_at", spy)
+        index = build_index(model, EmbeddingFile(tmp_path / "c.emb"))
+        assert sum(checked) == len(corpus)
+        assert np.array_equal(index.packed, expected.packed)
 
     @pytest.mark.parametrize("shape", [(8,), (5, 2, 8), (5, 7)])
     def test_corpus_that_is_not_n_by_d_in_rejected(self, shape):
