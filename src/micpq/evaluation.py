@@ -290,7 +290,9 @@ def retrieval_eval(
     is used: the held-out queries, and the training split block by block
     as :func:`build_index` encodes it when no ``index`` is given.  Only
     those rows are checked for finiteness; the report equals that of the
-    whole file read into an :class:`EmbeddingMatrix`."""
+    whole file read into an :class:`EmbeddingMatrix`.  An empty test split
+    raises :class:`InvalidConfigError` before any index is built or row
+    read."""
     if labels.n_docs != data.n_docs:
         raise LengthMismatchError("labels and embeddings disagree on the document count")
     if mode not in ("adc", "hamming"):
@@ -309,13 +311,16 @@ def retrieval_eval(
         )
     start = time.perf_counter()
     train_idx, _, test_idx = split_indices(data.n_docs, ratios, split_seed)
+    if len(test_idx) == 0:
+        raise InvalidConfigError(f"the test split is empty: split ratios {tuple(ratios)} "
+                                 f"leave no query among {data.n_docs} documents")
     in_file = isinstance(data, EmbeddingFile)
     if index is None:
         train_idx = np.sort(train_idx)
         corpus = data.take(train_idx) if in_file else EmbeddingMatrix(data.values[train_idx])
         index = build_index(model, corpus, ids=train_idx)
-    if in_file:  # only the query rows are read, none for an empty test split
-        queries = data.take(test_idx).read() if len(test_idx) else None
+    if in_file:  # only the query rows are read
+        queries = data.take(test_idx).read()
         query_rows = range(len(test_idx))
     else:
         queries, query_rows = data.values, test_idx

@@ -359,10 +359,7 @@ def sample_soft_losses(
         raise NonPositiveTemperatureError(f"tau_gumbel must be > 0, got {tau_gumbel}")
     d2 = _slot_sqdists(refined1, refined2, books)
     noise = gumbel_from_uniform(rng.spawn(seed).random((n_samples,) + d2.shape))
-    logits = -(d2[None] + noise) / tau_gumbel
-    logits -= logits.max(axis=-1, keepdims=True)
-    soft = np.exp(logits)
-    soft /= soft.sum(axis=-1, keepdims=True)
+    soft = stable_softmax(-(d2[None] + noise) / tau_gumbel)
     h = np.einsum("tibmk,mkd->tibmd", soft, books.books.astype(np.float64))
     return _contrastive_losses(h.reshape(n_samples, -1, books.dim), tau_cl)
 

@@ -69,11 +69,6 @@ class CodebookSet:
     def dim(self) -> int:
         return self.n_codebooks * self.sub_dim
 
-    @property
-    def code_bits(self) -> int:
-        """Total bits per packed code; requires K to be a power of two."""
-        return self.n_codebooks * bits_per_index(self.n_codewords)
-
 
 @dataclass
 class SoftAssignment:
@@ -272,12 +267,11 @@ def split_rows(work, n_rows: int, pool=None) -> None:
     pieces of at least ``PIECE_ROWS`` rows each, one plain call when that
     is 1.  OpenBLAS takes a few rows with other kernels, whose bits can
     differ from the same rows inside a larger call."""
-    n_pieces = encode_workers(n_rows // PIECE_ROWS)
-    fan_out(lambda _, start, stop: work(start, stop), n_rows, n_pieces, pool)
+    fan_out(work, n_rows, encode_workers(n_rows // PIECE_ROWS), pool)
 
 
 def fan_out(work, n_rows: int, n_pieces: int, pool=None) -> None:
-    """Call ``work(piece, start, stop)`` on ``n_pieces`` contiguous ranges of
+    """Call ``work(start, stop)`` on ``n_pieces`` contiguous ranges of
     near-equal length that cover ``range(n_rows)``.  The calling thread and
     ``n_pieces - 1`` tasks on ``pool`` (on a pool of its own when ``pool``
     is None) claim the pieces in order until none is left, so a piece that
@@ -286,7 +280,7 @@ def fan_out(work, n_rows: int, n_pieces: int, pool=None) -> None:
     returns or raises; a failed piece's error is raised, the lowest
     piece's first."""
     if n_pieces == 1:
-        work(0, 0, n_rows)
+        work(0, n_rows)
         return
     if pool is None:
         from concurrent.futures import ThreadPoolExecutor
@@ -302,7 +296,7 @@ def fan_out(work, n_rows: int, n_pieces: int, pool=None) -> None:
             if piece >= n_pieces:
                 return
             try:
-                work(piece, bounds[piece], bounds[piece + 1])
+                work(bounds[piece], bounds[piece + 1])
             except BaseException as error:  # re-raised below; escaping, it would hang the caller
                 errors[piece] = error
             ended.release()
@@ -317,34 +311,7 @@ def fan_out(work, n_rows: int, n_pieces: int, pool=None) -> None:
             raise error
 
 
-def _blocks(n_rows: int) -> int:
-    return max(n_rows // ASSIGN_ROWS, 1)
-
-
-def encode_buffer(params: EncoderParams, books: np.ndarray, values) -> list:
-    """One workspace per worker of :func:`encode_rows` on ``values``: the
-    worker's refined rows, sized to the largest block it runs, an
-    (M, ``ASSIGN_ROWS``, K) distance chunk and the chunk's (M,
-    ``ASSIGN_ROWS``) argmin indices, the last two flat."""
-    n_rows, n_blocks = values.shape[0], _blocks(values.shape[0])
-    n_workers = encode_workers(n_blocks)
-    n_books, n_words = np.shape(books)[:2]
-    refined_dtype = np.result_type(values.dtype, params.weight, params.bias)
-    chunk = min(n_rows, ASSIGN_ROWS)
-    last = n_rows - (n_blocks - 1) * ASSIGN_ROWS  # the merged tail, or every row
-    return [
-        (
-            np.empty((last if w == n_workers - 1 else chunk, params.d_out), refined_dtype),
-            np.empty(n_books * chunk * n_words, np.result_type(refined_dtype, books)),
-            np.empty(n_books * chunk, np.intp),
-        )
-        for w in range(n_workers)
-    ]
-
-
-def encode_rows(
-    params: EncoderParams, books: np.ndarray, values, workspaces: list | None = None
-) -> np.ndarray:
+def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
     """(n, M) uint16 nearest-codeword indices of each row of ``values``
     refined with dropout disabled, against (M, K, sub_dim) books.
     ``values`` is an (n, d_in) array or a
@@ -360,16 +327,15 @@ def encode_rows(
     :func:`~micpq.encoder.forward_batch` followed by it.
 
     The blocks are independent: :func:`fan_out` splits them into W runs
-    of consecutive blocks (:func:`encode_workers`), one per workspace,
-    claimed by W threads when W > 1, which write disjoint rows of the
-    codes.
+    of consecutive blocks (:func:`encode_workers`), claimed by W threads
+    when W > 1, which write disjoint rows of the codes.  Each run
+    allocates its refined rows, sized to its largest block (only the run
+    that holds the last block gets the merged tail), an (M,
+    ``ASSIGN_ROWS``, K) distance chunk and the chunk's argmin indices.
     A block of an array holding a non-finite value raises
     :class:`NonFiniteInputError`; a file's rows come checked by its
     reader, which raises :class:`~micpq.errors.NonFiniteValueError`.
-    Every worker has ended before this returns or raises.
-    ``workspaces``, when given, is :func:`encode_buffer`'s list for the
-    same ``values``; a caller that encodes the same rows again and again
-    keeps one, instead of mapping fresh arrays every time."""
+    Every worker has ended before this returns or raises."""
     if isinstance(values, EmbeddingFile):
         read = values.read
     else:
@@ -383,14 +349,18 @@ def encode_rows(
             return rows
 
     books = np.asarray(books)
-    n_rows, n_blocks = values.shape[0], _blocks(values.shape[0])
+    n_rows, n_blocks = values.shape[0], max(values.shape[0] // ASSIGN_ROWS, 1)
     n_books, n_words = books.shape[:2]
-    if workspaces is None:
-        workspaces = encode_buffer(params, books, values)
+    refined_dtype = np.result_type(values.dtype, params.weight, params.bias)
+    chunk_rows = min(n_rows, ASSIGN_ROWS)
     codes = np.empty((n_rows, n_books), dtype=np.uint16)
 
-    def work(worker: int, first: int, stop_block: int) -> None:
-        refined_rows, d2, nearest = workspaces[worker]
+    def work(first: int, stop_block: int) -> None:
+        # the run's largest block: the merged tail (or every row) for the last run
+        largest = n_rows - (n_blocks - 1) * ASSIGN_ROWS if stop_block == n_blocks else ASSIGN_ROWS
+        refined_rows = np.empty((largest, params.d_out), refined_dtype)
+        d2 = np.empty(n_books * chunk_rows * n_words, np.result_type(refined_dtype, books))
+        nearest = np.empty(n_books * chunk_rows, np.intp)
         for block in range(first, stop_block):
             start = block * ASSIGN_ROWS
             stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
@@ -407,13 +377,8 @@ def encode_rows(
                 np.argmin(dist, axis=2, out=nearest_chunk)
                 codes[start + at:start + at + n] = nearest_chunk.T
 
-    fan_out(work, n_blocks, len(workspaces))
+    fan_out(work, n_blocks, encode_workers(n_blocks))
     return codes
-
-
-def hard_assign_batch(segments: np.ndarray, book: np.ndarray) -> np.ndarray:
-    """Nearest-codeword index for every row of ``segments``."""
-    return hard_assign_books(segments, np.asarray(book)[None])[:, 0]
 
 
 def sample_assignment(segment: np.ndarray, book: np.ndarray, gumbel: np.ndarray) -> int:

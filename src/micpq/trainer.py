@@ -36,7 +36,6 @@ from .quantizer import (
     SPLIT_UPDATE_SIZE,
     CodebookSet,
     bits_per_index,
-    encode_buffer,
     encode_rows,
     encode_workers,
     init_codebooks,
@@ -265,14 +264,10 @@ def adam_step(
     return state
 
 
-def usage_histogram(
-    state: ModelState, data: np.ndarray, workspaces: list | None = None
-) -> np.ndarray:
-    """(M, K) hard-assignment counts over a corpus, dropout disabled.
-    ``workspaces`` are :func:`~micpq.quantizer.encode_rows`' own, from
-    :func:`~micpq.quantizer.encode_buffer`."""
+def usage_histogram(state: ModelState, data: np.ndarray) -> np.ndarray:
+    """(M, K) hard-assignment counts over a corpus, dropout disabled."""
     values = np.asarray(getattr(data, "values", data))
-    codes = encode_rows(state.encoder, state.books.books, values, workspaces)
+    codes = encode_rows(state.encoder, state.books.books, values)
     n_books, n_words = state.books.n_codebooks, state.books.n_codewords
     slots = codes + n_words * np.arange(n_books)
     return np.bincount(slots.ravel(), minlength=n_books * n_words).reshape(n_books, n_words)
@@ -309,7 +304,6 @@ def train(
     cfg: TrainConfig,
     data: EmbeddingMatrix,
     val: EmbeddingMatrix | None = None,
-    codebook_init: str = "data",
     on_epoch=None,
 ) -> tuple[ModelState, TrainLog]:
     """Run the full training loop; deterministic given (cfg, data).
@@ -339,7 +333,7 @@ def train(
 
     first_perm = rng.spawn(cfg.seed, rng.STREAM_SHUFFLE, 0).permutation(n_docs)
     warmup = values[first_perm[: min(cfg.batch_size, n_docs)]]
-    state = init_model(cfg, warmup, codebook_init=codebook_init)
+    state = init_model(cfg, warmup)
 
     capacity = min(cfg.batch_size, n_docs)
     slots = [
@@ -362,7 +356,6 @@ def train(
     full = StepWorkspace(capacity, d_in, cfg.n_codebooks, cfg.n_codewords, cfg.sub_dim)
     workspaces = {capacity: full}  # the last batch of an epoch may be smaller
     scratch = adam_scratch(state)
-    usage_workspaces = encode_buffer(state.encoder, state.books.books, values)
     log = TrainLog()
     sums, n_steps = np.zeros(3), 0
     plan = _step_plan(cfg, n_docs, first_perm)
@@ -395,7 +388,7 @@ def train(
             if following is not None and following[0] == epoch:
                 continue
 
-            counts = usage_histogram(state, values, usage_workspaces)
+            counts = usage_histogram(state, values)
             val_loss = None
             if val is not None:
                 val_seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, 2**31 + epoch)

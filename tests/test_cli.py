@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,23 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: index doc ids reach 89")
+
+    def test_eval_with_an_empty_test_split_is_runtime_error(self, tmp_path, capsys):
+        emb_path, lbl_path = _synth(tmp_path)
+        ckpt = _train(tmp_path, emb_path)
+        capsys.readouterr()
+        report_path = tmp_path / "eval.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--ckpt", str(ckpt), "--emb", str(emb_path),
+                         "--labels", str(lbl_path), "--split-ratios", "1,0,0",
+                         "--report", str(report_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: the test split is empty")
+        assert not report_path.exists()
 
     def test_eval_clustering_report(self, tmp_path, capsys):
         emb_path, lbl_path = _synth(tmp_path)  # 3 classes

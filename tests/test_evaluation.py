@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from micpq import evaluation
-from micpq.dataio import EmbeddingMatrix, LabelVector, MixtureSpec, synth_mixture
+from micpq.dataio import (
+    EmbeddingFile,
+    EmbeddingMatrix,
+    LabelVector,
+    MixtureSpec,
+    synth_mixture,
+    write_embeddings,
+)
 from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     ConfigMismatchError,
@@ -335,3 +342,25 @@ class TestRetrievalEval:
         monkeypatch.setattr(evaluation, "search_topk", fail)
         with pytest.raises(UnknownDocIdError, match="64"):
             retrieval_eval(model, emb, labels, k=5, index=index)
+
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_an_empty_test_split_is_rejected_before_indexing_or_reading(
+            self, monkeypatch, tmp_path, in_file):
+        emb, labels = synth_mixture(
+            MixtureSpec(n_docs=60, dim=8, n_classes=3, separation=20.0,
+                        noise_sigma=1.0, seed=26)
+        )
+        model = init_model(TrainConfig(n_codebooks=2, n_codewords=4, sub_dim=4, seed=27),
+                           emb.values[:32])
+        data = emb
+        if in_file:
+            write_embeddings(emb, tmp_path / "e.emb")
+            data = EmbeddingFile(tmp_path / "e.emb")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("indexed or read")
+
+        monkeypatch.setattr(evaluation, "build_index", fail)
+        monkeypatch.setattr(EmbeddingFile, "read", fail)
+        with pytest.raises(InvalidConfigError, match=r"test split is empty.*\(1.0, 0.0, 0.0\)"):
+            retrieval_eval(model, data, labels, k=5, ratios=(1.0, 0.0, 0.0))

@@ -22,7 +22,6 @@ from micpq.quantizer import (
     encode_rows,
     gumbel_from_uniform,
     hard_assign,
-    hard_assign_batch,
     hard_assign_books,
     pack_codes,
     pack_codes_batch,
@@ -154,7 +153,7 @@ class TestHardAssign:
         rng = np.random.default_rng(8)
         book = rng.normal(size=(7, 3))
         segments = rng.normal(size=(20, 3))
-        batch = hard_assign_batch(segments, book)
+        batch = hard_assign_books(segments, book[None])[:, 0]
         assert [hard_assign(s, book) for s in segments] == batch.tolist()
 
 
@@ -244,19 +243,27 @@ class TestEncodePool:
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("tail", [0, 1, 3, 100])
-    def test_any_worker_count_gives_the_whole_pass_codes(self, use_workers, n_workers, tail):
+    def test_any_worker_count_gives_the_whole_pass_codes(self, monkeypatch, use_workers,
+                                                          n_workers, tail):
         use_workers(n_workers)
         gen, encoder, books = _encoder_and_books(tail)
         values = gen.normal(size=(5 * quantizer.ASSIGN_ROWS + tail, encoder.d_in))
         values = values.astype(np.float32)
-        workspaces = quantizer.encode_buffer(encoder, books, values)
-        assert len(workspaces) == n_workers
-        # only the worker that runs the last block holds its merged tail
-        assert sorted(len(ws[0]) for ws in workspaces)[-1] == quantizer.ASSIGN_ROWS + tail
-        assert sum(len(ws[0]) > quantizer.ASSIGN_ROWS for ws in workspaces) == (tail > 0)
+        refined_by = []  # (a worker's refined buffer, rows of one block refined into it)
+        def recording(params, batch, out=None):
+            refined_by.append((out.base, len(batch)))
+            return forward_batch(params, batch, out=out)
+        monkeypatch.setattr(quantizer, "forward_batch", recording)
         expected = hard_assign_books(forward_batch(encoder, values), books)
         assert np.array_equal(encode_rows(encoder, books, values), expected)
-        assert np.array_equal(encode_rows(encoder, books, values, workspaces), expected)
+        buffers = {id(base): base for base, _ in refined_by}
+        assert len(buffers) == n_workers
+        # each buffer is sized to its worker's largest block, so only the
+        # worker that runs the last block holds its merged tail
+        for key, base in buffers.items():
+            assert len(base) == max(rows for b, rows in refined_by if id(b) == key)
+        assert max(len(base) for base in buffers.values()) == quantizer.ASSIGN_ROWS + tail
+        assert sum(len(base) > quantizer.ASSIGN_ROWS for base in buffers.values()) == (tail > 0)
 
     def test_many_workers_switching_often_match_the_serial_loop(self, monkeypatch,
                                                                use_workers):
@@ -360,8 +367,8 @@ class TestFanOut:
         from concurrent.futures import ThreadPoolExecutor
 
         seen = []
-        def work(piece, start, stop):
-            seen.append((piece, start, stop, threading.current_thread()))
+        def work(start, stop):
+            seen.append((start, stop, threading.current_thread()))
         before = threading.active_count()
         if own_pool:
             quantizer.fan_out(work, n_rows, n_pieces)
@@ -369,13 +376,13 @@ class TestFanOut:
             with ThreadPoolExecutor(max_workers=n_pieces) as pool:
                 quantizer.fan_out(work, n_rows, n_pieces, pool)
         assert threading.active_count() == before
-        assert sorted(p for p, *_ in seen) == list(range(n_pieces))
-        bounds = [(start, stop) for _, start, stop, _ in sorted(seen, key=lambda s: s[0])]
+        assert len(seen) == n_pieces
+        bounds = sorted((start, stop) for start, stop, _ in seen)
         assert bounds[0][0] == 0 and bounds[-1][1] == n_rows
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         assert max(b - a for a, b in bounds) - min(b - a for a, b in bounds) <= 1
         if n_pieces == 1:
-            assert seen[0][3] is threading.current_thread()
+            assert seen[0][2] is threading.current_thread()
 
     def test_pieces_left_by_a_busy_pool_run_on_the_calling_thread(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -384,23 +391,23 @@ class TestFanOut:
         with ThreadPoolExecutor(max_workers=1) as pool:
             release = threading.Event()
             pool.submit(release.wait, 10)  # the pool's one thread is busy
-            quantizer.fan_out(lambda piece, start, stop: threads.append(
+            quantizer.fan_out(lambda start, stop: threads.append(
                 threading.current_thread()), 300, 4, pool)
             release.set()
         assert threads == [threading.current_thread()] * 4
 
-    @pytest.mark.parametrize("failing", [{0}, {2}, {1, 2}])
+    @pytest.mark.parametrize("failing", [{0}, {200}, {100, 200}])
     def test_a_failed_piece_is_raised_after_every_piece_ends(self, failing):
         ended = []
-        def work(piece, start, stop):
-            if piece in failing:
-                raise RuntimeError(f"piece {piece}")
+        def work(start, stop):
+            if start in failing:
+                raise RuntimeError(f"piece at {start}")
             time.sleep(0.05)
-            ended.append(piece)
+            ended.append(start)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"piece {min(failing)}"):
+        with pytest.raises(RuntimeError, match=f"piece at {min(failing)}$"):
             quantizer.fan_out(work, 300, 3)
-        assert sorted(ended) == sorted({0, 1, 2} - failing)
+        assert sorted(ended) == sorted({0, 100, 200} - failing)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("n_rows, expected", [

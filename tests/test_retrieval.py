@@ -27,7 +27,6 @@ from micpq.errors import (
 from micpq.quantizer import (
     CodebookSet,
     QuantCode,
-    hard_assign_batch,
     hard_assign_books,
     pack_codes_batch,
     packed_code_nbytes,
@@ -922,7 +921,8 @@ class TestFastPaths:
                 query = gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32)
                 refined = forward_batch(model.encoder, query[None, :])
                 qcode = np.array([
-                    hard_assign_batch(refined[:, m * sub:(m + 1) * sub], index.books.books[m])[0]
+                    hard_assign_books(refined[:, m * sub:(m + 1) * sub],
+                                      index.books.books[m][None])[0, 0]
                     for m in range(n_books)
                 ])
                 ref = np.bitwise_count(packed ^ pack_codes_batch(qcode[None, :], 2)).sum(axis=1)

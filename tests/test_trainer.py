@@ -21,7 +21,7 @@ from micpq.errors import (
     VersionMismatchError,
 )
 from micpq.objectives import LossConfig, ParamGrads, draw_noise, loss_and_gradients
-from micpq.quantizer import CodebookSet, hard_assign_batch
+from micpq.quantizer import CodebookSet, hard_assign_books
 from micpq import trainer
 from micpq.trainer import (
     CHECKPOINT_VERSION,
@@ -409,7 +409,8 @@ class TestTrain:
             sub = state.books.sub_dim
             expected = [
                 np.bincount(
-                    hard_assign_batch(refined[:, m * sub:(m + 1) * sub], state.books.books[m]),
+                    hard_assign_books(refined[:, m * sub:(m + 1) * sub],
+                                      state.books.books[m][None])[:, 0],
                     minlength=n_words,
                 )
                 for m in range(n_books)
