@@ -45,7 +45,8 @@ def _split_ratios(text: str) -> tuple[float, float, float]:
 _SHARED_OPTS = {
     "seed": (int, 0, "root random seed"),
     "threads": (int, None, "cap the BLAS and OpenMP thread pools (default: available "
-                "parallelism); train also runs one thread that prepares the next step's noise; "
+                "parallelism); train also runs one thread that reads the next step's batch "
+                "and draws its noise; "
                 "with W = affinity CPUs // BLAS threads, train runs each step's three phases "
                 "(forward, contrastive softmax, backward), its weight gradient and a large "
                 "weight's Adam update in W row pieces, and index, eval without --index and "
@@ -240,11 +241,10 @@ def _banner(n_codebooks: int, n_codewords: int, sub_dim: int) -> str:
 
 
 def _cmd_train(args) -> int:
-    from . import dataio, trainer
+    from . import trainer
     from .objectives import LossConfig
 
-    n_docs, split = _split(args.emb, args.split, args.split_ratios, args.split_seed)
-    data = dataio.read_embeddings(args.emb, split.rows)
+    n_docs, data = _split(args.emb, args.split, args.split_ratios, args.split_seed)
     tau_gumbel = args.tau_gumbel
     if tau_gumbel is None:
         tau_gumbel = trainer.default_gumbel_temperature(args.M, args.K)

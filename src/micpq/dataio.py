@@ -42,8 +42,8 @@ FORMAT_VERSION = 1
 _EMBEDDINGS_HEADER = struct.Struct("<IQI")  # version, n_docs, dim
 _LABELS_HEADER = struct.Struct("<IQ")  # version, n_docs
 _EMBEDDINGS_PAYLOAD = len(MAGIC_EMBEDDINGS) + _EMBEDDINGS_HEADER.size  # payload's byte offset
-READ_BYTES = 1 << 20  # most payload bytes of one read when read_embeddings selects rows
-GAP_BYTES = 1 << 16  # such a read runs on through a shorter gap between wanted rows
+READ_BYTES = 1 << 20  # payload bytes of one window when read_embeddings selects rows
+RUN_BYTES = 1 << 13  # a window is read whole when that reads fewer bytes than this per call saved
 
 
 @dataclass
@@ -232,14 +232,17 @@ def read_embeddings_header(f) -> tuple[int, int]:
 
 def _check_finite(values: np.ndarray, rows) -> None:
     """Raise :class:`NonFiniteValueError` naming the file byte offset of
-    the first non-finite value of ``values``, whose i-th row is file row
-    ``rows[i]``."""
-    bad = non_finite_at(values)
-    if bad is not None:
-        element = int(rows[bad[0]]) * values.shape[1] + bad[1]
-        raise NonFiniteValueError(
-            f"non-finite value at byte {_EMBEDDINGS_PAYLOAD + element * 4} (element {element})"
-        )
+    the first non-finite value, in file order, of ``values``, whose i-th
+    row is file row ``rows[i]``."""
+    if non_finite_at(values) is None:
+        return
+    rows = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    lowest = bad[np.argmin(rows[bad])]
+    element = int(rows[lowest]) * values.shape[1] + int(np.argmin(np.isfinite(values[lowest])))
+    raise NonFiniteValueError(
+        f"non-finite value at byte {_EMBEDDINGS_PAYLOAD + element * 4} (element {element})"
+    )
 
 
 def _check_rows(rows, n_docs: int) -> np.ndarray:
@@ -252,17 +255,67 @@ def _check_rows(rows, n_docs: int) -> np.ndarray:
     return rows
 
 
-def read_embeddings(path, rows=None) -> EmbeddingMatrix:
+def _read_rows(f, rows: np.ndarray, out: np.ndarray) -> None:
+    """Read file rows ``rows`` (checked row numbers, any order, repeats
+    allowed) into the rows of ``out``, a C-contiguous float32 array.
+
+    The payload is cut into windows of ``READ_BYTES``.  A window is
+    dense when its wanted rows form runs (rows adjacent in the file and
+    in ``out``) so many and so close that reading its whole span takes
+    fewer than ``RUN_BYTES`` per call it saves.  A dense window's span is
+    read into a buffer in one call, and its rows are copied from there.
+    Each run of every other window is read into place by its own call,
+    so a sparse pick reads only its rows.  No call reads more than a
+    window, so a short read means that the file shrank."""
+    dim = out.shape[1]
+    row_bytes = 4 * dim
+    rows = rows.astype(np.int64, copy=False)  # byte offsets overflow a narrower type
+    order = np.argsort(rows, kind="stable")
+    wanted = rows[order]
+    in_order = bool(np.all(rows[1:] >= rows[:-1]))
+    window = wanted // max(READ_BYTES // row_bytes, 1)
+    new_run = np.ones(len(rows), bool)
+    new_run[1:] = (np.diff(wanted) != 1) | (np.diff(order) != 1) | (np.diff(window) != 0)
+    firsts = np.flatnonzero(np.diff(window, prepend=-1))  # each window's first wanted row
+    stops = np.append(firsts[1:], len(wanted))
+    spans = wanted[stops - 1] + 1 - wanted[firsts]
+    dense = spans * row_bytes < (np.add.reduceat(new_run, firsts) - 1) * RUN_BYTES
+    fd = f.fileno()
+    buffer = np.empty(int(spans[dense].max(initial=0)) * dim, "<f4")
+    for lo, stop, count in zip(*(a[dense].tolist() for a in (firsts, stops, spans))):
+        start = int(wanted[lo])
+        at, view = _EMBEDDINGS_PAYLOAD + start * row_bytes, memoryview(buffer).cast("B")
+        if os.preadv(fd, [view[:count * row_bytes]], at) != count * row_bytes:
+            raise TruncatedFileError(f"file shrank while reading byte {at}")
+        span = buffer[:count * dim].reshape(count, dim)
+        if in_order:  # the window's rows are out[lo:stop]: taken there with no copy between
+            np.take(span, wanted[lo:stop] - start, axis=0, out=out[lo:stop], mode="clip")
+        else:
+            out[order[lo:stop]] = span[wanted[lo:stop] - start]
+    runs = np.flatnonzero(new_run)
+    sparse = ~np.repeat(dense, stops - firsts)[runs]
+    lengths = np.diff(np.append(runs, len(wanted)))[sparse] * row_bytes
+    runs = runs[sparse]
+    place = memoryview(out).cast("B")
+    for at, begin, size in zip((_EMBEDDINGS_PAYLOAD + wanted[runs] * row_bytes).tolist(),
+                               (order[runs] * row_bytes).tolist(), lengths.tolist()):
+        if os.preadv(fd, [place[begin:begin + size]], at) != size:
+            raise TruncatedFileError(f"file shrank while reading byte {at}")
+
+
+def read_embeddings(path, rows=None, out: np.ndarray | None = None) -> EmbeddingMatrix:
     """Read an embedding file, validating header, size and finiteness.
 
     With ``rows``, a vector of row numbers in any order, repeats allowed,
-    the result holds those rows in that order, and only they are checked
-    for finiteness.  Only the runs of the file that hold them are read:
-    one read spans a gap of fewer than ``GAP_BYTES`` between two wanted
-    rows, and at most ``READ_BYTES``, so memory holds the selected rows
-    and one read, not the file.  Runs are read, and checked, in file
-    order, so a non-finite value names the lowest bad row.  A row outside
-    [0, n_docs) raises :class:`IndexOutOfRangeError`."""
+    the result holds those rows in that order, and only they are read and
+    checked for finiteness, once, after they are read: memory holds the
+    selected rows and at most one ``READ_BYTES`` buffer, not the file.
+    A dense stretch of rows is read a window at a time, a sparse one run
+    by run (:func:`_read_rows`).  A non-finite value names its file byte
+    offset, the lowest bad row's if several are bad.  A row outside [0,
+    n_docs) raises :class:`IndexOutOfRangeError`.  ``out``, when given
+    with ``rows``, is a C-contiguous (len(rows), dim) float32 array that
+    takes the rows; the result's values are then ``out`` itself."""
     with open(path, "rb") as f:
         n_docs, dim = read_embeddings_header(f)
         if rows is None:
@@ -270,29 +323,14 @@ def read_embeddings(path, rows=None) -> EmbeddingMatrix:
             _check_finite(values, range(n_docs))
             return _checked_matrix(values)
         rows = _check_rows(rows, n_docs)
-        order = np.argsort(rows, kind="stable")
-        wanted = rows[order]
-        values = np.empty((len(rows), dim), dtype=np.float32)
-        if not len(rows):
-            return _checked_matrix(values)  # which rejects the empty matrix
-        row_bytes = 4 * dim
-        read_rows = max(READ_BYTES // row_bytes, 1)
-        # a run of wanted rows ends where the next one lies a gap away
-        ends = np.flatnonzero(np.diff(wanted) > GAP_BYTES // row_bytes + 1) + 1
-        buffer = np.empty(min(read_rows, int(wanted[-1] - wanted[0]) + 1) * dim, dtype="<f4")
-        for lo, hi in zip([0, *ends.tolist()], [*ends.tolist(), len(wanted)]):
-            while lo < hi:  # one read per READ_BYTES of the run
-                start = int(wanted[lo])
-                stop = lo + int(np.searchsorted(wanted[lo:hi], start + read_rows))
-                count = int(wanted[stop - 1]) + 1 - start
-                f.seek(_EMBEDDINGS_PAYLOAD + start * row_bytes)
-                if f.readinto(buffer[:count * dim]) != count * row_bytes:
-                    raise TruncatedFileError(f"file shrank while reading rows from {start}")
-                picked = buffer[:count * dim].reshape(count, dim)[wanted[lo:stop] - start]
-                _check_finite(picked, wanted[lo:stop])
-                values[order[lo:stop]] = picked
-                lo = stop
-    return _checked_matrix(values)
+        if out is None:
+            out = np.empty((len(rows), dim), dtype=np.float32)
+        elif out.shape != (len(rows), dim) or out.dtype != np.float32 or not out.flags.c_contiguous:
+            raise InvalidSpecError(f"out must be a C-contiguous ({len(rows)}, {dim}) float32 array")
+        if len(rows):
+            _read_rows(f, rows, out)
+    _check_finite(out, rows)
+    return _checked_matrix(out)  # which rejects an empty matrix
 
 
 class EmbeddingFile:
@@ -322,9 +360,11 @@ class EmbeddingFile:
         """The rows ``index`` of this selection, in that order, unread."""
         return EmbeddingFile(self.path, self.rows[index])
 
-    def read(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows [start, stop) as an (n, dim) float32 array."""
-        return read_embeddings(self.path, self.rows[start:stop]).values
+    def read(self, start: int = 0, stop: int | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Rows [start, stop) as an (n, dim) float32 array, written to
+        ``out`` when given (see :func:`read_embeddings`)."""
+        return read_embeddings(self.path, self.rows[start:stop], out).values
 
 
 def write_labels(labels: LabelVector, path) -> None:

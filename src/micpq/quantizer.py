@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dataio import EmbeddingFile, non_finite_at
+from .dataio import READ_BYTES, EmbeddingFile, non_finite_at
 from .encoder import EncoderParams, forward_batch
 from .errors import (
     DimMismatchError,
@@ -315,13 +315,15 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
     """(n, M) uint16 nearest-codeword indices of each row of ``values``
     refined with dropout disabled, against (M, K, sub_dim) books.
     ``values`` is an (n, d_in) array or a
-    :class:`~micpq.dataio.EmbeddingFile`, whose rows each block reads
-    when it starts and drops when it ends, so no (n, d_in) input is held
-    either.  Rows are
-    refined ``ASSIGN_ROWS`` at a time, so no (n, D) refined array is held.
-    A last block shorter than ``ASSIGN_ROWS`` joins the block before it:
-    OpenBLAS refines a few rows with other kernels, whose bits differ from
-    the same rows inside a larger batch.  Each block's distances are then
+    :class:`~micpq.dataio.EmbeddingFile`.  Rows are refined in blocks of
+    ``ASSIGN_ROWS``, so no (n, D) refined array is held.  A last block
+    shorter than ``ASSIGN_ROWS`` joins the block before it: OpenBLAS
+    refines a few rows with other kernels, whose bits differ from the
+    same rows inside a larger batch.  A file's block is read, and refined
+    into the block's refined rows, in near-equal pieces of at most
+    ``dataio.READ_BYTES`` of input and at least ``PIECE_ROWS`` rows, so no
+    block of input is held either; such pieces refine to the whole
+    block's bits (``TestRefinePieces``).  Each block's distances are then
     taken in ``ASSIGN_ROWS``-row chunks, the chunks of
     :func:`hard_assign_books`, so the codes equal those of one whole
     :func:`~micpq.encoder.forward_batch` followed by it.
@@ -331,23 +333,18 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
     when W > 1, which write disjoint rows of the codes.  Each run
     allocates its refined rows, sized to its largest block (only the run
     that holds the last block gets the merged tail), an (M,
-    ``ASSIGN_ROWS``, K) distance chunk and the chunk's argmin indices.
+    ``ASSIGN_ROWS``, K) distance chunk and the chunk's argmin indices,
+    and for a file the input rows of its widest piece.
     A block of an array holding a non-finite value raises
     :class:`NonFiniteInputError`; a file's rows come checked by its
     reader, which raises :class:`~micpq.errors.NonFiniteValueError`.
     Every worker has ended before this returns or raises."""
-    if isinstance(values, EmbeddingFile):
-        read = values.read
+    in_file = isinstance(values, EmbeddingFile)
+    if in_file:
+        piece_rows = max(READ_BYTES // (values.dtype.itemsize * values.dim), 1)
     else:
         values = np.asarray(values)
-
-        def read(start: int, stop: int) -> np.ndarray:
-            rows = values[start:stop]
-            bad = non_finite_at(rows)
-            if bad is not None:
-                raise NonFiniteInputError(f"non-finite value in row {start + bad[0]}")
-            return rows
-
+        piece_rows = max(len(values), 1)  # a view costs nothing: one piece per block
     books = np.asarray(books)
     n_rows, n_blocks = values.shape[0], max(values.shape[0] // ASSIGN_ROWS, 1)
     n_books, n_words = books.shape[:2]
@@ -355,17 +352,33 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
     chunk_rows = min(n_rows, ASSIGN_ROWS)
     codes = np.empty((n_rows, n_books), dtype=np.uint16)
 
+    def pieces(n: int) -> int:
+        return max(1, min(-(-n // piece_rows), n // PIECE_ROWS))
+
     def work(first: int, stop_block: int) -> None:
         # the run's largest block: the merged tail (or every row) for the last run
         largest = n_rows - (n_blocks - 1) * ASSIGN_ROWS if stop_block == n_blocks else ASSIGN_ROWS
         refined_rows = np.empty((largest, params.d_out), refined_dtype)
         d2 = np.empty(n_books * chunk_rows * n_words, np.result_type(refined_dtype, books))
         nearest = np.empty(n_books * chunk_rows, np.intp)
+        if in_file:
+            widest = max(-(-n // pieces(n)) for n in (min(largest, ASSIGN_ROWS), largest))
+            inputs = np.empty((widest, values.dim), values.dtype)
         for block in range(first, stop_block):
             start = block * ASSIGN_ROWS
             stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
-            rows = read(start, stop)
-            refined = forward_batch(params, rows, out=refined_rows[:stop - start])
+            refined = refined_rows[:stop - start]
+            n_pieces = pieces(stop - start)
+            bounds = [start + piece * (stop - start) // n_pieces for piece in range(n_pieces + 1)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                if in_file:
+                    rows = values.read(lo, hi, out=inputs[:hi - lo])
+                else:
+                    rows = values[lo:hi]
+                    bad = non_finite_at(rows)
+                    if bad is not None:
+                        raise NonFiniteInputError(f"non-finite value in row {lo + bad[0]}")
+                forward_batch(params, rows, out=refined[lo - start:hi - start])
             for at in range(0, len(refined), ASSIGN_ROWS):
                 chunk = refined[at:at + ASSIGN_ROWS]
                 n = len(chunk)

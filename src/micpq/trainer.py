@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .dataio import EmbeddingMatrix, atomic_write, check_file_size, read_header
+from .dataio import EmbeddingFile, EmbeddingMatrix, atomic_write, check_file_size, read_header
 from .encoder import EncoderParams, forward_batch, init_encoder
 from .errors import InvalidConfigError, NonFiniteGradientError
 from .objectives import (
@@ -264,10 +264,12 @@ def adam_step(
     return state
 
 
-def usage_histogram(state: ModelState, data: np.ndarray) -> np.ndarray:
-    """(M, K) hard-assignment counts over a corpus, dropout disabled."""
-    values = np.asarray(getattr(data, "values", data))
-    codes = encode_rows(state.encoder, state.books.books, values)
+def usage_histogram(state: ModelState, data) -> np.ndarray:
+    """(M, K) hard-assignment counts over a corpus, dropout disabled:
+    an array, an :class:`~micpq.dataio.EmbeddingMatrix` or an
+    :class:`~micpq.dataio.EmbeddingFile`, which
+    :func:`~micpq.quantizer.encode_rows` reads in pieces."""
+    codes = encode_rows(state.encoder, state.books.books, getattr(data, "values", data))
     n_books, n_words = state.books.n_codebooks, state.books.n_codewords
     slots = codes + n_words * np.arange(n_books)
     return np.bincount(slots.ravel(), minlength=n_books * n_words).reshape(n_books, n_words)
@@ -302,7 +304,7 @@ def _step_plan(cfg: TrainConfig, n_docs: int, first_perm: np.ndarray):
 
 def train(
     cfg: TrainConfig,
-    data: EmbeddingMatrix,
+    data: EmbeddingMatrix | EmbeddingFile,
     val: EmbeddingMatrix | None = None,
     on_epoch=None,
 ) -> tuple[ModelState, TrainLog]:
@@ -310,9 +312,19 @@ def train(
 
     ``on_epoch``, when given, is called with each finished EpochRecord.
 
+    ``data`` is a matrix in memory or an
+    :class:`~micpq.dataio.EmbeddingFile`, whose rows are read when they
+    are needed: each batch, the warm-up batch and each epoch's
+    :func:`usage_histogram`.  Every row of the file is also read once, a
+    batch at a time on a pool thread while the model is initialised, so
+    a non-finite value raises its reader's
+    :class:`~micpq.errors.NonFiniteValueError`, for the lowest bad row,
+    before the first step.  Either source gives the same bits.
+
     A pool of max(1, W - 1) threads serves the loop, W from
     :func:`~micpq.quantizer.encode_workers` (1 under default threading).
-    A pool thread gathers step t+1's batch and draws its noise
+    A pool thread gathers step t+1's batch into that step's buffer (from
+    memory or the file) and draws its noise
     (:func:`~micpq.objectives.draw_noise`) while step t runs; the two
     steps' buffers alternate by parity.  The noise does not depend on the
     parameters.  The step's three phases (:mod:`~micpq.objectives`), its
@@ -326,42 +338,53 @@ def train(
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    values = data.values
-    n_docs, d_in = values.shape
+    n_docs, d_in = data.n_docs, data.dim
     if n_docs < 2:
         raise InvalidConfigError("training needs at least 2 documents")
-
-    first_perm = rng.spawn(cfg.seed, rng.STREAM_SHUFFLE, 0).permutation(n_docs)
-    warmup = values[first_perm[: min(cfg.batch_size, n_docs)]]
-    state = init_model(cfg, warmup)
-
     capacity = min(cfg.batch_size, n_docs)
     slots = [
         (
-            np.empty((capacity, d_in), values.dtype),
+            np.empty((capacity, d_in), np.float32),
             np.empty((2 * capacity, d_in)),
             np.empty((2 * capacity, cfg.n_codebooks, cfg.n_codewords)),
         )
         for _ in range(2)
     ]
+    in_file = isinstance(data, EmbeddingFile)
+
+    def check():  # every row of the file read once, and checked, before the first step
+        for start in range(0, n_docs, capacity):
+            data.read(start, start + capacity, out=slots[1][0][:min(capacity, n_docs - start)])
+
+    def gather(rows, out):
+        if in_file:
+            return data.take(rows).read(out=out)
+        return np.take(data.values, rows, axis=0, out=out, mode="clip")
 
     def prepare(step, rows, seed):
         gathered, inputs, by_row = slots[step % 2]
         n = rows.shape[0]
-        batch = np.take(values, rows, axis=0, out=gathered[:n], mode="clip")
+        batch = gather(rows, gathered[:n])
         noise = inputs[:2 * n], by_row[:2 * n].transpose(1, 0, 2)
         draw_noise(batch, cfg.loss, seed, *noise)
         return batch, noise
 
     full = StepWorkspace(capacity, d_in, cfg.n_codebooks, cfg.n_codewords, cfg.sub_dim)
     workspaces = {capacity: full}  # the last batch of an epoch may be smaller
-    scratch = adam_scratch(state)
     log = TrainLog()
     sums, n_steps = np.zeros(3), 0
+    first_perm = rng.spawn(cfg.seed, rng.STREAM_SHUFFLE, 0).permutation(n_docs)
     plan = _step_plan(cfg, n_docs, first_perm)
     # the most pieces any split call of a step takes; the calling thread runs one
     n_workers = encode_workers(max(2 * capacity, cfg.d_out) // PIECE_ROWS)
     with ThreadPoolExecutor(max_workers=max(1, n_workers - 1)) as pool:
+        checked = pool.submit(check) if in_file else None
+        try:  # the warm-up batch is step 0's, read into its buffer
+            state = init_model(cfg, gather(first_perm[:capacity], slots[0][0]))
+        finally:  # the check's error, naming the lowest bad row, comes first
+            if checked is not None:
+                checked.result()
+        scratch = adam_scratch(state)
         following = next(plan)
         pending = pool.submit(prepare, *following[1:])
         while following is not None:
@@ -388,7 +411,7 @@ def train(
             if following is not None and following[0] == epoch:
                 continue
 
-            counts = usage_histogram(state, values)
+            counts = usage_histogram(state, data)
             val_loss = None
             if val is not None:
                 val_seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, 2**31 + epoch)

@@ -248,14 +248,16 @@ class TestTrain:
         )
         requested = []
 
-        def spy(path, rows=None):
+        def spy(path, rows=None, out=None):
             requested.append(rows)
-            return read_embeddings(path, rows)
+            return read_embeddings(path, rows, out)
 
         monkeypatch.setattr(dataio, "read_embeddings", spy)
         ckpt = _train(tmp_path, emb_path, extra=["--split", split])
         assert f"training on {len(rows)} of 60 documents (split={split})" in capsys.readouterr().out
-        assert len(requested) == 1 and np.array_equal(requested[0], rows)
+        # the rows are read as they are needed, never a row outside the split
+        assert all(asked is not None for asked in requested)
+        assert np.array_equal(np.unique(np.concatenate(requested)), rows)
 
         cfg = TrainConfig(n_codebooks=2, n_codewords=4, sub_dim=3, batch_size=24, n_epochs=2,
                           seed=3, loss=LossConfig(tau_gumbel=5.0), checkpoint_path=str(tmp_path / "lib.ckpt"))
@@ -529,7 +531,37 @@ class TestStreamedCorpus:
         assert f"byte {min(offsets)} " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before  # no index, no temporary file
 
-    @pytest.mark.parametrize("command", ["index", "eval"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_non_finite_split_row_fails_train_before_any_step(self, tmp_path, capsys,
+                                                              monkeypatch, use_workers, n_workers):
+        from micpq import trainer
+
+        use_workers(n_workers)
+        n = 300
+        emb, _, _ = _corpus(tmp_path, n)
+        rows, val, _ = evaluation.split_indices(n, (0.8, 0.1, 0.1), 0)
+        out, log = tmp_path / "t.ckpt", tmp_path / "t.log"
+        argv = ["train", "--emb", emb, "--M", "2", "--K", "4", "--sub-dim", "3", "--epochs", "1",
+                "--batch-size", "32", "--out", str(out), "--log", str(log)]
+        _poison(emb, val[0])  # outside the split, so never read
+        assert main(argv) == 0
+        out.unlink()
+        log.unlink()
+        before = sorted(os.listdir(tmp_path))
+        offsets = [_poison(emb, row) for row in np.sort(rows)[[-1, len(rows) // 2]]]
+
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(trainer, "loss_and_gradients", step)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite value at byte ")
+        assert f"byte {min(offsets)} " in err
+        assert sorted(os.listdir(tmp_path)) == before  # no checkpoint, log or temporary file
+
+    @pytest.mark.parametrize("command", ["index", "eval", "train"])
     def test_peak_memory_stays_below_the_corpus(self, tmp_path, use_workers, command):
         # tracemalloc sees numpy's data buffers; the corpus is 10.24 MB
         use_workers(1)
@@ -538,6 +570,9 @@ class TestStreamedCorpus:
         idx = str(tmp_path / "c.idx")
         ratios = ["--split-ratios", "0.9,0.08,0.02"]
         argv = ["index", "--ckpt", ckpt, "--emb", emb, "--out", idx, *ratios]
+        if command == "train":
+            argv = ["train", "--emb", emb, "--M", "2", "--K", "4", "--sub-dim", "3",
+                    "--epochs", "1", "--out", str(tmp_path / "t.ckpt"), *ratios]
         if command == "eval":
             assert main(argv) == 0
             argv = ["eval", "--ckpt", ckpt, "--emb", emb, "--labels", lbl, "--k", "10",

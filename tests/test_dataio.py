@@ -123,13 +123,14 @@ class TestRowSelectiveRead:
         write_embeddings(EmbeddingMatrix(values / 7), path)
         return path
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
     @pytest.mark.parametrize("block_rows", [1, 3, 11])
     @pytest.mark.parametrize("rows", [[0, 2, 3, 9], [9, 0, 5, 1], [4, 4, 1, 4, 9, 1],
                                       list(range(10))], ids=["sorted", "unsorted", "repeated", "all"])
-    def test_equals_whole_read_indexed(self, tmp_path, monkeypatch, block_rows, rows):
+    def test_equals_whole_read_indexed(self, tmp_path, monkeypatch, block_rows, rows, dtype):
         path = self._file(tmp_path)
         monkeypatch.setattr(dataio, "READ_BYTES", block_rows * self.DIM * 4)
-        got = read_embeddings(path, np.array(rows))
+        got = read_embeddings(path, np.array(rows, dtype))
         assert got.values.dtype == np.float32
         assert np.array_equal(got.values, read_embeddings(path).values[rows])
 
@@ -156,6 +157,17 @@ class TestRowSelectiveRead:
             read_embeddings(path, np.array([1, 7, 3]))
         assert f"byte {offset}" in str(err.value)
 
+    @pytest.mark.parametrize("run_bytes", [0, 1 << 20], ids=["run-by-run", "window"])
+    def test_a_non_finite_value_names_the_lowest_bad_row(self, tmp_path, monkeypatch, run_bytes):
+        path = self._file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        for row in (2, 8):
+            raw[24 + row * self.DIM * 4:24 + row * self.DIM * 4 + 4] = b"\xff\xff\xff\x7f"  # NaN
+        path.write_bytes(bytes(raw))
+        monkeypatch.setattr(dataio, "RUN_BYTES", run_bytes)
+        with pytest.raises(NonFiniteValueError, match=f"byte {24 + 2 * self.DIM * 4} "):
+            read_embeddings(path, np.array([8, 0, 2, 9]))
+
     def test_hostile_header_rejected_before_rows_are_used(self, tmp_path):
         path = tmp_path / "huge.emb"
         path.write_bytes(MAGIC_EMBEDDINGS + struct.pack("<IQI", FORMAT_VERSION, 2**60, 1))
@@ -171,18 +183,19 @@ class TestRowSelectiveRead:
                 lambda t: t[2].sample(range(t[0], min(t[0] + t[1], 40)), min(t[1], 40 - t[0]))
             ),  # dense: a shuffled run
             st.sets(st.integers(0, 39), min_size=30).map(sorted),  # dense with holes
+            st.randoms().map(lambda r: r.sample(range(4000), 256)),  # a sparse random batch
         ),
         read_rows=st.integers(1, 12),
-        gap_rows=st.integers(0, 6),
+        run_rows=st.integers(0, 40),
     )
-    def test_runs_equal_the_whole_read_indexed(self, tmp_path, rows, read_rows, gap_rows):
+    def test_runs_equal_the_whole_read_indexed(self, tmp_path, rows, read_rows, run_rows):
         path = tmp_path / "runs.emb"
         if not path.exists():
-            values = np.random.default_rng(19).normal(size=(40, 3)).astype(np.float32)
+            values = np.random.default_rng(19).normal(size=(4000, 3)).astype(np.float32)
             write_embeddings(EmbeddingMatrix(values), path)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dataio, "READ_BYTES", read_rows * 3 * 4)
-            patch.setattr(dataio, "GAP_BYTES", gap_rows * 3 * 4)
+            patch.setattr(dataio, "RUN_BYTES", run_rows * 3 * 4)
             got = read_embeddings(path, np.array(rows))
         whole = read_embeddings(path).values[rows]
         assert got.values.dtype == np.float32 and got.values.flags.c_contiguous
@@ -191,12 +204,31 @@ class TestRowSelectiveRead:
     def test_reads_only_the_runs_that_hold_wanted_rows(self, tmp_path, monkeypatch):
         path = tmp_path / "big.emb"
         write_embeddings(EmbeddingMatrix(np.ones((1000, 4), np.float32)), path)
-        seeks = []
-        monkeypatch.setattr(dataio, "open", lambda *a: _SeekSpy(open(*a), seeks), raising=False)
-        monkeypatch.setattr(dataio, "GAP_BYTES", 13 * 16)
+        offsets = _spy_on_reads(monkeypatch)
+        monkeypatch.setattr(dataio, "READ_BYTES", 32 * 16)
         assert read_embeddings(path, np.array([900, 5, 6, 20, 25, 5])).n_docs == 6
-        # one read spans rows 5-25, across a gap of 13 rows; row 900 is read alone
-        assert seeks == [24 + 5 * 16, 24 + 900 * 16]
+        # rows 5-25 lie in one 32-row window, where they are dense: one read
+        # spans them; row 900 is read alone
+        assert offsets == [24 + 5 * 16, 24 + 900 * 16]
+
+    def test_a_sparse_pick_reads_each_run_into_place(self, tmp_path, monkeypatch):
+        path = tmp_path / "wide.emb"
+        values = np.random.default_rng(23).normal(size=(4000, 256)).astype(np.float32)
+        write_embeddings(EmbeddingMatrix(values), path)
+        rows = np.random.default_rng(24).choice(4000, 256, replace=False)
+        offsets = _spy_on_reads(monkeypatch)
+        out = np.empty((256, 256), np.float32)
+        assert read_embeddings(path, rows, out=out).values is out
+        assert out.tobytes() == values[rows].tobytes()
+        # 1 KiB rows about 15 rows apart: a read per row, in file order
+        assert offsets == (24 + np.sort(rows) * 1024).tolist()
+
+    def test_out_must_fit_the_rows(self, tmp_path):
+        path = self._file(tmp_path)
+        for out in (np.empty((2, self.DIM), np.float32), np.empty((3, self.DIM)),
+                    np.empty((self.DIM, 3), np.float32).T):
+            with pytest.raises(InvalidSpecError):
+                read_embeddings(path, np.array([1, 2, 3]), out=out)
 
     def test_every_row_is_checked_once(self, tmp_path, monkeypatch):
         path = self._file(tmp_path)
@@ -241,24 +273,16 @@ class TestEmbeddingFile:
             EmbeddingFile(path)
 
 
-class _SeekSpy:
-    """An open file that records the offsets it seeks to."""
+def _spy_on_reads(monkeypatch) -> list[int]:
+    """The file offsets of the reads ``read_embeddings`` makes from now on."""
+    offsets, preadv = [], os.preadv
 
-    def __init__(self, f, seeks):
-        self._f, self._seeks = f, seeks
+    def spy(fd, buffers, offset):
+        offsets.append(offset)
+        return preadv(fd, buffers, offset)
 
-    def seek(self, at, *whence):
-        self._seeks.append(at)
-        return self._f.seek(at, *whence)
-
-    def __getattr__(self, name):
-        return getattr(self._f, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._f.close()
+    monkeypatch.setattr(dataio.os, "preadv", spy)
+    return offsets
 
 
 class TestLabelFormat:

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from micpq import quantizer
+from micpq import dataio, quantizer
+from micpq.dataio import EmbeddingFile, EmbeddingMatrix, write_embeddings
 from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
 from micpq.errors import (
     IndexOutOfRangeError,
@@ -226,6 +227,76 @@ class TestEncodeRows:
         values = gen.normal(size=(n, 4)).astype(np.float32)
         expected = hard_assign_books(forward_batch(encoder, values), books)
         assert np.array_equal(encode_rows(encoder, books, values), expected)
+
+
+class TestRefinePieces:
+    """encode_rows refines a file's block in pieces of at least PIECE_ROWS
+    rows, which must give the bits of one whole forward_batch."""
+
+    @pytest.mark.parametrize("d_in", [64, 768])
+    @pytest.mark.parametrize("d_out", [192, 384])
+    @pytest.mark.parametrize("n, piece", [
+        (4000, 64), (4096, 341), (4100, 512), (5000, 1024), (6000, 333),
+        (6143, 100), (7487, 256), (8000, 777), (8191, 1000),
+    ])
+    def test_pieces_are_bit_identical_to_one_whole_call(self, d_in, d_out, n, piece):
+        gen = np.random.default_rng(n + d_in + d_out)
+        encoder = EncoderParams(
+            (gen.normal(size=(d_out, d_in)) / np.sqrt(d_in)).astype(np.float32),
+            gen.normal(0.0, 0.1, size=d_out).astype(np.float32),
+        )
+        values = gen.normal(size=(n, d_in)).astype(np.float32)
+        whole = forward_batch(encoder, values)
+        bounds = list(range(0, n, piece))
+        if n - bounds[-1] < quantizer.PIECE_ROWS:
+            bounds.pop()  # a short tail joins the piece before it
+        refined = np.empty_like(whole)
+        for lo, hi in zip(bounds, bounds[1:] + [n]):
+            forward_batch(encoder, values[lo:hi], out=refined[lo:hi])
+        assert refined.tobytes() == whole.tobytes()
+
+
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """d_in -> (path, values) of a 3 x ASSIGN_ROWS + 100-row embedding file."""
+    files = {}
+    for d_in in (64, 768):
+        values = np.random.default_rng(d_in).normal(size=(3 * quantizer.ASSIGN_ROWS + 100, d_in))
+        values = values.astype(np.float32)
+        path = tmp_path_factory.mktemp("wide") / f"{d_in}.emb"
+        write_embeddings(EmbeddingMatrix(values), path)
+        files[d_in] = path, values
+    return files
+
+
+class TestEncodeRowsFromAFile:
+    """encode_rows reads a file's blocks in pieces of at most READ_BYTES
+    and gives the codes of one whole pass over the same rows in memory."""
+
+    @pytest.mark.parametrize("d_in", [64, 768])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("tail", [0, 1, 3, 100])
+    def test_reads_bounded_pieces_and_gives_the_whole_pass_codes(self, monkeypatch, use_workers,
+                                                                 wide_files, d_in, n_workers, tail):
+        use_workers(n_workers)
+        path, values = wide_files[d_in]
+        n = 3 * quantizer.ASSIGN_ROWS + tail
+        gen, encoder, books = _encoder_and_books(tail, d_in=d_in, n_books=8, sub=24)
+        source = EmbeddingFile(path, np.arange(n))
+        reads = []
+        read = EmbeddingFile.read
+        def spy(self, start=0, stop=None, out=None):
+            reads.append((start, stop))
+            return read(self, start, stop, out)
+        monkeypatch.setattr(EmbeddingFile, "read", spy)
+        codes = encode_rows(encoder, books, source)
+        monkeypatch.undo()
+        expected = hard_assign_books(forward_batch(encoder, values[:n]), books)
+        assert np.array_equal(codes, expected)
+        assert max(stop - start for start, stop in reads) * d_in * 4 <= dataio.READ_BYTES
+        assert min(stop - start for start, stop in reads) >= quantizer.PIECE_ROWS
+        assert sorted(reads)[0][0] == 0 and sorted(reads)[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(sorted(reads), sorted(reads)[1:]))
 
 
 def _encoder_and_books(seed, d_in=8, n_books=4, n_words=16, sub=3):

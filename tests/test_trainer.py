@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from micpq import rng
 from micpq.cli import main
-from micpq.dataio import EmbeddingMatrix, MixtureSpec, synth_mixture, write_embeddings
+from micpq.dataio import (
+    EmbeddingFile,
+    EmbeddingMatrix,
+    MixtureSpec,
+    synth_mixture,
+    write_embeddings,
+)
 from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     BadMagicError,
@@ -551,6 +557,32 @@ class TestPrefetchedTraining:
         for (name, got), (_, want) in zip(state._arrays(), ref_state._arrays()):
             assert got.tobytes() == want.tobytes(), name
         assert log.format_lines() == ref_log.format_lines()
+
+
+class TestTrainingFromAFile:
+    """``train`` on an EmbeddingFile reads its rows as it needs them and
+    writes the bytes of ``train`` on the same rows in memory."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("d_in", [64, 768])
+    @pytest.mark.parametrize("n_rows", [90, 480], ids=["sparse", "dense"])
+    def test_equals_training_on_the_rows_in_memory(self, tmp_path, use_workers, n_workers,
+                                                   d_in, n_rows):
+        use_workers(n_workers)
+        gen = np.random.default_rng(d_in + n_rows)
+        values = gen.normal(size=(600, d_in)).astype(np.float32)
+        write_embeddings(EmbeddingMatrix(values), tmp_path / "c.emb")
+        rows = np.sort(gen.choice(600, n_rows, replace=False))
+        outputs = {}
+        for name, data in (("file", EmbeddingFile(tmp_path / "c.emb", rows)),
+                           ("memory", EmbeddingMatrix(values[rows]))):
+            # 64-document batches, so the last of each epoch is shorter
+            cfg = _tiny_config(n_epochs=2, batch_size=64, sub_dim=16,
+                               checkpoint_path=str(tmp_path / f"{name}.ckpt"))
+            _, log = train(cfg, data)
+            log.write(tmp_path / f"{name}.log")
+            outputs[name] = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("ckpt", "log")]
+        assert outputs["file"] == outputs["memory"]
 
 
 def _split_corpus():
