@@ -50,7 +50,7 @@ _SHARED_OPTS = {
                 "with W = affinity CPUs // BLAS threads, train runs each step's three phases "
                 "(forward, contrastive softmax, backward), its weight gradient and a large "
                 "weight's Adam update in W row pieces, and index, eval without --index and "
-                "train's usage histogram encode row blocks on W threads"),
+                "train's usage histogram encode their rows on W threads"),
     "config": (str, None, "key=value lines read as flags placed before the command line's own"),
 }
 

@@ -263,20 +263,23 @@ def _read_rows(f, rows: np.ndarray, out: np.ndarray) -> None:
     dense when its wanted rows form runs (rows adjacent in the file and
     in ``out``) so many and so close that reading its whole span takes
     fewer than ``RUN_BYTES`` per call it saves.  A dense window's span is
-    read into a buffer in one call, and its rows are copied from there.
-    Each run of every other window is read into place by its own call,
-    so a sparse pick reads only its rows.  No call reads more than a
-    window, so a short read means that the file shrank."""
+    read into a buffer in one ``os.preadv``, and its rows are copied from
+    there.  Each run of every other window is read by its own
+    ``os.pread`` (for a short run, cheaper than an ``os.preadv`` into
+    place) and copied into place, so a sparse pick reads only its rows.
+    No call reads more than a window, so a short read means that the
+    file shrank."""
     dim = out.shape[1]
     row_bytes = 4 * dim
     rows = rows.astype(np.int64, copy=False)  # byte offsets overflow a narrower type
     order = np.argsort(rows, kind="stable")
     wanted = rows[order]
-    in_order = bool(np.all(rows[1:] >= rows[:-1]))
     window = wanted // max(READ_BYTES // row_bytes, 1)
-    new_run = np.ones(len(rows), bool)
-    new_run[1:] = (np.diff(wanted) != 1) | (np.diff(order) != 1) | (np.diff(window) != 0)
-    firsts = np.flatnonzero(np.diff(window, prepend=-1))  # each window's first wanted row
+    new_window = np.ones(len(rows), bool)
+    np.not_equal(window[1:], window[:-1], out=new_window[1:])
+    new_run = new_window.copy()  # np.diff costs more than these slices on short requests
+    new_run[1:] |= (wanted[1:] - wanted[:-1] != 1) | (order[1:] - order[:-1] != 1)
+    firsts = np.flatnonzero(new_window)  # each window's first wanted row
     stops = np.append(firsts[1:], len(wanted))
     spans = wanted[stops - 1] + 1 - wanted[firsts]
     dense = spans * row_bytes < (np.add.reduceat(new_run, firsts) - 1) * RUN_BYTES
@@ -287,20 +290,18 @@ def _read_rows(f, rows: np.ndarray, out: np.ndarray) -> None:
         at, view = _EMBEDDINGS_PAYLOAD + start * row_bytes, memoryview(buffer).cast("B")
         if os.preadv(fd, [view[:count * row_bytes]], at) != count * row_bytes:
             raise TruncatedFileError(f"file shrank while reading byte {at}")
-        span = buffer[:count * dim].reshape(count, dim)
-        if in_order:  # the window's rows are out[lo:stop]: taken there with no copy between
-            np.take(span, wanted[lo:stop] - start, axis=0, out=out[lo:stop], mode="clip")
-        else:
-            out[order[lo:stop]] = span[wanted[lo:stop] - start]
+        out[order[lo:stop]] = buffer[:count * dim].reshape(count, dim)[wanted[lo:stop] - start]
     runs = np.flatnonzero(new_run)
     sparse = ~np.repeat(dense, stops - firsts)[runs]
-    lengths = np.diff(np.append(runs, len(wanted)))[sparse] * row_bytes
+    lengths = (np.append(runs[1:], len(wanted)) - runs)[sparse] * row_bytes
     runs = runs[sparse]
     place = memoryview(out).cast("B")
     for at, begin, size in zip((_EMBEDDINGS_PAYLOAD + wanted[runs] * row_bytes).tolist(),
                                (order[runs] * row_bytes).tolist(), lengths.tolist()):
-        if os.preadv(fd, [place[begin:begin + size]], at) != size:
+        run = os.pread(fd, size, at)
+        if len(run) != size:
             raise TruncatedFileError(f"file shrank while reading byte {at}")
+        place[begin:begin + size] = run
 
 
 def read_embeddings(path, rows=None, out: np.ndarray | None = None) -> EmbeddingMatrix:

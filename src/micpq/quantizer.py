@@ -328,67 +328,95 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
     :func:`hard_assign_books`, so the codes equal those of one whole
     :func:`~micpq.encoder.forward_batch` followed by it.
 
-    The blocks are independent: :func:`fan_out` splits them into W runs
-    of consecutive blocks (:func:`encode_workers`), claimed by W threads
-    when W > 1, which write disjoint rows of the codes.  Each run
-    allocates its refined rows, sized to its largest block (only the run
-    that holds the last block gets the merged tail), an (M,
-    ``ASSIGN_ROWS``, K) distance chunk and the chunk's argmin indices,
-    and for a file the input rows of its widest piece.
+    The work is spread over W threads (:func:`encode_workers`), which
+    write disjoint rows.  Several blocks are shared out by :func:`fan_out`
+    in W runs of consecutive blocks; each run allocates its refined rows,
+    sized to its largest block (only the run that holds the last block
+    gets the merged tail), an (M, ``ASSIGN_ROWS``, K) distance chunk and
+    the chunk's argmin indices, and for a file the input rows of its
+    widest piece.  A lone block (at most 2 * ``ASSIGN_ROWS`` - 1 rows, such
+    as a training split's usage histogram) is cut into at least W pieces,
+    which W threads read and refine, each into input rows of its own;
+    its distances are then taken on the calling thread.
     A block of an array holding a non-finite value raises
-    :class:`NonFiniteInputError`; a file's rows come checked by its
-    reader, which raises :class:`~micpq.errors.NonFiniteValueError`.
+    :class:`NonFiniteInputError` for its first bad row; a file's rows come
+    checked by its reader, which raises
+    :class:`~micpq.errors.NonFiniteValueError`.
     Every worker has ended before this returns or raises."""
     in_file = isinstance(values, EmbeddingFile)
     if in_file:
         piece_rows = max(READ_BYTES // (values.dtype.itemsize * values.dim), 1)
     else:
         values = np.asarray(values)
-        piece_rows = max(len(values), 1)  # a view costs nothing: one piece per block
+        piece_rows = max(len(values), 1)  # a view costs nothing: pieces only for threads
     books = np.asarray(books)
     n_rows, n_blocks = values.shape[0], max(values.shape[0] // ASSIGN_ROWS, 1)
     n_books, n_words = books.shape[:2]
     refined_dtype = np.result_type(values.dtype, params.weight, params.bias)
     chunk_rows = min(n_rows, ASSIGN_ROWS)
     codes = np.empty((n_rows, n_books), dtype=np.uint16)
+    # a lone block's pieces go to the threads that blocks would have used
+    piece_threads = encode_workers(n_rows // PIECE_ROWS) if n_blocks == 1 else 1
 
     def pieces(n: int) -> int:
-        return max(1, min(-(-n // piece_rows), n // PIECE_ROWS))
+        return max(1, min(max(-(-n // piece_rows), piece_threads), n // PIECE_ROWS))
+
+    def bounds(start: int, stop: int) -> list[int]:
+        n_pieces = pieces(stop - start)
+        return [start + piece * (stop - start) // n_pieces for piece in range(n_pieces + 1)]
+
+    def input_rows(*blocks: int):  # a file's input rows for the widest piece of these blocks
+        if not in_file:
+            return None
+        return np.empty((max(-(-n // pieces(n)) for n in blocks), values.dim), values.dtype)
+
+    def refine(refined, start: int, edges: list[int], inputs) -> None:
+        for lo, hi in zip(edges, edges[1:]):
+            if in_file:
+                rows = values.read(lo, hi, out=inputs[:hi - lo])
+            else:
+                rows = values[lo:hi]
+                bad = non_finite_at(rows)
+                if bad is not None:
+                    raise NonFiniteInputError(f"non-finite value in row {lo + bad[0]}")
+            forward_batch(params, rows, out=refined[lo - start:hi - start])
+
+    def assign(refined, start: int, d2, nearest) -> None:
+        for at in range(0, len(refined), ASSIGN_ROWS):
+            chunk = refined[at:at + ASSIGN_ROWS]
+            n = len(chunk)
+            dist = squared_distances_books(
+                chunk, books, out=d2[:n_books * n * n_words].reshape(n_books, n, n_words),
+                scratch=chunk,
+            )
+            nearest_chunk = nearest[:n_books * n].reshape(n_books, n)
+            np.argmin(dist, axis=2, out=nearest_chunk)
+            codes[start + at:start + at + n] = nearest_chunk.T
+
+    def assign_buffers():
+        return (np.empty(n_books * chunk_rows * n_words, np.result_type(refined_dtype, books)),
+                np.empty(n_books * chunk_rows, np.intp))
+
+    if n_blocks == 1:
+        refined = np.empty((n_rows, params.d_out), refined_dtype)
+        edges = bounds(0, n_rows)
+        fan_out(lambda first, stop: refine(refined, 0, edges[first:stop + 1], input_rows(n_rows)),
+                len(edges) - 1, piece_threads)
+        assign(refined, 0, *assign_buffers())
+        return codes
 
     def work(first: int, stop_block: int) -> None:
-        # the run's largest block: the merged tail (or every row) for the last run
+        # the run's largest block: the merged tail for the last run
         largest = n_rows - (n_blocks - 1) * ASSIGN_ROWS if stop_block == n_blocks else ASSIGN_ROWS
         refined_rows = np.empty((largest, params.d_out), refined_dtype)
-        d2 = np.empty(n_books * chunk_rows * n_words, np.result_type(refined_dtype, books))
-        nearest = np.empty(n_books * chunk_rows, np.intp)
-        if in_file:
-            widest = max(-(-n // pieces(n)) for n in (min(largest, ASSIGN_ROWS), largest))
-            inputs = np.empty((widest, values.dim), values.dtype)
+        buffers = assign_buffers()
+        inputs = input_rows(min(largest, ASSIGN_ROWS), largest)
         for block in range(first, stop_block):
             start = block * ASSIGN_ROWS
             stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
             refined = refined_rows[:stop - start]
-            n_pieces = pieces(stop - start)
-            bounds = [start + piece * (stop - start) // n_pieces for piece in range(n_pieces + 1)]
-            for lo, hi in zip(bounds, bounds[1:]):
-                if in_file:
-                    rows = values.read(lo, hi, out=inputs[:hi - lo])
-                else:
-                    rows = values[lo:hi]
-                    bad = non_finite_at(rows)
-                    if bad is not None:
-                        raise NonFiniteInputError(f"non-finite value in row {lo + bad[0]}")
-                forward_batch(params, rows, out=refined[lo - start:hi - start])
-            for at in range(0, len(refined), ASSIGN_ROWS):
-                chunk = refined[at:at + ASSIGN_ROWS]
-                n = len(chunk)
-                dist = squared_distances_books(
-                    chunk, books, out=d2[:n_books * n * n_words].reshape(n_books, n, n_words),
-                    scratch=chunk,
-                )
-                nearest_chunk = nearest[:n_books * n].reshape(n_books, n)
-                np.argmin(dist, axis=2, out=nearest_chunk)
-                codes[start + at:start + at + n] = nearest_chunk.T
+            refine(refined, start, bounds(start, stop), inputs)
+            assign(refined, start, *buffers)
 
     fan_out(work, n_blocks, encode_workers(n_blocks))
     return codes

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
+from . import dataio, rng
 from .dataio import EmbeddingFile, EmbeddingMatrix, atomic_write, check_file_size, read_header
 from .encoder import EncoderParams, forward_batch, init_encoder
 from .errors import InvalidConfigError, NonFiniteGradientError
@@ -43,6 +43,12 @@ from .quantizer import (
     split_rows,
 )
 
+# A file whose rows take at most this many bytes is read whole when
+# training starts.  Streamed, the 1.0-1.5 MB splits of the 200k benchmark
+# corpora (2% and 3% of 200,200 x 64) made ``micpq train`` about 7%
+# slower, to save less memory than a step's workspace holds (10-12 MB at
+# batch size 256).
+HOLD_BYTES = 1 << 22
 MAGIC_CHECKPOINT = b"MICPQCKP"
 CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<IIIIIIQ")  # version, d_in, d_out, M, K, sub_dim, step
@@ -313,13 +319,14 @@ def train(
     ``on_epoch``, when given, is called with each finished EpochRecord.
 
     ``data`` is a matrix in memory or an
-    :class:`~micpq.dataio.EmbeddingFile`, whose rows are read when they
-    are needed: each batch, the warm-up batch and each epoch's
-    :func:`usage_histogram`.  Every row of the file is also read once, a
-    batch at a time on a pool thread while the model is initialised, so
-    a non-finite value raises its reader's
+    :class:`~micpq.dataio.EmbeddingFile`.  A file of at most
+    ``HOLD_BYTES`` of rows is read whole first.  A larger one is streamed:
+    its rows are read when they are needed (each batch, the warm-up batch
+    and each epoch's :func:`usage_histogram`), and every row is also read
+    once, a batch at a time on a pool thread while the model is
+    initialised.  Either way a non-finite value raises its reader's
     :class:`~micpq.errors.NonFiniteValueError`, for the lowest bad row,
-    before the first step.  Either source gives the same bits.
+    before the first step, and every source gives the same bits.
 
     A pool of max(1, W - 1) threads serves the loop, W from
     :func:`~micpq.quantizer.encode_workers` (1 under default threading).
@@ -341,6 +348,8 @@ def train(
     n_docs, d_in = data.n_docs, data.dim
     if n_docs < 2:
         raise InvalidConfigError("training needs at least 2 documents")
+    if isinstance(data, EmbeddingFile) and n_docs * d_in * data.dtype.itemsize <= HOLD_BYTES:
+        data = dataio.read_embeddings(data.path, data.rows)
     capacity = min(cfg.batch_size, n_docs)
     slots = [
         (

@@ -255,7 +255,7 @@ class TestTrain:
         monkeypatch.setattr(dataio, "read_embeddings", spy)
         ckpt = _train(tmp_path, emb_path, extra=["--split", split])
         assert f"training on {len(rows)} of 60 documents (split={split})" in capsys.readouterr().out
-        # the rows are read as they are needed, never a row outside the split
+        # the split is read (whole, as it is small), never a row outside it
         assert all(asked is not None for asked in requested)
         assert np.array_equal(np.unique(np.concatenate(requested)), rows)
 
@@ -531,12 +531,15 @@ class TestStreamedCorpus:
         assert f"byte {min(offsets)} " in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before  # no index, no temporary file
 
+    @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "held"])
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_non_finite_split_row_fails_train_before_any_step(self, tmp_path, capsys,
-                                                              monkeypatch, use_workers, n_workers):
+    def test_non_finite_split_row_fails_train_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                                              use_workers, n_workers, streamed):
         from micpq import trainer
 
         use_workers(n_workers)
+        if streamed:
+            monkeypatch.setattr(trainer, "HOLD_BYTES", 0)
         n = 300
         emb, _, _ = _corpus(tmp_path, n)
         rows, val, _ = evaluation.split_indices(n, (0.8, 0.1, 0.1), 0)

@@ -274,14 +274,20 @@ class TestEmbeddingFile:
 
 
 def _spy_on_reads(monkeypatch) -> list[int]:
-    """The file offsets of the reads ``read_embeddings`` makes from now on."""
-    offsets, preadv = [], os.preadv
+    """The file offsets of the reads ``read_embeddings`` makes from now on:
+    ``os.preadv`` for a dense window, ``os.pread`` for each other run."""
+    offsets, pread, preadv = [], os.pread, os.preadv
 
-    def spy(fd, buffers, offset):
+    def spy_pread(fd, size, offset):
+        offsets.append(offset)
+        return pread(fd, size, offset)
+
+    def spy_preadv(fd, buffers, offset):
         offsets.append(offset)
         return preadv(fd, buffers, offset)
 
-    monkeypatch.setattr(dataio.os, "preadv", spy)
+    monkeypatch.setattr(dataio.os, "pread", spy_pread)
+    monkeypatch.setattr(dataio.os, "preadv", spy_preadv)
     return offsets
 
 

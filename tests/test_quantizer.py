@@ -298,6 +298,29 @@ class TestEncodeRowsFromAFile:
         assert sorted(reads)[0][0] == 0 and sorted(reads)[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(sorted(reads), sorted(reads)[1:]))
 
+    @pytest.mark.parametrize("source", ["file", "array"])
+    @pytest.mark.parametrize("d_in", [64, 768])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4000, quantizer.ASSIGN_ROWS + 100])
+    def test_a_lone_block_is_cut_into_a_piece_per_worker(self, monkeypatch, use_workers,
+                                                         wide_files, source, d_in, n_workers, n):
+        use_workers(n_workers)
+        path, values = wide_files[d_in]
+        gen, encoder, books = _encoder_and_books(n, d_in=d_in, n_books=8, sub=24)
+        pieces = []
+        def recording(params, batch, out=None):
+            pieces.append(len(batch))
+            return forward_batch(params, batch, out=out)
+        monkeypatch.setattr(quantizer, "forward_batch", recording)
+        data = EmbeddingFile(path, np.arange(n)) if source == "file" else values[:n]
+        codes = encode_rows(encoder, books, data)
+        monkeypatch.undo()
+        assert np.array_equal(codes, hard_assign_books(forward_batch(encoder, values[:n]), books))
+        assert sum(pieces) == n and len(pieces) >= n_workers
+        assert min(pieces) >= quantizer.PIECE_ROWS
+        if source == "file":
+            assert max(pieces) * d_in * 4 <= dataio.READ_BYTES
+
 
 def _encoder_and_books(seed, d_in=8, n_books=4, n_words=16, sub=3):
     gen = np.random.default_rng(seed)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from micpq import rng
+from micpq import dataio, rng
 from micpq.cli import main
 from micpq.dataio import (
     EmbeddingFile,
     EmbeddingMatrix,
     MixtureSpec,
+    read_embeddings,
     synth_mixture,
     write_embeddings,
 )
@@ -560,19 +561,29 @@ class TestPrefetchedTraining:
 
 
 class TestTrainingFromAFile:
-    """``train`` on an EmbeddingFile reads its rows as it needs them and
-    writes the bytes of ``train`` on the same rows in memory."""
+    """``train`` on an EmbeddingFile reads its rows as it needs them, or
+    whole when they take at most HOLD_BYTES, and writes the bytes of
+    ``train`` on the same rows in memory."""
 
+    @pytest.mark.parametrize("hold_bytes", [0, trainer.HOLD_BYTES], ids=["streamed", "held"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("d_in", [64, 768])
     @pytest.mark.parametrize("n_rows", [90, 480], ids=["sparse", "dense"])
-    def test_equals_training_on_the_rows_in_memory(self, tmp_path, use_workers, n_workers,
-                                                   d_in, n_rows):
+    def test_equals_training_on_the_rows_in_memory(self, tmp_path, monkeypatch, use_workers,
+                                                   n_workers, d_in, n_rows, hold_bytes):
         use_workers(n_workers)
+        monkeypatch.setattr(trainer, "HOLD_BYTES", hold_bytes)
         gen = np.random.default_rng(d_in + n_rows)
         values = gen.normal(size=(600, d_in)).astype(np.float32)
         write_embeddings(EmbeddingMatrix(values), tmp_path / "c.emb")
         rows = np.sort(gen.choice(600, n_rows, replace=False))
+        requested = []
+
+        def spy(path, rows=None, out=None):
+            requested.append(rows)
+            return read_embeddings(path, rows, out)
+
+        monkeypatch.setattr(dataio, "read_embeddings", spy)
         outputs = {}
         for name, data in (("file", EmbeddingFile(tmp_path / "c.emb", rows)),
                            ("memory", EmbeddingMatrix(values[rows]))):
@@ -583,6 +594,10 @@ class TestTrainingFromAFile:
             log.write(tmp_path / f"{name}.log")
             outputs[name] = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("ckpt", "log")]
         assert outputs["file"] == outputs["memory"]
+        if hold_bytes:  # one read of the whole split
+            assert len(requested) == 1 and np.array_equal(requested[0], rows)
+        else:  # the check pass, then each epoch's batches and histogram
+            assert len(requested) > 3
 
 
 def _split_corpus():
