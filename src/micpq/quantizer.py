@@ -5,11 +5,15 @@ Each segment is assigned to one of K codewords, either stochastically
 (probability proportional to ``exp(-squared distance)``), softly via a
 temperature-controlled Gumbel softmax, or deterministically (nearest
 codeword).  Distances are squared Euclidean throughout, never rooted.
+The nearest codewords of many rows are numpy's argmin choice, taken by
+:func:`nearest_codewords` one codeword at a time over a block of rows.
 
 When K is a power of two the M sub-indices of a document pack into
 ``M * log2(K)`` bits: index m occupies bits ``[m*b, (m+1)*b)`` with the
 index's least significant bit first, bit 0 being the least significant
-bit of byte 0, and the final partial byte zero-padded.
+bit of byte 0, and the final partial byte zero-padded.  Many codes are
+packed into column-major byte planes, one contiguous run per byte
+position; :func:`encode_rows` packs each chunk as it is assigned.
 """
 from __future__ import annotations
 
@@ -34,6 +38,9 @@ from .errors import (
 
 GUMBEL_CLAMP = 1e-12
 ASSIGN_ROWS = 4096  # rows per refine block in encode_rows, per distance chunk; packbits up to it
+NEAREST_CELLS = 16384  # (book, row) pairs per row block of nearest_codewords
+NEAREST_MAX_K = 16  # largest K whose nearest codewords are not taken by numpy's argmin
+NEAREST_MIN_PAIRS = 256  # (book, row) pairs per codeword up to which numpy's argmin is faster
 PIECE_ROWS = 64  # fewest rows of one piece of a training step's split call
 SPLIT_UPDATE_SIZE = 1 << 16  # fewest weight elements whose Adam update runs in row pieces
 
@@ -206,9 +213,9 @@ def squared_distances_books(
     """(M, n, K) squared distances ``|s|^2 - 2 s.c + |c|^2`` from each of
     the n rows' M segments to every codeword of (M, K, sub_dim) books, in
     the dtype of the inputs; written to ``out`` when given.  ``scratch``,
-    when given, is a C-contiguous array of ``refined``'s shape and dtype
-    that takes the squared segments; it may be ``refined`` itself, which
-    is read first."""
+    when given, is an array of ``refined``'s shape and dtype with
+    contiguous rows that takes the squared segments; it may be ``refined``
+    itself, which is read first, or a slice of its columns."""
     refined = np.asarray(refined)
     n_books, _, sub = books.shape
     segments = refined.reshape(refined.shape[0], n_books, sub).transpose(1, 0, 2)
@@ -222,16 +229,94 @@ def squared_distances_books(
     return out
 
 
+def nearest_codewords(dist: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Index of the smallest of each (book, row)'s K distances in an
+    (M, n, K) array, written to an (M, n) integer array ``out``: exactly
+    ``np.argmin(dist, axis=2)``, ties to the lowest index and the first
+    NaN winning.  K = 2 is one comparison.  Other K up to
+    ``NEAREST_MAX_K`` are taken a block of ``NEAREST_CELLS`` (book, row)
+    pairs at a time (4,096 rows at M = 4) by ufunc calls over the block's
+    (M, rows) view of one codeword's distances each, with no copy of the
+    distances: the running K-way minimum, then the index of its first
+    occurrence, counted as the run of leading codewords that differ from
+    it.  numpy's per-row argmin takes larger K and at most
+    ``NEAREST_MIN_PAIRS`` * K (book, row) pairs, where it is faster, and
+    an array that holds a NaN."""
+    n_books, n_rows, n_words = dist.shape
+    if (n_words > NEAREST_MAX_K or n_books * n_rows <= NEAREST_MIN_PAIRS * n_words
+            or np.isnan(dist.min())):
+        out[...] = dist.argmin(axis=2)
+    elif n_words == 2:
+        np.less(dist[..., 1], dist[..., 0], out=out)
+    else:
+        rows = min(n_rows, max(NEAREST_CELLS // n_books, 1))
+        least = np.empty((n_books, rows), dist.dtype)
+        flags = np.empty((2, n_books, rows), bool)
+        for lo in range(0, n_rows, rows):
+            width = min(rows, n_rows - lo)
+            block, low, found = dist[:, lo:lo + width], least[:, :width], out[:, lo:lo + width]
+            ahead, differ = flags[..., :width]  # ahead: codewords 0..k all differ from the minimum
+            np.copyto(low, block[..., 0])
+            for k in range(1, n_words):
+                np.minimum(low, block[..., k], out=low)
+            np.not_equal(block[..., 0], low, out=ahead)
+            np.copyto(found, ahead)
+            for k in range(1, n_words - 1):
+                np.not_equal(block[..., k], low, out=differ)
+                np.logical_and(ahead, differ, out=ahead)
+                np.add(found, ahead, out=found)
+    return out
+
+
+def assigner(books: np.ndarray, chunk_rows: int, dtype, emit, in_place: bool = False,
+             threads: int = 1, pool=None):
+    """``assign(refined, start=0)``, which takes the nearest codewords of
+    refined rows against (M, K, sub_dim) books in ``ASSIGN_ROWS``-row
+    chunks, in buffers for ``chunk_rows`` rows of ``dtype`` distances
+    allocated here, and hands each chunk's (M, n) uint16 indices to
+    ``emit(start + first row, indices)``.  With ``in_place`` the squared
+    segments are written over the refined rows once the distance matmul
+    has read them.  With ``threads`` > 1 each chunk's books are split by
+    :func:`fan_out` on ``pool``: every book's matmul, norms and minimum
+    are the same calls on the same operands as in one call, so the codes
+    keep their bits, and each thread writes only its own books' slices of
+    the refined rows, distances and indices."""
+    n_books, n_words, sub = books.shape
+    d2 = np.empty(n_books * chunk_rows * n_words, dtype)
+    nearest = np.empty(n_books * chunk_rows, np.uint16)
+
+    def assign(refined, start: int = 0) -> None:
+        for at in range(0, len(refined), ASSIGN_ROWS):
+            chunk = refined[at:at + ASSIGN_ROWS]
+            n = len(chunk)
+            dist = d2[:n_books * n * n_words].reshape(n_books, n, n_words)
+            found = nearest[:n_books * n].reshape(n_books, n)
+
+            def books_of(first: int, stop: int) -> None:
+                part = chunk[:, first * sub:stop * sub]
+                squared_distances_books(part, books[first:stop], out=dist[first:stop],
+                                        scratch=part if in_place else None)
+                nearest_codewords(dist[first:stop], found[first:stop])
+
+            fan_out(books_of, n_books, min(threads, n_books), pool)
+            emit(start + at, found)
+
+    return assign
+
+
 def hard_assign_books(refined: np.ndarray, books: np.ndarray) -> np.ndarray:
     """(n, M) uint16 nearest-codeword indices of each row's M segments
     against (M, K, sub_dim) books; ties go to the lowest index.  Rows are
-    taken ``ASSIGN_ROWS`` at a time."""
+    taken ``ASSIGN_ROWS`` at a time by :func:`assigner`, the chunks of
+    :func:`encode_rows`."""
     refined = np.asarray(refined)
     books = np.asarray(books)
     codes = np.empty((refined.shape[0], books.shape[0]), dtype=np.uint16)
-    for start in range(0, len(codes), ASSIGN_ROWS):
-        chunk = refined[start:start + ASSIGN_ROWS]
-        codes[start:start + ASSIGN_ROWS] = squared_distances_books(chunk, books).argmin(axis=2).T
+
+    def emit(at: int, found: np.ndarray) -> None:
+        codes[at:at + found.shape[1]] = found.T
+
+    assigner(books, min(len(codes), ASSIGN_ROWS), np.result_type(refined, books), emit)(refined)
     return codes
 
 
@@ -311,9 +396,13 @@ def fan_out(work, n_rows: int, n_pieces: int, pool=None) -> None:
             raise error
 
 
-def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
+def encode_rows(params: EncoderParams, books: np.ndarray, values,
+                packed: bool = False) -> np.ndarray:
     """(n, M) uint16 nearest-codeword indices of each row of ``values``
-    refined with dropout disabled, against (M, K, sub_dim) books.
+    refined with dropout disabled, against (M, K, sub_dim) books; with
+    ``packed`` (power-of-two K only) the codes of :func:`pack_codes_batch`
+    instead, column-major, each chunk's indices packed into the byte
+    planes as they are assigned, so no (n, M) array is held.
     ``values`` is an (n, d_in) array or a
     :class:`~micpq.dataio.EmbeddingFile`.  Rows are refined in blocks of
     ``ASSIGN_ROWS``, so no (n, D) refined array is held.  A last block
@@ -323,21 +412,23 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
     into the block's refined rows, in near-equal pieces of at most
     ``dataio.READ_BYTES`` of input and at least ``PIECE_ROWS`` rows, so no
     block of input is held either; such pieces refine to the whole
-    block's bits (``TestRefinePieces``).  Each block's distances are then
-    taken in ``ASSIGN_ROWS``-row chunks, the chunks of
-    :func:`hard_assign_books`, so the codes equal those of one whole
-    :func:`~micpq.encoder.forward_batch` followed by it.
+    block's bits (``TestRefinePieces``).  Each block's distances and
+    nearest codewords are then taken in ``ASSIGN_ROWS``-row chunks by
+    :func:`assigner`, the chunks of :func:`hard_assign_books`, so the
+    codes equal those of one whole :func:`~micpq.encoder.forward_batch`
+    followed by it.
 
     The work is spread over W threads (:func:`encode_workers`), which
     write disjoint rows.  Several blocks are shared out by :func:`fan_out`
     in W runs of consecutive blocks; each run allocates its refined rows,
     sized to its largest block (only the run that holds the last block
     gets the merged tail), an (M, ``ASSIGN_ROWS``, K) distance chunk and
-    the chunk's argmin indices, and for a file the input rows of its
-    widest piece.  A lone block (at most 2 * ``ASSIGN_ROWS`` - 1 rows, such
-    as a training split's usage histogram) is cut into at least W pieces,
+    the chunk's indices, and for a file the input rows of its widest
+    piece.  A lone block (at most 2 * ``ASSIGN_ROWS`` - 1 rows, such as a
+    training split's usage histogram) is cut into at least W pieces,
     which W threads read and refine, each into input rows of its own;
-    its distances are then taken on the calling thread.
+    then each chunk's books are split over the same W threads, which
+    write their books' slices of the one distance chunk and index buffer.
     A block of an array holding a non-finite value raises
     :class:`NonFiniteInputError` for its first bad row; a file's rows come
     checked by its reader, which raises
@@ -353,8 +444,21 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
     n_rows, n_blocks = values.shape[0], max(values.shape[0] // ASSIGN_ROWS, 1)
     n_books, n_words = books.shape[:2]
     refined_dtype = np.result_type(values.dtype, params.weight, params.bias)
-    chunk_rows = min(n_rows, ASSIGN_ROWS)
-    codes = np.empty((n_rows, n_books), dtype=np.uint16)
+    if packed:
+        planes = np.zeros((packed_code_nbytes(n_books, n_words), n_rows), np.uint8)
+
+        def emit(at: int, found: np.ndarray) -> None:
+            _pack_planes(planes[:, at:at + found.shape[1]], found, n_words)
+    else:
+        codes = np.empty((n_rows, n_books), dtype=np.uint16)
+
+        def emit(at: int, found: np.ndarray) -> None:
+            codes[at:at + found.shape[1]] = found.T
+
+    def assigner_for(threads: int = 1, pool=None):
+        return assigner(books, min(n_rows, ASSIGN_ROWS), np.result_type(refined_dtype, books),
+                        emit, in_place=True, threads=threads, pool=pool)
+
     # a lone block's pieces go to the threads that blocks would have used
     piece_threads = encode_workers(n_rows // PIECE_ROWS) if n_blocks == 1 else 1
 
@@ -381,45 +485,35 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
                     raise NonFiniteInputError(f"non-finite value in row {lo + bad[0]}")
             forward_batch(params, rows, out=refined[lo - start:hi - start])
 
-    def assign(refined, start: int, d2, nearest) -> None:
-        for at in range(0, len(refined), ASSIGN_ROWS):
-            chunk = refined[at:at + ASSIGN_ROWS]
-            n = len(chunk)
-            dist = squared_distances_books(
-                chunk, books, out=d2[:n_books * n * n_words].reshape(n_books, n, n_words),
-                scratch=chunk,
-            )
-            nearest_chunk = nearest[:n_books * n].reshape(n_books, n)
-            np.argmin(dist, axis=2, out=nearest_chunk)
-            codes[start + at:start + at + n] = nearest_chunk.T
-
-    def assign_buffers():
-        return (np.empty(n_books * chunk_rows * n_words, np.result_type(refined_dtype, books)),
-                np.empty(n_books * chunk_rows, np.intp))
-
     if n_blocks == 1:
         refined = np.empty((n_rows, params.d_out), refined_dtype)
         edges = bounds(0, n_rows)
-        fan_out(lambda first, stop: refine(refined, 0, edges[first:stop + 1], input_rows(n_rows)),
-                len(edges) - 1, piece_threads)
-        assign(refined, 0, *assign_buffers())
-        return codes
 
-    def work(first: int, stop_block: int) -> None:
-        # the run's largest block: the merged tail for the last run
-        largest = n_rows - (n_blocks - 1) * ASSIGN_ROWS if stop_block == n_blocks else ASSIGN_ROWS
-        refined_rows = np.empty((largest, params.d_out), refined_dtype)
-        buffers = assign_buffers()
-        inputs = input_rows(min(largest, ASSIGN_ROWS), largest)
-        for block in range(first, stop_block):
-            start = block * ASSIGN_ROWS
-            stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
-            refined = refined_rows[:stop - start]
-            refine(refined, start, bounds(start, stop), inputs)
-            assign(refined, start, *buffers)
+        from concurrent.futures import ThreadPoolExecutor
 
-    fan_out(work, n_blocks, encode_workers(n_blocks))
-    return codes
+        # one pool for the refine pieces and the book split; it starts no thread at W = 1
+        with ThreadPoolExecutor(max_workers=max(1, piece_threads - 1)) as pool:
+            fan_out(lambda first, stop: refine(refined, 0, edges[first:stop + 1],
+                                               input_rows(n_rows)),
+                    len(edges) - 1, piece_threads, pool)
+            assigner_for(piece_threads, pool)(refined)
+    else:
+        def work(first: int, stop_block: int) -> None:
+            # the run's largest block: the merged tail for the last run
+            largest = (n_rows - (n_blocks - 1) * ASSIGN_ROWS if stop_block == n_blocks
+                       else ASSIGN_ROWS)
+            refined_rows = np.empty((largest, params.d_out), refined_dtype)
+            assign = assigner_for()
+            inputs = input_rows(min(largest, ASSIGN_ROWS), largest)
+            for block in range(first, stop_block):
+                start = block * ASSIGN_ROWS
+                stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
+                refined = refined_rows[:stop - start]
+                refine(refined, start, bounds(start, stop), inputs)
+                assign(refined, start)
+
+        fan_out(work, n_blocks, encode_workers(n_blocks))
+    return planes.T if packed else codes
 
 
 def sample_assignment(segment: np.ndarray, book: np.ndarray, gumbel: np.ndarray) -> int:
@@ -468,12 +562,12 @@ def unpack_codes(data: bytes, n_codebooks: int, n_codewords: int) -> np.ndarray:
 
 
 def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
-    """Pack an (n, M) index matrix into a row-major (n, bytes_per_code)
-    uint8 array.  Up to ``ASSIGN_ROWS`` rows, a Hamming query's single code
-    among them, go through their bit planes and ``packbits`` in one pass.
-    More rows are packed into byte planes: index m is shifted to its bit
-    offset m*log2(K) and ORed into each byte it touches, its high bits
-    into the next byte when it straddles a byte boundary."""
+    """Pack an (n, M) index matrix into an (n, bytes_per_code) uint8
+    array.  Up to ``ASSIGN_ROWS`` rows, a Hamming query's single code
+    among them, go through their bit planes and ``packbits`` in one pass,
+    row-major.  More rows are packed into byte planes by
+    :func:`_pack_planes` and returned column-major, the resident layout of
+    :class:`~micpq.retrieval.RetrievalIndex`."""
     b = bits_per_index(n_codewords)
     indices = np.asarray(indices)
     if indices.size and (indices.min() < 0 or indices.max() >= n_codewords):
@@ -483,23 +577,45 @@ def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
         bits = (indices.astype(np.uint16)[:, :, None] >> np.arange(b, dtype=np.uint16)) & 1
         return np.packbits(bits.reshape(n, m * b).astype(np.uint8), axis=1, bitorder="little")
     planes = np.zeros((packed_code_nbytes(m, n_codewords), n), np.uint8)
-    for book in range(m):
-        field = indices[:, book].astype(np.uint16, copy=False)
+    _pack_planes(planes, indices.T, n_codewords)
+    return planes.T
+
+
+def _pack_planes(planes: np.ndarray, fields: np.ndarray, n_codewords: int) -> None:
+    """OR the (M, n) indices ``fields`` into zeroed (bytes_per_code, n)
+    byte planes: index m is shifted to its bit offset m*log2(K) and ORed
+    into each byte it touches, its high bits into the next byte when it
+    straddles a byte boundary."""
+    b = bits_per_index(n_codewords)
+    for book, field in enumerate(fields):
+        field = field.astype(np.uint16, copy=False)
         at = book * b
         for byte in range(at // 8, (at + b - 1) // 8 + 1):
             shift = at - 8 * byte
             part = field << shift if shift >= 0 else field >> -shift
             np.bitwise_or(planes[byte], part, out=planes[byte], casting="unsafe")
-    return np.ascontiguousarray(planes.T)
 
 
 def unpack_codes_batch(payload: np.ndarray, n_codebooks: int, n_codewords: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes_batch`; returns an (n, M) uint16 matrix."""
+    """Inverse of :func:`pack_codes_batch`; returns a row-major (n, M)
+    uint16 matrix.  The reverse of :func:`_pack_planes`: index m is
+    shifted back out of each byte column it touches, then masked to
+    log2(K) bits."""
     b = bits_per_index(n_codewords)
     payload = np.asarray(payload, dtype=np.uint8)
-    bits = np.unpackbits(payload, axis=1, count=n_codebooks * b, bitorder="little")
-    bits = bits.reshape(payload.shape[0], n_codebooks, b).astype(np.uint16)
-    return (bits << np.arange(b, dtype=np.uint16)).sum(axis=2, dtype=np.uint16)
+    fields = np.zeros((n_codebooks, payload.shape[0]), np.uint16)
+    part = np.empty(payload.shape[0], np.uint16)
+    for book, field in enumerate(fields):
+        at = book * b
+        for byte in range(at // 8, (at + b - 1) // 8 + 1):
+            shift = at - 8 * byte
+            if shift >= 0:
+                np.right_shift(payload[:, byte], shift, out=part, dtype=np.uint16)
+            else:
+                np.left_shift(payload[:, byte], -shift, out=part, dtype=np.uint16)
+            field |= part
+    fields &= n_codewords - 1
+    return np.ascontiguousarray(fields.T)
 
 
 def packed_code_nbytes(n_codebooks: int, n_codewords: int) -> int:

@@ -21,10 +21,10 @@ the documents at or below the largest minimum of k row blocks are
 partitioned: those k minima bound the k-th distance.
 
 Doc ids are resident as uint32 when every id is below 2^32, else as
-uint64; the file always stores u64.  :func:`load_index` reads the ids,
-and packed codes of 2 or 4 bytes, through one reused buffer of
-``LOAD_BYTES``: ids are narrowed chunk by chunk, and each chunk of code
-words is shifted apart into the resident byte planes, so neither is
+uint64; the file always stores u64.  :func:`load_index` reads the ids
+and packed codes through one reused buffer of ``LOAD_BYTES``: ids are
+narrowed chunk by chunk, and each chunk of codes is split into the
+resident byte planes (2- and 4-byte code words by shifts), so neither is
 copied whole after the read.
 
 Index file layout (little-endian, unchanged): magic ``MICPQIDX`` | version
@@ -59,10 +59,11 @@ from .quantizer import (
     bits_per_index,
     diff_distances,
     encode_rows,
-    hard_assign_books,
     is_pow2,
+    nearest_codewords,
     pack_codes_batch,
     packed_code_nbytes,
+    squared_distances_books,
     unpack_codes_batch,
 )
 from .trainer import ModelState
@@ -153,10 +154,11 @@ def build_index(
     model: ModelState, corpus: EmbeddingMatrix | EmbeddingFile, ids: np.ndarray | None = None
 ) -> RetrievalIndex:
     """Encode a corpus: refine (dropout disabled) and hard-assign it in row
-    blocks with :func:`~micpq.quantizer.encode_rows`, then pack.  An
-    :class:`~micpq.dataio.EmbeddingFile` corpus is read block by block as
-    the blocks are encoded, so only the codes outlive a block; its codes
-    equal those of the same rows read whole."""
+    blocks with :func:`~micpq.quantizer.encode_rows`, which for
+    power-of-two K packs each chunk's codes into the index's byte planes
+    as they are assigned.  An :class:`~micpq.dataio.EmbeddingFile` corpus
+    is read block by block as the blocks are encoded, so only the codes
+    outlive a block; its codes equal those of the same rows read whole."""
     values = corpus
     if not isinstance(corpus, EmbeddingFile):
         values = np.asarray(getattr(corpus, "values", corpus))
@@ -165,6 +167,9 @@ def build_index(
             f"corpus of shape {values.shape} is not (n, {model.encoder.d_in}), "
             "the encoder's input width"
         )
+    if is_pow2(model.books.n_codewords):
+        packed = encode_rows(model.encoder, model.books.books, values, packed=True)
+        return RetrievalIndex(books=model.books, doc_ids=ids, packed=packed)
     codes = encode_rows(model.encoder, model.books.books, values)
     return RetrievalIndex(books=model.books, codes=codes, doc_ids=ids)
 
@@ -336,7 +341,9 @@ def search_topk_hamming(
             f"hamming search requires an index with K=2, got K={index.books.n_codewords}"
         )
     refined = _refine_query(index, model, query_embedding, k)
-    query = pack_codes_batch(hard_assign_books(refined[None, :], index.books.books), 2)[0]
+    # one row is one chunk of hard_assign_books, without its chunk loop's cost
+    dist = squared_distances_books(refined[None, :], index.books.books)
+    query = pack_codes_batch(nearest_codewords(dist, np.empty(dist.shape[:2], np.uint16)).T, 2)[0]
     # uint16, not uint8: np.partition is over 20x slower on uint8 keys
     n_books = index.books.n_codebooks
     differ = np.zeros(index.n_docs, np.promote_types(np.min_scalar_type(n_books), np.uint16))
@@ -391,18 +398,22 @@ def load_index(path) -> RetrievalIndex:
             doc_ids[start:start + len(chunk)] = chunk
         if not packed:
             codes = _read_exact(f, np.empty((n_docs, n_books), "<u2"))
-        elif code_nbytes in (2, 4):
-            # byte j of each little-endian code word is shifted out into plane j
+        else:
+            # each chunk of codes is split into the resident byte planes
             planes = np.empty((code_nbytes, n_docs), np.uint8)
             step = LOAD_BYTES // code_nbytes
             for start in range(0, n_docs, step):
-                words = _read_exact(f, buffer[:code_nbytes * min(step, n_docs - start)])
-                words = words.view(f"<u{code_nbytes}")
-                for j, plane in enumerate(planes[:, start:start + len(words)]):
-                    np.right_shift(words, 8 * j, out=plane, casting="unsafe")
+                rows = min(step, n_docs - start)
+                chunk = _read_exact(f, buffer[:code_nbytes * rows])
+                into = planes[:, start:start + rows]
+                if code_nbytes in (2, 4):
+                    # byte j of each little-endian code word is shifted out into plane j
+                    words = chunk.view(f"<u{code_nbytes}")
+                    for j, plane in enumerate(into):
+                        np.right_shift(words, 8 * j, out=plane, casting="unsafe")
+                else:
+                    into[...] = chunk.reshape(rows, code_nbytes).T
             codes = planes.T
-        else:
-            codes = _read_exact(f, np.empty((n_docs, code_nbytes), np.uint8))
     if packed:
         # the Hamming scan counts every bit, so the last byte's padding must be 0
         padding = (0xFF << ((n_books * bits_per_index(n_words)) % 8)) & 0xFF

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from micpq import dataio, quantizer
 from micpq.dataio import EmbeddingFile, EmbeddingMatrix, write_embeddings
@@ -24,6 +26,7 @@ from micpq.quantizer import (
     gumbel_from_uniform,
     hard_assign,
     hard_assign_books,
+    nearest_codewords,
     pack_codes,
     pack_codes_batch,
     packed_code_nbytes,
@@ -548,6 +551,111 @@ class TestSquaredDistancesBooks:
         assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
 
 
+class TestNearestCodewords:
+    """nearest_codewords is np.argmin(dist, axis=2): ties to the lowest
+    index, -0.0 equal to 0.0, the first NaN winning."""
+
+    VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_words=st.sampled_from([2, 3, 5, 16, 17, 255, 256, 300]),
+           n_books=st.integers(1, 4), n_rows=st.integers(0, 2600),
+           dtype=st.sampled_from([np.float32, np.float64]), nan=st.booleans(),
+           cells=st.sampled_from([7, 1000, quantizer.NEAREST_CELLS]))
+    @example(seed=1, n_words=16, n_books=1, n_rows=2 * quantizer.NEAREST_CELLS + 3,
+             dtype=np.float32, nan=False, cells=quantizer.NEAREST_CELLS)
+    @example(seed=2, n_words=3, n_books=3, n_rows=quantizer.NEAREST_CELLS // 3 + 1,
+             dtype=np.float64, nan=False, cells=quantizer.NEAREST_CELLS)
+    @example(seed=3, n_words=2, n_books=2, n_rows=50, dtype=np.float32, nan=True, cells=7)
+    @example(seed=4, n_words=16, n_books=2, n_rows=700, dtype=np.float32, nan=True, cells=1000)
+    def test_equals_numpy_argmin(self, monkeypatch, seed, n_words, n_books, n_rows, dtype, nan,
+                                 cells):
+        gen = np.random.default_rng(seed)
+        # few distinct values: most rows tie, and -0.0 meets 0.0
+        dist = gen.choice(self.VALUES, size=(n_books, n_rows, n_words)).astype(dtype)
+        dist += gen.integers(0, 2, size=dist.shape) * gen.normal(size=dist.shape).astype(dtype)
+        if nan:
+            dist[gen.random(dist.shape) < 0.02] = np.nan
+        with monkeypatch.context() as patched:
+            patched.setattr(quantizer, "NEAREST_CELLS", cells)  # rows a block: cells // M
+            patched.setattr(quantizer, "NEAREST_MIN_PAIRS", 0)  # the kernel on any rows
+            for out_dtype in (np.uint16, np.intp):
+                out = np.full((n_books, n_rows), 7, out_dtype)
+                assert nearest_codewords(dist, out) is out
+                assert np.array_equal(out, np.argmin(dist, axis=2))
+
+    @pytest.mark.parametrize("row,expected", [
+        ([1.0, 1.0, 1.0], 0), ([0.0, -0.0, -1.0], 2), ([-0.0, 0.0, 0.0], 0),
+        ([1.0, -0.0, 0.0], 1), ([2.0, np.nan, 0.0], 1), ([np.nan, 0.0, np.nan], 0),
+        ([0.5, 0.0, 0.0], 1),
+    ])
+    @pytest.mark.parametrize("n_rows", [1, 5000])
+    def test_single_rows(self, row, expected, n_rows):
+        # the K = 3 kernel and the K = 2 comparison (its first two distances)
+        for n_words, want in ((3, expected), (2, int(np.argmin(row[:2])))):
+            dist = np.tile(np.array(row[:n_words], np.float32), (2, n_rows, 1))
+            found = nearest_codewords(dist, np.empty((2, n_rows), np.uint16))
+            assert (found == want).all()
+
+
+class TestPackedEncode:
+    """encode_rows(packed=True) ORs each chunk's codes into byte planes as
+    they are assigned; the planes are pack_codes_batch of its codes."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [300, 3 * 256 + 17], ids=["lone", "blocks"])
+    def test_planes_equal_the_packed_codes(self, monkeypatch, use_workers, n_workers, n_rows):
+        monkeypatch.setattr(quantizer, "ASSIGN_ROWS", 256)
+        use_workers(n_workers)
+        # K = 8 and 32 straddle bytes; every code but (2, 256) has padding bits
+        for n_books, n_words in [(5, 2), (3, 4), (3, 8), (5, 16), (3, 32), (2, 64), (3, 128),
+                                 (2, 256)]:
+            gen, encoder, books = _encoder_and_books(n_words + n_rows, n_books=n_books,
+                                                     n_words=n_words)
+            values = gen.normal(size=(n_rows, encoder.d_in)).astype(np.float32)
+            packed = encode_rows(encoder, books, values, packed=True)
+            codes = encode_rows(encoder, books, values)
+            assert packed.dtype == np.uint8 and packed.flags.f_contiguous
+            assert np.array_equal(packed, pack_codes_batch(codes, n_words))
+            used = n_books * (n_words.bit_length() - 1) % 8
+            assert used == 0 or not np.any(packed[:, -1] >> used)
+            assert np.array_equal(unpack_codes_batch(packed, n_books, n_words), codes)
+
+    def test_other_k_is_not_packed(self):
+        gen, encoder, books = _encoder_and_books(3, n_words=5)
+        with pytest.raises(KNotPowerOfTwoError):
+            encode_rows(encoder, books, gen.normal(size=(10, encoder.d_in)), packed=True)
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_a_lone_block_split_by_books_keeps_the_distance_bits(self, monkeypatch, use_workers,
+                                                                 n_workers):
+        gen, encoder, books = _encoder_and_books(8, d_in=64, n_books=8, n_words=16, sub=24)
+        values = gen.normal(size=(4000, 64)).astype(np.float32)
+
+        def run(workers):
+            use_workers(workers)
+            seen = {}  # first book -> its distances
+
+            def recording(refined, some, out=None, scratch=None):
+                dist = squared_distances_books(refined, some, out=out, scratch=scratch)
+                seen[(some.ctypes.data - books.ctypes.data) // books.strides[0]] = dist.copy()
+                return dist
+
+            with monkeypatch.context() as patched:
+                patched.setattr(quantizer, "squared_distances_books", recording)
+                codes = encode_rows(encoder, books, values)
+            return codes, [seen[first] for first in sorted(seen)]
+
+        serial, (whole,) = run(1)
+        split, parts = run(n_workers)
+        assert len(parts) == n_workers
+        assert np.array_equal(np.concatenate(parts).view(np.uint32), whole.view(np.uint32))
+        assert np.array_equal(split, serial)
+        assert np.array_equal(serial, hard_assign_books(forward_batch(encoder, values), books))
+
+
 class TestSampling:
     def test_gumbel_argmax_frequencies_match_assign_probs(self):
         """Empirical draw frequencies stay within 3-sigma multinomial
@@ -663,7 +771,8 @@ class TestPacking:
             idx = gen.integers(0, n_words, size=(n, n_books))
             for given in (idx, idx.astype(np.uint16)):
                 packed = pack_codes_batch(given, n_words)
-                assert packed.flags.c_contiguous
+                # byte planes come back column-major, the index's resident layout
+                assert packed.flags.c_contiguous if n <= 4096 else packed.flags.f_contiguous
                 assert np.array_equal(packed, self._planes(idx, n_words))
 
     def test_pack_holds_one_chunk_of_bit_planes(self):

@@ -195,6 +195,25 @@ class TestBuildIndex:
             tracemalloc.stop()
         assert peak < 30e6
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_packed_build_holds_no_unpacked_codes(self, use_workers, n_workers):
+        # 200,000 x 16 uint16 codes alone would be 6.4 MB; the packed planes
+        # are 0.4 MB, the ids 0.8 MB and each worker's refined rows,
+        # distances and indices about 1 MB (9.6-9.9 MB with the codes held)
+        use_workers(n_workers)
+        gen = np.random.default_rng(19)
+        model = _random_model(gen, 4, 16, 2, 1)
+        corpus = EmbeddingMatrix(gen.normal(size=(200_000, 4)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            index = build_index(model, corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6
+        codes = hard_assign_books(forward_batch(model.encoder, corpus.values), model.books.books)
+        assert np.array_equal(index.packed, pack_codes_batch(codes, 2))
+
     def test_non_finite_corpus_rejected_naming_the_row(self):
         gen = np.random.default_rng(15)
         model = _random_model(gen, 8, 4, 2, 3)
@@ -568,7 +587,7 @@ class TestLoadIndex:
     def test_codes_and_ids_equal_the_whole_file_reader(self, tmp_path, monkeypatch, load_bytes,
                                                        n_books, n_words):
         monkeypatch.setattr(retrieval, "LOAD_BYTES", load_bytes)
-        # crosses a chunk boundary of the ids and of the 2- and 4-byte codes
+        # crosses a chunk boundary of the ids and of the codes
         n_docs = 77 if load_bytes == 64 else LOAD_BYTES // 2 + 3
         gen = np.random.default_rng(n_books * n_words)
         codes = gen.integers(0, n_words, size=(n_docs, n_books))
@@ -583,6 +602,23 @@ class TestLoadIndex:
         assert loaded.doc_ids.dtype == np.uint32
         assert np.array_equal(loaded.doc_ids, old_ids)
         assert np.array_equal(loaded.books.books, books)
+        assert np.array_equal(loaded.codes, codes)
+
+    @pytest.mark.parametrize("n_books, n_words", [(16, 16), (8, 8), (5, 8)])
+    def test_codes_of_any_width_are_held_once(self, tmp_path, n_books, n_words):
+        # 8-, 3- and 2-byte codes; codes of a width other than 2 or 4 bytes
+        # were read whole and then made column-major, held twice
+        n_docs = 60_000
+        codes = np.random.default_rng(n_books).integers(0, n_words, size=(n_docs, n_books))
+        save_index(RetrievalIndex(_nonneg_books(3, n_books, n_words, 1), codes), tmp_path / "w.idx")
+        payload = n_docs * packed_code_nbytes(n_books, n_words)
+        tracemalloc.start()
+        try:
+            loaded = load_index(tmp_path / "w.idx")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload + 4 * n_docs + LOAD_BYTES + 100_000
         assert np.array_equal(loaded.codes, codes)
 
     @pytest.mark.parametrize("chunk", ["first", "middle", "last"])
@@ -819,7 +855,9 @@ class TestFastPaths:
                                                  n_docs=n_docs)
             assert index.packed.flags.f_contiguous
             raw_packed = pack_codes_batch(codes, n_words)
-            assert raw_packed.flags.c_contiguous
+            # raw codes of up to 4,096 rows pack row-major, more column-major
+            row_major = n_docs <= 4096
+            assert raw_packed.flags.c_contiguous if row_major else raw_packed.flags.f_contiguous
             for _ in range(5):
                 lut = build_lut(gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32),
                                 index.books)
