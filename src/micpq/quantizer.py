@@ -418,17 +418,21 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
     codes equal those of one whole :func:`~micpq.encoder.forward_batch`
     followed by it.
 
-    The work is spread over W threads (:func:`encode_workers`), which
-    write disjoint rows.  Several blocks are shared out by :func:`fan_out`
-    in W runs of consecutive blocks; each run allocates its refined rows,
-    sized to its largest block (only the run that holds the last block
-    gets the merged tail), an (M, ``ASSIGN_ROWS``, K) distance chunk and
-    the chunk's indices, and for a file the input rows of its widest
-    piece.  A lone block (at most 2 * ``ASSIGN_ROWS`` - 1 rows, such as a
-    training split's usage histogram) is cut into at least W pieces,
-    which W threads read and refine, each into input rows of its own;
-    then each chunk's books are split over the same W threads, which
-    write their books' slices of the one distance chunk and index buffer.
+    The blocks are shared out by :func:`fan_out` in runs of consecutive
+    blocks on one pool of W - 1 threads, and the runs write disjoint rows.
+    Each run allocates its refined rows, sized to its largest block (only
+    the run that holds the last block gets the merged tail), and, once its
+    first block is refined, an (M, ``ASSIGN_ROWS``, K) distance chunk with
+    its indices.  For each block it fans the block's pieces out over
+    ``inner`` threads, then each chunk's books; a file's pieces are read
+    into input rows of their thread's widest piece.  Several blocks make W =
+    ``encode_workers(blocks)`` runs with ``inner`` = 1, each on one
+    thread.  A lone block (at most 2 * ``ASSIGN_ROWS`` - 1 rows, such as a
+    training split's usage histogram) is one run with ``inner`` = W =
+    ``encode_workers(rows // PIECE_ROWS)``: its at least W pieces are read
+    and refined on W threads, which then write their books' slices of the
+    one distance chunk and index buffer.  So the pool serves the runs or
+    one run's pieces and books, never both at once.
     A block of an array holding a non-finite value raises
     :class:`NonFiniteInputError` for its first bad row; a file's rows come
     checked by its reader, which raises
@@ -455,26 +459,13 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
         def emit(at: int, found: np.ndarray) -> None:
             codes[at:at + found.shape[1]] = found.T
 
-    def assigner_for(threads: int = 1, pool=None):
-        return assigner(books, min(n_rows, ASSIGN_ROWS), np.result_type(refined_dtype, books),
-                        emit, in_place=True, threads=threads, pool=pool)
+    # a lone block's pieces and books go to the threads that blocks would have used
+    workers = encode_workers(n_rows // PIECE_ROWS if n_blocks == 1 else n_blocks)
+    inner = workers if n_blocks == 1 else 1
 
-    # a lone block's pieces go to the threads that blocks would have used
-    piece_threads = encode_workers(n_rows // PIECE_ROWS) if n_blocks == 1 else 1
-
-    def pieces(n: int) -> int:
-        return max(1, min(max(-(-n // piece_rows), piece_threads), n // PIECE_ROWS))
-
-    def bounds(start: int, stop: int) -> list[int]:
-        n_pieces = pieces(stop - start)
-        return [start + piece * (stop - start) // n_pieces for piece in range(n_pieces + 1)]
-
-    def input_rows(*blocks: int):  # a file's input rows for the widest piece of these blocks
-        if not in_file:
-            return None
-        return np.empty((max(-(-n // pieces(n)) for n in blocks), values.dim), values.dtype)
-
-    def refine(refined, start: int, edges: list[int], inputs) -> None:
+    def refine(refined, start: int, edges: list[int]) -> None:
+        if in_file:  # input rows of its own for this thread's widest piece
+            inputs = np.empty((max(np.diff(edges)), values.dim), values.dtype)
         for lo, hi in zip(edges, edges[1:]):
             if in_file:
                 rows = values.read(lo, hi, out=inputs[:hi - lo])
@@ -485,34 +476,30 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
                     raise NonFiniteInputError(f"non-finite value in row {lo + bad[0]}")
             forward_batch(params, rows, out=refined[lo - start:hi - start])
 
-    if n_blocks == 1:
-        refined = np.empty((n_rows, params.d_out), refined_dtype)
-        edges = bounds(0, n_rows)
+    def work(first: int, stop_block: int) -> None:
+        # the run's largest block: the merged tail for the last run
+        largest = (n_rows - (n_blocks - 1) * ASSIGN_ROWS if stop_block == n_blocks
+                   else ASSIGN_ROWS)
+        refined_rows = np.empty((largest, params.d_out), refined_dtype)
+        assign = None
+        for block in range(first, stop_block):
+            start = block * ASSIGN_ROWS
+            n = n_rows - start if block == n_blocks - 1 else ASSIGN_ROWS
+            n_pieces = max(1, min(max(-(-n // piece_rows), inner), n // PIECE_ROWS))
+            edges = [start + piece * n // n_pieces for piece in range(n_pieces + 1)]
+            refined = refined_rows[:n]
+            fan_out(lambda lo, hi: refine(refined, start, edges[lo:hi + 1]), n_pieces, inner,
+                    pool)
+            # the distance buffers come after the first block's input rows are freed
+            assign = assign or assigner(books, min(n_rows, ASSIGN_ROWS),
+                                        np.result_type(refined_dtype, books), emit,
+                                        in_place=True, threads=inner, pool=pool)
+            assign(refined, start)
 
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        # one pool for the refine pieces and the book split; it starts no thread at W = 1
-        with ThreadPoolExecutor(max_workers=max(1, piece_threads - 1)) as pool:
-            fan_out(lambda first, stop: refine(refined, 0, edges[first:stop + 1],
-                                               input_rows(n_rows)),
-                    len(edges) - 1, piece_threads, pool)
-            assigner_for(piece_threads, pool)(refined)
-    else:
-        def work(first: int, stop_block: int) -> None:
-            # the run's largest block: the merged tail for the last run
-            largest = (n_rows - (n_blocks - 1) * ASSIGN_ROWS if stop_block == n_blocks
-                       else ASSIGN_ROWS)
-            refined_rows = np.empty((largest, params.d_out), refined_dtype)
-            assign = assigner_for()
-            inputs = input_rows(min(largest, ASSIGN_ROWS), largest)
-            for block in range(first, stop_block):
-                start = block * ASSIGN_ROWS
-                stop = n_rows if block == n_blocks - 1 else start + ASSIGN_ROWS
-                refined = refined_rows[:stop - start]
-                refine(refined, start, bounds(start, stop), inputs)
-                assign(refined, start)
-
-        fan_out(work, n_blocks, encode_workers(n_blocks))
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        fan_out(work, n_blocks, workers // inner, pool)
     return planes.T if packed else codes
 
 

@@ -22,10 +22,10 @@ partitioned: those k minima bound the k-th distance.
 
 Doc ids are resident as uint32 when every id is below 2^32, else as
 uint64; the file always stores u64.  :func:`load_index` reads the ids
-and packed codes through one reused buffer of ``LOAD_BYTES``: ids are
-narrowed chunk by chunk, and each chunk of codes is split into the
-resident byte planes (2- and 4-byte code words by shifts), so neither is
-copied whole after the read.
+and packed codes through one reused buffer of ``LOAD_BYTES`` (of one
+code when a code is wider): ids are narrowed chunk by chunk, and each
+chunk of codes is split into the resident byte planes (2- and 4-byte
+code words by shifts), so neither is copied whole after the read.
 
 Index file layout (little-endian, unchanged): magic ``MICPQIDX`` | version
 u32 | M u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32
@@ -375,19 +375,22 @@ def _read_exact(f, array: np.ndarray) -> np.ndarray:
 
 
 def load_index(path) -> RetrievalIndex:
-    """Read an index file written by :func:`save_index`.  A file whose size
-    differs from what its header declares is rejected before any read, and
-    packed codes with a padding bit set in their last byte after it."""
+    """Read an index file written by :func:`save_index`.  A header with
+    M or sub_dim 0, and a file whose size differs from what its header
+    declares, are rejected before any read, and packed codes with a
+    padding bit set in their last byte after it."""
     with open(path, "rb") as f:
         n_books, n_words, sub_dim, n_docs = read_header(f, MAGIC_INDEX, _HEADER, INDEX_VERSION)
         if n_words > 1 << 16:
             raise FileFormatError(f"K={n_words} does not fit the format's u16 sub-indices")
+        if min(n_books, sub_dim) < 1:
+            raise FileFormatError(f"zero dimension in header: M={n_books}, sub_dim={sub_dim}")
         packed = is_pow2(n_words)
         code_nbytes = packed_code_nbytes(n_books, n_words) if packed else 2 * n_books
         declared = 8 + _HEADER.size + n_books * n_words * sub_dim * 4 + n_docs * (8 + code_nbytes)
         check_file_size(f, declared)
         books = _read_exact(f, np.empty((n_books, n_words, sub_dim), "<f4"))
-        buffer = np.empty(LOAD_BYTES, np.uint8)
+        buffer = np.empty(max(LOAD_BYTES, code_nbytes), np.uint8)  # at least one code
         ids_at, doc_ids = f.tell(), np.empty(n_docs, np.uint32)
         for start in range(0, n_docs, LOAD_BYTES // 8):
             chunk = _read_exact(f, buffer[:8 * min(LOAD_BYTES // 8, n_docs - start)]).view("<u8")
@@ -401,7 +404,7 @@ def load_index(path) -> RetrievalIndex:
         else:
             # each chunk of codes is split into the resident byte planes
             planes = np.empty((code_nbytes, n_docs), np.uint8)
-            step = LOAD_BYTES // code_nbytes
+            step = len(buffer) // code_nbytes
             for start in range(0, n_docs, step):
                 rows = min(step, n_docs - start)
                 chunk = _read_exact(f, buffer[:code_nbytes * rows])

@@ -274,7 +274,11 @@ def usage_histogram(state: ModelState, data) -> np.ndarray:
     """(M, K) hard-assignment counts over a corpus, dropout disabled:
     an array, an :class:`~micpq.dataio.EmbeddingMatrix` or an
     :class:`~micpq.dataio.EmbeddingFile`, which
-    :func:`~micpq.quantizer.encode_rows` reads in pieces."""
+    :func:`~micpq.quantizer.encode_rows` reads in pieces.  A corpus of
+    fewer than 2 * ``quantizer.ASSIGN_ROWS`` rows, such as a 4,000-row
+    training split, is one block, whose pieces and then books
+    ``encode_rows`` spreads over its W threads; a larger one is W runs of
+    blocks, one per thread."""
     codes = encode_rows(state.encoder, state.books.books, getattr(data, "values", data))
     n_books, n_words = state.books.n_codebooks, state.books.n_codewords
     slots = codes + n_words * np.arange(n_books)

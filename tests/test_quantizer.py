@@ -400,36 +400,65 @@ class TestEncodePool:
         assert pooled == sorted(calls) == [1, quantizer.ASSIGN_ROWS, quantizer.ASSIGN_ROWS]
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [4 * quantizer.ASSIGN_ROWS, 4000], ids=["blocks", "lone"])
     def test_a_failing_block_reaches_the_caller_and_ends_every_worker(self, monkeypatch,
                                                                       use_workers,
-                                                                      n_workers):
+                                                                      n_workers, n_rows):
         use_workers(n_workers)
         gen, encoder, books = _encoder_and_books(5)
-        values = gen.normal(size=(4 * quantizer.ASSIGN_ROWS, encoder.d_in)).astype(np.float32)
+        values = gen.normal(size=(n_rows, encoder.d_in)).astype(np.float32)
+        bad = n_rows // 2  # block 2's first row, or a lone block's middle piece
         def failing(params, batch, out=None):
-            if batch.ctypes.data == values[2 * quantizer.ASSIGN_ROWS:].ctypes.data:
-                raise RuntimeError("block 2")
+            start = (batch.ctypes.data - values.ctypes.data) // values.strides[0]
+            if start <= bad < start + len(batch):
+                raise RuntimeError(f"row {bad}")
             return forward_batch(params, batch, out=out)
         monkeypatch.setattr(quantizer, "forward_batch", failing)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="block 2"):
+        with pytest.raises(RuntimeError, match=f"row {bad}"):
             encode_rows(encoder, books, values)
         assert threading.active_count() == threads
 
-    def test_non_finite_rows_are_named(self, use_workers):
-        use_workers(2)
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows, broken_rows", [
+        (3 * quantizer.ASSIGN_ROWS, ((5000, np.nan), (3 * quantizer.ASSIGN_ROWS - 1, -np.inf))),
+        (4000, ((5, np.nan), (2500, np.nan), (3999, np.nan))),  # a lone block
+    ], ids=["blocks", "lone"])
+    def test_non_finite_rows_are_named(self, use_workers, n_workers, n_rows, broken_rows):
+        use_workers(n_workers)
         gen, encoder, books = _encoder_and_books(6)
-        values = gen.normal(size=(3 * quantizer.ASSIGN_ROWS, encoder.d_in)).astype(np.float32)
-        for bad, value in ((5000, np.nan), (3 * quantizer.ASSIGN_ROWS - 1, -np.inf)):
+        values = gen.normal(size=(n_rows, encoder.d_in)).astype(np.float32)
+        threads = threading.active_count()
+        for bad, value in broken_rows:
             broken = values.copy()
             broken[bad, 3] = value
             with pytest.raises(NonFiniteInputError, match=f"row {bad}"):
                 encode_rows(encoder, books, broken)
+            assert threading.active_count() == threads
         # finite rows are accepted at any magnitude
         tiny = EncoderParams(encoder.weight * np.float32(1e-30), encoder.bias)
         huge = np.full((10, encoder.d_in), 3e38, np.float32)
         assert np.array_equal(encode_rows(tiny, books, huge),
                               hard_assign_books(forward_batch(tiny, huge), books))
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [4000, 5 * quantizer.ASSIGN_ROWS + 7], ids=["lone", "blocks"])
+    def test_one_call_starts_at_most_w_minus_one_threads(self, monkeypatch, use_workers,
+                                                         n_workers, n_rows):
+        use_workers(n_workers)
+        gen, encoder, books = _encoder_and_books(7)
+        values = gen.normal(size=(n_rows, encoder.d_in)).astype(np.float32)
+        started = []
+        start = threading.Thread.start
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        codes = encode_rows(encoder, books, values)
+        monkeypatch.undo()
+        assert np.array_equal(codes, hard_assign_books(forward_batch(encoder, values), books))
+        assert len(started) <= n_workers - 1
+        assert not any(thread.is_alive() for thread in started)
 
     @pytest.mark.parametrize("openblas,omp,n_blocks,expected", [
         ("1", None, 100, 4),      # one BLAS thread: one worker per CPU

@@ -717,6 +717,9 @@ class TestLoadIndexFuzz:
                             st.integers(0, (1 << 32) - 1), st.integers(0, (1 << 64) - 1)),
            payload=st.binary(max_size=64))
     @example(fields=((1 << 32) - 1, (1 << 32) - 1, 0, 0), payload=b"")  # zero-size, huge shape
+    @example(fields=(0, 2, 1, 1), payload=bytes(8))  # M = 0: zero-byte codes at K = 2
+    # one code wider than LOAD_BYTES: 2,097,153 books, then the doc id and 262,145 code bytes
+    @example(fields=(2_097_153, 2, 1, 1), payload=bytes(2_097_153 * 2 * 4 + 8 + 262_145))
     def test_any_header_loads_or_raises_a_micpq_error(self, tmp_path, fields, payload):
         path = tmp_path / "any.idx"
         path.write_bytes(MAGIC_INDEX + struct.pack("<IIIIQ", INDEX_VERSION, *fields) + payload)
