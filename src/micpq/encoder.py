@@ -94,7 +94,7 @@ def forward(params: EncoderParams, z: np.ndarray, sub_dim: int | None = None) ->
         raise DimMismatchError(f"expected input of length {params.d_in}, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise NonFiniteInputError("encoder input must be finite")
-    values = np.maximum(params.weight @ z + params.bias, 0)
+    values = forward_batch(params, z[None])[0]
     return RefinedEmbedding(values, sub_dim if sub_dim is not None else params.d_out)
 
 

@@ -37,7 +37,8 @@ from .errors import (
 )
 
 GUMBEL_CLAMP = 1e-12
-ASSIGN_ROWS = 4096  # rows per refine block in encode_rows, per distance chunk; packbits up to it
+ASSIGN_ROWS = 4096  # rows per refine block in encode_rows, per distance chunk
+MAX_CODEWORDS = 1 << 16  # largest K: sub-indices are held and stored as uint16
 NEAREST_CELLS = 16384  # (book, row) pairs per row block of nearest_codewords
 NEAREST_MAX_K = 16  # largest K whose nearest codewords are not taken by numpy's argmin
 NEAREST_MIN_PAIRS = 256  # (book, row) pairs per codeword up to which numpy's argmin is faster
@@ -55,8 +56,8 @@ class CodebookSet:
         self.books = np.ascontiguousarray(self.books)
         if self.books.ndim != 3:
             raise InvalidConfigError("books must have shape (M, K, sub_dim)")
-        if self.books.shape[1] < 2:
-            raise InvalidConfigError("each codebook needs at least 2 codewords")
+        if not 2 <= self.books.shape[1] <= MAX_CODEWORDS:
+            raise InvalidConfigError(f"each codebook needs 2 to {MAX_CODEWORDS} codewords")
         if not np.all(np.isfinite(self.books)):
             raise NonFiniteInputError("codebook entries must be finite")
 
@@ -94,13 +95,9 @@ class QuantCode:
     n_codewords: int
 
     def __post_init__(self) -> None:
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.uint16)
+        self.indices = checked_codes(self.indices, self.n_codewords)
         if self.indices.ndim != 1:
             raise DimMismatchError("code indices must be a vector")
-        if np.any(self.indices >= self.n_codewords):
-            raise IndexOutOfRangeError(
-                f"code index >= K={self.n_codewords}: {self.indices.tolist()}"
-            )
 
     @property
     def n_codebooks(self) -> int:
@@ -108,6 +105,17 @@ class QuantCode:
 
     def packed(self) -> bytes:
         return pack_codes(self.indices, self.n_codewords)
+
+
+def checked_codes(indices, n_codewords: int) -> np.ndarray:
+    """Sub-indices as contiguous uint16, once every one is checked to be
+    an integer in [0, K) (else :class:`IndexOutOfRangeError`).  The check
+    comes before the cast, so no index wraps or is truncated into range."""
+    indices = np.asarray(indices)
+    if indices.size and (indices.dtype.kind not in "iu" or indices.max() >= n_codewords
+                         or indices.dtype.kind == "i" and indices.min() < 0):
+        raise IndexOutOfRangeError(f"code indices must be integers in [0, {n_codewords})")
+    return np.ascontiguousarray(indices, dtype=np.uint16)
 
 
 def is_pow2(n_codewords: int) -> bool:
@@ -549,33 +557,24 @@ def unpack_codes(data: bytes, n_codebooks: int, n_codewords: int) -> np.ndarray:
 
 
 def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
-    """Pack an (n, M) index matrix into an (n, bytes_per_code) uint8
-    array.  Up to ``ASSIGN_ROWS`` rows, a Hamming query's single code
-    among them, go through their bit planes and ``packbits`` in one pass,
-    row-major.  More rows are packed into byte planes by
-    :func:`_pack_planes` and returned column-major, the resident layout of
+    """Pack an (n, M) index matrix, checked by :func:`checked_codes`,
+    into an (n, bytes_per_code) uint8 array by :func:`_pack_planes`.  It
+    is returned column-major, one contiguous byte plane per byte position,
+    at every n: the resident layout of
     :class:`~micpq.retrieval.RetrievalIndex`."""
-    b = bits_per_index(n_codewords)
-    indices = np.asarray(indices)
-    if indices.size and (indices.min() < 0 or indices.max() >= n_codewords):
-        raise IndexOutOfRangeError(f"code indices must lie in [0, {n_codewords})")
-    n, m = indices.shape
-    if n <= ASSIGN_ROWS:
-        bits = (indices.astype(np.uint16)[:, :, None] >> np.arange(b, dtype=np.uint16)) & 1
-        return np.packbits(bits.reshape(n, m * b).astype(np.uint8), axis=1, bitorder="little")
-    planes = np.zeros((packed_code_nbytes(m, n_codewords), n), np.uint8)
+    indices = checked_codes(indices, n_codewords)
+    planes = np.zeros((packed_code_nbytes(indices.shape[1], n_codewords), len(indices)), np.uint8)
     _pack_planes(planes, indices.T, n_codewords)
     return planes.T
 
 
 def _pack_planes(planes: np.ndarray, fields: np.ndarray, n_codewords: int) -> None:
-    """OR the (M, n) indices ``fields`` into zeroed (bytes_per_code, n)
-    byte planes: index m is shifted to its bit offset m*log2(K) and ORed
-    into each byte it touches, its high bits into the next byte when it
-    straddles a byte boundary."""
+    """OR the (M, n) uint16 indices ``fields`` into zeroed
+    (bytes_per_code, n) byte planes: index m is shifted to its bit offset
+    m*log2(K) and ORed into each byte it touches, its high bits into the
+    next byte when it straddles a byte boundary."""
     b = bits_per_index(n_codewords)
     for book, field in enumerate(fields):
-        field = field.astype(np.uint16, copy=False)
         at = book * b
         for byte in range(at // 8, (at + b - 1) // 8 + 1):
             shift = at - 8 * byte

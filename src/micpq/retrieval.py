@@ -46,7 +46,6 @@ from .errors import (
     DimMismatchError,
     EmptyIndexError,
     FileFormatError,
-    IndexOutOfRangeError,
     InvalidConfigError,
     InvalidSpecError,
     KNot2Error,
@@ -54,9 +53,11 @@ from .errors import (
     TruncatedFileError,
 )
 from .quantizer import (
+    MAX_CODEWORDS,
     CodebookSet,
     QuantCode,
     bits_per_index,
+    checked_codes,
     diff_distances,
     encode_rows,
     is_pow2,
@@ -77,12 +78,11 @@ LOAD_BYTES = 1 << 18  # bytes per read of load_index's reused buffer
 
 
 def _checked_codes(codes, n_books: int, n_words: int) -> np.ndarray:
-    """An (n, M) sub-index matrix as contiguous uint16, every index below K."""
-    codes = np.ascontiguousarray(codes, dtype=np.uint16)
+    """An (n, M) sub-index matrix as contiguous uint16, checked by
+    :func:`~micpq.quantizer.checked_codes`."""
+    codes = checked_codes(codes, n_words)
     if codes.ndim != 2 or codes.shape[1] != n_books:
         raise DimMismatchError(f"codes shape {codes.shape} does not match {n_books} codebooks")
-    if np.any(codes >= n_words):
-        raise IndexOutOfRangeError(f"code index >= K={n_words}")
     return codes
 
 
@@ -91,7 +91,11 @@ class RetrievalIndex:
 
     Give either ``codes``, an (n_docs, M) sub-index matrix, or ``packed``,
     the (n_docs, bytes_per_code) payload of a power-of-two K.  Only one
-    layout is kept: ``packed`` for power-of-two K, else uint16 codes.
+    layout is kept: ``packed`` for power-of-two K, column-major, else
+    uint16 codes.  Sub-indices that are not integers in [0, K) raise
+    :class:`~micpq.errors.IndexOutOfRangeError`.  A packed payload with a
+    padding bit set in a code's last byte raises
+    :class:`FileFormatError`: the Hamming scan counts every bit.
     ``doc_ids`` default to the row numbers.  They are kept as uint32 when
     the array is empty or every id is below 2^32, else as uint64; a
     uint32 array is kept as given.  Negative or non-integer ids raise
@@ -119,6 +123,10 @@ class RetrievalIndex:
                 f"codes of shape {stored.shape} for doc ids of shape {self.doc_ids.shape} "
                 f"(width {width} expected)"
             )
+        if packed is not None:
+            padding = (0xFF << ((n_books * bits_per_index(n_words)) % 8)) & 0xFF
+            if padding != 0xFF and np.any(self.packed[:, -1] & padding):
+                raise FileFormatError("packed codes have padding bits set")
 
     @property
     def codes(self) -> np.ndarray:
@@ -335,7 +343,10 @@ def search_topk_hamming(
     index: RetrievalIndex, query_embedding: np.ndarray, model: ModelState, k: int
 ) -> list[tuple[int, float]]:
     """Top-k by Hamming distance between the query's own hard code and
-    each stored code; requires an index built with K = 2."""
+    each stored code; requires an index built with K = 2.  The query's
+    nearest codewords are written into one uint8 row and packed by one
+    ``np.packbits``: at one bit per book, index m is bit m of the code,
+    the packing of :func:`~micpq.quantizer.pack_codes_batch`."""
     if index.books.n_codewords != 2:
         raise KNot2Error(
             f"hamming search requires an index with K=2, got K={index.books.n_codewords}"
@@ -343,7 +354,8 @@ def search_topk_hamming(
     refined = _refine_query(index, model, query_embedding, k)
     # one row is one chunk of hard_assign_books, without its chunk loop's cost
     dist = squared_distances_books(refined[None, :], index.books.books)
-    query = pack_codes_batch(nearest_codewords(dist, np.empty(dist.shape[:2], np.uint16)).T, 2)[0]
+    query = np.packbits(nearest_codewords(dist, np.empty(dist.shape[:2], np.uint8)),
+                        bitorder="little")
     # uint16, not uint8: np.partition is over 20x slower on uint8 keys
     n_books = index.books.n_codebooks
     differ = np.zeros(index.n_docs, np.promote_types(np.min_scalar_type(n_books), np.uint16))
@@ -377,11 +389,11 @@ def _read_exact(f, array: np.ndarray) -> np.ndarray:
 def load_index(path) -> RetrievalIndex:
     """Read an index file written by :func:`save_index`.  A header with
     M or sub_dim 0, and a file whose size differs from what its header
-    declares, are rejected before any read, and packed codes with a
-    padding bit set in their last byte after it."""
+    declares, are rejected before any read; packed codes with a padding
+    bit set are refused by :class:`RetrievalIndex`."""
     with open(path, "rb") as f:
         n_books, n_words, sub_dim, n_docs = read_header(f, MAGIC_INDEX, _HEADER, INDEX_VERSION)
-        if n_words > 1 << 16:
+        if n_words > MAX_CODEWORDS:
             raise FileFormatError(f"K={n_words} does not fit the format's u16 sub-indices")
         if min(n_books, sub_dim) < 1:
             raise FileFormatError(f"zero dimension in header: M={n_books}, sub_dim={sub_dim}")
@@ -418,9 +430,5 @@ def load_index(path) -> RetrievalIndex:
                     into[...] = chunk.reshape(rows, code_nbytes).T
             codes = planes.T
     if packed:
-        # the Hamming scan counts every bit, so the last byte's padding must be 0
-        padding = (0xFF << ((n_books * bits_per_index(n_words)) % 8)) & 0xFF
-        if padding != 0xFF and np.any(codes[:, -1] & padding):
-            raise FileFormatError("packed codes have padding bits set")
         return RetrievalIndex(CodebookSet(books), doc_ids=doc_ids, packed=codes)
     return RetrievalIndex(CodebookSet(books), codes, doc_ids)

@@ -32,6 +32,7 @@ from .objectives import (
     loss_values,
 )
 from .quantizer import (
+    MAX_CODEWORDS,
     PIECE_ROWS,
     SPLIT_UPDATE_SIZE,
     CodebookSet,
@@ -75,8 +76,9 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_codebooks < 1 or self.n_codewords < 2 or self.sub_dim < 1:
-            raise InvalidConfigError("need n_codebooks >= 1, n_codewords >= 2, sub_dim >= 1")
+        if self.n_codebooks < 1 or not 2 <= self.n_codewords <= MAX_CODEWORDS or self.sub_dim < 1:
+            raise InvalidConfigError("need n_codebooks >= 1, n_codewords from 2 to "
+                                     f"{MAX_CODEWORDS}, sub_dim >= 1")
         if not self.learning_rate > 0:
             raise InvalidConfigError("learning_rate must be > 0")
         if self.batch_size < 2 or self.n_epochs < 1:

@@ -800,8 +800,8 @@ class TestPacking:
             idx = gen.integers(0, n_words, size=(n, n_books))
             for given in (idx, idx.astype(np.uint16)):
                 packed = pack_codes_batch(given, n_words)
-                # byte planes come back column-major, the index's resident layout
-                assert packed.flags.c_contiguous if n <= 4096 else packed.flags.f_contiguous
+                # byte planes come back column-major at every n, the index's resident layout
+                assert packed.flags.f_contiguous
                 assert np.array_equal(packed, self._planes(idx, n_words))
 
     def test_pack_holds_one_chunk_of_bit_planes(self):

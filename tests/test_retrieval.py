@@ -16,6 +16,7 @@ from micpq.errors import (
     DimMismatchError,
     EmptyIndexError,
     FileFormatError,
+    IndexOutOfRangeError,
     InvalidConfigError,
     InvalidSpecError,
     KNot2Error,
@@ -762,6 +763,34 @@ class TestPaddingBits:
                     load_index(tmp_path / "bad.idx")
 
 
+class TestSubIndexCheck:
+    """Every entry point that takes sub-indices checks them before the
+    uint16 cast, so none wraps or is truncated into [0, K)."""
+
+    @pytest.mark.parametrize("bad", [65_539, -1, -65_533, 1.5])
+    def test_wrapping_and_fractional_indices_are_refused(self, bad):
+        books = _nonneg_books(70, 2, 16, 2)
+        codes = np.array([[2, 1], [bad, 1]])  # 65,539 and -65,533 would be stored as 3
+        lut = build_lut(np.zeros(books.dim, np.float32), books)
+        for call in (lambda: QuantCode(codes[1], 16), lambda: RetrievalIndex(books, codes),
+                     lambda: adc_distances(lut, codes), lambda: pack_codes_batch(codes, 16)):
+            with pytest.raises(IndexOutOfRangeError):
+                call()
+
+    @pytest.mark.parametrize("n_books", [7, 9])
+    def test_packed_payload_with_a_padding_bit_set_is_refused(self, n_books):
+        # a set padding bit would rank two documents with the same code at
+        # Hamming distances one apart
+        books = _nonneg_books(72, n_books, 2, 2)
+        packed = pack_codes_batch(np.zeros((2, n_books), np.uint16), 2)
+        assert RetrievalIndex(books, packed=packed).n_docs == 2
+        for bit in range(n_books % 8, 8):
+            flipped = packed.copy()
+            flipped[1, -1] |= 1 << bit
+            with pytest.raises(FileFormatError, match="padding"):
+                RetrievalIndex(books, packed=flipped)
+
+
 def _random_index(seed, n_books, n_words, n_docs=600, sub=3, distinct=None, grid=False):
     """Identity model, nonnegative books and codes; doc ids are a shuffled
     range.  With ``distinct``, codes repeat a few rows, so ties are large.
@@ -858,9 +887,7 @@ class TestFastPaths:
                                                  n_docs=n_docs)
             assert index.packed.flags.f_contiguous
             raw_packed = pack_codes_batch(codes, n_words)
-            # raw codes of up to 4,096 rows pack row-major, more column-major
-            row_major = n_docs <= 4096
-            assert raw_packed.flags.c_contiguous if row_major else raw_packed.flags.f_contiguous
+            assert raw_packed.flags.f_contiguous  # raw codes pack column-major at every n
             for _ in range(5):
                 lut = build_lut(gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32),
                                 index.books)
@@ -952,7 +979,7 @@ class TestFastPaths:
         "n_docs,distinct", [(3000, None), (3000, 25), (64, 8), (10_000, 25)]
     )
     def test_hamming_matches_popcount_oracle(self, n_docs, distinct):
-        for n_books in (9, 16, 24, 40):  # 2-5 byte columns, the last one partial at 9
+        for n_books in (7, 9, 16, 24, 40):  # 1-5 byte columns, the last one partial at 7, 9
             model, index, codes, gen = _random_index(
                 43, n_books, 2, n_docs=n_docs, sub=2, distinct=distinct
             )

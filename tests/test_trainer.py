@@ -333,6 +333,16 @@ class TestLoadCheckpointFuzz:
         with pytest.raises(InvalidConfigError):
             load_checkpoint(path)
 
+    def test_k_beyond_uint16_with_an_agreeing_size_raises(self, tmp_path):
+        # M = 1, sub_dim = 1: 2^17 one-wide codewords, whose uint16 codes would wrap
+        dims = (1, 1, 1, 1 << 17, 1)
+        n_floats = 3 * 1 * 1 + 3 * 1 + 3 * (1 << 17)
+        path = tmp_path / "wide.ckpt"
+        path.write_bytes(MAGIC_CHECKPOINT + struct.pack("<IIIIIIQ", CHECKPOINT_VERSION, *dims, 0)
+                         + b"\0" * 4 * n_floats)
+        with pytest.raises(MicpqError):
+            load_checkpoint(path)
+
     @_FUZZ
     @given(data=st.data())
     def test_flipped_payload_bytes_load_exactly_or_raise(self, tmp_path, data):
@@ -452,6 +462,29 @@ class TestTrain:
         seen = []
         train(_tiny_config(n_epochs=3), _tiny_corpus(), on_epoch=lambda r: seen.append(r.epoch))
         assert seen == [0, 1, 2]
+
+
+class TestCodebookSizeBound:
+    """Sub-indices are uint16, so K is at most 2^16: a larger K would wrap
+    its codes (70,000 coded as 4,464) and write an index no search loads."""
+
+    def test_k_above_uint16_is_refused(self):
+        with pytest.raises(InvalidConfigError):
+            TrainConfig(n_codebooks=1, n_codewords=(1 << 16) + 1, sub_dim=1)
+        with pytest.raises(InvalidConfigError):
+            CodebookSet(np.zeros((1, (1 << 16) + 1, 1), np.float32))
+        assert TrainConfig(n_codebooks=1, n_codewords=1 << 16, sub_dim=1).n_codewords == 1 << 16
+        assert CodebookSet(np.zeros((1, 1 << 16, 1), np.float32)).n_codewords == 1 << 16
+
+    def test_cli_train_with_k_above_uint16_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        emb, ckpt = tmp_path / "c.emb", tmp_path / "m.ckpt"
+        write_embeddings(_tiny_corpus(), emb)
+        code = main(["train", "--emb", str(emb), "--M", "1", "--K", "131072", "--sub-dim", "1",
+                     "--batch-size", "8", "--epochs", "1", "--out", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert not ckpt.exists()
 
 
 class TestAdamShapes:
