@@ -23,13 +23,10 @@ _EXPORTS = {
         "hungarian_accuracy kmeans precision_at_k retrieval_eval split_indices"
     ),
     "objectives": (
-        "BatchViews LossConfig MIStats contrastive_loss cosine_sim expected_loss_oracle "
+        "BatchViews LossConfig MIStats contrastive_loss expected_loss_oracle "
         "loss_and_gradients loss_values mi_term total_loss"
     ),
-    "quantizer": (
-        "CodebookSet QuantCode SoftAssignment assign_probs hard_assign pack_codes "
-        "quantize_document sample_gumbel soft_assign soft_codeword unpack_codes"
-    ),
+    "quantizer": "CodebookSet QuantCode assign_probs pack_codes quantize_document unpack_codes",
     "retrieval": (
         "DistanceLUT RetrievalIndex adc_distance build_index build_lut hamming_distance "
         "load_index save_index search_topk search_topk_hamming"

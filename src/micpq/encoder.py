@@ -60,18 +60,6 @@ class RefinedEmbedding:
                 f"length {self.values.shape[0]} is not a multiple of sub_dim {self.sub_dim}"
             )
 
-    @property
-    def n_segments(self) -> int:
-        return self.values.shape[0] // self.sub_dim
-
-    def segment(self, m: int) -> np.ndarray:
-        """View of segment m (no copy)."""
-        return self.values[m * self.sub_dim:(m + 1) * self.sub_dim]
-
-    @property
-    def segments(self) -> list[np.ndarray]:
-        return [self.segment(m) for m in range(self.n_segments)]
-
 
 @dataclass(frozen=True)
 class DropoutConfig:
@@ -84,10 +72,10 @@ class DropoutConfig:
 
 
 def forward(params: EncoderParams, z: np.ndarray, sub_dim: int | None = None) -> RefinedEmbedding:
-    """Refine one embedding: ``max(0, W z + b)``, sliced into segments.
+    """Refine one embedding: ``max(0, W z + b)``, with its segment width.
 
     ``sub_dim`` defaults to the full output width (a single segment);
-    pass the paired codebooks' sub_dim to get per-codebook slices.
+    pass the paired codebooks' sub_dim for per-codebook segments.
     """
     z = np.asarray(z)
     if z.ndim != 1 or z.shape[0] != params.d_in:

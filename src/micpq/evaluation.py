@@ -42,7 +42,10 @@ def split_indices(
     ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     seed: int = DEFAULT_SPLIT_SEED,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic (train, val, test) row indices for an n-doc corpus."""
+    """Deterministic (train, val, test) row indices for an n-doc corpus;
+    a negative ``n_docs`` raises :class:`InvalidConfigError`."""
+    if n_docs < 0:
+        raise InvalidConfigError(f"n_docs must be >= 0, got {n_docs}")
     if len(ratios) != 3 or any(not r >= 0 for r in ratios) or not abs(sum(ratios) - 1.0) <= 1e-9:
         raise InvalidConfigError(f"split ratios must be 3 nonnegative values summing to 1, got {ratios}")
     perm = rng.spawn(seed, rng.STREAM_SPLIT).permutation(n_docs)

@@ -157,17 +157,6 @@ class ParamGrads:
     books: np.ndarray
 
 
-def cosine_sim(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Cosine similarity; both vectors must have norm > 1e-12."""
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    n1 = np.linalg.norm(h1)
-    n2 = np.linalg.norm(h2)
-    if n1 <= ZERO_NORM_EPS or n2 <= ZERO_NORM_EPS:
-        raise ZeroNormError("cosine similarity undefined for (near-)zero vectors")
-    return float(h1 @ h2 / (n1 * n2))
-
-
 def _partner_columns(batch_size: int) -> np.ndarray:
     """Each row's positive column in a 2B-row representation stack.
 
@@ -213,29 +202,18 @@ def _softmax_rows(normed, tau_cl: float, logits, log_ratio, start: int, stop: in
     weights /= denom[:, :, None]
 
 
-def _contrastive_forward(h_all: np.ndarray, tau_cl: float, normed=None, logits=None) -> tuple:
-    """Cosine contrastive loss of T instances of 2B representations.
-
-    ``h_all`` has shape (T, 2B, D), first-view rows then second-view rows.
-    Returns the (T,) losses, the unit rows, the (T, 2B, 1) row norms and
-    each row's softmax weights over its positive and negative columns,
-    (T, 2B, 2B) and zero elsewhere.  The unit rows and the weights are
-    written to ``normed`` and ``logits`` when given.
-    """
+def _contrastive_losses(h_all: np.ndarray, tau_cl: float) -> np.ndarray:
+    """(T,) cosine contrastive losses of a (T, 2B, D) stack of instances,
+    first-view rows then second-view rows."""
+    if not tau_cl > 0:
+        raise NonPositiveTemperatureError(f"tau_cl must be > 0, got {tau_cl}")
+    h_all = np.asarray(h_all, dtype=np.float64)
     n_rows = h_all.shape[1]
-    normed = np.empty(h_all.shape) if normed is None else normed
-    logits = np.empty(h_all.shape[:2] + (n_rows,)) if logits is None else logits
+    normed, logits = np.empty(h_all.shape), np.empty(h_all.shape[:2] + (n_rows,))
     norm, log_ratio = np.empty(h_all.shape[:2] + (1,)), np.empty(h_all.shape[:2])
     _unit_rows(h_all, normed, norm)
     _softmax_rows(normed, tau_cl, logits, log_ratio, 0, n_rows)
-    return log_ratio.sum(axis=1) * (-1.0 / (n_rows // 2)), normed, norm, logits
-
-
-def _contrastive_losses(h_all: np.ndarray, tau_cl: float) -> np.ndarray:
-    """(T,) contrastive losses of a (T, 2B, D) stack of instances."""
-    if not tau_cl > 0:
-        raise NonPositiveTemperatureError(f"tau_cl must be > 0, got {tau_cl}")
-    return _contrastive_forward(np.asarray(h_all, dtype=np.float64), tau_cl)[0]
+    return log_ratio.sum(axis=1) * (-1.0 / (n_rows // 2))
 
 
 def contrastive_loss(views: BatchViews, tau_cl: float) -> float:

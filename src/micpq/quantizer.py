@@ -1,12 +1,13 @@
 """Codebooks, codeword assignment and bit-packed codes.
 
-A document's refined vector is sliced into one segment per codebook.
-Each segment is assigned to one of K codewords, either stochastically
-(probability proportional to ``exp(-squared distance)``), softly via a
-temperature-controlled Gumbel softmax, or deterministically (nearest
-codeword).  Distances are squared Euclidean throughout, never rooted.
-The nearest codewords of many rows are numpy's argmin choice, taken by
+A document's refined vector is sliced into one segment per codebook,
+and each segment is indexed by its nearest of K codewords.  Distances
+are squared Euclidean throughout, never rooted.  The nearest codewords
+of many rows are numpy's argmin choice, taken by
 :func:`nearest_codewords` one codeword at a time over a block of rows.
+Training's Gumbel-softmax mixtures are batched in
+:mod:`micpq.objectives`; :func:`assign_probs` is one segment's
+noise-free assignment distribution, kept as the reference.
 
 When K is a power of two the M sub-indices of a document pack into
 ``M * log2(K)`` bits: index m occupies bits ``[m*b, (m+1)*b)`` with the
@@ -33,7 +34,6 @@ from .errors import (
     InvalidConfigError,
     KNotPowerOfTwoError,
     NonFiniteInputError,
-    NonPositiveTemperatureError,
 )
 
 GUMBEL_CLAMP = 1e-12
@@ -76,15 +76,6 @@ class CodebookSet:
     @property
     def dim(self) -> int:
         return self.n_codebooks * self.sub_dim
-
-
-@dataclass
-class SoftAssignment:
-    """Soft codeword weights for one segment, with the noise that made them."""
-
-    probs: np.ndarray
-    gumbel: np.ndarray
-    temperature: float
 
 
 @dataclass
@@ -138,19 +129,6 @@ def diff_distances(segments: np.ndarray, books: np.ndarray) -> np.ndarray:
     return np.einsum("...kd,...kd->...k", diff, diff)
 
 
-def squared_distances(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from one segment to every codeword."""
-    segment = np.asarray(segment)
-    book = np.asarray(book)
-    if segment.ndim != 1 or book.ndim != 2 or book.shape[1] != segment.shape[0]:
-        raise DimMismatchError(
-            f"segment shape {segment.shape} does not match book shape {book.shape}"
-        )
-    if not (np.all(np.isfinite(segment)) and np.all(np.isfinite(book))):
-        raise NonFiniteInputError("segment and codebook must be finite")
-    return diff_distances(segment, book)
-
-
 def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, shifted by each row's maximum; written
     to ``out`` when given, which may be ``logits`` itself."""
@@ -161,11 +139,18 @@ def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 
 
 def assign_probs(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
-    """Assignment distribution: p_k proportional to exp(-||segment - c_k||^2).
-
-    Computed with max-subtraction in the dtype of the inputs.
-    """
-    return stable_softmax(-squared_distances(segment, book))
+    """Assignment distribution of one segment over a (K, sub_dim) book:
+    p_k proportional to exp(-||segment - c_k||^2), with max-subtraction
+    in the dtype of the inputs.  The reference for the batched step."""
+    segment = np.asarray(segment)
+    book = np.asarray(book)
+    if segment.ndim != 1 or book.ndim != 2 or book.shape[1] != segment.shape[0]:
+        raise DimMismatchError(
+            f"segment shape {segment.shape} does not match book shape {book.shape}"
+        )
+    if not (np.all(np.isfinite(segment)) and np.all(np.isfinite(book))):
+        raise NonFiniteInputError("segment and codebook must be finite")
+    return stable_softmax(-diff_distances(segment, book))
 
 
 def gumbel_from_uniform(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -177,39 +162,6 @@ def gumbel_from_uniform(u: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     np.negative(g, out=g)
     np.log(g, out=g)
     return np.negative(g, out=g)
-
-
-def sample_gumbel(k: int, seed: int) -> np.ndarray:
-    """k i.i.d. standard Gumbel draws, deterministic given the seed."""
-    if k < 1:
-        raise InvalidConfigError("need at least one draw")
-    return gumbel_from_uniform(rng.spawn(seed).random(k))
-
-
-def soft_assign(
-    segment: np.ndarray,
-    book: np.ndarray,
-    temperature: float,
-    gumbel: np.ndarray,
-) -> SoftAssignment:
-    """Temperature-controlled soft assignment.
-
-    Weights are ``softmax_k(-(||segment - c_k||^2 + gumbel_k) / temperature)``;
-    the noise is added to the squared distances before the sign flip.
-    """
-    if not temperature > 0:
-        raise NonPositiveTemperatureError(f"temperature must be > 0, got {temperature}")
-    d2 = squared_distances(segment, book)
-    gumbel = np.asarray(gumbel)
-    if gumbel.shape != d2.shape:
-        raise DimMismatchError(f"need {d2.shape[0]} noise draws, got shape {gumbel.shape}")
-    probs = stable_softmax(-(d2 + gumbel) / temperature)
-    return SoftAssignment(probs=probs, gumbel=gumbel, temperature=float(temperature))
-
-
-def hard_assign(segment: np.ndarray, book: np.ndarray) -> int:
-    """Index of the nearest codeword; ties go to the lowest index."""
-    return int(np.argmin(squared_distances(segment, book)))
 
 
 def squared_distances_books(
@@ -511,21 +463,6 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
     return planes.T if packed else codes
 
 
-def sample_assignment(segment: np.ndarray, book: np.ndarray, gumbel: np.ndarray) -> int:
-    """Stochastic codeword draw via the Gumbel-argmax trick.
-
-    ``argmax_k(-||segment - c_k||^2 + gumbel_k)`` is distributed exactly
-    as :func:`assign_probs`.
-    """
-    d2 = squared_distances(segment, book)
-    return int(np.argmax(-d2 + np.asarray(gumbel)))
-
-
-def soft_codeword(book: np.ndarray, assignment: SoftAssignment) -> np.ndarray:
-    """Probability-weighted codeword mixture for one segment."""
-    return assignment.probs @ np.asarray(book)
-
-
 def quantize_document(refined, books: CodebookSet) -> QuantCode:
     """Hard-assign every segment of a refined embedding."""
     values = np.asarray(getattr(refined, "values", refined))
@@ -557,12 +494,14 @@ def unpack_codes(data: bytes, n_codebooks: int, n_codewords: int) -> np.ndarray:
 
 
 def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
-    """Pack an (n, M) index matrix, checked by :func:`checked_codes`,
-    into an (n, bytes_per_code) uint8 array by :func:`_pack_planes`.  It
-    is returned column-major, one contiguous byte plane per byte position,
-    at every n: the resident layout of
-    :class:`~micpq.retrieval.RetrievalIndex`."""
+    """Pack an (n, M) index matrix (else :class:`DimMismatchError`),
+    checked by :func:`checked_codes`, into an (n, bytes_per_code) uint8
+    array by :func:`_pack_planes`.  It is returned column-major, one
+    contiguous byte plane per byte position, at every n: the resident
+    layout of :class:`~micpq.retrieval.RetrievalIndex`."""
     indices = checked_codes(indices, n_codewords)
+    if indices.ndim != 2:
+        raise DimMismatchError(f"need an (n, M) index matrix, got shape {indices.shape}")
     planes = np.zeros((packed_code_nbytes(indices.shape[1], n_codewords), len(indices)), np.uint8)
     _pack_planes(planes, indices.T, n_codewords)
     return planes.T

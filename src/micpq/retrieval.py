@@ -93,9 +93,10 @@ class RetrievalIndex:
     the (n_docs, bytes_per_code) payload of a power-of-two K.  Only one
     layout is kept: ``packed`` for power-of-two K, column-major, else
     uint16 codes.  Sub-indices that are not integers in [0, K) raise
-    :class:`~micpq.errors.IndexOutOfRangeError`.  A packed payload with a
-    padding bit set in a code's last byte raises
-    :class:`FileFormatError`: the Hamming scan counts every bit.
+    :class:`~micpq.errors.IndexOutOfRangeError`.  A packed payload of
+    values that are not integers in [0, 256), or with a padding bit set
+    in a code's last byte, raises :class:`FileFormatError`: the Hamming
+    scan counts every bit.
     ``doc_ids`` default to the row numbers.  They are kept as uint32 when
     the array is empty or every id is below 2^32, else as uint64; a
     uint32 array is kept as given.  Negative or non-integer ids raise
@@ -108,6 +109,11 @@ class RetrievalIndex:
         self._codes = None if packed is not None else _checked_codes(codes, n_books, n_words)
         if packed is None and is_pow2(n_words):
             packed, self._codes = pack_codes_batch(self._codes, n_words), None
+        elif packed is not None:  # checked before the cast, so no value wraps into a byte
+            packed = np.asarray(packed)
+            if packed.dtype != np.uint8 and packed.size and (
+                    packed.dtype.kind not in "iu" or packed.min() < 0 or packed.max() > 0xFF):
+                raise FileFormatError("packed codes must be integers in [0, 256)")
         self.packed = None if packed is None else np.asfortranarray(packed, dtype=np.uint8)
         stored = self._codes if packed is None else self.packed
         ids = np.arange(len(stored), dtype=np.uint32) if doc_ids is None else np.asarray(doc_ids)

@@ -617,6 +617,16 @@ class TestLibraryRules:
             evaluation.retrieval_eval(self._model(emb, 4), emb, labels, k=5, index=other)
 
 
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        # the names are imported on first use, so a stale one fails only there
+        for name in micpq.__all__:
+            module, _, _ = getattr(micpq, name).__module__.partition(".")
+            assert module == "micpq", name
+        with pytest.raises(AttributeError):
+            micpq.not_exported
+
+
 class TestThreads:
     """``--threads`` must reach the environment before numpy first loads."""
 

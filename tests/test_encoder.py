@@ -29,14 +29,6 @@ class TestForward:
         out = forward(params, np.array([2.0, 3.0]))
         assert np.array_equal(out.values, [5.0, 0.0])
 
-    def test_segment_views(self):
-        params = EncoderParams(np.eye(6), np.zeros(6))
-        out = forward(params, np.arange(6, dtype=float), sub_dim=3)
-        assert out.n_segments == 2
-        assert np.array_equal(out.segment(1), [3.0, 4.0, 5.0])
-        for m, seg in enumerate(out.segments):
-            assert np.array_equal(seg, out.values[m * 3:(m + 1) * 3])
-
     def test_output_nonnegative(self):
         rng = np.random.default_rng(0)
         params = EncoderParams(rng.normal(size=(8, 5)), rng.normal(size=8))

@@ -70,6 +70,12 @@ class TestSplit:
     def test_deterministic(self):
         assert np.array_equal(split_indices(100, seed=4)[0], split_indices(100, seed=4)[0])
 
+    def test_negative_doc_count_is_rejected(self):
+        assert [len(part) for part in split_indices(0)] == [0, 0, 0]
+        for n_docs in (-1, -5):
+            with pytest.raises(InvalidConfigError):
+                split_indices(n_docs)
+
     @pytest.mark.parametrize("ratios", [
         (float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan")), (-0.1, 0.6, 0.5), (0.5, 0.5, 0.5),
         (0.5, 0.5),

@@ -14,9 +14,10 @@ from micpq.objectives import (
     BatchViews,
     LossConfig,
     StepWorkspace,
-    _contrastive_forward,
+    _contrastive_losses,
+    _softmax_rows,
+    _unit_rows,
     contrastive_loss,
-    cosine_sim,
     draw_noise,
     expected_loss_oracle,
     loss_and_gradients,
@@ -30,22 +31,29 @@ from micpq.quantizer import CodebookSet, assign_probs
 from micpq.rng import derive_seed
 
 
+def _cosine(h1, h2):
+    """Cosine similarity as the contrastive loss takes it: the product of
+    the two rows over their norms."""
+    h = np.array([h1, h2], dtype=np.float64)
+    normed, norm = np.empty_like(h), np.empty((2, 1))
+    _unit_rows(h, normed, norm)
+    return float(normed[0] @ normed[1])
+
+
 class TestCosine:
     def test_identical_vectors(self):
         v = np.array([0.3, -2.0, 1.0])
-        assert cosine_sim(v, v) == pytest.approx(1.0)
+        assert _cosine(v, v) == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self):
-        assert cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(0.0)
+        assert _cosine([1.0, 0.0], [0.0, 2.0]) == pytest.approx(0.0)
 
     def test_hand_value(self):
-        assert cosine_sim(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(
-            0.70711, abs=1e-5
-        )
+        assert _cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(0.70711, abs=1e-5)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ZeroNormError):
-            cosine_sim(np.zeros(3), np.ones(3))
+            _cosine(np.zeros(3), np.ones(3))
 
 
 class TestContrastiveLoss:
@@ -362,17 +370,18 @@ class TestFoldedContrastiveForward:
     @pytest.mark.parametrize("given_buffers", [False, True])
     def test_bit_identical_to_the_masked_forward(self, n_inst, n_rows, dim, given_buffers):
         h_all = np.random.default_rng(n_rows + dim).random((n_inst, n_rows, dim))
-        out = {}
-        if given_buffers:
-            out = {"normed": np.full_like(h_all, np.nan),
-                   "logits": np.full((n_inst, n_rows, n_rows), np.nan)}
-        got = _contrastive_forward(h_all, 0.3, **out)
+        # NaN-filled buffers show that every entry is written; empty ones are the losses' own
+        make = (lambda shape: np.full(shape, np.nan)) if given_buffers else np.empty
+        normed, norm = make(h_all.shape), make((n_inst, n_rows, 1))
+        logits, log_ratio = make((n_inst, n_rows, n_rows)), make((n_inst, n_rows))
+        _unit_rows(h_all, normed, norm)
+        _softmax_rows(normed, 0.3, logits, log_ratio, 0, n_rows)
+        losses = log_ratio.sum(axis=1) * (-1.0 / (n_rows // 2))
         want = _masked_contrastive_forward(h_all, 0.3)
-        for g, w in zip(got, want):
+        for g, w in zip((losses, normed, norm, logits), want):
             assert g.shape == w.shape
             assert g.tobytes() == w.tobytes()
-        if given_buffers:
-            assert got[1] is out["normed"] and got[3] is out["logits"]
+        assert _contrastive_losses(h_all, 0.3).tobytes() == want[0].tobytes()
 
 
 class TestPreparedNoiseAndWorkspace:

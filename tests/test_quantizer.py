@@ -13,18 +13,19 @@ from micpq import dataio, quantizer
 from micpq.dataio import EmbeddingFile, EmbeddingMatrix, write_embeddings
 from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
 from micpq.errors import (
+    DimMismatchError,
     IndexOutOfRangeError,
     KNotPowerOfTwoError,
     NonFiniteInputError,
     NonPositiveTemperatureError,
 )
+from micpq.objectives import LossConfig, StepWorkspace, _step, draw_noise, sample_soft_losses
 from micpq.quantizer import (
     CodebookSet,
     QuantCode,
     assign_probs,
     encode_rows,
     gumbel_from_uniform,
-    hard_assign,
     hard_assign_books,
     nearest_codewords,
     pack_codes,
@@ -32,10 +33,6 @@ from micpq.quantizer import (
     packed_code_nbytes,
     quantize_document,
     reconstruct,
-    sample_assignment,
-    sample_gumbel,
-    soft_assign,
-    soft_codeword,
     squared_distances_books,
     unpack_codes,
     unpack_codes_batch,
@@ -83,67 +80,101 @@ class TestGumbel:
 
     def test_draws_always_finite(self):
         assert np.all(np.isfinite(gumbel_from_uniform(np.array([0.0, 1.0, 0.5]))))
-        assert np.all(np.isfinite(sample_gumbel(10_000, seed=3)))
+        assert np.all(np.isfinite(gumbel_from_uniform(np.random.default_rng(3).random(10_000))))
 
     def test_sample_mean_matches_euler_mascheroni(self):
-        draws = sample_gumbel(1_000_000, seed=4)
+        draws = gumbel_from_uniform(np.random.default_rng(4).random(1_000_000))
         assert abs(draws.mean() - 0.5772) < 0.01
 
     def test_deterministic(self):
-        assert np.array_equal(sample_gumbel(64, seed=9), sample_gumbel(64, seed=9))
+        # the training step's Gumbel noise is a function of its seed alone
+        data = np.random.default_rng(8).random((3, 4))
+        draws = []
+        for seed in (9, 9, 10):
+            inputs, by_row = np.empty((6, 4)), np.empty((6, 2, 4))
+            draw_noise(data, LossConfig(), seed, inputs, by_row.transpose(1, 0, 2))
+            draws.append(by_row)
+        assert draws[0].tobytes() == draws[1].tobytes()
+        assert not np.array_equal(draws[0], draws[2])
+
+
+def _step_assignment(segments, book, gumbel, temperature):
+    """The training step's Gumbel-softmax weights (n, K) and codeword
+    mixtures (n, sub_dim) of n nonnegative segments against one book under
+    (n, K) noise.  The encoder is the identity, so the refined rows are the
+    segments; n is even, the step's two views of n / 2 documents."""
+    segments = np.asarray(segments, dtype=np.float64)
+    n, sub = segments.shape
+    ws = StepWorkspace(n // 2, sub, 1, len(book), sub)
+    noise = segments, np.asarray(gumbel, dtype=np.float64)[None]
+    _step(EncoderParams(np.eye(sub), np.zeros(sub)), CodebookSet(np.asarray(book)[None]),
+          segments[:n // 2], LossConfig(tau_gumbel=temperature), 0, noise, ws, None, False)
+    return ws.soft[0], ws.mixtures
 
 
 class TestSoftAssign:
+    """The Gumbel-softmax weights softmax(-(d^2 + g) / temperature) of the
+    training step, one book at a time."""
+
     def test_zero_noise_unit_temperature_reduces_to_assign_probs(self):
         rng = np.random.default_rng(2)
-        seg = rng.normal(size=3)
+        segs = rng.random((4, 3))
         book = rng.normal(size=(5, 3))
-        soft = soft_assign(seg, book, temperature=1.0, gumbel=np.zeros(5))
-        np.testing.assert_allclose(soft.probs, assign_probs(seg, book), rtol=1e-12)
+        soft, _ = _step_assignment(segs, book, np.zeros((4, 5)), 1.0)
+        for seg, probs in zip(segs, soft):
+            np.testing.assert_allclose(probs, assign_probs(seg, book), rtol=1e-12)
 
     def test_low_temperature_approaches_one_hot(self):
         rng = np.random.default_rng(3)
-        seg = rng.normal(size=3)
+        segs = rng.random((4, 3))
         book = rng.normal(size=(4, 3))
-        noise = sample_gumbel(4, seed=5)
-        soft = soft_assign(seg, book, temperature=1e-4, gumbel=noise)
-        d2 = ((book - seg) ** 2).sum(axis=1)
-        winner = int(np.argmin(d2 + noise))
-        assert soft.probs[winner] > 1.0 - 1e-6
+        noise = gumbel_from_uniform(np.random.default_rng(5).random((4, 4)))
+        soft, _ = _step_assignment(segs, book, noise, 1e-4)
+        d2 = ((book[None] - segs[:, None]) ** 2).sum(axis=2)
+        winners = np.argmin(d2 + noise, axis=1)
+        assert np.all(soft[np.arange(4), winners] > 1.0 - 1e-6)
 
     def test_high_temperature_approaches_uniform(self):
         rng = np.random.default_rng(4)
-        soft = soft_assign(
-            rng.normal(size=3), rng.normal(size=(6, 3)), temperature=1e9,
-            gumbel=np.zeros(6),
-        )
-        np.testing.assert_allclose(soft.probs, np.full(6, 1 / 6), atol=1e-7)
+        soft, _ = _step_assignment(rng.random((2, 3)), rng.normal(size=(6, 3)),
+                                   np.zeros((2, 6)), 1e9)
+        np.testing.assert_allclose(soft, np.full((2, 6), 1 / 6), atol=1e-7)
 
     def test_joint_rescaling_is_invariant(self):
         """Scaling distances-plus-noise and the temperature together
         leaves the weights unchanged (softmax scale property)."""
         rng = np.random.default_rng(5)
-        seg = rng.normal(size=3)
+        segs = rng.random((4, 3))
         book = rng.normal(size=(4, 3))
-        noise = sample_gumbel(4, seed=6)
+        noise = gumbel_from_uniform(np.random.default_rng(6).random((4, 4)))
         c = 3.7
-        base = soft_assign(seg, book, 2.0, noise).probs
-        scaled = soft_assign(np.sqrt(c) * seg, np.sqrt(c) * book, c * 2.0, c * noise).probs
+        base, _ = _step_assignment(segs, book, noise, 2.0)
+        scaled, _ = _step_assignment(np.sqrt(c) * segs, np.sqrt(c) * book, c * noise, c * 2.0)
         np.testing.assert_allclose(scaled, base, rtol=1e-10)
 
     def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(NonPositiveTemperatureError):
-            soft_assign(np.zeros(2), np.zeros((2, 2)), 0.0, np.zeros(2))
+        for temperature in (0.0, -1.0, float("nan")):
+            with pytest.raises(NonPositiveTemperatureError):
+                LossConfig(tau_gumbel=temperature)
+            with pytest.raises(NonPositiveTemperatureError):
+                sample_soft_losses(np.ones((2, 2)), np.ones((2, 2)),
+                                   CodebookSet(np.ones((1, 2, 2))), 0.3, temperature, 1, 0)
 
 
 class TestHardAssign:
+    """One segment against one book, through the batched assignment."""
+
+    @staticmethod
+    def _nearest(seg, book):
+        return int(hard_assign_books(seg[None], book[None])[0, 0])
+
     def test_exact_codeword_wins(self):
         book = np.random.default_rng(6).normal(size=(5, 3))
-        assert hard_assign(book[2], book) == 2
+        assert self._nearest(book[2], book) == 2
 
     def test_tie_breaks_to_lowest_index(self):
         book = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [1.0, 0.0]])
-        assert hard_assign(np.array([1.0, 0.0]), book) == 0
+        assert self._nearest(np.array([1.0, 0.0]), book) == 0
         # codewords 0 and 3 are identical; 0 wins
 
     def test_agrees_with_argmax_of_assign_probs(self):
@@ -151,14 +182,7 @@ class TestHardAssign:
         for _ in range(100):
             seg = rng.normal(size=4)
             book = rng.normal(size=(6, 4))
-            assert hard_assign(seg, book) == int(np.argmax(assign_probs(seg, book)))
-
-    def test_batch_agrees_with_scalar(self):
-        rng = np.random.default_rng(8)
-        book = rng.normal(size=(7, 3))
-        segments = rng.normal(size=(20, 3))
-        batch = hard_assign_books(segments, book[None])[:, 0]
-        assert [hard_assign(s, book) for s in segments] == batch.tolist()
+            assert self._nearest(seg, book) == int(np.argmax(assign_probs(seg, book)))
 
 
 class TestHardAssignBooks:
@@ -701,38 +725,32 @@ class TestSampling:
         sigma = np.sqrt(n * probs * (1 - probs))
         assert np.all(np.abs(counts - n * probs) <= 3 * sigma + 1)
 
-    def test_sample_assignment_uses_the_argmax_rule(self):
-        rng = np.random.default_rng(11)
-        seg = rng.normal(size=3)
-        book = rng.normal(size=(5, 3))
-        noise = sample_gumbel(5, seed=12)
-        d2 = ((book - seg) ** 2).sum(axis=1)
-        assert sample_assignment(seg, book, noise) == int(np.argmax(-d2 + noise))
-
 
 class TestSoftCodeword:
+    """The training step's codeword mixture: its weights times the book."""
+
     def test_one_hot_recovers_codeword(self):
         book = np.random.default_rng(12).normal(size=(4, 3))
-        one_hot = np.zeros(4)
-        one_hot[2] = 1.0
-        soft = soft_assign(book[2], book, 1.0, np.zeros(4))
-        soft.probs = one_hot
-        np.testing.assert_array_equal(soft_codeword(book, soft), book[2])
+        seg = np.abs(book[2])
+        book[2] = seg
+        # at this temperature every other weight underflows to exactly 0
+        soft, mix = _step_assignment(np.stack([seg, seg]), book, np.zeros((2, 4)), 1e-6)
+        np.testing.assert_array_equal(soft, np.eye(4)[[2, 2]])
+        np.testing.assert_array_equal(mix, book[[2, 2]])
 
     def test_uniform_two_codewords_gives_midpoint(self):
         book = np.array([[0.0, 0.0], [2.0, 4.0]])
-        soft = soft_assign(np.ones(2), book, 1.0, np.zeros(2))
-        soft.probs = np.array([0.5, 0.5])
-        np.testing.assert_allclose(soft_codeword(book, soft), [1.0, 2.0])
+        soft, mix = _step_assignment(np.array([[1.0, 2.0]] * 2), book, np.zeros((2, 2)), 1.0)
+        np.testing.assert_allclose(soft, 0.5)
+        np.testing.assert_allclose(mix, [[1.0, 2.0]] * 2)
 
     def test_mixture_stays_in_codeword_bounding_box(self):
         rng = np.random.default_rng(13)
         book = rng.normal(size=(6, 4))
-        for _ in range(30):
-            probs = rng.dirichlet(np.ones(6))
-            soft = soft_assign(rng.normal(size=4), book, 1.0, np.zeros(6))
-            soft.probs = probs
-            mix = soft_codeword(book, soft)
+        for temperature in (0.01, 1.0, 100.0):
+            noise = gumbel_from_uniform(rng.random((30, 6)))
+            soft, mix = _step_assignment(rng.random((30, 4)), book, noise, temperature)
+            np.testing.assert_allclose(mix, soft @ book, rtol=1e-12, atol=1e-12)
             assert np.all(mix >= book.min(axis=0) - 1e-12)
             assert np.all(mix <= book.max(axis=0) + 1e-12)
 
@@ -843,6 +861,12 @@ class TestPacking:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(IndexOutOfRangeError):
             pack_codes(np.array([4]), 4)
+
+    @pytest.mark.parametrize("indices", [np.array([1, 2]), np.array(3), np.zeros((2, 2, 2))],
+                             ids=["1-D", "0-D", "3-D"])
+    def test_index_array_that_is_not_a_matrix_rejected(self, indices):
+        with pytest.raises(DimMismatchError):
+            pack_codes_batch(indices.astype(np.uint16), 16)
 
     def test_table_of_code_sizes(self):
         # 16 codewords, 4/8/16/32 books -> 16/32/64/128-bit codes

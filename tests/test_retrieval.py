@@ -777,6 +777,17 @@ class TestSubIndexCheck:
             with pytest.raises(IndexOutOfRangeError):
                 call()
 
+    @pytest.mark.parametrize("bad, dtype", [(300, np.uint16), (-1, np.int64), (1.7, np.float64)])
+    def test_packed_values_that_are_not_bytes_are_refused(self, bad, dtype):
+        books = _nonneg_books(71, 4, 16, 2)
+        packed = pack_codes_batch(np.array([[2, 1, 0, 3], [1, 1, 1, 1]]), 16)
+        assert RetrievalIndex(books, packed=packed).packed is packed  # uint8 is kept as given
+        assert np.array_equal(RetrievalIndex(books, packed=packed.astype(np.int64)).packed, packed)
+        wide = packed.astype(dtype)
+        wide[1, 0] = bad  # 300 would be stored as 44, -1 as 255 and 1.7 as 1
+        with pytest.raises(FileFormatError, match=r"\[0, 256\)"):
+            RetrievalIndex(books, packed=wide)
+
     @pytest.mark.parametrize("n_books", [7, 9])
     def test_packed_payload_with_a_padding_bit_set_is_refused(self, n_books):
         # a set padding bit would rank two documents with the same code at
