@@ -212,7 +212,7 @@ def write_embeddings(matrix: EmbeddingMatrix, path) -> None:
     with atomic_write(path) as f:
         f.write(MAGIC_EMBEDDINGS)
         f.write(_EMBEDDINGS_HEADER.pack(FORMAT_VERSION, matrix.n_docs, matrix.dim))
-        f.write(matrix.values.astype("<f4", copy=False).tobytes())
+        f.write(np.ascontiguousarray(matrix.values, dtype="<f4"))
 
 
 def read_embeddings_header(f) -> tuple[int, int]:
@@ -404,8 +404,16 @@ def synth_mixture(spec: MixtureSpec) -> tuple[EmbeddingMatrix, LabelVector]:
     gen = rng.spawn(spec.seed)
     centers = gen.standard_normal((spec.n_classes, spec.dim)) * spec.separation
     labels = np.arange(spec.n_docs, dtype=np.uint32) % spec.n_classes
-    noise = gen.normal(0.0, spec.noise_sigma, size=(spec.n_docs, spec.dim))
-    values = (centers[labels] + noise).astype(np.float32)
+    values = np.empty((spec.n_docs, spec.dim), np.float32)
+    # the noise is drawn a block of rows at a time, in gen.normal's order and sum
+    rows = max(READ_BYTES // (8 * spec.dim), 1)
+    block = np.empty((min(rows, spec.n_docs), spec.dim))
+    for lo in range(0, spec.n_docs, rows):
+        noise = gen.standard_normal(out=block[:spec.n_docs - lo])
+        noise *= spec.noise_sigma
+        noise += 0.0  # gen.normal's loc + scale * z, which turns -0.0 into 0.0
+        noise += centers[labels[lo:lo + len(noise)]]
+        values[lo:lo + len(noise)] = noise
     return EmbeddingMatrix(values), LabelVector(labels)
 
 

@@ -13,8 +13,10 @@ When K is a power of two the M sub-indices of a document pack into
 ``M * log2(K)`` bits: index m occupies bits ``[m*b, (m+1)*b)`` with the
 index's least significant bit first, bit 0 being the least significant
 bit of byte 0, and the final partial byte zero-padded.  Many codes are
-packed into column-major byte planes, one contiguous run per byte
-position; :func:`encode_rows` packs each chunk as it is assigned.
+held as word planes: one flat uint8 buffer of n * bytes_per_code bytes,
+in which bytes 2j and 2j+1 of every code form one run of n little-endian
+uint16 words, and an odd last byte one run of n bytes
+(:func:`byte_planes`).
 """
 from __future__ import annotations
 
@@ -54,8 +56,10 @@ class CodebookSet:
 
     def __post_init__(self) -> None:
         self.books = np.ascontiguousarray(self.books)
-        if self.books.ndim != 3:
-            raise InvalidConfigError("books must have shape (M, K, sub_dim)")
+        if self.books.dtype.kind not in "iuf":
+            raise InvalidConfigError(f"books must be integer or floating, got {self.books.dtype}")
+        if self.books.ndim != 3 or self.books.shape[0] < 1:
+            raise InvalidConfigError("books must have shape (M, K, sub_dim) with M >= 1")
         if not 2 <= self.books.shape[1] <= MAX_CODEWORDS:
             raise InvalidConfigError(f"each codebook needs 2 to {MAX_CODEWORDS} codewords")
         if not np.all(np.isfinite(self.books)):
@@ -360,44 +364,21 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
                 packed: bool = False) -> np.ndarray:
     """(n, M) uint16 nearest-codeword indices of each row of ``values``
     refined with dropout disabled, against (M, K, sub_dim) books; with
-    ``packed`` (power-of-two K only) the codes of :func:`pack_codes_batch`
-    instead, column-major, each chunk's indices packed into the byte
-    planes as they are assigned, so no (n, M) array is held.
-    ``values`` is an (n, d_in) array or a
-    :class:`~micpq.dataio.EmbeddingFile`.  Rows are refined in blocks of
-    ``ASSIGN_ROWS``, so no (n, D) refined array is held.  A last block
-    shorter than ``ASSIGN_ROWS`` joins the block before it: OpenBLAS
-    refines a few rows with other kernels, whose bits differ from the
-    same rows inside a larger batch.  A file's block is read, and refined
-    into the block's refined rows, in near-equal pieces of at most
-    ``dataio.READ_BYTES`` of input and at least ``PIECE_ROWS`` rows, so no
-    block of input is held either; such pieces refine to the whole
-    block's bits (``TestRefinePieces``).  Each block's distances and
-    nearest codewords are then taken in ``ASSIGN_ROWS``-row chunks by
-    :func:`assigner`, the chunks of :func:`hard_assign_books`, so the
-    codes equal those of one whole :func:`~micpq.encoder.forward_batch`
-    followed by it.
+    ``packed`` (power-of-two K only, else :class:`KNotPowerOfTwoError`)
+    the same codes as flat word planes (:func:`byte_planes`), packed as
+    they are assigned, so no (n, M) array is held.  ``values`` is an
+    (n, d_in) array or a :class:`~micpq.dataio.EmbeddingFile`.  The codes
+    equal those of one whole :func:`~micpq.encoder.forward_batch` followed
+    by :func:`hard_assign_books`, at any thread count.
 
-    The blocks are shared out by :func:`fan_out` in runs of consecutive
-    blocks on one pool of W - 1 threads, and the runs write disjoint rows.
-    Each run allocates its refined rows, sized to its largest block (only
-    the run that holds the last block gets the merged tail), and, once its
-    first block is refined, an (M, ``ASSIGN_ROWS``, K) distance chunk with
-    its indices.  For each block it fans the block's pieces out over
-    ``inner`` threads, then each chunk's books; a file's pieces are read
-    into input rows of their thread's widest piece.  Several blocks make W =
-    ``encode_workers(blocks)`` runs with ``inner`` = 1, each on one
-    thread.  A lone block (at most 2 * ``ASSIGN_ROWS`` - 1 rows, such as a
-    training split's usage histogram) is one run with ``inner`` = W =
-    ``encode_workers(rows // PIECE_ROWS)``: its at least W pieces are read
-    and refined on W threads, which then write their books' slices of the
-    one distance chunk and index buffer.  So the pool serves the runs or
-    one run's pieces and books, never both at once.
-    A block of an array holding a non-finite value raises
-    :class:`NonFiniteInputError` for its first bad row; a file's rows come
-    checked by its reader, which raises
-    :class:`~micpq.errors.NonFiniteValueError`.
-    Every worker has ended before this returns or raises."""
+    Rows are refined in blocks of ``ASSIGN_ROWS`` (a shorter last block
+    joins the one before it), so no (n, D) refined array is held, and a
+    file is read in pieces of at most ``dataio.READ_BYTES``.  Up to
+    ``encode_workers`` - 1 threads are started, on one pool that has
+    ended when this returns or raises.  A block of an array holding a
+    non-finite value raises :class:`NonFiniteInputError` for its first
+    bad row; a file's rows are checked by its reader, which raises
+    :class:`~micpq.errors.NonFiniteValueError`."""
     in_file = isinstance(values, EmbeddingFile)
     if in_file:
         piece_rows = max(READ_BYTES // (values.dtype.itemsize * values.dim), 1)
@@ -409,10 +390,12 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
     n_books, n_words = books.shape[:2]
     refined_dtype = np.result_type(values.dtype, params.weight, params.bias)
     if packed:
-        planes = np.zeros((packed_code_nbytes(n_books, n_words), n_rows), np.uint8)
+        n_bytes = packed_code_nbytes(n_books, n_words)
+        planes = np.zeros(n_rows * n_bytes, np.uint8)
+        columns = byte_planes(planes, n_bytes)
 
         def emit(at: int, found: np.ndarray) -> None:
-            _pack_planes(planes[:, at:at + found.shape[1]], found, n_words)
+            _pack_planes([column[at:at + found.shape[1]] for column in columns], found, n_words)
     else:
         codes = np.empty((n_rows, n_books), dtype=np.uint16)
 
@@ -460,7 +443,7 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
 
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         fan_out(work, n_blocks, workers // inner, pool)
-    return planes.T if packed else codes
+    return planes if packed else codes
 
 
 def quantize_document(refined, books: CodebookSet) -> QuantCode:
@@ -495,49 +478,73 @@ def unpack_codes(data: bytes, n_codebooks: int, n_codewords: int) -> np.ndarray:
 
 def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
     """Pack an (n, M) index matrix (else :class:`DimMismatchError`),
-    checked by :func:`checked_codes`, into an (n, bytes_per_code) uint8
-    array by :func:`_pack_planes`.  It is returned column-major, one
-    contiguous byte plane per byte position, at every n: the resident
-    layout of :class:`~micpq.retrieval.RetrievalIndex`."""
+    checked by :func:`checked_codes`, into a C-contiguous (n,
+    bytes_per_code) uint8 array: row i is code i's bytes in file order."""
     indices = checked_codes(indices, n_codewords)
     if indices.ndim != 2:
         raise DimMismatchError(f"need an (n, M) index matrix, got shape {indices.shape}")
-    planes = np.zeros((packed_code_nbytes(indices.shape[1], n_codewords), len(indices)), np.uint8)
-    _pack_planes(planes, indices.T, n_codewords)
-    return planes.T
+    rows = np.zeros((len(indices), packed_code_nbytes(indices.shape[1], n_codewords)), np.uint8)
+    _pack_planes(rows.T, indices.T, n_codewords)
+    return rows
 
 
-def _pack_planes(planes: np.ndarray, fields: np.ndarray, n_codewords: int) -> None:
-    """OR the (M, n) uint16 indices ``fields`` into zeroed
-    (bytes_per_code, n) byte planes: index m is shifted to its bit offset
-    m*log2(K) and ORed into each byte it touches, its high bits into the
-    next byte when it straddles a byte boundary."""
+def pack_planes(indices: np.ndarray, n_codewords: int) -> np.ndarray:
+    """The flat word planes (:func:`byte_planes`) of an (n, M) uint16
+    index matrix already checked by :func:`checked_codes`."""
+    n_bytes = packed_code_nbytes(indices.shape[1], n_codewords)
+    planes = np.zeros(len(indices) * n_bytes, np.uint8)
+    _pack_planes(byte_planes(planes, n_bytes), indices.T, n_codewords)
+    return planes
+
+
+def byte_planes(planes: np.ndarray, n_bytes: int) -> list[np.ndarray]:
+    """The uint8 view of each byte position of flat word planes: ``planes``
+    holds n codes of ``n_bytes`` bytes in n * ``n_bytes`` bytes, byte 2j
+    and 2j+1 of code i at ``2 * n * j + 2 * i`` and the next byte, so the
+    j-th run of 2n bytes is n little-endian uint16 words; an odd last
+    byte of code i is at ``n * (n_bytes - 1) + i``."""
+    n, paired = planes.size // n_bytes, n_bytes - n_bytes % 2
+    return [planes[2 * n * (b // 2) + b % 2:][:2 * n:2] if b < paired else planes[n * paired:]
+            for b in range(n_bytes)]
+
+
+def _pack_planes(columns, fields: np.ndarray, n_codewords: int) -> None:
+    """OR the (M, n) uint16 indices ``fields`` into zeroed byte columns, one
+    1-D uint8 array of n codes per byte position: index m is shifted to its
+    bit offset m*log2(K) and ORed into each byte it touches, its high bits
+    into the next byte when it straddles a byte boundary."""
     b = bits_per_index(n_codewords)
     for book, field in enumerate(fields):
         at = book * b
         for byte in range(at // 8, (at + b - 1) // 8 + 1):
             shift = at - 8 * byte
             part = field << shift if shift >= 0 else field >> -shift
-            np.bitwise_or(planes[byte], part, out=planes[byte], casting="unsafe")
+            np.bitwise_or(columns[byte], part, out=columns[byte], casting="unsafe")
 
 
 def unpack_codes_batch(payload: np.ndarray, n_codebooks: int, n_codewords: int) -> np.ndarray:
     """Inverse of :func:`pack_codes_batch`; returns a row-major (n, M)
-    uint16 matrix.  The reverse of :func:`_pack_planes`: index m is
-    shifted back out of each byte column it touches, then masked to
-    log2(K) bits."""
+    uint16 matrix."""
+    return unpack_planes(np.asarray(payload, dtype=np.uint8).T, n_codebooks, n_codewords)
+
+
+def unpack_planes(columns, n_codebooks: int, n_codewords: int) -> np.ndarray:
+    """The row-major (n, M) uint16 sub-indices packed into byte columns, one
+    1-D uint8 array of n codes per byte position: the reverse of
+    :func:`_pack_planes`, each index shifted back out of every byte it
+    touches, then masked to log2(K) bits."""
     b = bits_per_index(n_codewords)
-    payload = np.asarray(payload, dtype=np.uint8)
-    fields = np.zeros((n_codebooks, payload.shape[0]), np.uint16)
-    part = np.empty(payload.shape[0], np.uint16)
+    n_rows = len(columns[0]) if len(columns) else 0
+    fields = np.zeros((n_codebooks, n_rows), np.uint16)
+    part = np.empty(n_rows, np.uint16)
     for book, field in enumerate(fields):
         at = book * b
         for byte in range(at // 8, (at + b - 1) // 8 + 1):
             shift = at - 8 * byte
             if shift >= 0:
-                np.right_shift(payload[:, byte], shift, out=part, dtype=np.uint16)
+                np.right_shift(columns[byte], shift, out=part, dtype=np.uint16)
             else:
-                np.left_shift(payload[:, byte], -shift, out=part, dtype=np.uint16)
+                np.left_shift(columns[byte], -shift, out=part, dtype=np.uint16)
             field |= part
     fields &= n_codewords - 1
     return np.ascontiguousarray(fields.T)

@@ -1,31 +1,15 @@
 """Compact retrieval index and asymmetric-distance search.
 
-A corpus's codes are resident in one layout: bit-packed to ``M * log2(K)``
-bits per document when K is a power of two (column-major, so each byte
-position is one contiguous run), else one uint16 per sub-index.  A query
-is refined once (dropout disabled) into an M x K table of squared
-distances to every codeword; a document's distance is the sum of its M
-entries, the squared distance from the refined query to its reconstructed
-codeword.  When log2(K) divides 8 the table is folded into one 256-entry
-table per code byte; the scan gathers each byte column into one float32
-buffer and adds its rows in place as a tree of pairs, numpy's own order at
-M=8, K=16.  An index of more than ``PAIR_ENTRIES`` rows with two or more
-code bytes is gathered one byte pair at a time instead: pair j's
-65,536-entry table holds the tree's first-level sums of bytes 2j and
-2j+1, so building it costs about a 65,536-row gather and the distances
-keep their bits.  K = 2 also ranks by Hamming distance: the popcounts of
-packed query XOR document, summed byte column by byte column into uint16.
-Top-k partitions around the k-th distance and sorts only the documents at
-or below it, ties included, by (distance, doc id).  When k * k <= n, only
-the documents at or below the largest minimum of k row blocks are
-partitioned: those k minima bound the k-th distance.
-
-Doc ids are resident as uint32 when every id is below 2^32, else as
-uint64; the file always stores u64.  :func:`load_index` reads the ids
-and packed codes through one reused buffer of ``LOAD_BYTES`` (of one
-code when a code is wider): ids are narrowed chunk by chunk, and each
-chunk of codes is split into the resident byte planes (2- and 4-byte
-code words by shifts), so neither is copied whole after the read.
+A corpus's codes are resident in one layout: for power-of-two K, the
+word planes of :func:`~micpq.quantizer.byte_planes`, one uint8 buffer of
+exactly ``n_docs * bytes_per_code`` bytes; else one uint16 per
+sub-index.  A query is refined once (dropout disabled) into an M x K
+table of squared distances to every codeword; a document's distance is
+the sum of its M entries, added as a balanced tree of pairs, numpy's own
+order at M=8, K=16, whichever scan reads them.  K = 2 also ranks by
+Hamming distance.  Results are (doc id, distance) pairs ascending by
+(distance, doc id).  Doc ids are resident as uint32 when every id is
+below 2^32, else as uint64.
 
 Index file layout (little-endian, unchanged): magic ``MICPQIDX`` | version
 u32 | M u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32
@@ -57,23 +41,24 @@ from .quantizer import (
     CodebookSet,
     QuantCode,
     bits_per_index,
+    byte_planes,
     checked_codes,
     diff_distances,
     encode_rows,
     is_pow2,
     nearest_codewords,
-    pack_codes_batch,
+    pack_planes,
     packed_code_nbytes,
     squared_distances_books,
-    unpack_codes_batch,
+    unpack_planes,
 )
 from .trainer import ModelState
 
 MAGIC_INDEX = b"MICPQIDX"
 INDEX_VERSION = 1
 _HEADER = struct.Struct("<IIIIQ")
-SCAN_ROWS = 65536  # rows unpacked at a time when log2(K) does not divide 8
-PAIR_ENTRIES = 1 << 16  # rows above which the byte scan reads byte pairs
+SCAN_ROWS = 16384  # rows per block of the word-plane scan and of unpacked codes
+PAIR_ENTRIES = 1 << 16  # rows above which the byte scan reads word planes
 LOAD_BYTES = 1 << 18  # bytes per read of load_index's reused buffer
 
 
@@ -86,17 +71,37 @@ def _checked_codes(codes, n_books: int, n_words: int) -> np.ndarray:
     return codes
 
 
+def _word_runs(planes: np.ndarray, n_bytes: int) -> list[np.ndarray]:
+    """The runs of flat word planes (:func:`~micpq.quantizer.byte_planes`):
+    one little-endian uint16 array per byte pair, then the uint8 run of an
+    odd last byte."""
+    n, pairs = planes.size // n_bytes, n_bytes // 2
+    words = planes[:2 * n * pairs].view("<u2").reshape(pairs, n)
+    return [*words, *[planes[2 * n * pairs:]] * (n_bytes % 2)]
+
+
+def _row_runs(rows: np.ndarray) -> list[np.ndarray]:
+    """The views of C-contiguous (n, bytes_per_code) codes that match
+    :func:`_word_runs`: each pair of byte columns as uint16, then an odd
+    last column."""
+    n_bytes = rows.shape[1]
+    pairs = [rows[:, j:j + 2].view("<u2")[:, 0] for j in range(0, n_bytes - 1, 2)]
+    return pairs + [rows[:, -1]] * (n_bytes % 2)
+
+
 class RetrievalIndex:
     """Frozen codebooks, document ids and the corpus's codes.
 
-    Give either ``codes``, an (n_docs, M) sub-index matrix, or ``packed``,
-    the (n_docs, bytes_per_code) payload of a power-of-two K.  Only one
-    layout is kept: ``packed`` for power-of-two K, column-major, else
-    uint16 codes.  Sub-indices that are not integers in [0, K) raise
-    :class:`~micpq.errors.IndexOutOfRangeError`.  A packed payload of
-    values that are not integers in [0, 256), or with a padding bit set
-    in a code's last byte, raises :class:`FileFormatError`: the Hamming
-    scan counts every bit.
+    Give either ``codes``, an (n_docs, M) sub-index matrix, or ``packed``
+    (power-of-two K): the (n_docs, bytes_per_code) packed codes in file
+    order, or their flat word planes (a 1-D uint8 array of n_docs *
+    bytes_per_code bytes, as :func:`~micpq.quantizer.encode_rows` gives
+    them), which are kept as given.  Only one layout is kept: the word
+    planes for power-of-two K, else uint16 codes.  Sub-indices that are
+    not integers in [0, K) raise :class:`~micpq.errors.IndexOutOfRangeError`.
+    A packed payload of values that are not integers in [0, 256), or with
+    a padding bit set in a code's last byte, raises
+    :class:`FileFormatError`: the Hamming scan counts every bit.
     ``doc_ids`` default to the row numbers.  They are kept as uint32 when
     the array is empty or every id is below 2^32, else as uint64; a
     uint32 array is kept as given.  Negative or non-integer ids raise
@@ -106,32 +111,47 @@ class RetrievalIndex:
     def __init__(self, books: CodebookSet, codes=None, doc_ids=None, packed=None) -> None:
         self.books = books
         n_books, n_words = books.n_codebooks, books.n_codewords
-        self._codes = None if packed is not None else _checked_codes(codes, n_books, n_words)
-        if packed is None and is_pow2(n_words):
-            packed, self._codes = pack_codes_batch(self._codes, n_words), None
-        elif packed is not None:  # checked before the cast, so no value wraps into a byte
+        self._codes = self._planes = None
+        if packed is None:
+            codes = _checked_codes(codes, n_books, n_words)
+            shape = codes.shape
+            if is_pow2(n_words):
+                self._planes = pack_planes(codes, n_words)
+                shape = (len(codes), packed_code_nbytes(n_books, n_words))
+            else:
+                self._codes = codes
+        else:  # checked before the cast, so no value wraps into a byte
             packed = np.asarray(packed)
             if packed.dtype != np.uint8 and packed.size and (
                     packed.dtype.kind not in "iu" or packed.min() < 0 or packed.max() > 0xFF):
                 raise FileFormatError("packed codes must be integers in [0, 256)")
-        self.packed = None if packed is None else np.asfortranarray(packed, dtype=np.uint8)
-        stored = self._codes if packed is None else self.packed
-        ids = np.arange(len(stored), dtype=np.uint32) if doc_ids is None else np.asarray(doc_ids)
+            width = packed_code_nbytes(n_books, n_words)
+            if packed.ndim == 1:  # word planes, kept as given
+                shape = (packed.size // width, width)
+                self._planes = np.ascontiguousarray(packed, dtype=np.uint8)
+            else:
+                shape, self._planes = packed.shape, np.empty(packed.size, np.uint8)
+            if packed.ndim == 2 and shape[1] == width:  # file order into word planes
+                rows = np.ascontiguousarray(packed, dtype=np.uint8)
+                for run, column in zip(_word_runs(self._planes, width), _row_runs(rows)):
+                    run[...] = column
+        ids = np.arange(shape[0], dtype=np.uint32) if doc_ids is None else np.asarray(doc_ids)
         if ids.dtype != np.uint32:
             if ids.size and (ids.dtype.kind not in "iu" or ids.dtype.kind == "i" and ids.min() < 0):
                 raise InvalidSpecError(f"doc ids must be non-negative integers, got {ids.dtype}")
             wide = ids.size and ids.max() >= 1 << 32
             ids = ids.astype(np.uint64 if wide else np.uint32, copy=False)
         self.doc_ids = np.ascontiguousarray(ids)
-        width = n_books if packed is None else packed_code_nbytes(n_books, n_words)
-        if stored.shape != (*self.doc_ids.shape, width):
+        width = n_books if self._planes is None else packed_code_nbytes(n_books, n_words)
+        held = self._codes if self._planes is None else self._planes
+        if shape != (*self.doc_ids.shape, width) or held.size != self.n_docs * width:
             raise DimMismatchError(
-                f"codes of shape {stored.shape} for doc ids of shape {self.doc_ids.shape} "
+                f"codes of shape {shape} for doc ids of shape {self.doc_ids.shape} "
                 f"(width {width} expected)"
             )
-        if packed is not None:
+        if self._planes is not None:
             padding = (0xFF << ((n_books * bits_per_index(n_words)) % 8)) & 0xFF
-            if padding != 0xFF and np.any(self.packed[:, -1] & padding):
+            if padding != 0xFF and np.any(byte_planes(self._planes, width)[-1] & padding):
                 raise FileFormatError("packed codes have padding bits set")
 
     @property
@@ -139,7 +159,21 @@ class RetrievalIndex:
         """(n_docs, M) uint16 sub-indices, unpacked afresh when K is a power of two."""
         if self._codes is not None:
             return self._codes
-        return unpack_codes_batch(self.packed, self.books.n_codebooks, self.books.n_codewords)
+        n_books, n_words = self.books.n_codebooks, self.books.n_codewords
+        columns = byte_planes(self._planes, packed_code_nbytes(n_books, n_words))
+        return unpack_planes(columns, n_books, n_words)
+
+    @property
+    def packed(self) -> np.ndarray | None:
+        """(n_docs, bytes_per_code) packed codes in file order, built afresh;
+        None unless K is a power of two."""
+        if self._planes is None:
+            return None
+        width = packed_code_nbytes(self.books.n_codebooks, self.books.n_codewords)
+        rows = np.empty((self.n_docs, width), np.uint8)
+        for column, run in zip(_row_runs(rows), _word_runs(self._planes, width)):
+            column[...] = run
+        return rows
 
     @property
     def n_docs(self) -> int:
@@ -148,7 +182,7 @@ class RetrievalIndex:
     @property
     def payload_nbytes(self) -> int:
         """Size of the stored code payload in bytes."""
-        return int((self.packed if self._codes is None else self._codes).nbytes)
+        return int((self._planes if self._codes is None else self._codes).nbytes)
 
 
 @dataclass
@@ -167,12 +201,11 @@ class DistanceLUT:
 def build_index(
     model: ModelState, corpus: EmbeddingMatrix | EmbeddingFile, ids: np.ndarray | None = None
 ) -> RetrievalIndex:
-    """Encode a corpus: refine (dropout disabled) and hard-assign it in row
-    blocks with :func:`~micpq.quantizer.encode_rows`, which for
-    power-of-two K packs each chunk's codes into the index's byte planes
-    as they are assigned.  An :class:`~micpq.dataio.EmbeddingFile` corpus
-    is read block by block as the blocks are encoded, so only the codes
-    outlive a block; its codes equal those of the same rows read whole."""
+    """Encode a corpus with :func:`~micpq.quantizer.encode_rows` (refined
+    with dropout disabled, packed into word planes as assigned for
+    power-of-two K).  An :class:`~micpq.dataio.EmbeddingFile` corpus is
+    read block by block; its codes equal those of the same rows read
+    whole."""
     values = corpus
     if not isinstance(corpus, EmbeddingFile):
         values = np.asarray(getattr(corpus, "values", corpus))
@@ -199,13 +232,15 @@ def build_lut(query_refined, books: CodebookSet) -> DistanceLUT:
     return DistanceLUT(diff_distances(segments, books.books).astype(np.float32))
 
 
-def _pairwise(parts: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 as a balanced tree of pairs: ((p0 + p1) + (p2 + p3))
-    for four parts, which is how numpy sums a contiguous row of eight.
-    Works in place, overwriting ``parts``.  An odd last part moves up a
-    level as is: the bits of adding a zero part, as no distance is -0.0."""
+def _pairwise(parts) -> np.ndarray:
+    """Sum a sequence of equal-shape arrays as a balanced tree of pairs,
+    ((p0 + p1) + (p2 + p3)) for four parts, which is how numpy sums a
+    contiguous row of eight, in place into ``parts[0]``, which is
+    returned.  An odd last part moves up a level as is: the bits of
+    adding a zero part, as no distance is -0.0."""
     while len(parts) > 1:
-        np.add(parts[:-1:2], parts[1::2], out=parts[:-1:2])
+        for into, part in zip(parts[0::2], parts[1::2]):
+            np.add(into, part, out=into)
         parts = parts[0::2]
     return parts[0]
 
@@ -219,10 +254,13 @@ def _byte_tables(table: np.ndarray, bits: int) -> np.ndarray:
     rows = table
     if n_books % per_byte:  # pad the last byte's unused slots with 0
         rows = np.pad(table, ((0, n_bytes * per_byte - n_books), (0, 0)))
-    slot = np.arange(per_byte)[:, None]
-    fields = (np.arange(256) >> (slot * bits)) & (n_words - 1)
-    entries = rows.reshape(n_bytes, per_byte, n_words)[:, slot, fields]
-    return _pairwise(entries.transpose(1, 0, 2))
+    # the tree of pairs over a byte's slots: adjacent slot groups' tables
+    # are outer sums, the higher group's entry in the higher bits
+    parts = rows.reshape(n_bytes, per_byte, n_words)
+    while parts.shape[1] > 1:
+        pairs = np.add(parts[:, 0::2, None, :], parts[:, 1::2, :, None])
+        parts = pairs.reshape(n_bytes, parts.shape[1] // 2, -1)
+    return parts[:, 0]
 
 
 def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -231,45 +269,47 @@ def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
     """Asymmetric distances for every document of a :class:`RetrievalIndex`,
-    or for every row of an (n, M) sub-index matrix."""
+    or for every row of an (n, M) sub-index matrix.  For power-of-two K
+    they are bit-identical whichever of the two is given."""
     table = lut.table
     n_books, n_words = table.shape
     if isinstance(codes, RetrievalIndex):
         if codes.books.books.shape[:2] != table.shape:
             raise DimMismatchError(f"table shape {table.shape} does not match the index's books")
-        packed, codes = codes.packed, codes._codes
+        n_rows, planes, codes = codes.n_docs, codes._planes, codes._codes
     else:
         codes = _checked_codes(codes, n_books, n_words)
-        packed = pack_codes_batch(codes, n_words) if is_pow2(n_words) else None
-    if packed is None:
+        n_rows, planes = len(codes), pack_planes(codes, n_words) if is_pow2(n_words) else None
+    if planes is None:
         return _gather(table, codes)
     bits = bits_per_index(n_words)
-    if 8 % bits == 0:
-        tables = _byte_tables(table, bits)
-        n_rows, n_bytes = packed.shape
-        columns = packed.T
-        if n_rows <= PAIR_ENTRIES or n_bytes < 2:
-            parts = np.empty((n_bytes, n_rows), tables.dtype)
-            for byte_table, column, part in zip(tables, columns, parts):
-                byte_table.take(column, out=part, mode="clip")  # a byte is < 256
-        else:
-            # one 65,536-entry table per byte pair: the tree's first level
-            n_pairs = n_bytes // 2
-            pair_tables = np.empty((n_pairs, 256, 256), tables.dtype)
-            np.add(tables[1::2, :, None], tables[0:2 * n_pairs:2, None, :], out=pair_tables)
-            parts = np.empty((n_bytes - n_pairs, n_rows), tables.dtype)
-            pair = np.empty(n_rows, np.uint16)
-            for j in range(n_pairs):
-                np.left_shift(columns[2 * j + 1], 8, out=pair, dtype=np.uint16)
-                np.bitwise_or(pair, columns[2 * j], out=pair)
-                pair_tables[j].ravel().take(pair, out=parts[j], mode="clip")
-            if n_bytes % 2:
-                tables[-1].take(columns[-1], out=parts[-1], mode="clip")
-        return _pairwise(parts)
-    out = np.empty(packed.shape[0], table.dtype)
-    for start in range(0, len(out), SCAN_ROWS):
-        chunk = unpack_codes_batch(packed[start:start + SCAN_ROWS], n_books, n_words)
-        out[start:start + SCAN_ROWS] = _gather(table, chunk)
+    n_bytes = packed_code_nbytes(n_books, n_words)
+    if 8 % bits:
+        out = np.empty(n_rows, table.dtype)
+        columns = byte_planes(planes, n_bytes)
+        for lo in range(0, n_rows, SCAN_ROWS):
+            block = unpack_planes([c[lo:lo + SCAN_ROWS] for c in columns], n_books, n_words)
+            out[lo:lo + SCAN_ROWS] = _gather(table, block)
+        return out
+    tables = _byte_tables(table, bits)
+    # the result first: the scan's buffers then lie above it on the heap and
+    # are reused by the next query rather than trimmed and faulted in again
+    out = np.empty(n_rows, tables.dtype)
+    if n_rows <= PAIR_ENTRIES or n_bytes < 2:
+        run_tables, runs = tables, byte_planes(planes, n_bytes)  # a byte is < 256
+    else:  # one 65,536-entry table per word plane: the tree's first level
+        n_pairs = n_bytes // 2
+        pair_tables = np.empty((n_pairs, 256, 256), tables.dtype)
+        np.add(tables[1::2, :, None], tables[0:2 * n_pairs:2, None, :], out=pair_tables)
+        run_tables = [*pair_tables.reshape(n_pairs, -1), *tables[2 * n_pairs:]]
+        runs = _word_runs(planes, n_bytes)
+    parts = np.empty((len(runs) - 1, min(n_rows, SCAN_ROWS)), tables.dtype)
+    for lo in range(0, n_rows, SCAN_ROWS):
+        hi = min(lo + SCAN_ROWS, n_rows)
+        block = [out[lo:hi], *parts[:, :hi - lo]]  # the first part is the block's result
+        for run_table, run, part in zip(run_tables, runs, block):
+            run_table.take(run[lo:hi], out=part, mode="clip")
+        _pairwise(block)
     return out
 
 
@@ -294,7 +334,8 @@ def _ranked(doc_ids: np.ndarray, distances: np.ndarray, k: int) -> list[tuple[in
         # the minima of k blocks are k rows at or below the largest of
         # them, so the k-th distance is too; NaN in a block keeps every row
         bound = distances[:k * width].reshape(k, width).min(axis=1).max()
-        rows = (~(distances > bound)).nonzero()[0]
+        beyond = distances > bound
+        rows = np.logical_not(beyond, out=beyond).nonzero()[0]
         rows = rows[_at_or_below_kth(distances[rows], k)]
     elif k < n:
         rows = _at_or_below_kth(distances, k)
@@ -349,10 +390,8 @@ def search_topk_hamming(
     index: RetrievalIndex, query_embedding: np.ndarray, model: ModelState, k: int
 ) -> list[tuple[int, float]]:
     """Top-k by Hamming distance between the query's own hard code and
-    each stored code; requires an index built with K = 2.  The query's
-    nearest codewords are written into one uint8 row and packed by one
-    ``np.packbits``: at one bit per book, index m is bit m of the code,
-    the packing of :func:`~micpq.quantizer.pack_codes_batch`."""
+    each stored code; requires an index built with K = 2 (else
+    :class:`KNot2Error`).  Ties break on ascending doc id."""
     if index.books.n_codewords != 2:
         raise KNot2Error(
             f"hamming search requires an index with K=2, got K={index.books.n_codewords}"
@@ -362,12 +401,27 @@ def search_topk_hamming(
     dist = squared_distances_books(refined[None, :], index.books.books)
     query = np.packbits(nearest_codewords(dist, np.empty(dist.shape[:2], np.uint8)),
                         bitorder="little")
+    return _ranked(index.doc_ids, _hamming_distances(index, query), k)
+
+
+def _hamming_distances(index: RetrievalIndex, query: np.ndarray) -> np.ndarray:
+    """Popcount of each stored K = 2 code XOR the packed ``query`` code,
+    word plane by word plane; its buffers are freed before the ranking."""
+    n_bytes = len(query)
     # uint16, not uint8: np.partition is over 20x slower on uint8 keys
-    n_books = index.books.n_codebooks
-    differ = np.zeros(index.n_docs, np.promote_types(np.min_scalar_type(n_books), np.uint16))
-    for column, byte in zip(index.packed.T, query):
-        differ += np.bitwise_count(column ^ byte)
-    return _ranked(index.doc_ids, differ, k)
+    dtype = np.promote_types(np.min_scalar_type(index.books.n_codebooks), np.uint16)
+    differ = None
+    for run, code in zip(_word_runs(index._planes, n_bytes), _word_runs(query, n_bytes)):
+        count = np.bitwise_xor(run, code[0])
+        np.bitwise_count(count.view(np.uint8), out=count.view(np.uint8))
+        if count.dtype == np.uint16:  # two byte counts lo + 256 hi fold to lo + hi
+            count *= 257
+            count >>= 8
+        if differ is None:
+            differ = count.astype(dtype, copy=False)
+        else:
+            differ += count
+    return differ
 
 
 def save_index(index: RetrievalIndex, path) -> None:
@@ -378,10 +432,19 @@ def save_index(index: RetrievalIndex, path) -> None:
         f.write(_HEADER.pack(
             INDEX_VERSION, books.n_codebooks, books.n_codewords, books.sub_dim, index.n_docs
         ))
-        f.write(np.ascontiguousarray(books.books, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(books.books, dtype="<f4"))
         f.write(index.doc_ids.astype("<u8", copy=False))  # u64 whatever the resident width
-        stored = index.codes.astype("<u2", copy=False) if index.packed is None else index.packed
-        f.write(stored.tobytes())  # row by row, whatever the memory order
+        if index._planes is None:
+            f.write(index._codes.astype("<u2", copy=False))
+            return
+        width = packed_code_nbytes(books.n_codebooks, books.n_codewords)
+        runs = _word_runs(index._planes, width)
+        rows = np.empty((max(LOAD_BYTES // width, 1), width), np.uint8)
+        for lo in range(0, index.n_docs, len(rows)):
+            chunk = rows[:index.n_docs - lo]
+            for column, run in zip(_row_runs(chunk), runs):
+                column[...] = run[lo:lo + len(chunk)]
+            f.write(chunk)
 
 
 def _read_exact(f, array: np.ndarray) -> np.ndarray:
@@ -396,7 +459,9 @@ def load_index(path) -> RetrievalIndex:
     """Read an index file written by :func:`save_index`.  A header with
     M or sub_dim 0, and a file whose size differs from what its header
     declares, are rejected before any read; packed codes with a padding
-    bit set are refused by :class:`RetrievalIndex`."""
+    bit set are refused by :class:`RetrievalIndex`.  Ids and codes are
+    read through one reused buffer of ``LOAD_BYTES`` (of one code when a
+    code is wider), so neither is copied whole after the read."""
     with open(path, "rb") as f:
         n_books, n_words, sub_dim, n_docs = read_header(f, MAGIC_INDEX, _HEADER, INDEX_VERSION)
         if n_words > MAX_CODEWORDS:
@@ -419,22 +484,17 @@ def load_index(path) -> RetrievalIndex:
             doc_ids[start:start + len(chunk)] = chunk
         if not packed:
             codes = _read_exact(f, np.empty((n_docs, n_books), "<u2"))
+        elif code_nbytes <= 2:  # one run, in file order
+            codes = _read_exact(f, np.empty(n_docs * code_nbytes, np.uint8))
         else:
-            # each chunk of codes is split into the resident byte planes
-            planes = np.empty((code_nbytes, n_docs), np.uint8)
+            codes = np.empty(n_docs * code_nbytes, np.uint8)
+            runs = _word_runs(codes, code_nbytes)
             step = len(buffer) // code_nbytes
             for start in range(0, n_docs, step):
                 rows = min(step, n_docs - start)
-                chunk = _read_exact(f, buffer[:code_nbytes * rows])
-                into = planes[:, start:start + rows]
-                if code_nbytes in (2, 4):
-                    # byte j of each little-endian code word is shifted out into plane j
-                    words = chunk.view(f"<u{code_nbytes}")
-                    for j, plane in enumerate(into):
-                        np.right_shift(words, 8 * j, out=plane, casting="unsafe")
-                else:
-                    into[...] = chunk.reshape(rows, code_nbytes).T
-            codes = planes.T
+                chunk = _read_exact(f, buffer[:code_nbytes * rows]).reshape(rows, code_nbytes)
+                for run, column in zip(runs, _row_runs(chunk)):
+                    run[start:start + rows] = column
     if packed:
         return RetrievalIndex(CodebookSet(books), doc_ids=doc_ids, packed=codes)
     return RetrievalIndex(CodebookSet(books), codes, doc_ids)

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 
@@ -20,3 +21,18 @@ def use_workers(monkeypatch):
                 monkeypatch.setenv(var, value)
 
     return use
+
+
+@pytest.fixture
+def word_planes_of():
+    """``word_planes_of(rows)``: the flat word planes of (n, bytes_per_code)
+    packed codes in file order, stated plainly: each pair of byte columns
+    2j, 2j+1 row by row (n little-endian uint16 words), then an odd last
+    byte column."""
+
+    def planes(rows):
+        n_bytes = rows.shape[1]
+        runs = [rows[:, j:j + 2].ravel() for j in range(0, n_bytes - 1, 2)]
+        return np.concatenate([np.zeros(0, np.uint8), *runs, *[rows[:, -1]] * (n_bytes % 2)])
+
+    return planes

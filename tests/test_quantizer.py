@@ -15,6 +15,7 @@ from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
 from micpq.errors import (
     DimMismatchError,
     IndexOutOfRangeError,
+    InvalidConfigError,
     KNotPowerOfTwoError,
     NonFiniteInputError,
     NonPositiveTemperatureError,
@@ -654,12 +655,13 @@ class TestNearestCodewords:
 
 
 class TestPackedEncode:
-    """encode_rows(packed=True) ORs each chunk's codes into byte planes as
-    they are assigned; the planes are pack_codes_batch of its codes."""
+    """encode_rows(packed=True) ORs each chunk's codes into word planes as
+    they are assigned; the planes are those of pack_codes_batch of its codes."""
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("n_rows", [300, 3 * 256 + 17], ids=["lone", "blocks"])
-    def test_planes_equal_the_packed_codes(self, monkeypatch, use_workers, n_workers, n_rows):
+    def test_planes_equal_the_packed_codes(self, monkeypatch, use_workers, word_planes_of,
+                                           n_workers, n_rows):
         monkeypatch.setattr(quantizer, "ASSIGN_ROWS", 256)
         use_workers(n_workers)
         # K = 8 and 32 straddle bytes; every code but (2, 256) has padding bits
@@ -668,10 +670,12 @@ class TestPackedEncode:
             gen, encoder, books = _encoder_and_books(n_words + n_rows, n_books=n_books,
                                                      n_words=n_words)
             values = gen.normal(size=(n_rows, encoder.d_in)).astype(np.float32)
-            packed = encode_rows(encoder, books, values, packed=True)
+            planes = encode_rows(encoder, books, values, packed=True)
             codes = encode_rows(encoder, books, values)
-            assert packed.dtype == np.uint8 and packed.flags.f_contiguous
-            assert np.array_equal(packed, pack_codes_batch(codes, n_words))
+            packed = pack_codes_batch(codes, n_words)
+            # one flat buffer of exactly n * bytes_per_code bytes: the word planes
+            assert planes.dtype == np.uint8 and planes.shape == (packed.size,)
+            assert np.array_equal(planes, word_planes_of(packed))
             used = n_books * (n_words.bit_length() - 1) % 8
             assert used == 0 or not np.any(packed[:, -1] >> used)
             assert np.array_equal(unpack_codes_batch(packed, n_books, n_words), codes)
@@ -790,6 +794,23 @@ class TestQuantizeDocument:
         np.testing.assert_array_equal(reconstruct(books, code), expected)
 
 
+class TestCodebookSet:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.uint8])
+    def test_integer_and_floating_books_are_kept(self, dtype):
+        values = np.arange(12).reshape(2, 2, 3).astype(dtype)
+        assert np.array_equal(CodebookSet(values).books, values)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.bool_, np.str_, object])
+    def test_other_dtypes_are_refused(self, dtype):
+        with pytest.raises(InvalidConfigError, match="integer or floating"):
+            CodebookSet(np.ones((2, 2, 3)).astype(dtype))
+
+    def test_zero_codebooks_are_refused(self):
+        # no code byte to pack, scan or count
+        with pytest.raises(InvalidConfigError, match="M >= 1"):
+            CodebookSet(np.ones((0, 16, 3), np.float32))
+
+
 class TestPacking:
     @staticmethod
     def _planes(indices, n_words):
@@ -818,8 +839,8 @@ class TestPacking:
             idx = gen.integers(0, n_words, size=(n, n_books))
             for given in (idx, idx.astype(np.uint16)):
                 packed = pack_codes_batch(given, n_words)
-                # byte planes come back column-major at every n, the index's resident layout
-                assert packed.flags.f_contiguous
+                # row i is code i's bytes in file order, C-contiguous at every n
+                assert packed.flags.c_contiguous
                 assert np.array_equal(packed, self._planes(idx, n_words))
 
     def test_pack_holds_one_chunk_of_bit_planes(self):

@@ -1,5 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from micpq.retrieval import (
     LOAD_BYTES,
     MAGIC_INDEX,
     PAIR_ENTRIES,
+    SCAN_ROWS,
     DistanceLUT,
     RetrievalIndex,
     _ranked,
@@ -585,8 +590,8 @@ class TestLoadIndex:
 
     @pytest.mark.parametrize("load_bytes", [64, LOAD_BYTES])
     @pytest.mark.parametrize("n_books, n_words", WIDTHS)
-    def test_codes_and_ids_equal_the_whole_file_reader(self, tmp_path, monkeypatch, load_bytes,
-                                                       n_books, n_words):
+    def test_codes_and_ids_equal_the_whole_file_reader(self, tmp_path, monkeypatch, word_planes_of,
+                                                       load_bytes, n_books, n_words):
         monkeypatch.setattr(retrieval, "LOAD_BYTES", load_bytes)
         # crosses a chunk boundary of the ids and of the codes
         n_docs = 77 if load_bytes == 64 else LOAD_BYTES // 2 + 3
@@ -597,7 +602,9 @@ class TestLoadIndex:
                    tmp_path / "w.idx")
         books, old_ids, old_codes = _whole_file_reader(tmp_path / "w.idx")
         loaded = load_index(tmp_path / "w.idx")
-        assert loaded.packed.flags.f_contiguous
+        # resident: the word planes of the file's codes, one buffer of n * bytes_per_code
+        assert np.array_equal(loaded._planes, word_planes_of(old_codes))
+        assert loaded.packed.flags.c_contiguous
         assert loaded.packed.shape == old_codes.shape
         assert np.array_equal(loaded.packed, old_codes)
         assert loaded.doc_ids.dtype == np.uint32
@@ -781,8 +788,10 @@ class TestSubIndexCheck:
     def test_packed_values_that_are_not_bytes_are_refused(self, bad, dtype):
         books = _nonneg_books(71, 4, 16, 2)
         packed = pack_codes_batch(np.array([[2, 1, 0, 3], [1, 1, 1, 1]]), 16)
-        assert RetrievalIndex(books, packed=packed).packed is packed  # uint8 is kept as given
-        assert np.array_equal(RetrievalIndex(books, packed=packed.astype(np.int64)).packed, packed)
+        planes = RetrievalIndex(books, packed=packed)._planes
+        assert RetrievalIndex(books, packed=planes)._planes is planes  # uint8 is kept as given
+        for given in (packed, packed.astype(np.int64), planes.astype(np.int64)):
+            assert np.array_equal(RetrievalIndex(books, packed=given).packed, packed)
         wide = packed.astype(dtype)
         wide[1, 0] = bad  # 300 would be stored as 44, -1 as 255 and 1.7 as 1
         with pytest.raises(FileFormatError, match=r"\[0, 256\)"):
@@ -887,18 +896,27 @@ class TestFastPaths:
                 assert [doc for doc, _ in got] == _oracle_ranking(index, oracle, k)
                 assert [dist for _, dist in got] == sorted(oracle)[:k]
 
-    @pytest.mark.parametrize(  # (5, 16) and (3, 256): 3 bytes; (4, 4) and (1, 16): 1 byte
-        "n_books,n_words", [(8, 16), (7, 16), (4, 4), (3, 256), (16, 2), (9, 2), (5, 16), (1, 16)]
+    @pytest.mark.parametrize(  # 1 to 4 word planes, and an odd last byte at 1, 3 and 7 bytes
+        "n_books,n_words", [(8, 16), (7, 16), (4, 4), (3, 256), (16, 2), (9, 2), (5, 16), (1, 16),
+                            (16, 16), (7, 256)]
     )
-    def test_adc_scan_is_bit_identical_to_flat_gather(self, n_books, n_words):
-        # above PAIR_ENTRIES rows the scan reads byte pairs, and an odd
-        # last byte alone
-        for n_docs in (999, PAIR_ENTRIES + 1):
+    def test_adc_scan_is_bit_identical_to_flat_gather(self, monkeypatch, word_planes_of,
+                                                      n_books, n_words):
+        # above PAIR_ENTRIES rows the scan reads word planes in SCAN_ROWS
+        # blocks, and an odd last byte alone; a PAIR_ENTRIES of 0 sends
+        # every n there, to end a block one row short, one row over, or
+        # after three blocks and 7 rows
+        for n_docs, pair_entries in [
+            (999, PAIR_ENTRIES), (PAIR_ENTRIES + 1, PAIR_ENTRIES), (999, 0),
+            (SCAN_ROWS - 1, 0), (SCAN_ROWS + 1, 0), (3 * SCAN_ROWS + 7, 0),
+            (SCAN_ROWS + 1, PAIR_ENTRIES),
+        ]:
+            monkeypatch.setattr(retrieval, "PAIR_ENTRIES", pair_entries)
             _, index, codes, gen = _random_index(60 + n_books * n_words, n_books, n_words,
                                                  n_docs=n_docs)
-            assert index.packed.flags.f_contiguous
             raw_packed = pack_codes_batch(codes, n_words)
-            assert raw_packed.flags.f_contiguous  # raw codes pack column-major at every n
+            assert raw_packed.flags.c_contiguous  # raw codes pack in file order at every n
+            assert np.array_equal(index._planes, word_planes_of(raw_packed))
             for _ in range(5):
                 lut = build_lut(gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32),
                                 index.books)
@@ -909,8 +927,8 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("search,n_books,n_words,n_docs,per_doc", [
         (search_topk_hamming, 16, 2, 100_000, 6),
-        (search_topk, 8, 16, 100_000, 24),
-        (search_topk, 8, 16, 200_000, 24),
+        (search_topk, 8, 16, 100_000, 12),
+        (search_topk, 8, 16, 200_000, 12),
     ], ids=["hamming", "adc", "adc-200k"])
     def test_query_allocates_no_wide_per_document_arrays(self, search, n_books, n_words,
                                                          n_docs, per_doc):
@@ -926,6 +944,35 @@ class TestFastPaths:
         finally:
             tracemalloc.stop()
         assert peak / n_docs <= per_doc
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt counts minor page faults on Linux")
+    def test_warm_adc_queries_fault_in_few_pages(self, tmp_path):
+        # a fresh interpreter that loads an index, as `micpq search` does:
+        # per-query arrays the size of the corpus were mapped and unmapped
+        # again by every query, 977 faults each
+        model, index, _, gen = _random_index(62, 8, 16, n_docs=200_000, sub=2)
+        save_index(index, tmp_path / "a.idx")
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        np.save(tmp_path / "q.npy", gen.uniform(0.0, 1.2, size=(21, 16)).astype(np.float32))
+        code = f"""
+import resource
+import numpy as np
+from micpq.retrieval import load_index, search_topk
+from micpq.trainer import load_checkpoint
+index = load_index({str(tmp_path / "a.idx")!r})
+model = load_checkpoint({str(tmp_path / "m.ckpt")!r})
+queries = np.load({str(tmp_path / "q.npy")!r})
+search_topk(index, queries[0], model, 100)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for query in queries[1:]:
+    search_topk(index, query, model, 100)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(retrieval.__file__).resolve().parent.parent))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert int(done.stdout.split()[-1]) < 50 * 20
 
     def test_single_code_distance_equals_index_scan(self):
         _, index, codes, gen = _random_index(40, 6, 16, n_docs=50)
@@ -990,7 +1037,8 @@ class TestFastPaths:
         "n_docs,distinct", [(3000, None), (3000, 25), (64, 8), (10_000, 25)]
     )
     def test_hamming_matches_popcount_oracle(self, n_docs, distinct):
-        for n_books in (7, 9, 16, 24, 40):  # 1-5 byte columns, the last one partial at 7, 9
+        # 1-6 bytes: an odd last byte at 7, 17, 24 and 40, a partial one at 7, 9 and 17
+        for n_books in (7, 9, 16, 17, 24, 40, 48):
             model, index, codes, gen = _random_index(
                 43, n_books, 2, n_docs=n_docs, sub=2, distinct=distinct
             )
@@ -1015,9 +1063,12 @@ class TestLayout:
     @pytest.mark.parametrize("n_words", [2, 16, 8, 256])
     def test_power_of_two_holds_only_packed_bytes(self, tmp_path, n_words):
         _, index, codes, _ = _random_index(50, 5, n_words, n_docs=77)
-        assert not any(
-            isinstance(v, np.ndarray) and v.dtype == np.uint16 for v in vars(index).values()
-        )
+        # one code array of exactly n * bytes_per_code bytes; views are made on demand
+        held = [v for v in vars(index).values() if isinstance(v, np.ndarray)]
+        assert [v is index.doc_ids for v in held].count(False) == 1
+        planes = next(v for v in held if v is not index.doc_ids)
+        assert planes.dtype == np.uint8 and planes.shape == (77 * packed_code_nbytes(5, n_words),)
+        assert index.packed is not index.packed  # built afresh, never kept
         assert np.array_equal(index.codes, codes)
         assert np.array_equal(pack_codes_batch(index.codes, n_words), index.packed)
         assert index.codes is not index.codes  # unpacked afresh, never kept
