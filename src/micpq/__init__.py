@@ -17,7 +17,7 @@ _EXPORTS = {
         "EmbeddingMatrix LabelVector MixtureSpec read_embeddings read_labels "
         "synth_mixture write_embeddings write_labels"
     ),
-    "encoder": "DropoutConfig EncoderParams RefinedEmbedding dropout_view forward forward_batch",
+    "encoder": "DropoutConfig EncoderParams dropout_view forward forward_batch",
     "evaluation": (
         "CodewordQualityReport EvalReport assignment_probabilities evaluate_codeword_quality "
         "hungarian_accuracy kmeans precision_at_k retrieval_eval split_indices"

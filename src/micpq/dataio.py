@@ -53,6 +53,9 @@ class EmbeddingMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self.values = np.asarray(self.values)
+        if self.values.dtype.kind not in "iuf":
+            raise InvalidSpecError(f"embeddings must be integer or floating, got {self.values.dtype}")
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
         _check_shape(self.values)
         bad = non_finite_at(self.values)

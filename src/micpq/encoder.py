@@ -26,6 +26,9 @@ class EncoderParams:
     def __post_init__(self) -> None:
         self.weight = np.ascontiguousarray(self.weight)
         self.bias = np.ascontiguousarray(self.bias)
+        for name, array in (("weight", self.weight), ("bias", self.bias)):
+            if array.dtype.kind not in "iuf":
+                raise InvalidConfigError(f"{name} must be integer or floating, got {array.dtype}")
         if self.weight.ndim != 2 or self.bias.ndim != 1:
             raise InvalidConfigError("weight must be 2-D and bias 1-D")
         if self.bias.shape[0] != self.weight.shape[0]:
@@ -44,23 +47,6 @@ class EncoderParams:
         return self.weight.shape[0]
 
 
-@dataclass
-class RefinedEmbedding:
-    """A refined vector together with its segment width."""
-
-    values: np.ndarray
-    sub_dim: int
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        if self.values.ndim != 1:
-            raise DimMismatchError("refined embedding must be a vector")
-        if self.values.shape[0] % self.sub_dim != 0:
-            raise DimMismatchError(
-                f"length {self.values.shape[0]} is not a multiple of sub_dim {self.sub_dim}"
-            )
-
-
 @dataclass(frozen=True)
 class DropoutConfig:
     p_drop: float
@@ -71,19 +57,14 @@ class DropoutConfig:
             raise InvalidConfigError(f"p_drop must be in [0, 1), got {self.p_drop}")
 
 
-def forward(params: EncoderParams, z: np.ndarray, sub_dim: int | None = None) -> RefinedEmbedding:
-    """Refine one embedding: ``max(0, W z + b)``, with its segment width.
-
-    ``sub_dim`` defaults to the full output width (a single segment);
-    pass the paired codebooks' sub_dim for per-codebook segments.
-    """
+def forward(params: EncoderParams, z: np.ndarray) -> np.ndarray:
+    """Refine one embedding: the (d_out,) vector ``max(0, W z + b)``."""
     z = np.asarray(z)
     if z.ndim != 1 or z.shape[0] != params.d_in:
         raise DimMismatchError(f"expected input of length {params.d_in}, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise NonFiniteInputError("encoder input must be finite")
-    values = forward_batch(params, z[None])[0]
-    return RefinedEmbedding(values, sub_dim if sub_dim is not None else params.d_out)
+    return forward_batch(params, z[None])[0]
 
 
 def forward_batch(

@@ -10,13 +10,8 @@ Training's Gumbel-softmax mixtures are batched in
 noise-free assignment distribution, kept as the reference.
 
 When K is a power of two the M sub-indices of a document pack into
-``M * log2(K)`` bits: index m occupies bits ``[m*b, (m+1)*b)`` with the
-index's least significant bit first, bit 0 being the least significant
-bit of byte 0, and the final partial byte zero-padded.  Many codes are
-held as word planes: one flat uint8 buffer of n * bytes_per_code bytes,
-in which bytes 2j and 2j+1 of every code form one run of n little-endian
-uint16 words, and an odd last byte one run of n bytes
-(:func:`byte_planes`).
+``M * log2(K)`` bits, ceil(M * log2(K) / 8) bytes; many codes are held
+as flat word planes.  :func:`code_runs` states both layouts.
 """
 from __future__ import annotations
 
@@ -365,7 +360,7 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
     """(n, M) uint16 nearest-codeword indices of each row of ``values``
     refined with dropout disabled, against (M, K, sub_dim) books; with
     ``packed`` (power-of-two K only, else :class:`KNotPowerOfTwoError`)
-    the same codes as flat word planes (:func:`byte_planes`), packed as
+    the same codes as flat word planes (:func:`code_runs`), packed as
     they are assigned, so no (n, M) array is held.  ``values`` is an
     (n, d_in) array or a :class:`~micpq.dataio.EmbeddingFile`.  The codes
     equal those of one whole :func:`~micpq.encoder.forward_batch` followed
@@ -392,10 +387,10 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
     if packed:
         n_bytes = packed_code_nbytes(n_books, n_words)
         planes = np.zeros(n_rows * n_bytes, np.uint8)
-        columns = byte_planes(planes, n_bytes)
+        runs = code_runs(planes, n_bytes)
 
         def emit(at: int, found: np.ndarray) -> None:
-            _pack_planes([column[at:at + found.shape[1]] for column in columns], found, n_words)
+            _pack_runs([run[at:at + found.shape[1]] for run in runs], found, n_words)
     else:
         codes = np.empty((n_rows, n_books), dtype=np.uint16)
 
@@ -446,9 +441,9 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
     return planes if packed else codes
 
 
-def quantize_document(refined, books: CodebookSet) -> QuantCode:
-    """Hard-assign every segment of a refined embedding."""
-    values = np.asarray(getattr(refined, "values", refined))
+def quantize_document(refined: np.ndarray, books: CodebookSet) -> QuantCode:
+    """Hard-assign every segment of a refined vector."""
+    values = np.asarray(refined)
     if values.shape != (books.dim,):
         raise DimMismatchError(f"refined vector shape {values.shape} != codebooks' ({books.dim},)")
     if not np.all(np.isfinite(values)):
@@ -484,70 +479,89 @@ def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
     if indices.ndim != 2:
         raise DimMismatchError(f"need an (n, M) index matrix, got shape {indices.shape}")
     rows = np.zeros((len(indices), packed_code_nbytes(indices.shape[1], n_codewords)), np.uint8)
-    _pack_planes(rows.T, indices.T, n_codewords)
+    _pack_runs(code_runs(rows), indices.T, n_codewords)
     return rows
 
 
 def pack_planes(indices: np.ndarray, n_codewords: int) -> np.ndarray:
-    """The flat word planes (:func:`byte_planes`) of an (n, M) uint16
-    index matrix already checked by :func:`checked_codes`."""
+    """The flat word planes (:func:`code_runs`) of an (n, M) uint16 index
+    matrix already checked by :func:`checked_codes`."""
     n_bytes = packed_code_nbytes(indices.shape[1], n_codewords)
     planes = np.zeros(len(indices) * n_bytes, np.uint8)
-    _pack_planes(byte_planes(planes, n_bytes), indices.T, n_codewords)
+    _pack_runs(code_runs(planes, n_bytes), indices.T, n_codewords)
     return planes
 
 
+def code_runs(codes: np.ndarray, n_bytes: int | None = None) -> list[np.ndarray]:
+    """The runs of packed codes, for K a power of two: one little-endian
+    uint16 run of n words per byte pair, then the uint8 run of n bytes of
+    an odd last byte.  Index m of a code occupies its bits ``[m*b, (m+1)*b)``
+    (b = log2 K), least significant bit first, bit 0 being the least
+    significant bit of byte 0; the last partial byte is zero-padded.
+
+    ``codes`` is either flat word planes, a 1-D uint8 array of n codes of
+    ``n_bytes`` bytes that holds the runs one after another (the layout of
+    :func:`encode_rows`, :func:`pack_planes` and the index), or the
+    C-contiguous (n, bytes_per_code) codes in file order, each code's bytes
+    in a row, whose runs are strided views of the row's byte pairs."""
+    if codes.ndim == 2:
+        n_bytes = codes.shape[1]
+        pairs = [codes[:, j:j + 2].view("<u2")[:, 0] for j in range(0, n_bytes - 1, 2)]
+        return pairs + [codes[:, -1]] * (n_bytes % 2)
+    n, n_pairs = codes.size // n_bytes, n_bytes // 2
+    words = codes[:2 * n * n_pairs].view("<u2").reshape(n_pairs, n)
+    return [*words, *[codes[2 * n * n_pairs:]] * (n_bytes % 2)]
+
+
 def byte_planes(planes: np.ndarray, n_bytes: int) -> list[np.ndarray]:
-    """The uint8 view of each byte position of flat word planes: ``planes``
-    holds n codes of ``n_bytes`` bytes in n * ``n_bytes`` bytes, byte 2j
-    and 2j+1 of code i at ``2 * n * j + 2 * i`` and the next byte, so the
-    j-th run of 2n bytes is n little-endian uint16 words; an odd last
-    byte of code i is at ``n * (n_bytes - 1) + i``."""
+    """The uint8 view of each byte position of flat word planes
+    (:func:`code_runs`), stride 2 inside a word run."""
     n, paired = planes.size // n_bytes, n_bytes - n_bytes % 2
     return [planes[2 * n * (b // 2) + b % 2:][:2 * n:2] if b < paired else planes[n * paired:]
             for b in range(n_bytes)]
 
 
-def _pack_planes(columns, fields: np.ndarray, n_codewords: int) -> None:
-    """OR the (M, n) uint16 indices ``fields`` into zeroed byte columns, one
-    1-D uint8 array of n codes per byte position: index m is shifted to its
-    bit offset m*log2(K) and ORed into each byte it touches, its high bits
-    into the next byte when it straddles a byte boundary."""
+def _run_shifts(n_books: int, n_codewords: int) -> list[list[tuple[int, int]]]:
+    """For each sub-index m, the (run, shift) of each :func:`code_runs` run
+    its bits touch: run r holds code bits ``[16r, 16r + 16)``, and index m
+    sits at ``shift = m*b - 16r`` in it, its low bits cut off when the
+    shift is negative."""
     b = bits_per_index(n_codewords)
-    for book, field in enumerate(fields):
-        at = book * b
-        for byte in range(at // 8, (at + b - 1) // 8 + 1):
-            shift = at - 8 * byte
+    return [[(run, at - 16 * run) for run in range(at // 16, (at + b - 1) // 16 + 1)]
+            for at in range(0, n_books * b, b)]
+
+
+def _pack_runs(runs, fields: np.ndarray, n_codewords: int) -> None:
+    """OR the (M, n) uint16 indices ``fields`` into the zeroed runs of n
+    codes (:func:`code_runs`), each index into every run its bits touch."""
+    for field, spans in zip(fields, _run_shifts(len(fields), n_codewords)):
+        for run, shift in spans:
             part = field << shift if shift >= 0 else field >> -shift
-            np.bitwise_or(columns[byte], part, out=columns[byte], casting="unsafe")
+            np.bitwise_or(runs[run], part, out=runs[run], casting="unsafe")
+
+
+def unpack_runs(runs, n_codebooks: int, n_codewords: int) -> np.ndarray:
+    """The row-major (n, M) uint16 sub-indices held in the runs of n codes
+    (:func:`code_runs`): the reverse of the packer, each index shifted back
+    out of every run its bits touch, then masked to log2(K) bits."""
+    fields = np.zeros((n_codebooks, len(runs[0])), np.uint16)
+    part = np.empty(fields.shape[1], np.uint16)
+    for field, spans in zip(fields, _run_shifts(n_codebooks, n_codewords)):
+        for run, shift in spans:
+            if shift >= 0:
+                np.right_shift(runs[run], shift, out=part, dtype=np.uint16)
+            else:
+                np.left_shift(runs[run], -shift, out=part, dtype=np.uint16)
+            field |= part
+    fields &= n_codewords - 1
+    return np.ascontiguousarray(fields.T)
 
 
 def unpack_codes_batch(payload: np.ndarray, n_codebooks: int, n_codewords: int) -> np.ndarray:
     """Inverse of :func:`pack_codes_batch`; returns a row-major (n, M)
     uint16 matrix."""
-    return unpack_planes(np.asarray(payload, dtype=np.uint8).T, n_codebooks, n_codewords)
-
-
-def unpack_planes(columns, n_codebooks: int, n_codewords: int) -> np.ndarray:
-    """The row-major (n, M) uint16 sub-indices packed into byte columns, one
-    1-D uint8 array of n codes per byte position: the reverse of
-    :func:`_pack_planes`, each index shifted back out of every byte it
-    touches, then masked to log2(K) bits."""
-    b = bits_per_index(n_codewords)
-    n_rows = len(columns[0]) if len(columns) else 0
-    fields = np.zeros((n_codebooks, n_rows), np.uint16)
-    part = np.empty(n_rows, np.uint16)
-    for book, field in enumerate(fields):
-        at = book * b
-        for byte in range(at // 8, (at + b - 1) // 8 + 1):
-            shift = at - 8 * byte
-            if shift >= 0:
-                np.right_shift(columns[byte], shift, out=part, dtype=np.uint16)
-            else:
-                np.left_shift(columns[byte], -shift, out=part, dtype=np.uint16)
-            field |= part
-    fields &= n_codewords - 1
-    return np.ascontiguousarray(fields.T)
+    rows = np.ascontiguousarray(payload, dtype=np.uint8)
+    return unpack_runs(code_runs(rows), n_codebooks, n_codewords)
 
 
 def packed_code_nbytes(n_codebooks: int, n_codewords: int) -> int:

@@ -1,7 +1,7 @@
 """Compact retrieval index and asymmetric-distance search.
 
-A corpus's codes are resident in one layout: for power-of-two K, the
-word planes of :func:`~micpq.quantizer.byte_planes`, one uint8 buffer of
+A corpus's codes are resident in one layout: for power-of-two K, flat
+word planes (:func:`~micpq.quantizer.code_runs`), one uint8 buffer of
 exactly ``n_docs * bytes_per_code`` bytes; else one uint16 per
 sub-index.  A query is refined once (dropout disabled) into an M x K
 table of squared distances to every codeword; a document's distance is
@@ -43,6 +43,7 @@ from .quantizer import (
     bits_per_index,
     byte_planes,
     checked_codes,
+    code_runs,
     diff_distances,
     encode_rows,
     is_pow2,
@@ -50,7 +51,7 @@ from .quantizer import (
     pack_planes,
     packed_code_nbytes,
     squared_distances_books,
-    unpack_planes,
+    unpack_runs,
 )
 from .trainer import ModelState
 
@@ -71,33 +72,16 @@ def _checked_codes(codes, n_books: int, n_words: int) -> np.ndarray:
     return codes
 
 
-def _word_runs(planes: np.ndarray, n_bytes: int) -> list[np.ndarray]:
-    """The runs of flat word planes (:func:`~micpq.quantizer.byte_planes`):
-    one little-endian uint16 array per byte pair, then the uint8 run of an
-    odd last byte."""
-    n, pairs = planes.size // n_bytes, n_bytes // 2
-    words = planes[:2 * n * pairs].view("<u2").reshape(pairs, n)
-    return [*words, *[planes[2 * n * pairs:]] * (n_bytes % 2)]
-
-
-def _row_runs(rows: np.ndarray) -> list[np.ndarray]:
-    """The views of C-contiguous (n, bytes_per_code) codes that match
-    :func:`_word_runs`: each pair of byte columns as uint16, then an odd
-    last column."""
-    n_bytes = rows.shape[1]
-    pairs = [rows[:, j:j + 2].view("<u2")[:, 0] for j in range(0, n_bytes - 1, 2)]
-    return pairs + [rows[:, -1]] * (n_bytes % 2)
-
-
 class RetrievalIndex:
     """Frozen codebooks, document ids and the corpus's codes.
 
     Give either ``codes``, an (n_docs, M) sub-index matrix, or ``packed``
-    (power-of-two K): the (n_docs, bytes_per_code) packed codes in file
-    order, or their flat word planes (a 1-D uint8 array of n_docs *
-    bytes_per_code bytes, as :func:`~micpq.quantizer.encode_rows` gives
-    them), which are kept as given.  Only one layout is kept: the word
-    planes for power-of-two K, else uint16 codes.  Sub-indices that are
+    (power-of-two K): flat word planes (:func:`~micpq.quantizer.code_runs`),
+    a 1-D array of n_docs * bytes_per_code bytes, as
+    :func:`~micpq.quantizer.encode_rows` and :func:`load_index` give them,
+    kept as given when uint8; any other shape raises
+    :class:`DimMismatchError`.  Only one layout is kept: the word planes
+    for power-of-two K, else uint16 codes.  Sub-indices that are
     not integers in [0, K) raise :class:`~micpq.errors.IndexOutOfRangeError`.
     A packed payload of values that are not integers in [0, 256), or with
     a padding bit set in a code's last byte, raises
@@ -122,19 +106,15 @@ class RetrievalIndex:
                 self._codes = codes
         else:  # checked before the cast, so no value wraps into a byte
             packed = np.asarray(packed)
+            if packed.ndim != 1:
+                raise DimMismatchError(f"packed codes must be flat word planes, got shape "
+                                       f"{packed.shape}")
             if packed.dtype != np.uint8 and packed.size and (
                     packed.dtype.kind not in "iu" or packed.min() < 0 or packed.max() > 0xFF):
                 raise FileFormatError("packed codes must be integers in [0, 256)")
             width = packed_code_nbytes(n_books, n_words)
-            if packed.ndim == 1:  # word planes, kept as given
-                shape = (packed.size // width, width)
-                self._planes = np.ascontiguousarray(packed, dtype=np.uint8)
-            else:
-                shape, self._planes = packed.shape, np.empty(packed.size, np.uint8)
-            if packed.ndim == 2 and shape[1] == width:  # file order into word planes
-                rows = np.ascontiguousarray(packed, dtype=np.uint8)
-                for run, column in zip(_word_runs(self._planes, width), _row_runs(rows)):
-                    run[...] = column
+            shape = (packed.size // width, width)
+            self._planes = np.ascontiguousarray(packed, dtype=np.uint8)
         ids = np.arange(shape[0], dtype=np.uint32) if doc_ids is None else np.asarray(doc_ids)
         if ids.dtype != np.uint32:
             if ids.size and (ids.dtype.kind not in "iu" or ids.dtype.kind == "i" and ids.min() < 0):
@@ -160,8 +140,8 @@ class RetrievalIndex:
         if self._codes is not None:
             return self._codes
         n_books, n_words = self.books.n_codebooks, self.books.n_codewords
-        columns = byte_planes(self._planes, packed_code_nbytes(n_books, n_words))
-        return unpack_planes(columns, n_books, n_words)
+        runs = code_runs(self._planes, packed_code_nbytes(n_books, n_words))
+        return unpack_runs(runs, n_books, n_words)
 
     @property
     def packed(self) -> np.ndarray | None:
@@ -171,7 +151,7 @@ class RetrievalIndex:
             return None
         width = packed_code_nbytes(self.books.n_codebooks, self.books.n_codewords)
         rows = np.empty((self.n_docs, width), np.uint8)
-        for column, run in zip(_row_runs(rows), _word_runs(self._planes, width)):
+        for column, run in zip(code_runs(rows), code_runs(self._planes, width)):
             column[...] = run
         return rows
 
@@ -221,9 +201,10 @@ def build_index(
     return RetrievalIndex(books=model.books, codes=codes, doc_ids=ids)
 
 
-def build_lut(query_refined, books: CodebookSet) -> DistanceLUT:
-    """Squared distances from every query segment to every codeword."""
-    values = np.asarray(getattr(query_refined, "values", query_refined))
+def build_lut(query_refined: np.ndarray, books: CodebookSet) -> DistanceLUT:
+    """Squared distances from every segment of a refined query vector to
+    every codeword."""
+    values = np.asarray(query_refined)
     if values.shape[0] != books.dim:
         raise DimMismatchError(
             f"refined query length {values.shape[0]} != codebooks' width {books.dim}"
@@ -263,10 +244,6 @@ def _byte_tables(table: np.ndarray, bits: int) -> np.ndarray:
     return parts[:, 0]
 
 
-def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    return table[np.arange(table.shape[0]), codes].sum(axis=1)
-
-
 def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
     """Asymmetric distances for every document of a :class:`RetrievalIndex`,
     or for every row of an (n, M) sub-index matrix.  For power-of-two K
@@ -280,18 +257,18 @@ def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
     else:
         codes = _checked_codes(codes, n_books, n_words)
         n_rows, planes = len(codes), pack_planes(codes, n_words) if is_pow2(n_words) else None
-    if planes is None:
-        return _gather(table, codes)
-    bits = bits_per_index(n_words)
-    n_bytes = packed_code_nbytes(n_books, n_words)
-    if 8 % bits:
-        out = np.empty(n_rows, table.dtype)
-        columns = byte_planes(planes, n_bytes)
+    if planes is None or 8 % bits_per_index(n_words):
+        # unpacked codes: each block's (rows, M) entries are gathered and
+        # summed row by row by numpy, the bits of one whole-corpus gather
+        runs = None if planes is None else code_runs(planes, packed_code_nbytes(n_books, n_words))
+        out, books = np.empty(n_rows, table.dtype), np.arange(n_books)
         for lo in range(0, n_rows, SCAN_ROWS):
-            block = unpack_planes([c[lo:lo + SCAN_ROWS] for c in columns], n_books, n_words)
-            out[lo:lo + SCAN_ROWS] = _gather(table, block)
+            block = (codes[lo:lo + SCAN_ROWS] if runs is None else
+                     unpack_runs([run[lo:lo + SCAN_ROWS] for run in runs], n_books, n_words))
+            table[books, block].sum(axis=1, out=out[lo:lo + SCAN_ROWS])
         return out
-    tables = _byte_tables(table, bits)
+    n_bytes = packed_code_nbytes(n_books, n_words)
+    tables = _byte_tables(table, bits_per_index(n_words))
     # the result first: the scan's buffers then lie above it on the heap and
     # are reused by the next query rather than trimmed and faulted in again
     out = np.empty(n_rows, tables.dtype)
@@ -302,7 +279,7 @@ def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
         pair_tables = np.empty((n_pairs, 256, 256), tables.dtype)
         np.add(tables[1::2, :, None], tables[0:2 * n_pairs:2, None, :], out=pair_tables)
         run_tables = [*pair_tables.reshape(n_pairs, -1), *tables[2 * n_pairs:]]
-        runs = _word_runs(planes, n_bytes)
+        runs = code_runs(planes, n_bytes)
     parts = np.empty((len(runs) - 1, min(n_rows, SCAN_ROWS)), tables.dtype)
     for lo in range(0, n_rows, SCAN_ROWS):
         hi = min(lo + SCAN_ROWS, n_rows)
@@ -411,7 +388,7 @@ def _hamming_distances(index: RetrievalIndex, query: np.ndarray) -> np.ndarray:
     # uint16, not uint8: np.partition is over 20x slower on uint8 keys
     dtype = np.promote_types(np.min_scalar_type(index.books.n_codebooks), np.uint16)
     differ = None
-    for run, code in zip(_word_runs(index._planes, n_bytes), _word_runs(query, n_bytes)):
+    for run, code in zip(code_runs(index._planes, n_bytes), code_runs(query, n_bytes)):
         count = np.bitwise_xor(run, code[0])
         np.bitwise_count(count.view(np.uint8), out=count.view(np.uint8))
         if count.dtype == np.uint16:  # two byte counts lo + 256 hi fold to lo + hi
@@ -438,11 +415,11 @@ def save_index(index: RetrievalIndex, path) -> None:
             f.write(index._codes.astype("<u2", copy=False))
             return
         width = packed_code_nbytes(books.n_codebooks, books.n_codewords)
-        runs = _word_runs(index._planes, width)
+        runs = code_runs(index._planes, width)
         rows = np.empty((max(LOAD_BYTES // width, 1), width), np.uint8)
         for lo in range(0, index.n_docs, len(rows)):
             chunk = rows[:index.n_docs - lo]
-            for column, run in zip(_row_runs(chunk), runs):
+            for column, run in zip(code_runs(chunk), runs):
                 column[...] = run[lo:lo + len(chunk)]
             f.write(chunk)
 
@@ -488,12 +465,12 @@ def load_index(path) -> RetrievalIndex:
             codes = _read_exact(f, np.empty(n_docs * code_nbytes, np.uint8))
         else:
             codes = np.empty(n_docs * code_nbytes, np.uint8)
-            runs = _word_runs(codes, code_nbytes)
+            runs = code_runs(codes, code_nbytes)
             step = len(buffer) // code_nbytes
             for start in range(0, n_docs, step):
                 rows = min(step, n_docs - start)
                 chunk = _read_exact(f, buffer[:code_nbytes * rows]).reshape(rows, code_nbytes)
-                for run, column in zip(runs, _row_runs(chunk)):
+                for run, column in zip(runs, code_runs(chunk)):
                     run[start:start + rows] = column
     if packed:
         return RetrievalIndex(CodebookSet(books), doc_ids=doc_ids, packed=codes)

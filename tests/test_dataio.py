@@ -92,6 +92,21 @@ class TestEmbeddingFormat:
 
 
 
+class TestEmbeddingMatrix:
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float16, np.float64])
+    def test_integer_and_floating_values_are_kept_as_float32(self, dtype):
+        values = np.arange(6).reshape(2, 3).astype(dtype)
+        matrix = EmbeddingMatrix(values)
+        assert matrix.values.dtype == np.float32
+        assert np.array_equal(matrix.values, values)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.bool_, np.str_, object])
+    def test_other_dtypes_are_refused(self, dtype):
+        # complex lost its imaginary part and bool became 0/1; str raised a bare ValueError
+        with pytest.raises(InvalidSpecError, match="integer or floating"):
+            EmbeddingMatrix(np.ones((2, 3)).astype(dtype))
+
+
 class TestNonFiniteAt:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_first_bad_value_is_the_whole_mask_first(self, dtype):

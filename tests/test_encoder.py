@@ -17,33 +17,33 @@ class TestForward:
     def test_identity_weight_applies_relu(self):
         params = EncoderParams(np.eye(3), np.zeros(3))
         out = forward(params, np.array([1.0, -2.0, 3.0]))
-        assert np.array_equal(out.values, [1.0, 0.0, 3.0])
+        assert np.array_equal(out, [1.0, 0.0, 3.0])
 
     def test_zero_weight_constant_bias(self):
         params = EncoderParams(np.zeros((4, 3)), np.full(4, 5.0))
         for z in (np.zeros(3), np.array([9.0, -9.0, 2.0])):
-            assert np.array_equal(forward(params, z).values, np.full(4, 5.0))
+            assert np.array_equal(forward(params, z), np.full(4, 5.0))
 
     def test_hand_computed_matrix(self):
         params = EncoderParams(np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2))
         out = forward(params, np.array([2.0, 3.0]))
-        assert np.array_equal(out.values, [5.0, 0.0])
+        assert np.array_equal(out, [5.0, 0.0])
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(0)
         params = EncoderParams(rng.normal(size=(8, 5)), rng.normal(size=8))
         for _ in range(20):
             out = forward(params, rng.normal(size=5))
-            assert np.all(out.values >= 0)
+            assert np.all(out >= 0)
 
     def test_positively_homogeneous_in_params(self):
         rng = np.random.default_rng(1)
         weight = rng.normal(size=(6, 4))
         bias = rng.normal(size=6)
         z = rng.normal(size=4)
-        base = forward(EncoderParams(weight, bias), z).values
+        base = forward(EncoderParams(weight, bias), z)
         for c in (0.5, 2.0, 7.25):
-            scaled = forward(EncoderParams(c * weight, c * bias), z).values
+            scaled = forward(EncoderParams(c * weight, c * bias), z)
             np.testing.assert_allclose(scaled, c * base, rtol=1e-12)
 
     def test_dim_mismatch(self):
@@ -81,13 +81,31 @@ class TestForward:
                 assert abs(fd - grad.ravel()[i]) <= 1e-4 * max(abs(fd), 1e-8)
 
 
+class TestEncoderParams:
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32, np.float64])
+    def test_integer_and_floating_params_are_kept(self, dtype):
+        weight, bias = np.arange(6).reshape(2, 3).astype(dtype), np.arange(2).astype(dtype)
+        params = EncoderParams(weight, bias)
+        assert np.array_equal(params.weight, weight) and params.weight.dtype == dtype
+        assert np.array_equal(params.bias, bias) and params.bias.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.bool_, np.str_, object])
+    @pytest.mark.parametrize("which", ["weight", "bias"])
+    def test_other_dtypes_are_refused(self, dtype, which):
+        # complex and bool were kept; str and object raised a bare TypeError
+        arrays = {"weight": np.ones((2, 3)), "bias": np.ones(2)}
+        arrays[which] = arrays[which].astype(dtype)
+        with pytest.raises(InvalidConfigError, match=f"{which} must be integer or floating"):
+            EncoderParams(**arrays)
+
+
 class TestForwardBatch:
     def test_batch_of_one_equals_forward(self):
         rng = np.random.default_rng(3)
         params = EncoderParams(rng.normal(size=(4, 4)), rng.normal(size=4))
         z = rng.normal(size=4)
         np.testing.assert_array_equal(
-            forward_batch(params, z[None, :])[0], forward(params, z).values
+            forward_batch(params, z[None, :])[0], forward(params, z)
         )
 
     def test_rows_independent_under_permutation(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from micpq import dataio, quantizer
 from micpq.dataio import EmbeddingFile, EmbeddingMatrix, write_embeddings
-from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
+from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     DimMismatchError,
     IndexOutOfRangeError,
@@ -31,6 +31,7 @@ from micpq.quantizer import (
     nearest_codewords,
     pack_codes,
     pack_codes_batch,
+    pack_planes,
     packed_code_nbytes,
     quantize_document,
     reconstruct,
@@ -664,9 +665,10 @@ class TestPackedEncode:
                                            n_workers, n_rows):
         monkeypatch.setattr(quantizer, "ASSIGN_ROWS", 256)
         use_workers(n_workers)
-        # K = 8 and 32 straddle bytes; every code but (2, 256) has padding bits
+        # K = 8 and 32 straddle bytes and K = 512 a uint16 run; every code
+        # but (2, 256) has padding bits
         for n_books, n_words in [(5, 2), (3, 4), (3, 8), (5, 16), (3, 32), (2, 64), (3, 128),
-                                 (2, 256)]:
+                                 (2, 256), (3, 512)]:
             gen, encoder, books = _encoder_and_books(n_words + n_rows, n_books=n_books,
                                                      n_words=n_words)
             values = gen.normal(size=(n_rows, encoder.d_in)).astype(np.float32)
@@ -762,13 +764,13 @@ class TestSoftCodeword:
 class TestQuantizeDocument:
     def test_single_book(self):
         books = CodebookSet(np.random.default_rng(14).normal(size=(1, 4, 3)))
-        refined = RefinedEmbedding(books.books[0, 1].copy(), sub_dim=3)
+        refined = books.books[0, 1].copy()
         assert quantize_document(refined, books).indices.tolist() == [1]
 
     def test_exact_concatenated_codewords(self):
         books = CodebookSet(np.random.default_rng(15).normal(size=(2, 4, 3)))
         vec = np.concatenate([books.books[0, 3], books.books[1, 1]])
-        code = quantize_document(RefinedEmbedding(vec, 3), books)
+        code = quantize_document(vec, books)
         assert code.indices.tolist() == [3, 1]
 
     def test_matches_brute_force_over_all_combinations(self):
@@ -778,7 +780,7 @@ class TestQuantizeDocument:
         books = CodebookSet(rng.normal(size=(2, 2, 3)))
         for _ in range(20):
             vec = rng.normal(size=6)
-            code = quantize_document(RefinedEmbedding(vec, 3), books)
+            code = quantize_document(vec, books)
             combos = [
                 (a, b, np.concatenate([books.books[0, a], books.books[1, b]]))
                 for a in range(2)
@@ -832,16 +834,20 @@ class TestPacking:
                                       self._planes(idx[:1], n_words))
 
     @pytest.mark.parametrize("n", [1, 4096, 4097, 3 * 4096 + 7])
-    def test_byte_planes_pack_like_packbits(self, n):
+    def test_byte_planes_pack_like_packbits(self, word_planes_of, n):
         gen = np.random.default_rng(n)
+        # at (3, 512) and (5, 4096) an index crosses from one uint16 run to the next
         for n_books, n_words in [(1, 2), (3, 4), (8, 8), (5, 8), (8, 16), (9, 16), (4, 32),
-                                 (7, 64), (6, 128), (3, 256), (2, 65536)]:
+                                 (7, 64), (6, 128), (3, 256), (2, 65536), (3, 512), (5, 4096)]:
             idx = gen.integers(0, n_words, size=(n, n_books))
             for given in (idx, idx.astype(np.uint16)):
                 packed = pack_codes_batch(given, n_words)
                 # row i is code i's bytes in file order, C-contiguous at every n
                 assert packed.flags.c_contiguous
                 assert np.array_equal(packed, self._planes(idx, n_words))
+                assert np.array_equal(unpack_codes_batch(packed, n_books, n_words), idx)
+            assert np.array_equal(pack_planes(idx.astype(np.uint16), n_words),
+                                  word_planes_of(packed))
 
     def test_pack_holds_one_chunk_of_bit_planes(self):
         # 200,000 x 8 codes at K=16: the packed result is 0.8 MB, and one

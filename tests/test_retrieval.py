@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from micpq import dataio, quantizer, retrieval
 from micpq.cli import main
 from micpq.dataio import EmbeddingFile, EmbeddingMatrix, non_finite_at, write_embeddings
-from micpq.encoder import EncoderParams, RefinedEmbedding, forward_batch
+from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     BadMagicError,
     ConfigMismatchError,
@@ -97,19 +97,19 @@ class TestBuildLUT:
     def test_zero_at_matching_codeword(self):
         books = _nonneg_books(0, 2, 4, 3)
         query = np.concatenate([books.books[0, 1], books.books[1, 2]])
-        lut = build_lut(RefinedEmbedding(query, 3), books)
+        lut = build_lut(query, books)
         assert lut.table[0, 1] == 0.0
         assert lut.table[1, 2] == 0.0
 
     def test_hand_squared_distances(self):
         books = CodebookSet(np.array([[[1.0], [2.0]]], dtype=np.float32))
-        lut = build_lut(RefinedEmbedding(np.array([0.0]), 1), books)
+        lut = build_lut(np.array([0.0]), books)
         np.testing.assert_allclose(lut.table[0], [1.0, 4.0])
 
     def test_float32_matches_float64_recompute(self):
         books = _nonneg_books(1, 4, 8, 5)
         query = np.random.default_rng(2).uniform(0.0, 2.0, size=20).astype(np.float32)
-        lut = build_lut(RefinedEmbedding(query, 5), books)
+        lut = build_lut(query, books)
         sub = 5
         for m in range(4):
             seg = query[m * sub:(m + 1) * sub].astype(np.float64)
@@ -122,7 +122,7 @@ class TestADC:
         books = _nonneg_books(3, 3, 4, 2)
         code = QuantCode(np.array([1, 3, 0], dtype=np.uint16), 4)
         query = reconstruct(books, code)
-        lut = build_lut(RefinedEmbedding(query, 2), books)
+        lut = build_lut(query, books)
         assert adc_distance(lut, code) == 0.0
 
     def test_additive_over_segments(self):
@@ -135,7 +135,7 @@ class TestADC:
         for _ in range(50):
             query = rng.uniform(0.0, 2.0, size=books.dim).astype(np.float32)
             code = QuantCode(rng.integers(0, 8, size=4).astype(np.uint16), 8)
-            lut = build_lut(RefinedEmbedding(query, 3), books)
+            lut = build_lut(query, books)
             direct = float(
                 ((query.astype(np.float64) - reconstruct(books, code).astype(np.float64)) ** 2).sum()
             )
@@ -145,9 +145,7 @@ class TestADC:
         rng = np.random.default_rng(5)
         books = _nonneg_books(6, 2, 4, 3)
         codes = rng.integers(0, 4, size=(10, 2)).astype(np.uint16)
-        lut = build_lut(
-            RefinedEmbedding(rng.uniform(0, 1, size=books.dim).astype(np.float32), 3), books
-        )
+        lut = build_lut(rng.uniform(0, 1, size=books.dim).astype(np.float32), books)
         batch = adc_distances(lut, codes)
         for i in range(10):
             assert batch[i] == pytest.approx(adc_distance(lut, QuantCode(codes[i], 4)))
@@ -259,11 +257,11 @@ class TestBuildIndex:
         with pytest.raises(DimMismatchError, match=r"not \(n, 8\)"):
             build_index(model, np.zeros(shape, np.float32))
 
-    def test_doc_ids_default_to_row_numbers(self):
+    def test_doc_ids_default_to_row_numbers(self, word_planes_of):
         books = _nonneg_books(17, 2, 4, 3)
         codes = np.random.default_rng(18).integers(0, 4, size=(6, 2))
         for index in (RetrievalIndex(books, codes),
-                      RetrievalIndex(books, packed=pack_codes_batch(codes, 4))):
+                      RetrievalIndex(books, packed=word_planes_of(pack_codes_batch(codes, 4)))):
             assert index.doc_ids.dtype == np.uint32
             assert index.doc_ids.tolist() == list(range(6))
             assert np.array_equal(index.codes, codes)
@@ -785,28 +783,31 @@ class TestSubIndexCheck:
                 call()
 
     @pytest.mark.parametrize("bad, dtype", [(300, np.uint16), (-1, np.int64), (1.7, np.float64)])
-    def test_packed_values_that_are_not_bytes_are_refused(self, bad, dtype):
+    def test_packed_values_that_are_not_bytes_are_refused(self, word_planes_of, bad, dtype):
         books = _nonneg_books(71, 4, 16, 2)
         packed = pack_codes_batch(np.array([[2, 1, 0, 3], [1, 1, 1, 1]]), 16)
-        planes = RetrievalIndex(books, packed=packed)._planes
+        planes = word_planes_of(packed)
         assert RetrievalIndex(books, packed=planes)._planes is planes  # uint8 is kept as given
-        for given in (packed, packed.astype(np.int64), planes.astype(np.int64)):
+        for given in (planes, planes.astype(np.int64), planes.astype(np.uint16)):
             assert np.array_equal(RetrievalIndex(books, packed=given).packed, packed)
-        wide = packed.astype(dtype)
-        wide[1, 0] = bad  # 300 would be stored as 44, -1 as 255 and 1.7 as 1
+        wide = planes.astype(dtype)
+        wide[2] = bad  # code 1's first byte: 300 would be stored as 44, -1 as 255 and 1.7 as 1
         with pytest.raises(FileFormatError, match=r"\[0, 256\)"):
             RetrievalIndex(books, packed=wide)
+        for given in (packed, planes[None]):  # file order; one row of planes
+            with pytest.raises(DimMismatchError, match="flat word planes"):
+                RetrievalIndex(books, packed=given)
 
     @pytest.mark.parametrize("n_books", [7, 9])
-    def test_packed_payload_with_a_padding_bit_set_is_refused(self, n_books):
+    def test_packed_payload_with_a_padding_bit_set_is_refused(self, word_planes_of, n_books):
         # a set padding bit would rank two documents with the same code at
         # Hamming distances one apart
         books = _nonneg_books(72, n_books, 2, 2)
-        packed = pack_codes_batch(np.zeros((2, n_books), np.uint16), 2)
-        assert RetrievalIndex(books, packed=packed).n_docs == 2
+        planes = word_planes_of(pack_codes_batch(np.zeros((2, n_books), np.uint16), 2))
+        assert RetrievalIndex(books, packed=planes).n_docs == 2
         for bit in range(n_books % 8, 8):
-            flipped = packed.copy()
-            flipped[1, -1] |= 1 << bit
+            flipped = planes.copy()
+            flipped[-1] |= 1 << bit  # code 1's last byte, at either width
             with pytest.raises(FileFormatError, match="padding"):
                 RetrievalIndex(books, packed=flipped)
 
@@ -925,11 +926,27 @@ class TestFastPaths:
                     assert scanned.dtype == np.float32
                     assert np.array_equal(scanned.view(np.uint32), expected)
 
+    @pytest.mark.parametrize(  # uint16 codes, and power-of-two K whose log2 does not divide 8
+        "n_books,n_words", [(8, 12), (3, 12), (5, 100), (16, 3), (5, 8), (3, 32), (3, 512)]
+    )
+    def test_unpacked_scan_is_bit_identical_to_one_gather(self, n_books, n_words):
+        # SCAN_ROWS blocks, the last one row long or 7 rows long
+        for n_docs in (SCAN_ROWS + 1, 3 * SCAN_ROWS + 7):
+            _, index, codes, gen = _random_index(63 + n_books * n_words, n_books, n_words,
+                                                 n_docs=n_docs)
+            lut = build_lut(gen.uniform(0.0, 1.2, size=index.books.dim).astype(np.float32),
+                            index.books)
+            expected = lut.table[np.arange(n_books), codes].sum(axis=1).view(np.uint32)
+            for scanned in (adc_distances(lut, index), adc_distances(lut, codes)):
+                assert scanned.dtype == np.float32
+                assert np.array_equal(scanned.view(np.uint32), expected)
+
     @pytest.mark.parametrize("search,n_books,n_words,n_docs,per_doc", [
         (search_topk_hamming, 16, 2, 100_000, 6),
         (search_topk, 8, 16, 100_000, 12),
         (search_topk, 8, 16, 200_000, 12),
-    ], ids=["hamming", "adc", "adc-200k"])
+        (search_topk, 8, 12, 100_000, 12),
+    ], ids=["hamming", "adc", "adc-200k", "adc-k12"])
     def test_query_allocates_no_wide_per_document_arrays(self, search, n_books, n_words,
                                                          n_docs, per_doc):
         # tracemalloc sees numpy's data buffers; one more int64 array the
