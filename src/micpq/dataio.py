@@ -53,11 +53,10 @@ class EmbeddingMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        if self.values.dtype.kind not in "iuf":
-            raise InvalidSpecError(f"embeddings must be integer or floating, got {self.values.dtype}")
-        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
-        _check_shape(self.values)
+        self.values = checked_real(self.values, (None, None), InvalidSpecError, "embedding",
+                                   np.float32)
+        if not self.values.size:
+            raise InvalidSpecError(f"embedding matrix of shape {self.values.shape} is empty")
         bad = non_finite_at(self.values)
         if bad is not None:
             raise NonFiniteValueError(
@@ -73,19 +72,11 @@ class EmbeddingMatrix:
         return self.values.shape[1]
 
 
-def _check_shape(values: np.ndarray) -> None:
-    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-        raise InvalidSpecError(
-            f"embedding matrix must be 2-D and non-empty, got shape {values.shape}"
-        )
-
-
 def _checked_matrix(values: np.ndarray) -> EmbeddingMatrix:
-    """An :class:`EmbeddingMatrix` of values that the reader has found
-    finite: only their shape is checked."""
+    """An :class:`EmbeddingMatrix` of the non-empty C-contiguous float32
+    rows that the reader has found finite, not checked again."""
     matrix = object.__new__(EmbeddingMatrix)
-    matrix.values = np.ascontiguousarray(values, dtype=np.float32)
-    _check_shape(matrix.values)
+    matrix.values = values
     return matrix
 
 
@@ -96,9 +87,12 @@ class LabelVector:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.uint32)
-        if self.labels.ndim != 1 or self.labels.shape[0] < 1:
-            raise InvalidSpecError("label vector must be 1-D and non-empty")
+        labels = as_array(self.labels, InvalidSpecError, "class ids")
+        if labels.ndim > 1 or not labels.size:
+            raise InvalidSpecError(f"label vector must be 1-D and non-empty, got {labels.shape}")
+        # a value that is no class id raises what a gap in the ids raises
+        self.labels = checked_int(labels, 1 << 32, np.uint32, NonContiguousClassesError,
+                                  "class ids")
         present = np.unique(self.labels)
         if present[0] != 0 or present[-1] != len(present) - 1:
             raise NonContiguousClassesError(
@@ -150,6 +144,51 @@ def non_finite_at(values: np.ndarray) -> tuple[int, int] | None:
     if not len(hit):
         return None
     return int(rows[hit[0]]), int(np.flatnonzero(bad[hit[0]])[0])
+
+
+def as_array(values, error, name: str) -> np.ndarray:
+    """``np.asarray(values)``; a ragged nest of sequences raises ``error``
+    rather than numpy's ``ValueError``."""
+    try:
+        return np.asarray(values)
+    except ValueError as err:
+        raise error(f"{name} is not an array: {err}") from None
+
+
+def checked_real(values, shape: tuple, error, name: str, dtype=None, finite=None) -> np.ndarray:
+    """``values`` as a C-contiguous array, cast to ``dtype`` when given,
+    once they are checked to be integer or floating and of ``shape``
+    (None: any length), else ``error``.  With ``finite``, an error class,
+    a NaN or infinity after the cast raises it, naming the flat position
+    of the first: the whole array's mask is made, so this is for arrays
+    of parameters and queries, not corpora (:func:`non_finite_at`)."""
+    array = as_array(values, error, name)
+    if array.dtype.kind not in "iuf":
+        raise error(f"{name} must be integer or floating, got {array.dtype}")
+    if array.shape != shape and (array.ndim != len(shape) or any(  # exact shapes skip the loop
+            n not in (None, m) for n, m in zip(shape, array.shape))):
+        raise error(f"{name} has shape {array.shape}, expected {shape} (None: any length)")
+    array = np.ascontiguousarray(array, dtype=dtype)
+    if finite is not None and not np.isfinite(array).all():
+        at = np.flatnonzero(~np.isfinite(array))[0]
+        raise finite(f"non-finite {name} value at flat position {at}")
+    return array
+
+
+def checked_int(values, stop: int, dtype, error, name: str) -> np.ndarray:
+    """``values`` as a C-contiguous array cast to ``dtype`` (kept when
+    None), once they are checked to be integers in [0, stop), else
+    ``error``: before the cast, so none wraps or is truncated into range.
+    An empty array passes.  The maximum is read only when the dtype can
+    hold ``stop`` (so uint8 for 256 is not read), the minimum only when
+    it is signed."""
+    array = as_array(values, error, name)
+    kind = array.dtype.kind
+    top = 1 << 8 * array.dtype.itemsize - (kind == "i")  # the dtype's values lie below it
+    if array.size and (kind not in "iu" or top > stop and array.max() >= stop
+                       or kind == "i" and array.min() < 0):
+        raise error(f"{name} must be non-negative integers in [0, {stop}), got {array.dtype}")
+    return np.ascontiguousarray(array, dtype=dtype)
 
 
 def check_file_size(f, declared: int) -> None:
@@ -249,13 +288,11 @@ def _check_finite(values: np.ndarray, rows) -> None:
 
 
 def _check_rows(rows, n_docs: int) -> np.ndarray:
-    rows = np.asarray(rows)
+    rows = as_array(rows, InvalidSpecError, "rows")
     if rows.ndim != 1 or rows.dtype.kind not in "iu":
         raise InvalidSpecError(f"rows must be a vector of row numbers, got {rows.dtype} "
                                f"of shape {rows.shape}")
-    if np.any(rows < 0) or np.any(rows >= n_docs):
-        raise IndexOutOfRangeError(f"embedding rows must lie in [0, {n_docs})")
-    return rows
+    return checked_int(rows, n_docs, None, IndexOutOfRangeError, "embedding rows")
 
 
 def _read_rows(f, rows: np.ndarray, out: np.ndarray) -> None:
@@ -327,14 +364,15 @@ def read_embeddings(path, rows=None, out: np.ndarray | None = None) -> Embedding
             _check_finite(values, range(n_docs))
             return _checked_matrix(values)
         rows = _check_rows(rows, n_docs)
+        if not len(rows):
+            raise InvalidSpecError("an embedding matrix needs at least one row")
         if out is None:
             out = np.empty((len(rows), dim), dtype=np.float32)
         elif out.shape != (len(rows), dim) or out.dtype != np.float32 or not out.flags.c_contiguous:
             raise InvalidSpecError(f"out must be a C-contiguous ({len(rows)}, {dim}) float32 array")
-        if len(rows):
-            _read_rows(f, rows, out)
+        _read_rows(f, rows, out)
     _check_finite(out, rows)
-    return _checked_matrix(out)  # which rejects an empty matrix
+    return _checked_matrix(out)
 
 
 class EmbeddingFile:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .dataio import as_array, checked_real
 from .errors import DimMismatchError, InvalidConfigError, NonFiniteInputError
 
 
@@ -24,19 +25,13 @@ class EncoderParams:
     bias: np.ndarray    # (d_out,)
 
     def __post_init__(self) -> None:
-        self.weight = np.ascontiguousarray(self.weight)
-        self.bias = np.ascontiguousarray(self.bias)
-        for name, array in (("weight", self.weight), ("bias", self.bias)):
-            if array.dtype.kind not in "iuf":
-                raise InvalidConfigError(f"{name} must be integer or floating, got {array.dtype}")
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise InvalidConfigError("weight must be 2-D and bias 1-D")
-        if self.bias.shape[0] != self.weight.shape[0]:
-            raise DimMismatchError(
-                f"bias length {self.bias.shape[0]} != weight rows {self.weight.shape[0]}"
-            )
-        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
-            raise NonFiniteInputError("encoder parameters must be finite")
+        self.weight = checked_real(self.weight, (None, None), InvalidConfigError, "weight")
+        bias = np.atleast_1d(as_array(self.bias, InvalidConfigError, "bias"))  # a scalar: one row's
+        self.bias = checked_real(bias, (None,), InvalidConfigError, "bias")
+        if len(self.bias) != len(self.weight):
+            raise DimMismatchError(f"{len(self.bias)} biases for {len(self.weight)} weight rows")
+        for name, array in (("weight", self.weight), ("bias", self.bias)):  # shapes first
+            checked_real(array, array.shape, InvalidConfigError, name, finite=NonFiniteInputError)
 
     @property
     def d_in(self) -> int:
@@ -59,11 +54,8 @@ class DropoutConfig:
 
 def forward(params: EncoderParams, z: np.ndarray) -> np.ndarray:
     """Refine one embedding: the (d_out,) vector ``max(0, W z + b)``."""
-    z = np.asarray(z)
-    if z.ndim != 1 or z.shape[0] != params.d_in:
-        raise DimMismatchError(f"expected input of length {params.d_in}, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteInputError("encoder input must be finite")
+    z = checked_real(z, (params.d_in,), DimMismatchError, "encoder input",
+                     finite=NonFiniteInputError)
     return forward_batch(params, z[None])[0]
 
 

@@ -23,10 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .dataio import READ_BYTES, EmbeddingFile, non_finite_at
+from .dataio import READ_BYTES, EmbeddingFile, checked_int, checked_real, non_finite_at
 from .encoder import EncoderParams, forward_batch
 from .errors import (
+    ConfigMismatchError,
     DimMismatchError,
+    FileFormatError,
     IndexOutOfRangeError,
     InvalidConfigError,
     KNotPowerOfTwoError,
@@ -50,15 +52,13 @@ class CodebookSet:
     books: np.ndarray  # (M, K, sub_dim)
 
     def __post_init__(self) -> None:
-        self.books = np.ascontiguousarray(self.books)
-        if self.books.dtype.kind not in "iuf":
-            raise InvalidConfigError(f"books must be integer or floating, got {self.books.dtype}")
-        if self.books.ndim != 3 or self.books.shape[0] < 1:
+        books = checked_real(self.books, (None, None, None), InvalidConfigError, "books")
+        if books.shape[0] < 1:
             raise InvalidConfigError("books must have shape (M, K, sub_dim) with M >= 1")
-        if not 2 <= self.books.shape[1] <= MAX_CODEWORDS:
+        if not 2 <= books.shape[1] <= MAX_CODEWORDS:
             raise InvalidConfigError(f"each codebook needs 2 to {MAX_CODEWORDS} codewords")
-        if not np.all(np.isfinite(self.books)):
-            raise NonFiniteInputError("codebook entries must be finite")
+        self.books = checked_real(books, books.shape, InvalidConfigError, "books",  # shape first
+                                  finite=NonFiniteInputError)
 
     @property
     def n_codebooks(self) -> int:
@@ -99,13 +99,11 @@ class QuantCode:
 
 def checked_codes(indices, n_codewords: int) -> np.ndarray:
     """Sub-indices as contiguous uint16, once every one is checked to be
-    an integer in [0, K) (else :class:`IndexOutOfRangeError`).  The check
-    comes before the cast, so no index wraps or is truncated into range."""
-    indices = np.asarray(indices)
-    if indices.size and (indices.dtype.kind not in "iu" or indices.max() >= n_codewords
-                         or indices.dtype.kind == "i" and indices.min() < 0):
-        raise IndexOutOfRangeError(f"code indices must be integers in [0, {n_codewords})")
-    return np.ascontiguousarray(indices, dtype=np.uint16)
+    an integer in [0, K), and below ``MAX_CODEWORDS`` for a larger K
+    (else :class:`IndexOutOfRangeError`), by
+    :func:`~micpq.dataio.checked_int`, before the cast."""
+    stop = min(n_codewords, MAX_CODEWORDS)
+    return checked_int(indices, stop, np.uint16, IndexOutOfRangeError, "code indices")
 
 
 def is_pow2(n_codewords: int) -> bool:
@@ -140,15 +138,13 @@ def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 def assign_probs(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
     """Assignment distribution of one segment over a (K, sub_dim) book:
     p_k proportional to exp(-||segment - c_k||^2), with max-subtraction
-    in the dtype of the inputs.  The reference for the batched step."""
-    segment = np.asarray(segment)
-    book = np.asarray(book)
-    if segment.ndim != 1 or book.ndim != 2 or book.shape[1] != segment.shape[0]:
-        raise DimMismatchError(
-            f"segment shape {segment.shape} does not match book shape {book.shape}"
-        )
-    if not (np.all(np.isfinite(segment)) and np.all(np.isfinite(book))):
-        raise NonFiniteInputError("segment and codebook must be finite")
+    in the dtype of the inputs, floating when both are integer.  The
+    reference for the batched step."""
+    segment = checked_real(segment, (None,), DimMismatchError, "segment")
+    book = checked_real(book, (None, len(segment)), DimMismatchError, "book",
+                        finite=NonFiniteInputError)
+    checked_real(segment, segment.shape, DimMismatchError, "segment", finite=NonFiniteInputError)
+    book = book.astype(np.result_type(book, 1.0), copy=False)
     return stable_softmax(-diff_distances(segment, book))
 
 
@@ -443,32 +439,32 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
 
 def quantize_document(refined: np.ndarray, books: CodebookSet) -> QuantCode:
     """Hard-assign every segment of a refined vector."""
-    values = np.asarray(refined)
-    if values.shape != (books.dim,):
-        raise DimMismatchError(f"refined vector shape {values.shape} != codebooks' ({books.dim},)")
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteInputError("refined vector must be finite")
+    values = checked_real(refined, (books.dim,), DimMismatchError, "refined vector",
+                          finite=NonFiniteInputError)
     return QuantCode(hard_assign_books(values[None], books.books)[0], books.n_codewords)
 
 
 def reconstruct(books: CodebookSet, code: QuantCode) -> np.ndarray:
-    """Concatenate the codewords named by a code."""
+    """Concatenate the codewords named by a code; a code built for
+    another K raises :class:`ConfigMismatchError`."""
     if code.n_codebooks != books.n_codebooks:
-        raise DimMismatchError(
-            f"code has {code.n_codebooks} indices, books have {books.n_codebooks}"
-        )
+        raise DimMismatchError(f"{code.n_codebooks} indices for books of M={books.n_codebooks}")
+    if code.n_codewords != books.n_codewords:
+        raise ConfigMismatchError(f"code for K={code.n_codewords}, books of K={books.n_codewords}")
     return books.books[np.arange(books.n_codebooks), code.indices].reshape(-1)
 
 
 def pack_codes(indices: np.ndarray, n_codewords: int) -> bytes:
     """Pack one code's indices into ceil(M*log2(K)/8) bytes."""
-    return pack_codes_batch(np.asarray(indices)[None, :], n_codewords)[0].tobytes()
+    return pack_codes_batch([indices], n_codewords)[0].tobytes()
 
 
 def unpack_codes(data: bytes, n_codebooks: int, n_codewords: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes`."""
-    payload = np.frombuffer(data, dtype=np.uint8)[None, :]
-    return unpack_codes_batch(payload, n_codebooks, n_codewords)[0]
+    """Inverse of :func:`pack_codes`, of its bytes or of an array of
+    their values, checked by :func:`unpack_codes_batch`."""
+    buffer = isinstance(data, (bytes, bytearray, memoryview))
+    payload = np.frombuffer(data, dtype=np.uint8) if buffer else data
+    return unpack_codes_batch([payload], n_codebooks, n_codewords)[0]
 
 
 def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
@@ -476,8 +472,8 @@ def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
     checked by :func:`checked_codes`, into a C-contiguous (n,
     bytes_per_code) uint8 array: row i is code i's bytes in file order."""
     indices = checked_codes(indices, n_codewords)
-    if indices.ndim != 2:
-        raise DimMismatchError(f"need an (n, M) index matrix, got shape {indices.shape}")
+    if indices.ndim != 2 or not indices.shape[1]:
+        raise DimMismatchError(f"need an (n, M) index matrix, M >= 1, got shape {indices.shape}")
     rows = np.zeros((len(indices), packed_code_nbytes(indices.shape[1], n_codewords)), np.uint8)
     _pack_runs(code_runs(rows), indices.T, n_codewords)
     return rows
@@ -559,8 +555,13 @@ def unpack_runs(runs, n_codebooks: int, n_codewords: int) -> np.ndarray:
 
 def unpack_codes_batch(payload: np.ndarray, n_codebooks: int, n_codewords: int) -> np.ndarray:
     """Inverse of :func:`pack_codes_batch`; returns a row-major (n, M)
-    uint16 matrix."""
-    rows = np.ascontiguousarray(payload, dtype=np.uint8)
+    uint16 matrix.  A payload that is not (n, bytes_per_code) raises
+    :class:`DimMismatchError`, and values that are not integers in [0,
+    256) :class:`~micpq.errors.FileFormatError`."""
+    rows = checked_int(payload, 256, np.uint8, FileFormatError, "packed codes")
+    width = packed_code_nbytes(n_codebooks, n_codewords)
+    if rows.ndim != 2 or not 0 < width == rows.shape[1]:
+        raise DimMismatchError(f"packed codes of shape {rows.shape} are not (n, {width}) bytes")
     return unpack_runs(code_runs(rows), n_codebooks, n_codewords)
 
 

@@ -23,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import EmbeddingFile, EmbeddingMatrix, atomic_write, check_file_size, read_header
+from .dataio import (
+    EmbeddingFile,
+    EmbeddingMatrix,
+    as_array,
+    atomic_write,
+    check_file_size,
+    checked_int,
+    checked_real,
+    read_header,
+)
 from .encoder import forward_batch
 from .errors import (
     ConfigMismatchError,
@@ -104,24 +113,18 @@ class RetrievalIndex:
                 shape = (len(codes), packed_code_nbytes(n_books, n_words))
             else:
                 self._codes = codes
-        else:  # checked before the cast, so no value wraps into a byte
-            packed = np.asarray(packed)
+        else:
+            packed = as_array(packed, DimMismatchError, "packed codes")
             if packed.ndim != 1:
                 raise DimMismatchError(f"packed codes must be flat word planes, got shape "
                                        f"{packed.shape}")
-            if packed.dtype != np.uint8 and packed.size and (
-                    packed.dtype.kind not in "iu" or packed.min() < 0 or packed.max() > 0xFF):
-                raise FileFormatError("packed codes must be integers in [0, 256)")
+            self._planes = checked_int(packed, 256, np.uint8, FileFormatError, "packed codes")
             width = packed_code_nbytes(n_books, n_words)
-            shape = (packed.size // width, width)
-            self._planes = np.ascontiguousarray(packed, dtype=np.uint8)
-        ids = np.arange(shape[0], dtype=np.uint32) if doc_ids is None else np.asarray(doc_ids)
-        if ids.dtype != np.uint32:
-            if ids.size and (ids.dtype.kind not in "iu" or ids.dtype.kind == "i" and ids.min() < 0):
-                raise InvalidSpecError(f"doc ids must be non-negative integers, got {ids.dtype}")
-            wide = ids.size and ids.max() >= 1 << 32
-            ids = ids.astype(np.uint64 if wide else np.uint32, copy=False)
-        self.doc_ids = np.ascontiguousarray(ids)
+            shape = (self._planes.size // width, width)
+        ids = (np.arange(shape[0], dtype=np.uint32) if doc_ids is None else
+               checked_int(doc_ids, 1 << 64, None, InvalidSpecError, "doc ids"))
+        wide = ids.dtype != np.uint32 and ids.size and ids.max() >= 1 << 32
+        self.doc_ids = ids.astype(np.uint64 if wide else np.uint32, copy=False)
         width = n_books if self._planes is None else packed_code_nbytes(n_books, n_words)
         held = self._codes if self._planes is None else self._planes
         if shape != (*self.doc_ids.shape, width) or held.size != self.n_docs * width:
@@ -173,9 +176,7 @@ class DistanceLUT:
     table: np.ndarray  # (M, K) float32
 
     def __post_init__(self) -> None:
-        self.table = np.ascontiguousarray(self.table)
-        if self.table.ndim != 2:
-            raise DimMismatchError("distance table must be 2-D")
+        self.table = checked_real(self.table, (None, None), DimMismatchError, "distance table")
 
 
 def build_index(
@@ -204,11 +205,7 @@ def build_index(
 def build_lut(query_refined: np.ndarray, books: CodebookSet) -> DistanceLUT:
     """Squared distances from every segment of a refined query vector to
     every codeword."""
-    values = np.asarray(query_refined)
-    if values.shape[0] != books.dim:
-        raise DimMismatchError(
-            f"refined query length {values.shape[0]} != codebooks' width {books.dim}"
-        )
+    values = checked_real(query_refined, (books.dim,), DimMismatchError, "refined query")
     segments = values.reshape(books.n_codebooks, books.sub_dim)
     return DistanceLUT(diff_distances(segments, books.books).astype(np.float32))
 
@@ -291,11 +288,12 @@ def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
 
 
 def adc_distance(lut: DistanceLUT, code: QuantCode) -> float:
-    """Asymmetric distance: sum of the M table entries named by the code."""
+    """Asymmetric distance: sum of the M table entries named by the code;
+    a code built for another K raises :class:`ConfigMismatchError`."""
     if code.n_codebooks != lut.table.shape[0]:
-        raise DimMismatchError(
-            f"code has {code.n_codebooks} indices, table has {lut.table.shape[0]} rows"
-        )
+        raise DimMismatchError(f"{code.n_codebooks} indices for a table of {len(lut.table)} rows")
+    if code.n_codewords != lut.table.shape[1]:
+        raise ConfigMismatchError(f"code for K={code.n_codewords}, table of K={lut.table.shape[1]}")
     return float(adc_distances(lut, code.indices[None, :])[0])
 
 
@@ -331,13 +329,8 @@ def _refine_query(index: RetrievalIndex, model: ModelState, query_embedding, k: 
         raise InvalidConfigError("k must be >= 1")
     if index.n_docs == 0:
         raise EmptyIndexError("cannot search an empty index")
-    query = np.asarray(query_embedding)
-    if query.ndim != 1 or query.shape[0] != model.encoder.d_in:
-        raise DimMismatchError(
-            f"query length {query.shape} != encoder input width {model.encoder.d_in}"
-        )
-    if not np.isfinite(query).all():
-        raise NonFiniteInputError("query must be finite")
+    query = checked_real(query_embedding, (model.encoder.d_in,), DimMismatchError, "query",
+                         finite=NonFiniteInputError)
     return forward_batch(model.encoder, query[None, :])[0]
 
 

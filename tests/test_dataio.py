@@ -107,6 +107,25 @@ class TestEmbeddingMatrix:
             EmbeddingMatrix(np.ones((2, 3)).astype(dtype))
 
 
+class TestLabelVector:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.uint64])
+    def test_integer_labels_are_kept_as_uint32(self, dtype):
+        labels = LabelVector(np.array([2, 0, 1, 0], dtype))
+        assert labels.labels.dtype == np.uint32 and labels.labels.tolist() == [2, 0, 1, 0]
+
+    # 1.7 was kept as 1, 1j dropped with a ComplexWarning, "a" raised a bare
+    # ValueError, and 2^32 was kept as 0; -1 wrapped to 2^32 - 1
+    @pytest.mark.parametrize("labels", [[0, 1.7], [0, 1 + 1j], ["a"], [1, 0, 1 << 32], [0, -1]])
+    def test_labels_that_are_not_class_ids_are_refused(self, labels):
+        with pytest.raises(NonContiguousClassesError, match=r"integers in \[0, 4294967296\)"):
+            LabelVector(np.array(labels))
+
+    @pytest.mark.parametrize("labels", [np.zeros((2, 2), int), np.zeros(0, int)])
+    def test_labels_that_are_not_a_non_empty_vector_are_refused(self, labels):
+        with pytest.raises(InvalidSpecError, match="1-D and non-empty"):
+            LabelVector(labels)
+
+
 class TestNonFiniteAt:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_first_bad_value_is_the_whole_mask_first(self, dtype):

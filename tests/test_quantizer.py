@@ -14,6 +14,7 @@ from micpq.dataio import EmbeddingFile, EmbeddingMatrix, write_embeddings
 from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     DimMismatchError,
+    FileFormatError,
     IndexOutOfRangeError,
     InvalidConfigError,
     KNotPowerOfTwoError,
@@ -811,6 +812,45 @@ class TestCodebookSet:
         # no code byte to pack, scan or count
         with pytest.raises(InvalidConfigError, match="M >= 1"):
             CodebookSet(np.ones((0, 16, 3), np.float32))
+
+
+def test_assign_probs_of_integer_inputs_equals_their_float64_values():
+    # exp into the integer differences raised a bare UFuncTypeError
+    segment, book = np.array([1, 3]), np.array([[0, 0], [1, 2], [4, 4]])
+    assert np.array_equal(assign_probs(segment, book),
+                          assign_probs(segment.astype(float), book.astype(float)))
+
+
+class TestUnpackCheck:
+    """unpack_codes and unpack_codes_batch take exactly
+    packed_code_nbytes(M, K) bytes per code, each an integer in [0, 256)."""
+
+    # one byte raised a bare IndexError; the fifth of five was ignored
+    @pytest.mark.parametrize("payload", [b"\x01", b"\x01" * 5])
+    def test_a_code_of_another_width_is_refused(self, payload):
+        with pytest.raises(DimMismatchError, match=r"not \(n, 4\) bytes"):
+            unpack_codes(payload, 8, 16)
+
+    def test_a_value_that_is_not_a_byte_is_refused(self):
+        # 300 was read as 44, giving [[12, 2]]
+        with pytest.raises(FileFormatError, match=r"\[0, 256\)"):
+            unpack_codes_batch(np.full((1, 1), 300), 2, 16)
+
+    def test_a_flat_payload_is_refused(self):
+        # a bare TypeError
+        with pytest.raises(DimMismatchError):
+            unpack_codes_batch(np.zeros(3, np.uint8), 2, 16)
+
+    def test_a_str_payload_is_refused(self):
+        # a bare ValueError
+        with pytest.raises(FileFormatError):
+            unpack_codes_batch(np.array([["a"]]), 2, 16)
+
+    def test_bytes_and_their_values_unpack_alike(self):
+        code = pack_codes(np.array([3, 0, 15, 7]), 16)
+        assert unpack_codes(code, 4, 16).tolist() == [3, 0, 15, 7]
+        values = np.frombuffer(code, np.uint8).astype(np.int64)
+        assert unpack_codes(values, 4, 16).tolist() == [3, 0, 15, 7]
 
 
 class TestPacking:

@@ -768,6 +768,27 @@ class TestPaddingBits:
                     load_index(tmp_path / "bad.idx")
 
 
+class TestArrayArgumentCheck:
+    def test_single_code_functions_refuse_a_code_built_for_another_k(self):
+        # reconstruct raised a bare IndexError; adc_distance returned 2.0
+        with pytest.raises(ConfigMismatchError):
+            reconstruct(CodebookSet(np.ones((2, 4, 1))), QuantCode([0, 15], 16))
+        with pytest.raises(ConfigMismatchError):
+            adc_distance(DistanceLUT(np.ones((2, 3))), QuantCode([0, 1], 4))
+
+    # a 2-D query raised a bare ValueError, a str one a bare UFuncTypeError,
+    # and a complex one lost its imaginary part
+    @pytest.mark.parametrize("query", [np.zeros((4, 2)), np.array(list("abcd")),
+                                       np.array([1j, 0, 0, 0])])
+    def test_build_lut_refuses_a_query_that_is_not_a_real_vector(self, query):
+        with pytest.raises(DimMismatchError):
+            build_lut(query, _nonneg_books(0, 2, 4, 2))
+
+    def test_distance_lut_refuses_a_str_table(self):
+        with pytest.raises(DimMismatchError, match="integer or floating"):
+            DistanceLUT(np.array([["a", "b"]]))
+
+
 class TestSubIndexCheck:
     """Every entry point that takes sub-indices checks them before the
     uint16 cast, so none wraps or is truncated into [0, K)."""
@@ -780,6 +801,13 @@ class TestSubIndexCheck:
         for call in (lambda: QuantCode(codes[1], 16), lambda: RetrievalIndex(books, codes),
                      lambda: adc_distances(lut, codes), lambda: pack_codes_batch(codes, 16)):
             with pytest.raises(IndexOutOfRangeError):
+                call()
+
+    def test_an_index_past_uint16_is_refused_at_any_k(self):
+        # 70,000 was stored as 4,464 when K exceeded 2^16
+        for call in (lambda: QuantCode([70_000], 1 << 17),
+                     lambda: pack_codes_batch([[70_000]], 1 << 17)):
+            with pytest.raises(IndexOutOfRangeError, match=r"\[0, 65536\)"):
                 call()
 
     @pytest.mark.parametrize("bad, dtype", [(300, np.uint16), (-1, np.int64), (1.7, np.float64)])
