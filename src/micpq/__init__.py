@@ -19,14 +19,11 @@ _EXPORTS = {
     ),
     "encoder": "DropoutConfig EncoderParams dropout_view forward forward_batch",
     "evaluation": (
-        "CodewordQualityReport EvalReport assignment_probabilities evaluate_codeword_quality "
-        "hungarian_accuracy kmeans precision_at_k retrieval_eval split_indices"
+        "CodewordQualityReport EvalReport evaluate_codeword_quality hungarian_accuracy kmeans "
+        "precision_at_k retrieval_eval split_indices"
     ),
-    "objectives": (
-        "BatchViews LossConfig MIStats contrastive_loss expected_loss_oracle "
-        "loss_and_gradients loss_values mi_term total_loss"
-    ),
-    "quantizer": "CodebookSet QuantCode assign_probs pack_codes quantize_document unpack_codes",
+    "objectives": "LossConfig loss_and_gradients loss_values",
+    "quantizer": "CodebookSet QuantCode pack_codes quantize_document unpack_codes",
     "retrieval": (
         "DistanceLUT RetrievalIndex adc_distance build_index build_lut hamming_distance "
         "load_index save_index search_topk search_topk_hamming"

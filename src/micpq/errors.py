@@ -72,14 +72,6 @@ class IndexOutOfRangeError(MicpqError):
     """A codeword index is outside [0, K), or a requested row outside a file's rows."""
 
 
-class RowNotNormalizedError(MicpqError):
-    """A probability row does not sum to one."""
-
-
-class TooLargeToEnumerateError(MicpqError):
-    """Exact expectation requested for an instance too large to enumerate."""
-
-
 class ZeroNormError(MicpqError):
     """Cosine similarity is undefined for (near-)zero vectors."""
 

@@ -29,7 +29,7 @@ from .errors import (
     TooFewPointsError,
     UnknownDocIdError,
 )
-from .quantizer import hard_assign_books, squared_distances_books, stable_softmax
+from .quantizer import hard_assign_books, squared_distances_books
 from .retrieval import build_index, search_topk, search_topk_hamming
 from .trainer import ModelState
 
@@ -156,18 +156,6 @@ def kmeans(
             break
         assignments = new_assignments
     return centers, assignments
-
-
-def assignment_probabilities(model: ModelState, values: np.ndarray) -> list[np.ndarray]:
-    """Noise-free assignment probability rows per codebook over a corpus.
-
-    Row x of list entry m is the distribution of document x's segment m
-    over that book's codewords; feeding these rows to
-    :func:`micpq.objectives.mi_term` gives corpus-level usage statistics.
-    """
-    refined = forward_batch(model.encoder, np.asarray(values)).astype(np.float64)
-    d2 = squared_distances_books(refined, model.books.books.astype(np.float64))
-    return list(stable_softmax(-d2))
 
 
 @dataclass

@@ -34,28 +34,11 @@ which a loop keeps from step to step.  The contrastive softmax drops
 each row's own and partner columns by setting them to ``-inf`` before
 its max and exp, which gives the bits of a masked max and exp.
 
-The step runs in three phases of row pieces on the CPUs that BLAS
-leaves idle (:func:`~micpq.quantizer.split_rows`), each over the 2B
-rows: A, the forward to the unit rows and the MI term's entropy terms;
-B, the logits ``N N^T`` and their masked softmax, which becomes ``G`` in
-place; C, the backward from ``(G + G^T) N`` to the segments' gradient.
-A piece writes only its own rows, and reads other rows only of arrays
-that an earlier phase wrote.  Only reductions over rows run as whole
-calls, after their phase: the marginal and the conditional entropy, the
-sum of the log ratios and the codewords' gradient; the weight gradient
-``G^T X`` runs in pieces by output row.  Every piece holds at least
-``quantizer.PIECE_ROWS`` rows: OpenBLAS rounds a few rows with other
-kernels, but pieces that large round every row as the single call does
-(tests check each batch size up to 256), so the bits do not depend on
-the split.  numpy takes ``N N^T`` with syrk, whose bits equal gemm row
-pieces only at row counts that are a multiple of ``SYRK_PIECE_ALIGN``;
-at other counts phase B is one call.  Under default threading each
-phase is one call on the calling thread.
-
-:func:`expected_loss_oracle` enumerates every joint hard-assignment
-outcome to compute the exact expected contrastive loss that the
-Gumbel-softmax estimator approximates; the Monte-Carlo samplers draw
-hard or soft estimates of the same quantity for convergence tests.
+The step's three phases run in row pieces on the CPUs that BLAS leaves
+idle (:func:`~micpq.quantizer.split_rows`; README "Training" gives the
+phases and the piece sizes).  A row's bits do not depend on the split.
+Under default threading the step starts no thread; a split step without
+a ``pool`` starts its own, and every one has ended when it returns.
 """
 from __future__ import annotations
 
@@ -70,8 +53,6 @@ from .errors import (
     DimMismatchError,
     InvalidConfigError,
     NonPositiveTemperatureError,
-    RowNotNormalizedError,
-    TooLargeToEnumerateError,
     ZeroNormError,
 )
 from .quantizer import (
@@ -110,37 +91,6 @@ class LossConfig:
             raise InvalidConfigError("alpha and mi_weight must be >= 0")
         if not 0.0 <= self.p_drop < 1.0:
             raise InvalidConfigError(f"p_drop must be in [0, 1), got {self.p_drop}")
-
-
-@dataclass
-class BatchViews:
-    """Two views of a batch: concatenated soft codeword mixtures per doc."""
-
-    view1: np.ndarray  # (B, D)
-    view2: np.ndarray  # (B, D)
-
-    def __post_init__(self) -> None:
-        self.view1 = np.asarray(self.view1)
-        self.view2 = np.asarray(self.view2)
-        if self.view1.shape != self.view2.shape or self.view1.ndim != 2:
-            raise DimMismatchError(
-                f"views must be equal-shaped 2-D arrays, got "
-                f"{self.view1.shape} and {self.view2.shape}"
-            )
-
-    @property
-    def batch_size(self) -> int:
-        return self.view1.shape[0]
-
-
-@dataclass
-class MIStats:
-    """Entropy decomposition of one codebook's assignment probabilities."""
-
-    marginal: np.ndarray
-    h_marginal: float
-    h_conditional: float
-    mi: float
 
 
 @dataclass
@@ -201,148 +151,6 @@ def _softmax_rows(normed, tau_cl: float, logits, log_ratio, start: int, stop: in
     weights[:, rows, pos_col] = e_pos
     weights /= denom[:, :, None]
 
-
-def _contrastive_losses(h_all: np.ndarray, tau_cl: float) -> np.ndarray:
-    """(T,) cosine contrastive losses of a (T, 2B, D) stack of instances,
-    first-view rows then second-view rows."""
-    if not tau_cl > 0:
-        raise NonPositiveTemperatureError(f"tau_cl must be > 0, got {tau_cl}")
-    h_all = np.asarray(h_all, dtype=np.float64)
-    n_rows = h_all.shape[1]
-    normed, logits = np.empty(h_all.shape), np.empty(h_all.shape[:2] + (n_rows,))
-    norm, log_ratio = np.empty(h_all.shape[:2] + (1,)), np.empty(h_all.shape[:2])
-    _unit_rows(h_all, normed, norm)
-    _softmax_rows(normed, tau_cl, logits, log_ratio, 0, n_rows)
-    return log_ratio.sum(axis=1) * (-1.0 / (n_rows // 2))
-
-
-def contrastive_loss(views: BatchViews, tau_cl: float) -> float:
-    """Two-view contrastive loss over a batch of codeword mixtures."""
-    stacked = np.concatenate([views.view1, views.view2], axis=0)[None]
-    return float(_contrastive_losses(stacked, tau_cl)[0])
-
-
-def mi_term(probs_batch: np.ndarray, alpha: float) -> MIStats:
-    """Entropy decomposition of a batch of assignment probability rows.
-
-    marginal = row mean; mi = H(marginal) - alpha * mean row entropy,
-    with 0*log(0) taken as 0.
-    """
-    probs = np.asarray(probs_batch, dtype=np.float64)
-    if probs.ndim != 2:
-        raise DimMismatchError("probs batch must be 2-D")
-    row_sums = probs.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6) or np.any(probs < 0):
-        raise RowNotNormalizedError("every probability row must be >= 0 and sum to 1")
-    marginal = probs.mean(axis=0)
-    h_marginal = float(-(marginal * np.log(np.maximum(marginal, ENTROPY_LOG_EPS))).sum())
-    h_conditional = float(
-        -(probs * np.log(np.maximum(probs, ENTROPY_LOG_EPS))).sum() / probs.shape[0]
-    )
-    return MIStats(
-        marginal=marginal,
-        h_marginal=h_marginal,
-        h_conditional=h_conditional,
-        mi=h_marginal - alpha * h_conditional,
-    )
-
-
-def total_loss(views: BatchViews, probs_per_book: list[np.ndarray], cfg: LossConfig) -> float:
-    """Contrastive loss minus mi_weight times the summed per-book MI."""
-    mi_sum = sum(mi_term(p, cfg.alpha).mi for p in probs_per_book)
-    return contrastive_loss(views, cfg.tau_cl) - cfg.mi_weight * mi_sum
-
-
-# --- exact expectation oracle and Monte-Carlo samplers -------------------
-
-def _slot_sqdists(refined1: np.ndarray, refined2: np.ndarray, books: CodebookSet) -> np.ndarray:
-    """Squared distances per (view, doc, book, codeword): (2,B,M,K)."""
-    views = np.concatenate(
-        [np.asarray(refined1, dtype=np.float64), np.asarray(refined2, dtype=np.float64)]
-    )
-    d2 = squared_distances_books(views, books.books.astype(np.float64))
-    return d2.reshape(books.n_codebooks, 2, -1, books.n_codewords).transpose(1, 2, 0, 3)
-
-
-def _stack_hard_codes(codes: np.ndarray, books: CodebookSet) -> np.ndarray:
-    """Codeword concatenations for (T,2,B,M) index draws: (T, 2B, D)."""
-    h = books.books.astype(np.float64)[np.arange(books.n_codebooks), codes]
-    return h.reshape(codes.shape[0], -1, books.dim)
-
-
-def expected_loss_oracle(
-    refined1: np.ndarray,
-    refined2: np.ndarray,
-    books: CodebookSet,
-    tau_cl: float,
-    max_outcomes: int = 250_000,
-) -> float:
-    """Exact expected contrastive loss under stochastic hard assignment.
-
-    Enumerates every joint codeword outcome over all documents, views and
-    codebooks, weighting each by the product of its per-slot assignment
-    probabilities.  Only feasible for tiny instances; raises
-    :class:`TooLargeToEnumerateError` beyond ``max_outcomes`` joint states.
-    """
-    probs = stable_softmax(-_slot_sqdists(refined1, refined2, books))  # (2, B, M, K)
-    batch = probs.shape[1]
-    n_books = books.n_codebooks
-    n_words = books.n_codewords
-    n_slots = 2 * batch * n_books
-    n_outcomes = n_words**n_slots
-    if n_outcomes > max_outcomes:
-        raise TooLargeToEnumerateError(
-            f"{n_outcomes} joint outcomes exceed the cap of {max_outcomes}"
-        )
-    radix = n_words ** np.arange(n_slots - 1, -1, -1, dtype=np.int64)
-    codes = (np.arange(n_outcomes, dtype=np.int64)[:, None] // radix) % n_words
-    weights = probs.reshape(n_slots, n_words)[np.arange(n_slots), codes].prod(axis=1)
-    codes = codes.reshape(n_outcomes, 2, batch, n_books)
-    losses = _contrastive_losses(_stack_hard_codes(codes, books), tau_cl)
-    return float(weights @ losses)
-
-
-def sample_hard_losses(
-    refined1: np.ndarray,
-    refined2: np.ndarray,
-    books: CodebookSet,
-    tau_cl: float,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Contrastive losses of hard Gumbel-argmax assignment draws.
-
-    Each draw picks ``argmax_k(-d^2_k + gumbel_k)`` per slot, which
-    samples the assignment distribution exactly, so the mean converges
-    to :func:`expected_loss_oracle`.
-    """
-    d2 = _slot_sqdists(refined1, refined2, books)
-    noise = gumbel_from_uniform(rng.spawn(seed).random((n_samples,) + d2.shape))
-    codes = np.argmax(-d2[None] + noise, axis=-1)
-    return _contrastive_losses(_stack_hard_codes(codes, books), tau_cl)
-
-
-def sample_soft_losses(
-    refined1: np.ndarray,
-    refined2: np.ndarray,
-    books: CodebookSet,
-    tau_cl: float,
-    tau_gumbel: float,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Contrastive losses of Gumbel-softmax mixture draws at a fixed
-    temperature (the quantity the trainer's single-sample estimate uses)."""
-    if not tau_gumbel > 0:
-        raise NonPositiveTemperatureError(f"tau_gumbel must be > 0, got {tau_gumbel}")
-    d2 = _slot_sqdists(refined1, refined2, books)
-    noise = gumbel_from_uniform(rng.spawn(seed).random((n_samples,) + d2.shape))
-    soft = stable_softmax(-(d2[None] + noise) / tau_gumbel)
-    h = np.einsum("tibmk,mkd->tibmd", soft, books.books.astype(np.float64))
-    return _contrastive_losses(h.reshape(n_samples, -1, books.dim), tau_cl)
-
-
-# --- the training objective and its closed-form gradient ------------------
 
 class StepWorkspace:
     """The float64 arrays of one training step on ``batch_size`` documents.

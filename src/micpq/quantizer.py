@@ -6,8 +6,7 @@ are squared Euclidean throughout, never rooted.  The nearest codewords
 of many rows are numpy's argmin choice, taken by
 :func:`nearest_codewords` one codeword at a time over a block of rows.
 Training's Gumbel-softmax mixtures are batched in
-:mod:`micpq.objectives`; :func:`assign_probs` is one segment's
-noise-free assignment distribution, kept as the reference.
+:mod:`micpq.objectives`.
 
 When K is a power of two the M sub-indices of a document pack into
 ``M * log2(K)`` bits, ceil(M * log2(K) / 8) bytes; many codes are held
@@ -133,19 +132,6 @@ def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def assign_probs(segment: np.ndarray, book: np.ndarray) -> np.ndarray:
-    """Assignment distribution of one segment over a (K, sub_dim) book:
-    p_k proportional to exp(-||segment - c_k||^2), with max-subtraction
-    in the dtype of the inputs, floating when both are integer.  The
-    reference for the batched step."""
-    segment = checked_real(segment, (None,), DimMismatchError, "segment")
-    book = checked_real(book, (None, len(segment)), DimMismatchError, "book",
-                        finite=NonFiniteInputError)
-    checked_real(segment, segment.shape, DimMismatchError, "segment", finite=NonFiniteInputError)
-    book = book.astype(np.result_type(book, 1.0), copy=False)
-    return stable_softmax(-diff_distances(segment, book))
 
 
 def gumbel_from_uniform(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

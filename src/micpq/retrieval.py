@@ -186,15 +186,18 @@ def build_index(
     with dropout disabled, packed into word planes as assigned for
     power-of-two K).  An :class:`~micpq.dataio.EmbeddingFile` corpus is
     read block by block; its codes equal those of the same rows read
-    whole."""
+    whole.  Any other corpus must be (n, d_in) integers or floats, else
+    :class:`DimMismatchError`."""
     values = corpus
     if not isinstance(corpus, EmbeddingFile):
-        values = np.asarray(getattr(corpus, "values", corpus))
+        values = as_array(getattr(corpus, "values", corpus), DimMismatchError, "corpus")
     if len(values.shape) != 2 or values.shape[1] != model.encoder.d_in:
         raise DimMismatchError(
             f"corpus of shape {values.shape} is not (n, {model.encoder.d_in}), "
             "the encoder's input width"
         )
+    if isinstance(values, np.ndarray):  # an EmbeddingMatrix's float32 rows are not copied
+        values = checked_real(values, values.shape, DimMismatchError, "corpus")
     if is_pow2(model.books.n_codewords):
         packed = encode_rows(model.encoder, model.books.books, values, packed=True)
         return RetrievalIndex(books=model.books, doc_ids=ids, packed=packed)
@@ -205,9 +208,17 @@ def build_index(
 def build_lut(query_refined: np.ndarray, books: CodebookSet) -> DistanceLUT:
     """Squared distances from every segment of a refined query vector to
     every codeword."""
-    values = checked_real(query_refined, (books.dim,), DimMismatchError, "refined query")
-    segments = values.reshape(books.n_codebooks, books.sub_dim)
-    return DistanceLUT(diff_distances(segments, books.books).astype(np.float32))
+    return _lut(checked_real(query_refined, (books.dim,), DimMismatchError, "refined query"),
+                books)
+
+
+def _lut(refined: np.ndarray, books: CodebookSet) -> DistanceLUT:
+    """:func:`build_lut` of a refined query that is already a C-contiguous
+    (D,) array, without the checks of the query and of the table made."""
+    lut = object.__new__(DistanceLUT)
+    lut.table = diff_distances(refined.reshape(books.n_codebooks, books.sub_dim),
+                               books.books).astype(np.float32)
+    return lut
 
 
 def _pairwise(parts) -> np.ndarray:
@@ -321,8 +332,8 @@ def _ranked(doc_ids: np.ndarray, distances: np.ndarray, k: int) -> list[tuple[in
 
 
 def _refine_query(index: RetrievalIndex, model: ModelState, query_embedding, k: int) -> np.ndarray:
-    """Check k, the index and the query, then refine the query with dropout
-    disabled."""
+    """Check k, the index, the query and the model's output width, then
+    refine the query with dropout disabled."""
     if not isinstance(k, (int, np.integer)):
         raise InvalidConfigError(f"k must be an integer, got {k!r}")
     if k < 1:
@@ -331,6 +342,9 @@ def _refine_query(index: RetrievalIndex, model: ModelState, query_embedding, k: 
         raise EmptyIndexError("cannot search an empty index")
     query = checked_real(query_embedding, (model.encoder.d_in,), DimMismatchError, "query",
                          finite=NonFiniteInputError)
+    if model.encoder.d_out != index.books.dim:
+        raise DimMismatchError(f"encoder output width {model.encoder.d_out} != the index's "
+                               f"codebooks' total width {index.books.dim}")
     return forward_batch(model.encoder, query[None, :])[0]
 
 
@@ -339,7 +353,7 @@ def search_topk(
 ) -> list[tuple[int, float]]:
     """Top-k documents by asymmetric distance, ascending; ties break on
     ascending doc id.  Returns min(k, n_docs) (doc_id, distance) pairs."""
-    lut = build_lut(_refine_query(index, model, query_embedding, k), index.books)
+    lut = _lut(_refine_query(index, model, query_embedding, k), index.books)
     return _ranked(index.doc_ids, adc_distances(lut, index), k)
 
 

@@ -13,20 +13,8 @@ import pytest
 from micpq import rng as rng_streams
 from micpq.dataio import EmbeddingMatrix, MixtureSpec, synth_mixture
 from micpq.encoder import DropoutConfig, EncoderParams, dropout_view, forward_batch
-from micpq.evaluation import (
-    assignment_probabilities,
-    evaluate_codeword_quality,
-    retrieval_eval,
-    split_indices,
-)
-from micpq.objectives import (
-    LossConfig,
-    expected_loss_oracle,
-    loss_and_gradients,
-    mi_term,
-    sample_hard_losses,
-    sample_soft_losses,
-)
+from micpq.evaluation import evaluate_codeword_quality, retrieval_eval, split_indices
+from micpq.objectives import LossConfig, loss_and_gradients
 from micpq.quantizer import (
     CodebookSet,
     QuantCode,
@@ -47,6 +35,14 @@ from micpq.trainer import (
     default_gumbel_temperature,
     init_model,
     train,
+)
+
+from oracles import (
+    assignment_probabilities,
+    expected_loss_oracle,
+    mi_term,
+    sample_hard_losses,
+    sample_soft_losses,
 )
 
 CORPUS_SPEC = MixtureSpec(

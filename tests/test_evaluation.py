@@ -19,7 +19,6 @@ from micpq.errors import (
     UnknownDocIdError,
 )
 from micpq.evaluation import (
-    assignment_probabilities,
     evaluate_codeword_quality,
     hungarian_accuracy,
     kmeans,
@@ -27,9 +26,11 @@ from micpq.evaluation import (
     retrieval_eval,
     split_indices,
 )
-from micpq.quantizer import CodebookSet, assign_probs
+from micpq.quantizer import CodebookSet
 from micpq.retrieval import build_index, search_topk, search_topk_hamming
 from micpq.trainer import ModelState, TrainConfig, init_model
+
+from oracles import assign_probs, assignment_probabilities
 
 
 def _model_from(encoder: EncoderParams, books: CodebookSet) -> ModelState:

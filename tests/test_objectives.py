@@ -4,31 +4,32 @@ import numpy as np
 import pytest
 
 from micpq.encoder import DropoutConfig, EncoderParams, dropout_view, forward_batch
-from micpq.errors import (
-    DimMismatchError,
-    RowNotNormalizedError,
-    TooLargeToEnumerateError,
-    ZeroNormError,
-)
+from micpq.errors import DimMismatchError, ZeroNormError
 from micpq.objectives import (
-    BatchViews,
     LossConfig,
     StepWorkspace,
-    _contrastive_losses,
     _softmax_rows,
     _unit_rows,
-    contrastive_loss,
     draw_noise,
-    expected_loss_oracle,
     loss_and_gradients,
     loss_values,
+)
+from micpq.quantizer import CodebookSet
+from micpq.rng import derive_seed
+
+from oracles import (
+    BatchViews,
+    RowNotNormalizedError,
+    TooLargeToEnumerateError,
+    assign_probs,
+    contrastive_loss,
+    contrastive_losses,
+    expected_loss_oracle,
     mi_term,
     sample_hard_losses,
     sample_soft_losses,
     total_loss,
 )
-from micpq.quantizer import CodebookSet, assign_probs
-from micpq.rng import derive_seed
 
 
 def _cosine(h1, h2):
@@ -381,7 +382,7 @@ class TestFoldedContrastiveForward:
         for g, w in zip((losses, normed, norm, logits), want):
             assert g.shape == w.shape
             assert g.tobytes() == w.tobytes()
-        assert _contrastive_losses(h_all, 0.3).tobytes() == want[0].tobytes()
+        assert contrastive_losses(h_all, 0.3).tobytes() == want[0].tobytes()
 
 
 class TestPreparedNoiseAndWorkspace:

@@ -21,11 +21,10 @@ from micpq.errors import (
     NonFiniteInputError,
     NonPositiveTemperatureError,
 )
-from micpq.objectives import LossConfig, StepWorkspace, _step, draw_noise, sample_soft_losses
+from micpq.objectives import LossConfig, draw_noise
 from micpq.quantizer import (
     CodebookSet,
     QuantCode,
-    assign_probs,
     encode_rows,
     gumbel_from_uniform,
     hard_assign_books,
@@ -40,6 +39,8 @@ from micpq.quantizer import (
     unpack_codes,
     unpack_codes_batch,
 )
+
+from oracles import assign_probs, sample_soft_losses, step_soft
 
 
 class TestAssignProbs:
@@ -106,12 +107,8 @@ def _step_assignment(segments, book, gumbel, temperature):
     mixtures (n, sub_dim) of n nonnegative segments against one book under
     (n, K) noise.  The encoder is the identity, so the refined rows are the
     segments; n is even, the step's two views of n / 2 documents."""
-    segments = np.asarray(segments, dtype=np.float64)
-    n, sub = segments.shape
-    ws = StepWorkspace(n // 2, sub, 1, len(book), sub)
-    noise = segments, np.asarray(gumbel, dtype=np.float64)[None]
-    _step(EncoderParams(np.eye(sub), np.zeros(sub)), CodebookSet(np.asarray(book)[None]),
-          segments[:n // 2], LossConfig(tau_gumbel=temperature), 0, noise, ws, None, False)
+    ws = step_soft(np.asarray(segments, dtype=np.float64), np.asarray(book)[None],
+                   np.asarray(gumbel, dtype=np.float64)[None], temperature)
     return ws.soft[0], ws.mixtures
 
 

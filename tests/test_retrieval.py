@@ -788,6 +788,31 @@ class TestArrayArgumentCheck:
         with pytest.raises(DimMismatchError, match="integer or floating"):
             DistanceLUT(np.array([["a", "b"]]))
 
+    def test_a_search_checks_its_query_once(self, monkeypatch):
+        # build_lut checked the refined query again, and DistanceLUT the table
+        books = _nonneg_books(2, 2, 4, 2)
+        model = _identity_model(books)
+        index = build_index(model, EmbeddingMatrix(np.ones((3, 4), np.float32)))
+        checked = []
+
+        def spy(values, *args, **kwargs):
+            checked.append(args[-1])
+            return dataio.checked_real(values, *args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "checked_real", spy)
+        search_topk(index, np.ones(4), model, 2)
+        assert checked == ["query"]
+
+    # the Hamming search raised a bare ValueError
+    @pytest.mark.parametrize("search, n_words", [(search_topk, 4), (search_topk, 2),
+                                                 (search_topk_hamming, 2)])
+    def test_a_model_of_another_output_width_is_refused(self, search, n_words):
+        books = _nonneg_books(3, 2, n_words, 2)
+        index = build_index(_identity_model(books), EmbeddingMatrix(np.ones((3, 4), np.float32)))
+        wide = _model(books, EncoderParams(np.ones((6, 4), np.float32), np.zeros(6, np.float32)))
+        with pytest.raises(DimMismatchError, match="output width 6"):
+            search(index, np.ones(4), wide, 2)
+
 
 class TestSubIndexCheck:
     """Every entry point that takes sub-indices checks them before the
