@@ -179,14 +179,15 @@ def checked_int(values, stop: int, dtype, error, name: str) -> np.ndarray:
     """``values`` as a C-contiguous array cast to ``dtype`` (kept when
     None), once they are checked to be integers in [0, stop), else
     ``error``: before the cast, so none wraps or is truncated into range.
-    An empty array passes.  The maximum is read only when the dtype can
-    hold ``stop`` (so uint8 for 256 is not read), the minimum only when
-    it is signed."""
+    An empty array passes when it is integer or floating (``np.asarray([])``
+    is float64).  The maximum is read only when the dtype can hold
+    ``stop`` (so uint8 for 256 is not read), the minimum only when it is
+    signed."""
     array = as_array(values, error, name)
     kind = array.dtype.kind
     top = 1 << 8 * array.dtype.itemsize - (kind == "i")  # the dtype's values lie below it
-    if array.size and (kind not in "iu" or top > stop and array.max() >= stop
-                       or kind == "i" and array.min() < 0):
+    if kind not in "iuf" or array.size and (kind == "f" or top > stop and array.max() >= stop
+                                            or kind == "i" and array.min() < 0):
         raise error(f"{name} must be non-negative integers in [0, {stop}), got {array.dtype}")
     return np.ascontiguousarray(array, dtype=dtype)
 

@@ -8,9 +8,11 @@ of many rows are numpy's argmin choice, taken by
 Training's Gumbel-softmax mixtures are batched in
 :mod:`micpq.objectives`.
 
-When K is a power of two the M sub-indices of a document pack into
-``M * log2(K)`` bits, ceil(M * log2(K) / 8) bytes; many codes are held
-as flat word planes.  :func:`code_runs` states both layouts.
+A document's M sub-indices are stored as fields of b bits
+(:func:`bits_per_index`): b = log2(K) for power-of-two K, packed into
+ceil(M * b / 8) bytes, else b = 16, one little-endian u16 per sub-index.
+Many codes are held as flat word planes at every K.  :func:`code_runs`
+states both layouts.
 """
 from __future__ import annotations
 
@@ -111,10 +113,15 @@ def is_pow2(n_codewords: int) -> bool:
 
 
 def bits_per_index(n_codewords: int) -> int:
-    """log2(K) for power-of-two K, else :class:`KNotPowerOfTwoError`."""
-    if not is_pow2(n_codewords):
-        raise KNotPowerOfTwoError(f"K={n_codewords} is not a power of two")
-    return n_codewords.bit_length() - 1
+    """b, the width of one sub-index's field in a stored code: log2(K) for
+    power-of-two K, else 16, a whole u16 that can hold values >= K."""
+    return n_codewords.bit_length() - 1 if is_pow2(n_codewords) else 16
+
+
+def _code_nbytes(n_codebooks: int, n_codewords: int) -> int:
+    """Bytes per stored code at any K: ceil(M * b / 8), b from
+    :func:`bits_per_index`."""
+    return (n_codebooks * bits_per_index(n_codewords) + 7) // 8
 
 
 def diff_distances(segments: np.ndarray, books: np.ndarray) -> np.ndarray:
@@ -341,10 +348,10 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
                 packed: bool = False) -> np.ndarray:
     """(n, M) uint16 nearest-codeword indices of each row of ``values``
     refined with dropout disabled, against (M, K, sub_dim) books; with
-    ``packed`` (power-of-two K only, else :class:`KNotPowerOfTwoError`)
-    the same codes as flat word planes (:func:`code_runs`), packed as
-    they are assigned, so no (n, M) array is held.  ``values`` is an
-    (n, d_in) array or a :class:`~micpq.dataio.EmbeddingFile`.  The codes
+    ``packed`` the same codes as flat word planes (:func:`code_runs`) at
+    any K, packed as they are assigned, so no (n, M) array is held.
+    ``values`` is an (n, d_in) array or a
+    :class:`~micpq.dataio.EmbeddingFile`.  The codes
     equal those of one whole :func:`~micpq.encoder.forward_batch` followed
     by :func:`hard_assign_books`, at any thread count.
 
@@ -367,7 +374,7 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
     n_books, n_words = books.shape[:2]
     refined_dtype = np.result_type(values.dtype, params.weight, params.bias)
     if packed:
-        n_bytes = packed_code_nbytes(n_books, n_words)
+        n_bytes = _code_nbytes(n_books, n_words)
         planes = np.zeros(n_rows * n_bytes, np.uint8)
         runs = code_runs(planes, n_bytes)
 
@@ -467,19 +474,20 @@ def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
 
 def pack_planes(indices: np.ndarray, n_codewords: int) -> np.ndarray:
     """The flat word planes (:func:`code_runs`) of an (n, M) uint16 index
-    matrix already checked by :func:`checked_codes`."""
-    n_bytes = packed_code_nbytes(indices.shape[1], n_codewords)
+    matrix already checked by :func:`checked_codes`, at any K."""
+    n_bytes = _code_nbytes(indices.shape[1], n_codewords)
     planes = np.zeros(len(indices) * n_bytes, np.uint8)
     _pack_runs(code_runs(planes, n_bytes), indices.T, n_codewords)
     return planes
 
 
 def code_runs(codes: np.ndarray, n_bytes: int | None = None) -> list[np.ndarray]:
-    """The runs of packed codes, for K a power of two: one little-endian
-    uint16 run of n words per byte pair, then the uint8 run of n bytes of
-    an odd last byte.  Index m of a code occupies its bits ``[m*b, (m+1)*b)``
-    (b = log2 K), least significant bit first, bit 0 being the least
-    significant bit of byte 0; the last partial byte is zero-padded.
+    """The runs of stored codes: one little-endian uint16 run of n words
+    per byte pair, then the uint8 run of n bytes of an odd last byte.
+    Index m of a code occupies its bits ``[m*b, (m+1)*b)`` (b from
+    :func:`bits_per_index`), least significant bit first, bit 0 being the
+    least significant bit of byte 0; the last partial byte is zero-padded.
+    At b = 16 run m is index m's field.
 
     ``codes`` is either flat word planes, a 1-D uint8 array of n codes of
     ``n_bytes`` bytes that holds the runs one after another (the layout of
@@ -525,7 +533,7 @@ def _pack_runs(runs, fields: np.ndarray, n_codewords: int) -> None:
 def unpack_runs(runs, n_codebooks: int, n_codewords: int) -> np.ndarray:
     """The row-major (n, M) uint16 sub-indices held in the runs of n codes
     (:func:`code_runs`): the reverse of the packer, each index shifted back
-    out of every run its bits touch, then masked to log2(K) bits."""
+    out of every run its bits touch, then masked to b bits."""
     fields = np.zeros((n_codebooks, len(runs[0])), np.uint16)
     part = np.empty(fields.shape[1], np.uint16)
     for field, spans in zip(fields, _run_shifts(n_codebooks, n_codewords)):
@@ -535,7 +543,7 @@ def unpack_runs(runs, n_codebooks: int, n_codewords: int) -> np.ndarray:
             else:
                 np.left_shift(runs[run], -shift, out=part, dtype=np.uint16)
             field |= part
-    fields &= n_codewords - 1
+    fields &= (1 << bits_per_index(n_codewords)) - 1
     return np.ascontiguousarray(fields.T)
 
 
@@ -552,8 +560,11 @@ def unpack_codes_batch(payload: np.ndarray, n_codebooks: int, n_codewords: int) 
 
 
 def packed_code_nbytes(n_codebooks: int, n_codewords: int) -> int:
-    """Bytes per packed code: ceil(M*log2(K)/8)."""
-    return (n_codebooks * bits_per_index(n_codewords) + 7) // 8
+    """Bytes per packed code: ceil(M*log2(K)/8); a K that is not a power
+    of two raises :class:`KNotPowerOfTwoError`."""
+    if not is_pow2(n_codewords):
+        raise KNotPowerOfTwoError(f"K={n_codewords} is not a power of two")
+    return _code_nbytes(n_codebooks, n_codewords)
 
 
 def init_codebooks(

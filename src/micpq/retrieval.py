@@ -1,20 +1,20 @@
 """Compact retrieval index and asymmetric-distance search.
 
-A corpus's codes are resident in one layout: for power-of-two K, flat
-word planes (:func:`~micpq.quantizer.code_runs`), one uint8 buffer of
-exactly ``n_docs * bytes_per_code`` bytes; else one uint16 per
-sub-index.  A query is refined once (dropout disabled) into an M x K
-table of squared distances to every codeword; a document's distance is
-the sum of its M entries, added as a balanced tree of pairs, numpy's own
-order at M=8, K=16, whichever scan reads them.  K = 2 also ranks by
-Hamming distance.  Results are (doc id, distance) pairs ascending by
-(distance, doc id).  Doc ids are resident as uint32 when every id is
-below 2^32, else as uint64.
+A corpus's codes are resident in one layout at every K: flat word planes
+(:func:`~micpq.quantizer.code_runs`), one uint8 buffer of exactly
+``n_docs * bytes_per_code`` bytes, of log2(K)-bit fields for power-of-two
+K, else of one 16-bit field per sub-index.  A query is refined once
+(dropout disabled) into an M x K table of squared distances to every
+codeword; a document's distance is the sum of its M entries, added as a
+balanced tree of pairs, numpy's own order at M=8, K=16, whichever scan
+reads them.  K = 2 also ranks by Hamming distance.  Results are (doc id,
+distance) pairs ascending by (distance, doc id).  Doc ids are resident
+as uint32 when every id is below 2^32, else as uint64.
 
 Index file layout (little-endian, unchanged): magic ``MICPQIDX`` | version
 u32 | M u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32
-| doc ids n_docs u64 | codes (packed row by row for power-of-two K, else
-one u16 per sub-index).
+| doc ids n_docs u64 | codes row by row (packed for power-of-two K, else
+one u16 per sub-index: the same 16-bit fields).
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from .errors import (
     DimMismatchError,
     EmptyIndexError,
     FileFormatError,
+    IndexOutOfRangeError,
     InvalidConfigError,
     InvalidSpecError,
     KNot2Error,
@@ -49,6 +50,7 @@ from .quantizer import (
     MAX_CODEWORDS,
     CodebookSet,
     QuantCode,
+    _code_nbytes,
     bits_per_index,
     byte_planes,
     checked_codes,
@@ -67,7 +69,7 @@ from .trainer import ModelState
 MAGIC_INDEX = b"MICPQIDX"
 INDEX_VERSION = 1
 _HEADER = struct.Struct("<IIIIQ")
-SCAN_ROWS = 16384  # rows per block of the word-plane scan and of unpacked codes
+SCAN_ROWS = 16384  # rows per block of the word-plane scan and of the unpacked scan
 PAIR_ENTRIES = 1 << 16  # rows above which the byte scan reads word planes
 LOAD_BYTES = 1 << 18  # bytes per read of load_index's reused buffer
 
@@ -84,73 +86,59 @@ def _checked_codes(codes, n_books: int, n_words: int) -> np.ndarray:
 class RetrievalIndex:
     """Frozen codebooks, document ids and the corpus's codes.
 
-    Give either ``codes``, an (n_docs, M) sub-index matrix, or ``packed``
-    (power-of-two K): flat word planes (:func:`~micpq.quantizer.code_runs`),
-    a 1-D array of n_docs * bytes_per_code bytes, as
-    :func:`~micpq.quantizer.encode_rows` and :func:`load_index` give them,
-    kept as given when uint8; any other shape raises
-    :class:`DimMismatchError`.  Only one layout is kept: the word planes
-    for power-of-two K, else uint16 codes.  Sub-indices that are
-    not integers in [0, K) raise :class:`~micpq.errors.IndexOutOfRangeError`.
-    A packed payload of values that are not integers in [0, 256), or with
-    a padding bit set in a code's last byte, raises
-    :class:`FileFormatError`: the Hamming scan counts every bit.
-    ``doc_ids`` default to the row numbers.  They are kept as uint32 when
-    the array is empty or every id is below 2^32, else as uint64; a
-    uint32 array is kept as given.  Negative or non-integer ids raise
-    :class:`InvalidSpecError`.
+    Give either ``codes``, an (n_docs, M) sub-index matrix, or ``packed``:
+    flat word planes (:func:`~micpq.quantizer.code_runs`), a 1-D array of
+    n_docs * bytes_per_code bytes, as :func:`~micpq.quantizer.encode_rows`
+    and :func:`load_index` give them, kept as given when uint8; any other
+    shape raises :class:`DimMismatchError`.  Only the word planes are
+    kept, at every K.  Sub-indices that are not integers in [0, K), given
+    or in a payload's 16-bit fields (K not a power of two), raise
+    :class:`~micpq.errors.IndexOutOfRangeError`.  A packed payload of
+    values that are not integers in [0, 256), or with a padding bit set in
+    a code's last byte, raises :class:`FileFormatError`: the Hamming scan
+    counts every bit.  ``doc_ids`` default to the row numbers.  They are
+    kept as uint32 when the array is empty or every id is below 2^32, else
+    as uint64; a uint32 array is kept as given.  Negative or non-integer
+    ids raise :class:`InvalidSpecError`.
     """
 
     def __init__(self, books: CodebookSet, codes=None, doc_ids=None, packed=None) -> None:
         self.books = books
         n_books, n_words = books.n_codebooks, books.n_codewords
-        self._codes = self._planes = None
+        width = _code_nbytes(n_books, n_words)
         if packed is None:
-            codes = _checked_codes(codes, n_books, n_words)
-            shape = codes.shape
-            if is_pow2(n_words):
-                self._planes = pack_planes(codes, n_words)
-                shape = (len(codes), packed_code_nbytes(n_books, n_words))
-            else:
-                self._codes = codes
-        else:
-            packed = as_array(packed, DimMismatchError, "packed codes")
-            if packed.ndim != 1:
-                raise DimMismatchError(f"packed codes must be flat word planes, got shape "
-                                       f"{packed.shape}")
-            self._planes = checked_int(packed, 256, np.uint8, FileFormatError, "packed codes")
-            width = packed_code_nbytes(n_books, n_words)
-            shape = (self._planes.size // width, width)
-        ids = (np.arange(shape[0], dtype=np.uint32) if doc_ids is None else
+            packed = pack_planes(_checked_codes(codes, n_books, n_words), n_words)
+        packed = as_array(packed, DimMismatchError, "packed codes")
+        if packed.ndim != 1:
+            raise DimMismatchError(f"packed codes must be flat word planes, got shape "
+                                   f"{packed.shape}")
+        self._planes = checked_int(packed, 256, np.uint8, FileFormatError, "packed codes")
+        ids = (np.arange(self._planes.size // width, dtype=np.uint32) if doc_ids is None else
                checked_int(doc_ids, 1 << 64, None, InvalidSpecError, "doc ids"))
         wide = ids.dtype != np.uint32 and ids.size and ids.max() >= 1 << 32
         self.doc_ids = ids.astype(np.uint64 if wide else np.uint32, copy=False)
-        width = n_books if self._planes is None else packed_code_nbytes(n_books, n_words)
-        held = self._codes if self._planes is None else self._planes
-        if shape != (*self.doc_ids.shape, width) or held.size != self.n_docs * width:
-            raise DimMismatchError(
-                f"codes of shape {shape} for doc ids of shape {self.doc_ids.shape} "
-                f"(width {width} expected)"
-            )
-        if self._planes is not None:
-            padding = (0xFF << ((n_books * bits_per_index(n_words)) % 8)) & 0xFF
-            if padding != 0xFF and np.any(byte_planes(self._planes, width)[-1] & padding):
-                raise FileFormatError("packed codes have padding bits set")
+        if self.doc_ids.ndim != 1 or self._planes.size != self.n_docs * width:
+            raise DimMismatchError(f"{self._planes.size} code bytes for doc ids of shape "
+                                   f"{self.doc_ids.shape} (width {width} expected)")
+        padding = (0xFF << ((n_books * bits_per_index(n_words)) % 8)) & 0xFF
+        if padding != 0xFF and np.any(byte_planes(self._planes, width)[-1] & padding):
+            raise FileFormatError("packed codes have padding bits set")
+        if not is_pow2(n_words) and any(run.max(initial=0) >= n_words  # a 16-bit field
+                                        for run in code_runs(self._planes, width)):
+            raise IndexOutOfRangeError(f"packed code indices must be in [0, {n_words})")
 
     @property
     def codes(self) -> np.ndarray:
-        """(n_docs, M) uint16 sub-indices, unpacked afresh when K is a power of two."""
-        if self._codes is not None:
-            return self._codes
+        """(n_docs, M) uint16 sub-indices, unpacked afresh."""
         n_books, n_words = self.books.n_codebooks, self.books.n_codewords
-        runs = code_runs(self._planes, packed_code_nbytes(n_books, n_words))
+        runs = code_runs(self._planes, _code_nbytes(n_books, n_words))
         return unpack_runs(runs, n_books, n_words)
 
     @property
     def packed(self) -> np.ndarray | None:
         """(n_docs, bytes_per_code) packed codes in file order, built afresh;
         None unless K is a power of two."""
-        if self._planes is None:
+        if not is_pow2(self.books.n_codewords):
             return None
         width = packed_code_nbytes(self.books.n_codebooks, self.books.n_codewords)
         rows = np.empty((self.n_docs, width), np.uint8)
@@ -165,7 +153,7 @@ class RetrievalIndex:
     @property
     def payload_nbytes(self) -> int:
         """Size of the stored code payload in bytes."""
-        return int((self._planes if self._codes is None else self._codes).nbytes)
+        return int(self._planes.nbytes)
 
 
 @dataclass
@@ -183,11 +171,10 @@ def build_index(
     model: ModelState, corpus: EmbeddingMatrix | EmbeddingFile, ids: np.ndarray | None = None
 ) -> RetrievalIndex:
     """Encode a corpus with :func:`~micpq.quantizer.encode_rows` (refined
-    with dropout disabled, packed into word planes as assigned for
-    power-of-two K).  An :class:`~micpq.dataio.EmbeddingFile` corpus is
-    read block by block; its codes equal those of the same rows read
-    whole.  Any other corpus must be (n, d_in) integers or floats, else
-    :class:`DimMismatchError`."""
+    with dropout disabled, packed into word planes as assigned).  An
+    :class:`~micpq.dataio.EmbeddingFile` corpus is read block by block;
+    its codes equal those of the same rows read whole.  Any other corpus
+    must be (n, d_in) integers or floats, else :class:`DimMismatchError`."""
     values = corpus
     if not isinstance(corpus, EmbeddingFile):
         values = as_array(getattr(corpus, "values", corpus), DimMismatchError, "corpus")
@@ -198,11 +185,8 @@ def build_index(
         )
     if isinstance(values, np.ndarray):  # an EmbeddingMatrix's float32 rows are not copied
         values = checked_real(values, values.shape, DimMismatchError, "corpus")
-    if is_pow2(model.books.n_codewords):
-        packed = encode_rows(model.encoder, model.books.books, values, packed=True)
-        return RetrievalIndex(books=model.books, doc_ids=ids, packed=packed)
-    codes = encode_rows(model.encoder, model.books.books, values)
-    return RetrievalIndex(books=model.books, codes=codes, doc_ids=ids)
+    packed = encode_rows(model.encoder, model.books.books, values, packed=True)
+    return RetrievalIndex(books=model.books, doc_ids=ids, packed=packed)
 
 
 def build_lut(query_refined: np.ndarray, books: CodebookSet) -> DistanceLUT:
@@ -254,29 +238,34 @@ def _byte_tables(table: np.ndarray, bits: int) -> np.ndarray:
 
 def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
     """Asymmetric distances for every document of a :class:`RetrievalIndex`,
-    or for every row of an (n, M) sub-index matrix.  For power-of-two K
-    they are bit-identical whichever of the two is given."""
+    or for every row of an (n, M) sub-index matrix, packed into word
+    planes first; they are bit-identical whichever of the two is given."""
     table = lut.table
     n_books, n_words = table.shape
     if isinstance(codes, RetrievalIndex):
         if codes.books.books.shape[:2] != table.shape:
             raise DimMismatchError(f"table shape {table.shape} does not match the index's books")
-        n_rows, planes, codes = codes.n_docs, codes._planes, codes._codes
+        n_rows, planes = codes.n_docs, codes._planes
     else:
         codes = _checked_codes(codes, n_books, n_words)
-        n_rows, planes = len(codes), pack_planes(codes, n_words) if is_pow2(n_words) else None
-    if planes is None or 8 % bits_per_index(n_words):
-        # unpacked codes: each block's (rows, M) entries are gathered and
-        # summed row by row by numpy, the bits of one whole-corpus gather
-        runs = None if planes is None else code_runs(planes, packed_code_nbytes(n_books, n_words))
-        out, books = np.empty(n_rows, table.dtype), np.arange(n_books)
+        n_rows, planes = len(codes), pack_planes(codes, n_words)
+    n_bytes, bits = _code_nbytes(n_books, n_words), bits_per_index(n_words)
+    if 8 % bits:
+        # unpacked fields (a 16-bit field is its run): each block's (rows,
+        # M) entries are gathered into one reused buffer and summed row by
+        # row by numpy, the bits of one whole-corpus gather
+        runs = code_runs(planes, n_bytes)
+        out = np.empty(n_rows, table.dtype)
+        gathered = np.empty((min(n_rows, SCAN_ROWS), n_books), table.dtype)
         for lo in range(0, n_rows, SCAN_ROWS):
-            block = (codes[lo:lo + SCAN_ROWS] if runs is None else
-                     unpack_runs([run[lo:lo + SCAN_ROWS] for run in runs], n_books, n_words))
-            table[books, block].sum(axis=1, out=out[lo:lo + SCAN_ROWS])
+            block = [run[lo:lo + SCAN_ROWS] for run in runs]
+            rows = gathered[:len(block[0])]
+            fields = block if bits == 16 else unpack_runs(block, n_books, n_words).T
+            for book, field, column in zip(table, fields, rows.T):
+                book.take(field, out=column, mode="clip")  # every field is < K
+            rows.sum(axis=1, out=out[lo:lo + SCAN_ROWS])
         return out
-    n_bytes = packed_code_nbytes(n_books, n_words)
-    tables = _byte_tables(table, bits_per_index(n_words))
+    tables = _byte_tables(table, bits)
     # the result first: the scan's buffers then lie above it on the heap and
     # are reused by the next query rather than trimmed and faulted in again
     out = np.empty(n_rows, tables.dtype)
@@ -418,10 +407,7 @@ def save_index(index: RetrievalIndex, path) -> None:
         ))
         f.write(np.ascontiguousarray(books.books, dtype="<f4"))
         f.write(index.doc_ids.astype("<u8", copy=False))  # u64 whatever the resident width
-        if index._planes is None:
-            f.write(index._codes.astype("<u2", copy=False))
-            return
-        width = packed_code_nbytes(books.n_codebooks, books.n_codewords)
+        width = _code_nbytes(books.n_codebooks, books.n_codewords)
         runs = code_runs(index._planes, width)
         rows = np.empty((max(LOAD_BYTES // width, 1), width), np.uint8)
         for lo in range(0, index.n_docs, len(rows)):
@@ -443,17 +429,17 @@ def load_index(path) -> RetrievalIndex:
     """Read an index file written by :func:`save_index`.  A header with
     M or sub_dim 0, and a file whose size differs from what its header
     declares, are rejected before any read; packed codes with a padding
-    bit set are refused by :class:`RetrievalIndex`.  Ids and codes are
-    read through one reused buffer of ``LOAD_BYTES`` (of one code when a
-    code is wider), so neither is copied whole after the read."""
+    bit set, or a 16-bit field >= K, are refused by
+    :class:`RetrievalIndex`.  Ids and codes are read through one reused
+    buffer of ``LOAD_BYTES`` (of one code when a code is wider), so
+    neither is copied whole after the read."""
     with open(path, "rb") as f:
         n_books, n_words, sub_dim, n_docs = read_header(f, MAGIC_INDEX, _HEADER, INDEX_VERSION)
         if n_words > MAX_CODEWORDS:
             raise FileFormatError(f"K={n_words} does not fit the format's u16 sub-indices")
         if min(n_books, sub_dim) < 1:
             raise FileFormatError(f"zero dimension in header: M={n_books}, sub_dim={sub_dim}")
-        packed = is_pow2(n_words)
-        code_nbytes = packed_code_nbytes(n_books, n_words) if packed else 2 * n_books
+        code_nbytes = _code_nbytes(n_books, n_words)
         declared = 8 + _HEADER.size + n_books * n_words * sub_dim * 4 + n_docs * (8 + code_nbytes)
         check_file_size(f, declared)
         books = _read_exact(f, np.empty((n_books, n_words, sub_dim), "<f4"))
@@ -466,9 +452,7 @@ def load_index(path) -> RetrievalIndex:
                 doc_ids = _read_exact(f, np.empty(n_docs, "<u8"))
                 break
             doc_ids[start:start + len(chunk)] = chunk
-        if not packed:
-            codes = _read_exact(f, np.empty((n_docs, n_books), "<u2"))
-        elif code_nbytes <= 2:  # one run, in file order
+        if code_nbytes <= 2:  # one run, in file order
             codes = _read_exact(f, np.empty(n_docs * code_nbytes, np.uint8))
         else:
             codes = np.empty(n_docs * code_nbytes, np.uint8)
@@ -479,6 +463,4 @@ def load_index(path) -> RetrievalIndex:
                 chunk = _read_exact(f, buffer[:code_nbytes * rows]).reshape(rows, code_nbytes)
                 for run, column in zip(runs, code_runs(chunk)):
                     run[start:start + rows] = column
-    if packed:
-        return RetrievalIndex(CodebookSet(books), doc_ids=doc_ids, packed=codes)
-    return RetrievalIndex(CodebookSet(books), codes, doc_ids)
+    return RetrievalIndex(CodebookSet(books), doc_ids=doc_ids, packed=codes)

@@ -22,7 +22,7 @@ import numpy as np
 from . import dataio, rng
 from .dataio import EmbeddingFile, EmbeddingMatrix, atomic_write, check_file_size, read_header
 from .encoder import EncoderParams, forward_batch, init_encoder
-from .errors import InvalidConfigError, NonFiniteGradientError
+from .errors import DimMismatchError, InvalidConfigError, NonFiniteGradientError
 from .objectives import (
     LossConfig,
     ParamGrads,
@@ -102,6 +102,19 @@ class ModelState:
     m_books: np.ndarray
     v_books: np.ndarray
     step: int = 0
+
+    def __post_init__(self) -> None:
+        """An encoder whose output width is not the books' total width, or a
+        moment whose shape is not its parameter's, raises
+        :class:`~micpq.errors.DimMismatchError`: no checkpoint could hold it."""
+        if self.encoder.d_out != self.books.dim:
+            raise DimMismatchError(f"encoder output width {self.encoder.d_out} != the codebooks' "
+                                   f"total width {self.books.dim}")
+        arrays = dict(self._arrays())
+        for name, moment in list(arrays.items())[3:]:  # m_weight, v_weight, ...
+            if np.shape(moment) != arrays[name[2:]].shape:
+                raise DimMismatchError(f"{name} of shape {np.shape(moment)} for a parameter "
+                                       f"of shape {arrays[name[2:]].shape}")
 
     @property
     def sub_dim(self) -> int:

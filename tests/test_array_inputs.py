@@ -65,8 +65,10 @@ def _real(a, shape, finite=False, dtype=None) -> bool:
 
 
 def _ints(a, stop) -> bool:
-    """No values, or integers in [0, stop)."""
-    return a.size == 0 or (a.dtype.kind in "iu" and int(a.min()) >= 0 and int(a.max()) < stop)
+    """No integer or floating values, or integers in [0, stop)."""
+    if a.size == 0:
+        return a.dtype.kind in "iuf"
+    return a.dtype.kind in "iu" and int(a.min()) >= 0 and int(a.max()) < stop
 
 
 def _code(a, n_words, n_books=None) -> bool:
@@ -181,6 +183,8 @@ def test_every_callable_export_is_fuzzed_or_listed_as_not_yet():
 @example(target="LabelVector", values=np.array([0, 1.7]))  # kept as [0, 1]
 @example(target="LabelVector", values=np.array([0, 1 + 1j]))  # a ComplexWarning only
 @example(target="LabelVector", values=np.array(["a"]))  # ValueError
+@example(target="QuantCode", values=np.zeros(0, complex))  # a ComplexWarning, then kept
+@example(target="QuantCode", values=np.zeros(0, object))  # kept
 @example(target="reconstruct(code of K=16)", values=np.array([0, 15]))  # IndexError
 @example(target="adc_distance", values=np.ones((2, 3)))  # 2.0 for a code of K = 4
 @example(target="build_lut", values=np.zeros((2, 1)))  # ValueError

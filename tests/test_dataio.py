@@ -37,6 +37,7 @@ from micpq.errors import (
     TruncatedFileError,
 )
 from micpq.evaluation import retrieval_eval
+from micpq.quantizer import QuantCode
 from micpq.retrieval import build_index, save_index
 from micpq.trainer import TrainConfig, save_checkpoint, train
 
@@ -124,6 +125,23 @@ class TestLabelVector:
     def test_labels_that_are_not_a_non_empty_vector_are_refused(self, labels):
         with pytest.raises(InvalidSpecError, match="1-D and non-empty"):
             LabelVector(labels)
+
+
+class TestCheckedInt:
+    # an empty complex array passed the check and then raised a
+    # ComplexWarning in the cast; empty object, str and bool arrays passed
+    @pytest.mark.parametrize("dtype", [np.complex128, object, np.str_, np.bool_])
+    def test_an_empty_array_that_is_not_integer_or_floating_is_refused(self, dtype):
+        with pytest.raises(IndexOutOfRangeError, match=r"integers in \[0, 4\)"):
+            dataio.checked_int(np.zeros(0, dtype), 4, np.uint16, IndexOutOfRangeError, "codes")
+        with pytest.raises(IndexOutOfRangeError):
+            QuantCode(np.zeros(0, dtype), 4)
+
+    @pytest.mark.parametrize("values", [[], np.zeros(0, np.int8), np.zeros(0, np.uint64),
+                                        np.zeros((0, 3), np.float32)])
+    def test_an_empty_integer_or_floating_array_passes(self, values):
+        checked = dataio.checked_int(values, 4, np.uint16, IndexOutOfRangeError, "codes")
+        assert checked.dtype == np.uint16 and checked.shape == np.shape(values)
 
 
 class TestNonFiniteAt:

@@ -680,10 +680,14 @@ class TestPackedEncode:
             assert used == 0 or not np.any(packed[:, -1] >> used)
             assert np.array_equal(unpack_codes_batch(packed, n_books, n_words), codes)
 
-    def test_other_k_is_not_packed(self):
+    def test_other_k_packs_one_u16_run_per_sub_index(self):
         gen, encoder, books = _encoder_and_books(3, n_words=5)
-        with pytest.raises(KNotPowerOfTwoError):
-            encode_rows(encoder, books, gen.normal(size=(10, encoder.d_in)), packed=True)
+        values = gen.normal(size=(10, encoder.d_in))
+        planes = encode_rows(encoder, books, values, packed=True)
+        codes = encode_rows(encoder, books, values)
+        # run m is sub-index m of every code, a 16-bit field
+        assert planes.dtype == np.uint8
+        assert np.array_equal(planes.view("<u2"), codes.T.ravel())
 
     @pytest.mark.parametrize("n_workers", [2, 3])
     def test_a_lone_block_split_by_books_keeps_the_distance_bits(self, monkeypatch, use_workers,

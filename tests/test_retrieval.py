@@ -741,8 +741,22 @@ class TestLoadIndexFuzz:
         (tmp_path / "flip.idx").write_bytes(bytes(raw))
         loaded = _load_or_micpq_error(tmp_path / "flip.idx")
         if loaded is not None:
+            assert loaded.codes.max() < n_words
             save_index(loaded, tmp_path / "again.idx")
             assert (tmp_path / "again.idx").read_bytes() == bytes(raw)
+
+
+def test_a_sub_index_of_k_or_more_in_a_file_is_refused(tmp_path):
+    # a 16-bit field holds values up to 65,535 at K = 12
+    codes = np.random.default_rng(12).integers(0, 12, size=(9, 3))
+    save_index(RetrievalIndex(_nonneg_books(12, 3, 12, 2), codes), tmp_path / "ok.idx")
+    assert np.array_equal(load_index(tmp_path / "ok.idx").codes, codes)
+    raw = bytearray((tmp_path / "ok.idx").read_bytes())
+    for value in (12, 65_535):
+        raw[-8:-6] = value.to_bytes(2, "little")  # doc 7's last sub-index
+        (tmp_path / "bad.idx").write_bytes(bytes(raw))
+        with pytest.raises(IndexOutOfRangeError, match=r"\[0, 12\)"):
+            load_index(tmp_path / "bad.idx")
 
 
 class TestPaddingBits:
@@ -809,7 +823,9 @@ class TestArrayArgumentCheck:
     def test_a_model_of_another_output_width_is_refused(self, search, n_words):
         books = _nonneg_books(3, 2, n_words, 2)
         index = build_index(_identity_model(books), EmbeddingMatrix(np.ones((3, 4), np.float32)))
-        wide = _model(books, EncoderParams(np.ones((6, 4), np.float32), np.zeros(6, np.float32)))
+        # a ModelState refuses such an encoder when made; this one is swapped in after
+        wide = _identity_model(books)
+        wide.encoder = EncoderParams(np.ones((6, 4), np.float32), np.zeros(6, np.float32))
         with pytest.raises(DimMismatchError, match="output width 6"):
             search(index, np.ones(4), wide, 2)
 
@@ -1130,36 +1146,35 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 class TestLayout:
-    @pytest.mark.parametrize("n_words", [2, 16, 8, 256])
-    def test_power_of_two_holds_only_packed_bytes(self, tmp_path, n_words):
+    @pytest.mark.parametrize("n_words", [2, 16, 8, 256, 3, 12])
+    def test_every_k_holds_only_word_plane_bytes(self, tmp_path, n_words):
         _, index, codes, _ = _random_index(50, 5, n_words, n_docs=77)
         # one code array of exactly n * bytes_per_code bytes; views are made on demand
         held = [v for v in vars(index).values() if isinstance(v, np.ndarray)]
         assert [v is index.doc_ids for v in held].count(False) == 1
         planes = next(v for v in held if v is not index.doc_ids)
-        assert planes.dtype == np.uint8 and planes.shape == (77 * packed_code_nbytes(5, n_words),)
-        assert index.packed is not index.packed  # built afresh, never kept
-        assert np.array_equal(index.codes, codes)
-        assert np.array_equal(pack_codes_batch(index.codes, n_words), index.packed)
+        pow2 = n_words & (n_words - 1) == 0
+        # packed codes, else one u16 per sub-index: the file's row, byte for byte
+        rows = pack_codes_batch(codes, n_words) if pow2 else codes.astype("<u2").view(np.uint8)
+        assert planes.dtype == np.uint8 and planes.shape == (rows.size,)
+        assert index.payload_nbytes == rows.size
+        assert index.codes.dtype == np.uint16 and np.array_equal(index.codes, codes)
         assert index.codes is not index.codes  # unpacked afresh, never kept
+        if pow2:
+            assert index.packed is not index.packed  # built afresh, never kept
+            assert np.array_equal(index.packed, rows)
+        else:
+            assert index.packed is None
         books = index.books
         expected = (
             MAGIC_INDEX
             + struct.pack("<IIIIQ", INDEX_VERSION, 5, n_words, books.sub_dim, 77)
             + books.books.astype("<f4").tobytes()
             + index.doc_ids.astype("<u8").tobytes()
-            + pack_codes_batch(codes, n_words).tobytes()
+            + rows.tobytes()
         )
         save_index(index, tmp_path / "a.idx")
         assert (tmp_path / "a.idx").read_bytes() == expected
         loaded = load_index(tmp_path / "a.idx")
         assert np.array_equal(loaded.codes, codes)
         assert np.array_equal(loaded.doc_ids, index.doc_ids)
-
-    def test_other_k_holds_uint16_codes(self, tmp_path):
-        _, index, codes, _ = _random_index(51, 4, 3, n_docs=20)
-        assert index.packed is None
-        assert index.codes.dtype == np.uint16 and np.array_equal(index.codes, codes)
-        save_index(index, tmp_path / "b.idx")
-        raw = (tmp_path / "b.idx").read_bytes()
-        assert raw.endswith(codes.astype("<u2").tobytes())

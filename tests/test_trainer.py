@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import sys
 import threading
@@ -20,6 +21,7 @@ from micpq.dataio import (
 from micpq.encoder import EncoderParams, forward_batch
 from micpq.errors import (
     BadMagicError,
+    DimMismatchError,
     FileFormatError,
     InvalidConfigError,
     MicpqError,
@@ -186,6 +188,18 @@ class TestCheckpoint:
         for (_, a), (_, b) in zip(state._arrays(), loaded._arrays()):
             assert np.array_equal(a, b)
             assert b.dtype == np.float32
+
+    # each was kept, and save_checkpoint wrote a file that load_checkpoint refused
+    @pytest.mark.parametrize("change", [
+        {"encoder": EncoderParams(np.ones((4, 3), np.float32), np.zeros(4, np.float32))},
+        {"m_weight": np.zeros((4, 3), np.float32)},
+        {"v_bias": np.zeros(3, np.float32)},
+        {"m_books": np.zeros((2, 4, 2), np.float32)},
+    ], ids=["encoder", "m_weight", "v_bias", "m_books"])
+    def test_a_model_of_mismatched_widths_is_refused(self, change):
+        state = _tiny_state(9, d_in=3, n_words=4)  # d_out = 2, books (1, 4, 2)
+        with pytest.raises(DimMismatchError):
+            dataclasses.replace(state, **change)
 
     def test_wrong_version(self, tmp_path):
         state = _tiny_state(8)
