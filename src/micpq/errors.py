@@ -64,10 +64,6 @@ class NonPositiveTemperatureError(MicpqError):
     """Softmax temperature must be strictly positive."""
 
 
-class KNotPowerOfTwoError(MicpqError):
-    """Bit packing requires the codebook size to be a power of two."""
-
-
 class IndexOutOfRangeError(MicpqError):
     """A codeword index is outside [0, K), or a requested row outside a file's rows."""
 

@@ -8,11 +8,11 @@ of many rows are numpy's argmin choice, taken by
 Training's Gumbel-softmax mixtures are batched in
 :mod:`micpq.objectives`.
 
-A document's M sub-indices are stored as fields of b bits
-(:func:`bits_per_index`): b = log2(K) for power-of-two K, packed into
-ceil(M * b / 8) bytes, else b = 16, one little-endian u16 per sub-index.
-Many codes are held as flat word planes at every K.  :func:`code_runs`
-states both layouts.
+A document's M sub-indices are stored, at every K, as fields of b bits
+(:func:`bits_per_index`) packed into ceil(M * b / 8) bytes: b = log2(K)
+for power-of-two K, else b = 16, one little-endian u16 per sub-index.
+One code is its bytes in file order; many codes are flat word planes.
+:func:`code_runs` states both.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .errors import (
     FileFormatError,
     IndexOutOfRangeError,
     InvalidConfigError,
-    KNotPowerOfTwoError,
     NonFiniteInputError,
 )
 
@@ -54,8 +53,8 @@ class CodebookSet:
 
     def __post_init__(self) -> None:
         books = checked_real(self.books, (None, None, None), InvalidConfigError, "books")
-        if books.shape[0] < 1:
-            raise InvalidConfigError("books must have shape (M, K, sub_dim) with M >= 1")
+        if min(books.shape[0], books.shape[2]) < 1:
+            raise InvalidConfigError("books must have shape (M, K, sub_dim) with M, sub_dim >= 1")
         if not 2 <= books.shape[1] <= MAX_CODEWORDS:
             raise InvalidConfigError(f"each codebook needs 2 to {MAX_CODEWORDS} codewords")
         self.books = checked_real(books, books.shape, InvalidConfigError, "books",  # shape first
@@ -108,7 +107,7 @@ def checked_codes(indices, n_codewords: int) -> np.ndarray:
 
 
 def is_pow2(n_codewords: int) -> bool:
-    """Whether K is a power of two (>= 2), the condition for bit packing."""
+    """Whether K is a power of two (>= 2), whose stored fields are log2(K) bits."""
     return n_codewords >= 2 and n_codewords & (n_codewords - 1) == 0
 
 
@@ -118,7 +117,7 @@ def bits_per_index(n_codewords: int) -> int:
     return n_codewords.bit_length() - 1 if is_pow2(n_codewords) else 16
 
 
-def _code_nbytes(n_codebooks: int, n_codewords: int) -> int:
+def packed_code_nbytes(n_codebooks: int, n_codewords: int) -> int:
     """Bytes per stored code at any K: ceil(M * b / 8), b from
     :func:`bits_per_index`."""
     return (n_codebooks * bits_per_index(n_codewords) + 7) // 8
@@ -344,16 +343,14 @@ def fan_out(work, n_rows: int, n_pieces: int, pool=None) -> None:
             raise error
 
 
-def encode_rows(params: EncoderParams, books: np.ndarray, values,
-                packed: bool = False) -> np.ndarray:
-    """(n, M) uint16 nearest-codeword indices of each row of ``values``
-    refined with dropout disabled, against (M, K, sub_dim) books; with
-    ``packed`` the same codes as flat word planes (:func:`code_runs`) at
-    any K, packed as they are assigned, so no (n, M) array is held.
-    ``values`` is an (n, d_in) array or a
-    :class:`~micpq.dataio.EmbeddingFile`.  The codes
-    equal those of one whole :func:`~micpq.encoder.forward_batch` followed
-    by :func:`hard_assign_books`, at any thread count.
+def encode_rows(params: EncoderParams, books: np.ndarray, values) -> np.ndarray:
+    """The flat word planes (:func:`code_runs`) of the nearest-codeword
+    indices of each row of ``values`` refined with dropout disabled,
+    against (M, K, sub_dim) books, packed as they are assigned, so no
+    (n, M) array is held.  ``values`` is an (n, d_in) array or a
+    :class:`~micpq.dataio.EmbeddingFile`.  The codes equal those of one
+    whole :func:`~micpq.encoder.forward_batch` followed by
+    :func:`hard_assign_books`, at any thread count.
 
     Rows are refined in blocks of ``ASSIGN_ROWS`` (a shorter last block
     joins the one before it), so no (n, D) refined array is held, and a
@@ -373,18 +370,12 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
     n_rows, n_blocks = values.shape[0], max(values.shape[0] // ASSIGN_ROWS, 1)
     n_books, n_words = books.shape[:2]
     refined_dtype = np.result_type(values.dtype, params.weight, params.bias)
-    if packed:
-        n_bytes = _code_nbytes(n_books, n_words)
-        planes = np.zeros(n_rows * n_bytes, np.uint8)
-        runs = code_runs(planes, n_bytes)
+    n_bytes = packed_code_nbytes(n_books, n_words)
+    planes = np.zeros(n_rows * n_bytes, np.uint8)
+    runs = code_runs(planes, n_bytes)
 
-        def emit(at: int, found: np.ndarray) -> None:
-            _pack_runs([run[at:at + found.shape[1]] for run in runs], found, n_words)
-    else:
-        codes = np.empty((n_rows, n_books), dtype=np.uint16)
-
-        def emit(at: int, found: np.ndarray) -> None:
-            codes[at:at + found.shape[1]] = found.T
+    def emit(at: int, found: np.ndarray) -> None:
+        _pack_runs([run[at:at + found.shape[1]] for run in runs], found, n_words)
 
     # a lone block's pieces and books go to the threads that blocks would have used
     workers = encode_workers(n_rows // PIECE_ROWS if n_blocks == 1 else n_blocks)
@@ -427,7 +418,7 @@ def encode_rows(params: EncoderParams, books: np.ndarray, values,
 
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         fan_out(work, n_blocks, workers // inner, pool)
-    return planes if packed else codes
+    return planes
 
 
 def quantize_document(refined: np.ndarray, books: CodebookSet) -> QuantCode:
@@ -448,7 +439,8 @@ def reconstruct(books: CodebookSet, code: QuantCode) -> np.ndarray:
 
 
 def pack_codes(indices: np.ndarray, n_codewords: int) -> bytes:
-    """Pack one code's indices into ceil(M*log2(K)/8) bytes."""
+    """Pack one code's indices into its :func:`packed_code_nbytes` bytes,
+    as :func:`pack_codes_batch` does."""
     return pack_codes_batch([indices], n_codewords)[0].tobytes()
 
 
@@ -463,7 +455,8 @@ def unpack_codes(data: bytes, n_codebooks: int, n_codewords: int) -> np.ndarray:
 def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
     """Pack an (n, M) index matrix (else :class:`DimMismatchError`),
     checked by :func:`checked_codes`, into a C-contiguous (n,
-    bytes_per_code) uint8 array: row i is code i's bytes in file order."""
+    bytes_per_code) uint8 array at any K: row i is code i's bytes in file
+    order, the row an index file stores."""
     indices = checked_codes(indices, n_codewords)
     if indices.ndim != 2 or not indices.shape[1]:
         raise DimMismatchError(f"need an (n, M) index matrix, M >= 1, got shape {indices.shape}")
@@ -475,7 +468,7 @@ def pack_codes_batch(indices: np.ndarray, n_codewords: int) -> np.ndarray:
 def pack_planes(indices: np.ndarray, n_codewords: int) -> np.ndarray:
     """The flat word planes (:func:`code_runs`) of an (n, M) uint16 index
     matrix already checked by :func:`checked_codes`, at any K."""
-    n_bytes = _code_nbytes(indices.shape[1], n_codewords)
+    n_bytes = packed_code_nbytes(indices.shape[1], n_codewords)
     planes = np.zeros(len(indices) * n_bytes, np.uint8)
     _pack_runs(code_runs(planes, n_bytes), indices.T, n_codewords)
     return planes
@@ -530,10 +523,21 @@ def _pack_runs(runs, fields: np.ndarray, n_codewords: int) -> None:
             np.bitwise_or(runs[run], part, out=runs[run], casting="unsafe")
 
 
+def _check_fields(codes: np.ndarray, n_codewords: int, n_bytes: int | None = None) -> None:
+    """Raise :class:`IndexOutOfRangeError` when a 16-bit field of stored
+    codes, in either form of :func:`code_runs`, holds a value >= K, which
+    only a K that is not a power of two leaves room for; at b = 16 a run
+    is a field."""
+    if not is_pow2(n_codewords) and any(run.max(initial=0) >= n_codewords
+                                        for run in code_runs(codes, n_bytes)):
+        raise IndexOutOfRangeError(f"packed code indices must be in [0, {n_codewords})")
+
+
 def unpack_runs(runs, n_codebooks: int, n_codewords: int) -> np.ndarray:
-    """The row-major (n, M) uint16 sub-indices held in the runs of n codes
-    (:func:`code_runs`): the reverse of the packer, each index shifted back
-    out of every run its bits touch, then masked to b bits."""
+    """The (n, M) uint16 sub-indices held in the runs of n codes
+    (:func:`code_runs`), a transposed view of the (M, n) fields: the
+    reverse of the packer, each index shifted back out of every run its
+    bits touch, then masked to b bits."""
     fields = np.zeros((n_codebooks, len(runs[0])), np.uint16)
     part = np.empty(fields.shape[1], np.uint16)
     for field, spans in zip(fields, _run_shifts(n_codebooks, n_codewords)):
@@ -544,27 +548,21 @@ def unpack_runs(runs, n_codebooks: int, n_codewords: int) -> np.ndarray:
                 np.left_shift(runs[run], -shift, out=part, dtype=np.uint16)
             field |= part
     fields &= (1 << bits_per_index(n_codewords)) - 1
-    return np.ascontiguousarray(fields.T)
+    return fields.T
 
 
 def unpack_codes_batch(payload: np.ndarray, n_codebooks: int, n_codewords: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes_batch`; returns a row-major (n, M)
-    uint16 matrix.  A payload that is not (n, bytes_per_code) raises
-    :class:`DimMismatchError`, and values that are not integers in [0,
-    256) :class:`~micpq.errors.FileFormatError`."""
+    """Inverse of :func:`pack_codes_batch` at any K; returns a row-major
+    (n, M) uint16 matrix.  A payload that is not (n, bytes_per_code)
+    raises :class:`DimMismatchError`, values that are not integers in [0,
+    256) :class:`~micpq.errors.FileFormatError`, and a 16-bit field >= K
+    :class:`IndexOutOfRangeError`, by :func:`_check_fields`."""
     rows = checked_int(payload, 256, np.uint8, FileFormatError, "packed codes")
     width = packed_code_nbytes(n_codebooks, n_codewords)
     if rows.ndim != 2 or not 0 < width == rows.shape[1]:
         raise DimMismatchError(f"packed codes of shape {rows.shape} are not (n, {width}) bytes")
-    return unpack_runs(code_runs(rows), n_codebooks, n_codewords)
-
-
-def packed_code_nbytes(n_codebooks: int, n_codewords: int) -> int:
-    """Bytes per packed code: ceil(M*log2(K)/8); a K that is not a power
-    of two raises :class:`KNotPowerOfTwoError`."""
-    if not is_pow2(n_codewords):
-        raise KNotPowerOfTwoError(f"K={n_codewords} is not a power of two")
-    return _code_nbytes(n_codebooks, n_codewords)
+    _check_fields(rows, n_codewords)
+    return np.ascontiguousarray(unpack_runs(code_runs(rows), n_codebooks, n_codewords))
 
 
 def init_codebooks(
@@ -579,11 +577,15 @@ def init_codebooks(
     The default strategy samples K distinct refined segments per book
     (seeded, without replacement).  Books whose warmup segments have
     fewer than K distinct rows, and the ``"random"`` strategy, fall back
-    to N(0, 0.1^2) entries.
+    to N(0, 0.1^2) entries.  M < 1, or a row width that M does not
+    divide, raises :class:`InvalidConfigError`.
     """
     if strategy not in ("data", "random"):
         raise InvalidConfigError(f"unknown codebook init strategy {strategy!r}")
     refined_batch = np.asarray(refined_batch)
+    if n_codebooks < 1 or refined_batch.shape[1] % n_codebooks:
+        raise InvalidConfigError(f"{n_codebooks} codebooks do not split rows of width "
+                                 f"{refined_batch.shape[1]} into equal segments")
     sub = refined_batch.shape[1] // n_codebooks
     gen = rng.spawn(seed, rng.STREAM_CODEBOOK_INIT)
     books = np.empty((n_codebooks, n_codewords, sub), dtype=np.float32)

@@ -11,10 +11,11 @@ reads them.  K = 2 also ranks by Hamming distance.  Results are (doc id,
 distance) pairs ascending by (distance, doc id).  Doc ids are resident
 as uint32 when every id is below 2^32, else as uint64.
 
-Index file layout (little-endian, unchanged): magic ``MICPQIDX`` | version
-u32 | M u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32
-| doc ids n_docs u64 | codes row by row (packed for power-of-two K, else
-one u16 per sub-index: the same 16-bit fields).
+Index file layout (little-endian): magic ``MICPQIDX`` | version u32 | M
+u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32 | doc
+ids n_docs u64 | codes row by row, each the bytes of
+:func:`~micpq.quantizer.pack_codes` (one u16 per sub-index for a K that
+is not a power of two).
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from .errors import (
     DimMismatchError,
     EmptyIndexError,
     FileFormatError,
-    IndexOutOfRangeError,
     InvalidConfigError,
     InvalidSpecError,
     KNot2Error,
@@ -50,14 +50,13 @@ from .quantizer import (
     MAX_CODEWORDS,
     CodebookSet,
     QuantCode,
-    _code_nbytes,
+    _check_fields,
     bits_per_index,
     byte_planes,
     checked_codes,
     code_runs,
     diff_distances,
     encode_rows,
-    is_pow2,
     nearest_codewords,
     pack_planes,
     packed_code_nbytes,
@@ -92,7 +91,8 @@ class RetrievalIndex:
     and :func:`load_index` give them, kept as given when uint8; any other
     shape raises :class:`DimMismatchError`.  Only the word planes are
     kept, at every K.  Sub-indices that are not integers in [0, K), given
-    or in a payload's 16-bit fields (K not a power of two), raise
+    or in a payload's 16-bit fields (K not a power of two, checked by
+    :func:`~micpq.quantizer._check_fields`), raise
     :class:`~micpq.errors.IndexOutOfRangeError`.  A packed payload of
     values that are not integers in [0, 256), or with a padding bit set in
     a code's last byte, raises :class:`FileFormatError`: the Hamming scan
@@ -105,7 +105,7 @@ class RetrievalIndex:
     def __init__(self, books: CodebookSet, codes=None, doc_ids=None, packed=None) -> None:
         self.books = books
         n_books, n_words = books.n_codebooks, books.n_codewords
-        width = _code_nbytes(n_books, n_words)
+        width = packed_code_nbytes(n_books, n_words)
         if packed is None:
             packed = pack_planes(_checked_codes(codes, n_books, n_words), n_words)
         packed = as_array(packed, DimMismatchError, "packed codes")
@@ -123,23 +123,19 @@ class RetrievalIndex:
         padding = (0xFF << ((n_books * bits_per_index(n_words)) % 8)) & 0xFF
         if padding != 0xFF and np.any(byte_planes(self._planes, width)[-1] & padding):
             raise FileFormatError("packed codes have padding bits set")
-        if not is_pow2(n_words) and any(run.max(initial=0) >= n_words  # a 16-bit field
-                                        for run in code_runs(self._planes, width)):
-            raise IndexOutOfRangeError(f"packed code indices must be in [0, {n_words})")
+        _check_fields(self._planes, n_words, width)
 
     @property
     def codes(self) -> np.ndarray:
         """(n_docs, M) uint16 sub-indices, unpacked afresh."""
         n_books, n_words = self.books.n_codebooks, self.books.n_codewords
-        runs = code_runs(self._planes, _code_nbytes(n_books, n_words))
-        return unpack_runs(runs, n_books, n_words)
+        runs = code_runs(self._planes, packed_code_nbytes(n_books, n_words))
+        return np.ascontiguousarray(unpack_runs(runs, n_books, n_words))
 
     @property
-    def packed(self) -> np.ndarray | None:
-        """(n_docs, bytes_per_code) packed codes in file order, built afresh;
-        None unless K is a power of two."""
-        if not is_pow2(self.books.n_codewords):
-            return None
+    def packed(self) -> np.ndarray:
+        """(n_docs, bytes_per_code) packed codes in file order, the index
+        file's code rows, built afresh."""
         width = packed_code_nbytes(self.books.n_codebooks, self.books.n_codewords)
         rows = np.empty((self.n_docs, width), np.uint8)
         for column, run in zip(code_runs(rows), code_runs(self._planes, width)):
@@ -185,7 +181,7 @@ def build_index(
         )
     if isinstance(values, np.ndarray):  # an EmbeddingMatrix's float32 rows are not copied
         values = checked_real(values, values.shape, DimMismatchError, "corpus")
-    packed = encode_rows(model.encoder, model.books.books, values, packed=True)
+    packed = encode_rows(model.encoder, model.books.books, values)
     return RetrievalIndex(books=model.books, doc_ids=ids, packed=packed)
 
 
@@ -249,11 +245,11 @@ def adc_distances(lut: DistanceLUT, codes) -> np.ndarray:
     else:
         codes = _checked_codes(codes, n_books, n_words)
         n_rows, planes = len(codes), pack_planes(codes, n_words)
-    n_bytes, bits = _code_nbytes(n_books, n_words), bits_per_index(n_words)
+    n_bytes, bits = packed_code_nbytes(n_books, n_words), bits_per_index(n_words)
     if 8 % bits:
-        # unpacked fields (a 16-bit field is its run): each block's (rows,
-        # M) entries are gathered into one reused buffer and summed row by
-        # row by numpy, the bits of one whole-corpus gather
+        # unpacked (M, rows) fields (a 16-bit field is its run): each
+        # block's (rows, M) entries are gathered into one reused buffer and
+        # summed row by row by numpy, the bits of one whole-corpus gather
         runs = code_runs(planes, n_bytes)
         out = np.empty(n_rows, table.dtype)
         gathered = np.empty((min(n_rows, SCAN_ROWS), n_books), table.dtype)
@@ -407,7 +403,7 @@ def save_index(index: RetrievalIndex, path) -> None:
         ))
         f.write(np.ascontiguousarray(books.books, dtype="<f4"))
         f.write(index.doc_ids.astype("<u8", copy=False))  # u64 whatever the resident width
-        width = _code_nbytes(books.n_codebooks, books.n_codewords)
+        width = packed_code_nbytes(books.n_codebooks, books.n_codewords)
         runs = code_runs(index._planes, width)
         rows = np.empty((max(LOAD_BYTES // width, 1), width), np.uint8)
         for lo in range(0, index.n_docs, len(rows)):
@@ -439,7 +435,7 @@ def load_index(path) -> RetrievalIndex:
             raise FileFormatError(f"K={n_words} does not fit the format's u16 sub-indices")
         if min(n_books, sub_dim) < 1:
             raise FileFormatError(f"zero dimension in header: M={n_books}, sub_dim={sub_dim}")
-        code_nbytes = _code_nbytes(n_books, n_words)
+        code_nbytes = packed_code_nbytes(n_books, n_words)
         declared = 8 + _HEADER.size + n_books * n_words * sub_dim * 4 + n_docs * (8 + code_nbytes)
         check_file_size(f, declared)
         books = _read_exact(f, np.empty((n_books, n_words, sub_dim), "<f4"))

@@ -37,11 +37,14 @@ from .quantizer import (
     SPLIT_UPDATE_SIZE,
     CodebookSet,
     bits_per_index,
+    code_runs,
     encode_rows,
     encode_workers,
     init_codebooks,
     is_pow2,
+    packed_code_nbytes,
     split_rows,
+    unpack_runs,
 )
 
 # A file whose rows take at most this many bytes is read whole when
@@ -106,7 +109,11 @@ class ModelState:
     def __post_init__(self) -> None:
         """An encoder whose output width is not the books' total width, or a
         moment whose shape is not its parameter's, raises
-        :class:`~micpq.errors.DimMismatchError`: no checkpoint could hold it."""
+        :class:`~micpq.errors.DimMismatchError`, and a step that is not an
+        integer in [0, 2^64) :class:`InvalidConfigError`: no checkpoint
+        could hold it."""
+        if not isinstance(self.step, (int, np.integer)) or not 0 <= self.step < 1 << 64:
+            raise InvalidConfigError(f"step must be an integer in [0, 2^64), got {self.step!r}")
         if self.encoder.d_out != self.books.dim:
             raise DimMismatchError(f"encoder output width {self.encoder.d_out} != the codebooks' "
                                    f"total width {self.books.dim}")
@@ -288,15 +295,14 @@ def adam_step(
 def usage_histogram(state: ModelState, data) -> np.ndarray:
     """(M, K) hard-assignment counts over a corpus, dropout disabled:
     an array, an :class:`~micpq.dataio.EmbeddingMatrix` or an
-    :class:`~micpq.dataio.EmbeddingFile`, which
-    :func:`~micpq.quantizer.encode_rows` reads in pieces.  A corpus of
-    fewer than 2 * ``quantizer.ASSIGN_ROWS`` rows, such as a 4,000-row
-    training split, is one block, whose pieces and then books
-    ``encode_rows`` spreads over its W threads; a larger one is W runs of
-    blocks, one per thread."""
-    codes = encode_rows(state.encoder, state.books.books, getattr(data, "values", data))
+    :class:`~micpq.dataio.EmbeddingFile`, encoded by
+    :func:`~micpq.quantizer.encode_rows` on up to W threads and counted
+    from the (M, n) fields of its word planes."""
+    planes = encode_rows(state.encoder, state.books.books, getattr(data, "values", data))
     n_books, n_words = state.books.n_codebooks, state.books.n_codewords
-    slots = codes + n_words * np.arange(n_books)
+    runs = code_runs(planes, packed_code_nbytes(n_books, n_words))
+    fields = unpack_runs(runs, n_books, n_words).T
+    slots = fields + n_words * np.arange(n_books)[:, None]
     return np.bincount(slots.ravel(), minlength=n_books * n_words).reshape(n_books, n_words)
 
 
@@ -333,34 +339,22 @@ def train(
     val: EmbeddingMatrix | None = None,
     on_epoch=None,
 ) -> tuple[ModelState, TrainLog]:
-    """Run the full training loop; deterministic given (cfg, data).
-
-    ``on_epoch``, when given, is called with each finished EpochRecord.
+    """Run the full training loop and return the model and its log,
+    deterministic given (cfg, data) and bit for bit the serial loop's at
+    any thread count (README "Training" gives the mechanism).
 
     ``data`` is a matrix in memory or an
-    :class:`~micpq.dataio.EmbeddingFile`.  A file of at most
-    ``HOLD_BYTES`` of rows is read whole first.  A larger one is streamed:
-    its rows are read when they are needed (each batch, the warm-up batch
-    and each epoch's :func:`usage_histogram`), and every row is also read
-    once, a batch at a time on a pool thread while the model is
-    initialised.  Either way a non-finite value raises its reader's
+    :class:`~micpq.dataio.EmbeddingFile`, read whole when it holds at most
+    ``HOLD_BYTES`` of rows, else streamed; every source gives the same
+    bits.  ``on_epoch``, when given, is called with each finished
+    EpochRecord.  Fewer than 2 documents raise :class:`InvalidConfigError`;
+    a non-finite value raises its reader's
     :class:`~micpq.errors.NonFiniteValueError`, for the lowest bad row,
-    before the first step, and every source gives the same bits.
-
-    A pool of max(1, W - 1) threads serves the loop, W from
-    :func:`~micpq.quantizer.encode_workers` (1 under default threading).
-    A pool thread gathers step t+1's batch into that step's buffer (from
-    memory or the file) and draws its noise
-    (:func:`~micpq.objectives.draw_noise`) while step t runs; the two
-    steps' buffers alternate by parity.  The noise does not depend on the
-    parameters.  The step's three phases (:mod:`~micpq.objectives`), its
-    weight gradient and a large weight's Adam update run in W row pieces,
-    which the calling thread and the pool's free threads claim
-    (:func:`~micpq.quantizer.fan_out`): a piece left while the pool draws
-    noise runs on the calling thread, so no piece waits behind the noise.
-    The pieces write disjoint rows of the same arrays.
-    So the result is the serial loop's, bit for bit.  Every thread ends
-    before ``train`` returns or raises.
+    before the first step; a non-finite gradient raises
+    :class:`NonFiniteGradientError`.  One pool of max(1, W - 1) threads
+    is started, W from :func:`~micpq.quantizer.encode_workers` (1 under
+    default threading), and every thread ends before ``train`` returns or
+    raises.
     """
     from concurrent.futures import ThreadPoolExecutor
 

@@ -71,6 +71,12 @@ def _ints(a, stop) -> bool:
     return a.dtype.kind in "iu" and int(a.min()) >= 0 and int(a.max()) < stop
 
 
+def _fields_below(rows, stop) -> bool:
+    """Every little-endian 16-bit field of (n, 2M) byte values is < stop."""
+    rows = rows.astype(np.int64)
+    return bool((rows[:, 0::2] + 256 * rows[:, 1::2] < stop).all())
+
+
 def _code(a, n_words, n_books=None) -> bool:
     """What QuantCode(a, n_words) takes: a vector (a scalar being one
     index) of integers in [0, K), of ``n_books`` indices when given."""
@@ -131,6 +137,9 @@ TARGETS = {
     "unpack_codes_batch(M=2, K=16)": (lambda a: unpack_codes_batch(a, 2, 16),
                                       lambda a: a.ndim == 2 and a.shape[1] == 1
                                       and _ints(a, 256)),
+    "unpack_codes_batch(M=2, K=12)": (lambda a: unpack_codes_batch(a, 2, 12),
+                                      lambda a: a.ndim == 2 and a.shape[1] == 4
+                                      and _ints(a, 256) and _fields_below(a, 12)),
     "search_topk": (lambda a: search_topk(INDEX, a, MODEL, 2), lambda a: _real(a, (2,), True)),
     "search_topk_hamming": (lambda a: search_topk_hamming(INDEX_K2, a, MODEL_K2, 2),
                             lambda a: _real(a, (2,), True)),
@@ -180,6 +189,7 @@ def test_every_callable_export_is_fuzzed_or_listed_as_not_yet():
 @example(target="unpack_codes_batch(M=2, K=16)", values=np.full((1, 1), 300))  # [[12, 2]]
 @example(target="unpack_codes_batch(M=2, K=16)", values=np.zeros(3, np.uint8))  # TypeError
 @example(target="unpack_codes_batch(M=2, K=16)", values=np.array([["a"]]))  # ValueError
+@example(target="unpack_codes_batch(M=2, K=12)", values=np.zeros((1, 4), np.uint8))  # K = 12
 @example(target="LabelVector", values=np.array([0, 1.7]))  # kept as [0, 1]
 @example(target="LabelVector", values=np.array([0, 1 + 1j]))  # a ComplexWarning only
 @example(target="LabelVector", values=np.array(["a"]))  # ValueError

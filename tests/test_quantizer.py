@@ -17,7 +17,6 @@ from micpq.errors import (
     FileFormatError,
     IndexOutOfRangeError,
     InvalidConfigError,
-    KNotPowerOfTwoError,
     NonFiniteInputError,
     NonPositiveTemperatureError,
 )
@@ -25,9 +24,11 @@ from micpq.objectives import LossConfig, draw_noise
 from micpq.quantizer import (
     CodebookSet,
     QuantCode,
+    code_runs,
     encode_rows,
     gumbel_from_uniform,
     hard_assign_books,
+    init_codebooks,
     nearest_codewords,
     pack_codes,
     pack_codes_batch,
@@ -38,6 +39,7 @@ from micpq.quantizer import (
     squared_distances_books,
     unpack_codes,
     unpack_codes_batch,
+    unpack_runs,
 )
 
 from oracles import assign_probs, sample_soft_losses, step_soft
@@ -211,6 +213,13 @@ class TestHardAssignBooks:
         assert np.array_equal(hard_assign_books(refined.astype(np.float64), books), expected)
 
 
+def _encoded(encoder, books, values) -> np.ndarray:
+    """The (n, M) codes of encode_rows, unpacked from its word planes."""
+    planes = encode_rows(encoder, books, values)
+    n_books, n_words = np.shape(books)[:2]
+    return unpack_runs(code_runs(planes, packed_code_nbytes(n_books, n_words)), n_books, n_words)
+
+
 class TestEncodeRows:
     """The blocks of encode_rows refine to the same bits as one whole
     forward_batch, so its codes are those of the whole-pass reference."""
@@ -236,7 +245,7 @@ class TestEncodeRows:
             blocks[(batch.ctypes.data - values.ctypes.data) // values.strides[0]] = refined.copy()
             return refined
         monkeypatch.setattr(quantizer, "forward_batch", recording)
-        codes = encode_rows(encoder, books, values)
+        codes = _encoded(encoder, books, values)
         monkeypatch.undo()
 
         whole = forward_batch(encoder, values)
@@ -253,7 +262,7 @@ class TestEncodeRows:
         books = gen.normal(size=(2, 4, 3)).astype(np.float32)
         values = gen.normal(size=(n, 4)).astype(np.float32)
         expected = hard_assign_books(forward_batch(encoder, values), books)
-        assert np.array_equal(encode_rows(encoder, books, values), expected)
+        assert np.array_equal(_encoded(encoder, books, values), expected)
 
 
 class TestRefinePieces:
@@ -316,7 +325,7 @@ class TestEncodeRowsFromAFile:
             reads.append((start, stop))
             return read(self, start, stop, out)
         monkeypatch.setattr(EmbeddingFile, "read", spy)
-        codes = encode_rows(encoder, books, source)
+        codes = _encoded(encoder, books, source)
         monkeypatch.undo()
         expected = hard_assign_books(forward_batch(encoder, values[:n]), books)
         assert np.array_equal(codes, expected)
@@ -340,7 +349,7 @@ class TestEncodeRowsFromAFile:
             return forward_batch(params, batch, out=out)
         monkeypatch.setattr(quantizer, "forward_batch", recording)
         data = EmbeddingFile(path, np.arange(n)) if source == "file" else values[:n]
-        codes = encode_rows(encoder, books, data)
+        codes = _encoded(encoder, books, data)
         monkeypatch.undo()
         assert np.array_equal(codes, hard_assign_books(forward_batch(encoder, values[:n]), books))
         assert sum(pieces) == n and len(pieces) >= n_workers
@@ -376,7 +385,7 @@ class TestEncodePool:
             return forward_batch(params, batch, out=out)
         monkeypatch.setattr(quantizer, "forward_batch", recording)
         expected = hard_assign_books(forward_batch(encoder, values), books)
-        assert np.array_equal(encode_rows(encoder, books, values), expected)
+        assert np.array_equal(_encoded(encoder, books, values), expected)
         buffers = {id(base): base for base, _ in refined_by}
         assert len(buffers) == n_workers
         # each buffer is sized to its worker's largest block, so only the
@@ -392,14 +401,14 @@ class TestEncodePool:
         gen, encoder, books = _encoder_and_books(7)
         values = gen.normal(size=(40 * 64 + 17, encoder.d_in)).astype(np.float32)
         use_workers(1)
-        serial = encode_rows(encoder, books, values)
+        serial = _encoded(encoder, books, values)
         use_workers(8)
         pooled = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runner = threading.Thread(
-                target=lambda: pooled.append(encode_rows(encoder, books, values))
+                target=lambda: pooled.append(_encoded(encoder, books, values))
             )
             runner.start()
             runner.join(timeout=60)
@@ -462,7 +471,7 @@ class TestEncodePool:
         # finite rows are accepted at any magnitude
         tiny = EncoderParams(encoder.weight * np.float32(1e-30), encoder.bias)
         huge = np.full((10, encoder.d_in), 3e38, np.float32)
-        assert np.array_equal(encode_rows(tiny, books, huge),
+        assert np.array_equal(_encoded(tiny, books, huge),
                               hard_assign_books(forward_batch(tiny, huge), books))
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
@@ -478,7 +487,7 @@ class TestEncodePool:
             started.append(thread)
             start(thread)
         monkeypatch.setattr(threading.Thread, "start", counting)
-        codes = encode_rows(encoder, books, values)
+        codes = _encoded(encoder, books, values)
         monkeypatch.undo()
         assert np.array_equal(codes, hard_assign_books(forward_batch(encoder, values), books))
         assert len(started) <= n_workers - 1
@@ -654,8 +663,8 @@ class TestNearestCodewords:
 
 
 class TestPackedEncode:
-    """encode_rows(packed=True) ORs each chunk's codes into word planes as
-    they are assigned; the planes are those of pack_codes_batch of its codes."""
+    """encode_rows ORs each chunk's codes into word planes as they are
+    assigned; the planes are those of pack_codes_batch of its codes."""
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("n_rows", [300, 3 * 256 + 17], ids=["lone", "blocks"])
@@ -670,8 +679,8 @@ class TestPackedEncode:
             gen, encoder, books = _encoder_and_books(n_words + n_rows, n_books=n_books,
                                                      n_words=n_words)
             values = gen.normal(size=(n_rows, encoder.d_in)).astype(np.float32)
-            planes = encode_rows(encoder, books, values, packed=True)
-            codes = encode_rows(encoder, books, values)
+            planes = encode_rows(encoder, books, values)
+            codes = _encoded(encoder, books, values)
             packed = pack_codes_batch(codes, n_words)
             # one flat buffer of exactly n * bytes_per_code bytes: the word planes
             assert planes.dtype == np.uint8 and planes.shape == (packed.size,)
@@ -683,8 +692,8 @@ class TestPackedEncode:
     def test_other_k_packs_one_u16_run_per_sub_index(self):
         gen, encoder, books = _encoder_and_books(3, n_words=5)
         values = gen.normal(size=(10, encoder.d_in))
-        planes = encode_rows(encoder, books, values, packed=True)
-        codes = encode_rows(encoder, books, values)
+        planes = encode_rows(encoder, books, values)
+        codes = _encoded(encoder, books, values)
         # run m is sub-index m of every code, a 16-bit field
         assert planes.dtype == np.uint8
         assert np.array_equal(planes.view("<u2"), codes.T.ravel())
@@ -706,7 +715,7 @@ class TestPackedEncode:
 
             with monkeypatch.context() as patched:
                 patched.setattr(quantizer, "squared_distances_books", recording)
-                codes = encode_rows(encoder, books, values)
+                codes = _encoded(encoder, books, values)
             return codes, [seen[first] for first in sorted(seen)]
 
         serial, (whole,) = run(1)
@@ -811,8 +820,25 @@ class TestCodebookSet:
 
     def test_zero_codebooks_are_refused(self):
         # no code byte to pack, scan or count
-        with pytest.raises(InvalidConfigError, match="M >= 1"):
+        with pytest.raises(InvalidConfigError, match="M, sub_dim >= 1"):
             CodebookSet(np.ones((0, 16, 3), np.float32))
+
+    def test_zero_width_codewords_are_refused(self):
+        # kept, and a model over them saved a checkpoint that no load takes
+        with pytest.raises(InvalidConfigError, match="M, sub_dim >= 1"):
+            CodebookSet(np.ones((2, 4, 0)))
+
+
+class TestInitCodebooks:
+    def test_a_width_that_m_does_not_divide_is_refused(self):
+        # 6-wide books for 7-wide rows: the last column was dropped
+        with pytest.raises(InvalidConfigError, match="width 7"):
+            init_codebooks(np.ones((10, 7)), 3, 4, 0)
+
+    def test_zero_codebooks_are_refused(self):
+        # a bare ZeroDivisionError
+        with pytest.raises(InvalidConfigError, match="0 codebooks"):
+            init_codebooks(np.ones((10, 7)), 0, 4, 0)
 
 
 def test_assign_probs_of_integer_inputs_equals_their_float64_values():
@@ -846,6 +872,17 @@ class TestUnpackCheck:
         # a bare ValueError
         with pytest.raises(FileFormatError):
             unpack_codes_batch(np.array([["a"]]), 2, 16)
+
+    @pytest.mark.parametrize("field", [12, 255, 256, 65535])
+    def test_a_field_of_k_or_more_is_refused(self, field):
+        # a 16-bit field holds values up to 65,535 at K = 12
+        payload = np.array([[3, 0, *field.to_bytes(2, "little")]], np.uint8)
+        with pytest.raises(IndexOutOfRangeError, match=r"\[0, 12\)"):
+            unpack_codes_batch(payload, 2, 12)
+        with pytest.raises(IndexOutOfRangeError, match=r"\[0, 12\)"):
+            unpack_codes(payload[0].tobytes(), 2, 12)
+        payload[0, 2:] = [11, 0]
+        assert unpack_codes_batch(payload, 2, 12).tolist() == [[3, 11]]
 
     def test_bytes_and_their_values_unpack_alike(self):
         code = pack_codes(np.array([3, 0, 15, 7]), 16)
@@ -911,7 +948,7 @@ class TestPacking:
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(18)
-        for n_words in (2, 4, 8, 16, 256):
+        for n_words in (2, 3, 4, 8, 12, 16, 256):
             for n_books in (1, 3, 8, 32):
                 idx = rng.integers(0, n_words, size=(20, n_books))
                 packed = pack_codes_batch(idx, n_words)
@@ -922,9 +959,13 @@ class TestPacking:
         idx = np.array([5, 0, 15, 9], dtype=np.uint16)
         assert np.array_equal(unpack_codes(pack_codes(idx, 16), 4, 16), idx)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(KNotPowerOfTwoError):
-            pack_codes(np.array([0, 1]), 3)
+    @pytest.mark.parametrize("n_words", [3, 12, 65535])
+    def test_other_k_packs_one_u16_per_sub_index(self, n_words):
+        # pack_codes(..., 3) raised KNotPowerOfTwoError
+        idx = np.array([0, 1, n_words - 1], dtype=np.uint16)
+        assert pack_codes(idx, n_words) == idx.astype("<u2").tobytes()
+        assert np.array_equal(unpack_codes(pack_codes(idx, n_words), 3, n_words), idx)
+        assert QuantCode(idx, n_words).packed() == pack_codes(idx, n_words)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -941,3 +982,5 @@ class TestPacking:
         expected = {4: 2, 8: 4, 16: 8, 32: 16}
         for n_books, n_bytes in expected.items():
             assert packed_code_nbytes(n_books, 16) == n_bytes
+        # one 16-bit field per sub-index for a K that is not a power of two
+        assert [packed_code_nbytes(n_books, 12) for n_books in (1, 3, 8)] == [2, 6, 16]

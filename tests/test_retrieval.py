@@ -33,9 +33,12 @@ from micpq.quantizer import (
     CodebookSet,
     QuantCode,
     hard_assign_books,
+    pack_codes,
     pack_codes_batch,
     packed_code_nbytes,
     reconstruct,
+    unpack_codes,
+    unpack_codes_batch,
 )
 from micpq.retrieval import (
     INDEX_VERSION,
@@ -504,13 +507,27 @@ class TestIndexFile:
         )
         corpus = np.random.default_rng(23).uniform(0, 1, (9, books.dim)).astype(np.float32)
         index = build_index(_identity_model(books), EmbeddingMatrix(corpus))
-        assert index.packed is None
+        assert np.array_equal(index.packed, pack_codes_batch(index.codes, 3))
         assert index.payload_nbytes == 9 * 2 * 2  # one u16 per sub-index
         path = tmp_path / "odd.idx"
         save_index(index, path)
         loaded = load_index(path)
-        assert loaded.packed is None
+        assert np.array_equal(loaded.packed, index.packed)
         assert np.array_equal(loaded.codes, index.codes)
+
+    @pytest.mark.parametrize("n_words", [3, 12])
+    def test_packed_codes_are_the_file_rows_at_any_k(self, tmp_path, n_words):
+        _, index, codes, _ = _random_index(51, 5, n_words, n_docs=40)
+        rows = pack_codes_batch(codes, n_words)
+        assert rows.shape == (40, 10)  # one u16 per sub-index
+        assert b"".join(pack_codes(code, n_words) for code in codes) == rows.tobytes()
+        assert np.array_equal(unpack_codes_batch(rows, 5, n_words), codes)
+        assert all(np.array_equal(unpack_codes(row.tobytes(), 5, n_words), code)
+                   for row, code in zip(rows, codes))
+        assert np.array_equal(index.packed, rows)
+        save_index(index, tmp_path / "a.idx")
+        assert (tmp_path / "a.idx").read_bytes().endswith(rows.tobytes())
+        assert np.array_equal(load_index(tmp_path / "a.idx").packed, rows)
 
     def test_write_read_write_is_stable(self, tmp_path):
         index = self._index()
@@ -1160,11 +1177,8 @@ class TestLayout:
         assert index.payload_nbytes == rows.size
         assert index.codes.dtype == np.uint16 and np.array_equal(index.codes, codes)
         assert index.codes is not index.codes  # unpacked afresh, never kept
-        if pow2:
-            assert index.packed is not index.packed  # built afresh, never kept
-            assert np.array_equal(index.packed, rows)
-        else:
-            assert index.packed is None
+        assert index.packed is not index.packed  # built afresh, never kept
+        assert np.array_equal(index.packed, rows)
         books = index.books
         expected = (
             MAGIC_INDEX

@@ -201,6 +201,15 @@ class TestCheckpoint:
         with pytest.raises(DimMismatchError):
             dataclasses.replace(state, **change)
 
+    @pytest.mark.parametrize("step", [-1, 1 << 64, 2.0, "3"])
+    def test_a_step_no_checkpoint_holds_is_refused(self, tmp_path, step):
+        # save_checkpoint raised a bare struct.error
+        state = _tiny_state(9)
+        with pytest.raises(InvalidConfigError, match="step"):
+            dataclasses.replace(state, step=step)
+        save_checkpoint(dataclasses.replace(state, step=(1 << 64) - 1), tmp_path / "m.ckpt")
+        assert load_checkpoint(tmp_path / "m.ckpt").step == (1 << 64) - 1
+
     def test_wrong_version(self, tmp_path):
         state = _tiny_state(8)
         path = tmp_path / "model.ckpt"
