@@ -22,7 +22,7 @@ _EXPORTS = {
         "CodewordQualityReport EvalReport evaluate_codeword_quality hungarian_accuracy kmeans "
         "precision_at_k retrieval_eval split_indices"
     ),
-    "objectives": "LossConfig loss_and_gradients loss_values",
+    "objectives": "LossConfig loss_and_gradients",
     "quantizer": "CodebookSet QuantCode pack_codes quantize_document unpack_codes",
     "retrieval": (
         "DistanceLUT RetrievalIndex adc_distance build_index build_lut hamming_distance "

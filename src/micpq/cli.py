@@ -45,12 +45,8 @@ def _split_ratios(text: str) -> tuple[float, float, float]:
 _SHARED_OPTS = {
     "seed": (int, 0, "root random seed"),
     "threads": (int, None, "cap the BLAS and OpenMP thread pools (default: available "
-                "parallelism); train also runs one thread that reads the next step's batch "
-                "and draws its noise; "
-                "with W = affinity CPUs // BLAS threads, train runs each step's three phases "
-                "(forward, contrastive softmax, backward), its weight gradient and a large "
-                "weight's Adam update in W row pieces, and index, eval without --index and "
-                "train's usage histogram encode their rows on W threads"),
+                "parallelism); train, index and eval then use CPUs // that many worker "
+                "threads"),
     "config": (str, None, "key=value lines read as flags placed before the command line's own"),
 }
 

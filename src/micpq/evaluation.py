@@ -201,7 +201,6 @@ def evaluate_codeword_quality(
     model: ModelState,
     data: EmbeddingMatrix,
     labels: LabelVector,
-    kmeans_max_iters: int = 300,
     kmeans_seed: int = 0,
 ) -> CodewordQualityReport:
     """Score each codebook's hard assignments as a clustering of the data.
@@ -224,9 +223,7 @@ def evaluate_codeword_quality(
     for m in range(model.books.n_codebooks):
         segment = refined[:, m * sub:(m + 1) * sub]
         book_acc[m] = hungarian_accuracy(codes[:, m], labels.labels)
-        _, km_assigned = kmeans(
-            segment, labels.n_classes, max_iters=kmeans_max_iters, seed=kmeans_seed
-        )
+        _, km_assigned = kmeans(segment, labels.n_classes, seed=kmeans_seed)
         km_acc[m] = hungarian_accuracy(km_assigned, labels.labels)
     return CodewordQualityReport(per_book_accuracy=book_acc, kmeans_accuracy=km_acc)
 

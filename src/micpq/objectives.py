@@ -23,7 +23,7 @@ and each mixture gets that gradient minus its component along the row,
 over the row's norm.  Then come the mixture weights and codewords, the
 Gumbel-softmax Jacobian, the MI term through the plain softmax, the
 squared distances, the segments and codewords, the ReLU and the affine
-layer.  :func:`loss_values` runs the same forward without the backward.
+layer.
 
 The noise of step 1 (two dropout masks, two Gumbel blocks) reads no
 parameter: :func:`draw_noise` makes it from the batch and the step seed
@@ -366,18 +366,6 @@ def _step(
 
     split_rows(weight_rows, ws.grad_weight.shape[0], pool)
     return values, ParamGrads(weight=ws.grad_weight, bias=ws.grad_bias, books=grad_books)
-
-
-def loss_values(
-    params: EncoderParams,
-    books: CodebookSet,
-    batch: np.ndarray,
-    cfg: LossConfig,
-    seed: int,
-) -> LossValues:
-    """The loss values of :func:`loss_and_gradients`, bit for bit, without
-    the backward pass."""
-    return _step(params, books, batch, cfg, seed, None, None, None, False)[0]
 
 
 def loss_and_gradients(

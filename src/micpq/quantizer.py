@@ -523,11 +523,19 @@ def _pack_runs(runs, fields: np.ndarray, n_codewords: int) -> None:
             np.bitwise_or(runs[run], part, out=runs[run], casting="unsafe")
 
 
-def _check_fields(codes: np.ndarray, n_codewords: int, n_bytes: int | None = None) -> None:
-    """Raise :class:`IndexOutOfRangeError` when a 16-bit field of stored
-    codes, in either form of :func:`code_runs`, holds a value >= K, which
-    only a K that is not a power of two leaves room for; at b = 16 a run
-    is a field."""
+def _check_fields(codes: np.ndarray, n_codebooks: int, n_codewords: int) -> None:
+    """Check stored codes, in either form of :func:`code_runs`: a padding
+    bit set in a code's last byte raises :class:`FileFormatError`, and a
+    16-bit field that holds a value >= K :class:`IndexOutOfRangeError`.
+    Only codes of M * b bits not a multiple of 8 have padding, and only a
+    K that is not a power of two leaves a field room for a value >= K; at
+    b = 16 a run is a field."""
+    n_bytes = packed_code_nbytes(n_codebooks, n_codewords)
+    used = n_codebooks * bits_per_index(n_codewords) % 8  # bits in use of a code's last byte
+    if used:
+        last = codes[:, -1] if codes.ndim == 2 else byte_planes(codes, n_bytes)[-1]
+        if np.any(last >> used):
+            raise FileFormatError("packed codes have padding bits set")
     if not is_pow2(n_codewords) and any(run.max(initial=0) >= n_codewords
                                         for run in code_runs(codes, n_bytes)):
         raise IndexOutOfRangeError(f"packed code indices must be in [0, {n_codewords})")
@@ -555,13 +563,14 @@ def unpack_codes_batch(payload: np.ndarray, n_codebooks: int, n_codewords: int) 
     """Inverse of :func:`pack_codes_batch` at any K; returns a row-major
     (n, M) uint16 matrix.  A payload that is not (n, bytes_per_code)
     raises :class:`DimMismatchError`, values that are not integers in [0,
-    256) :class:`~micpq.errors.FileFormatError`, and a 16-bit field >= K
-    :class:`IndexOutOfRangeError`, by :func:`_check_fields`."""
+    256) or a padding bit set :class:`~micpq.errors.FileFormatError`, and
+    a 16-bit field >= K :class:`IndexOutOfRangeError`, by
+    :func:`_check_fields`."""
     rows = checked_int(payload, 256, np.uint8, FileFormatError, "packed codes")
     width = packed_code_nbytes(n_codebooks, n_codewords)
     if rows.ndim != 2 or not 0 < width == rows.shape[1]:
         raise DimMismatchError(f"packed codes of shape {rows.shape} are not (n, {width}) bytes")
-    _check_fields(rows, n_codewords)
+    _check_fields(rows, n_codebooks, n_codewords)
     return np.ascontiguousarray(unpack_runs(code_runs(rows), n_codebooks, n_codewords))
 
 

@@ -5,11 +5,14 @@ A corpus's codes are resident in one layout at every K: flat word planes
 ``n_docs * bytes_per_code`` bytes, of log2(K)-bit fields for power-of-two
 K, else of one 16-bit field per sub-index.  A query is refined once
 (dropout disabled) into an M x K table of squared distances to every
-codeword; a document's distance is the sum of its M entries, added as a
-balanced tree of pairs, numpy's own order at M=8, K=16, whichever scan
-reads them.  K = 2 also ranks by Hamming distance.  Results are (doc id,
-distance) pairs ascending by (distance, doc id).  Doc ids are resident
-as uint32 when every id is below 2^32, else as uint64.
+codeword; a document's distance is the sum of its M entries.  The packed
+scan (log2 K divides 8) adds them as a balanced tree of pairs, numpy's
+own order at M=8, K=16.  The unpacked scan (K not a power of two, or
+log2 K not dividing 8) adds them in the order of numpy's ``sum(axis=1)``
+over a row: left to right for M below 8, the tree of pairs at M = 8, and
+neither at M = 16.  K = 2 also ranks by Hamming distance.  Results are
+(doc id, distance) pairs ascending by (distance, doc id).  Doc ids are
+resident as uint32 when every id is below 2^32, else as uint64.
 
 Index file layout (little-endian): magic ``MICPQIDX`` | version u32 | M
 u32 | K u32 | sub_dim u32 | n_docs u64 | codebooks M*K*sub_dim f32 | doc
@@ -91,12 +94,13 @@ class RetrievalIndex:
     and :func:`load_index` give them, kept as given when uint8; any other
     shape raises :class:`DimMismatchError`.  Only the word planes are
     kept, at every K.  Sub-indices that are not integers in [0, K), given
-    or in a payload's 16-bit fields (K not a power of two, checked by
-    :func:`~micpq.quantizer._check_fields`), raise
+    or in a payload's 16-bit fields (K not a power of two), raise
     :class:`~micpq.errors.IndexOutOfRangeError`.  A packed payload of
     values that are not integers in [0, 256), or with a padding bit set in
     a code's last byte, raises :class:`FileFormatError`: the Hamming scan
-    counts every bit.  ``doc_ids`` default to the row numbers.  They are
+    counts every bit.  Fields and padding are checked by
+    :func:`~micpq.quantizer._check_fields`, as unpacking checks them.
+    ``doc_ids`` default to the row numbers.  They are
     kept as uint32 when the array is empty or every id is below 2^32, else
     as uint64; a uint32 array is kept as given.  Negative or non-integer
     ids raise :class:`InvalidSpecError`.
@@ -120,10 +124,7 @@ class RetrievalIndex:
         if self.doc_ids.ndim != 1 or self._planes.size != self.n_docs * width:
             raise DimMismatchError(f"{self._planes.size} code bytes for doc ids of shape "
                                    f"{self.doc_ids.shape} (width {width} expected)")
-        padding = (0xFF << ((n_books * bits_per_index(n_words)) % 8)) & 0xFF
-        if padding != 0xFF and np.any(byte_planes(self._planes, width)[-1] & padding):
-            raise FileFormatError("packed codes have padding bits set")
-        _check_fields(self._planes, n_words, width)
+        _check_fields(self._planes, n_books, n_words)
 
     @property
     def codes(self) -> np.ndarray:

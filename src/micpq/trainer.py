@@ -29,7 +29,6 @@ from .objectives import (
     StepWorkspace,
     draw_noise,
     loss_and_gradients,
-    loss_values,
 )
 from .quantizer import (
     MAX_CODEWORDS,
@@ -56,6 +55,8 @@ HOLD_BYTES = 1 << 22
 MAGIC_CHECKPOINT = b"MICPQCKP"
 CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<IIIIIIQ")  # version, d_in, d_out, M, K, sub_dim, step
+# Adam's decay rates and denominator guard: Kingma & Ba's defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def default_gumbel_temperature(n_codebooks: int, n_codewords: int) -> float:
@@ -149,18 +150,14 @@ class EpochRecord:
     mi_sum: float
     usage: np.ndarray  # (M, K) hard-assignment counts over the training data
     usage_entropy: float  # mean per-book entropy of the usage histogram, nats
-    val_loss: float | None = None
 
     def format_line(self) -> str:
         usage = ";".join(",".join(str(c) for c in row) for row in self.usage)
-        line = (
+        return (
             f"epoch={self.epoch} total={self.total_loss:.6f} "
             f"contrastive={self.contrastive_loss:.6f} mi_sum={self.mi_sum:.6f} "
             f"usage_entropy={self.usage_entropy:.6f} usage={usage}"
         )
-        if self.val_loss is not None:
-            line += f" val={self.val_loss:.6f}"
-        return line
 
 
 @dataclass
@@ -207,22 +204,22 @@ def init_model(
     )
 
 
-def _adam_update(param, m, v, grad, lr, beta1, beta2, eps, t, scratch):
+def _adam_update(param, m, v, grad, lr, t, scratch):
     """Update ``param``, ``m`` and ``v`` in place; the arithmetic runs in
     float64 in three (3, >= param.size) ``scratch`` rows."""
     m64, v64, tmp = (row[:param.size].reshape(param.shape) for row in scratch)
-    np.multiply(m, beta1, out=m64, dtype=np.float64)
-    m64 += np.multiply(grad, 1.0 - beta1, out=tmp, dtype=np.float64)
-    np.multiply(grad, 1.0 - beta2, out=tmp, dtype=np.float64)
+    np.multiply(m, ADAM_BETA1, out=m64, dtype=np.float64)
+    m64 += np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp, dtype=np.float64)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp, dtype=np.float64)
     np.multiply(tmp, grad, out=tmp, dtype=np.float64)
-    np.multiply(v, beta2, out=v64, dtype=np.float64)
+    np.multiply(v, ADAM_BETA2, out=v64, dtype=np.float64)
     v64 += tmp
     m[...] = m64
     v[...] = v64
-    m64 /= 1.0 - beta1**t  # m_hat
-    v64 /= 1.0 - beta2**t  # v_hat
+    m64 /= 1.0 - ADAM_BETA1**t  # m_hat
+    v64 /= 1.0 - ADAM_BETA2**t  # v_hat
     np.sqrt(v64, out=v64)
-    v64 += eps
+    v64 += ADAM_EPS
     m64 *= lr
     m64 /= v64
     param[...] = np.subtract(param, m64, out=tmp, dtype=np.float64)
@@ -237,14 +234,12 @@ def adam_step(
     state: ModelState,
     grads: ParamGrads,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     *,
     scratch: np.ndarray | None = None,
     pool=None,
 ) -> ModelState:
-    """One bias-corrected Adam update of encoder and codebooks, in place.
+    """One bias-corrected Adam update of encoder and codebooks, in place,
+    with β1, β2 and ε from ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     ``scratch``, when given, is a float64 array of shape (3, n), n at
     least the largest parameter's size (:func:`adam_scratch`); the
@@ -276,15 +271,14 @@ def adam_step(
 
     def weight_rows(start, stop):
         _adam_update(weight[start:stop], m_weight[start:stop], v_weight[start:stop],
-                     grad_weight[start:stop], lr, beta1, beta2, eps, t,
-                     scratch[:, start * row:stop * row])
+                     grad_weight[start:stop], lr, t, scratch[:, start * row:stop * row])
 
     if weight.size >= SPLIT_UPDATE_SIZE:
         split_rows(weight_rows, len(weight), pool)
     else:  # a fan-out costs more than it saves
         weight_rows(0, len(weight))
     for _, param, m, v, grad in params[1:]:
-        _adam_update(param, m, v, grad, lr, beta1, beta2, eps, t, scratch)
+        _adam_update(param, m, v, grad, lr, t, scratch)
     # revalidate: an update can overflow float32
     state.encoder = EncoderParams(state.encoder.weight, state.encoder.bias)
     state.books = CodebookSet(state.books.books)
@@ -336,7 +330,6 @@ def _step_plan(cfg: TrainConfig, n_docs: int, first_perm: np.ndarray):
 def train(
     cfg: TrainConfig,
     data: EmbeddingMatrix | EmbeddingFile,
-    val: EmbeddingMatrix | None = None,
     on_epoch=None,
 ) -> tuple[ModelState, TrainLog]:
     """Run the full training loop and return the model and its log,
@@ -434,12 +427,6 @@ def train(
                 continue
 
             counts = usage_histogram(state, data)
-            val_loss = None
-            if val is not None:
-                val_seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, 2**31 + epoch)
-                val_loss = loss_values(
-                    state.encoder, state.books, val.values, cfg.loss, val_seed
-                ).total
             record = EpochRecord(
                 epoch=epoch,
                 total_loss=float(sums[0] / n_steps),
@@ -447,7 +434,6 @@ def train(
                 mi_sum=float(sums[2] / n_steps),
                 usage=counts,
                 usage_entropy=usage_entropy(counts),
-                val_loss=val_loss,
             )
             sums, n_steps = np.zeros(3), 0
             log.records.append(record)

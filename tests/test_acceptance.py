@@ -247,7 +247,7 @@ def test_criterion_5_bit_budget():
         index = RetrievalIndex(
             books=books, codes=codes, doc_ids=np.arange(n_docs, dtype=np.uint64)
         )
-        assert index.packed is not None
+        assert index.packed.shape == (n_docs, bits // 8)
         measured[n_books] = index.payload_nbytes
         assert index.payload_nbytes == n_docs * bits // 8
         assert np.array_equal(index.packed, pack_codes_batch(codes, 16))

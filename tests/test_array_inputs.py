@@ -131,7 +131,7 @@ TARGETS = {
     "pack_codes": (lambda a: pack_codes(a, 4),
                    lambda a: a.ndim == 1 and a.size > 0 and _ints(a, 4)),
     "unpack_codes": (lambda a: unpack_codes(a, 2, 4),
-                     lambda a: _bytes(a).shape == (1,) and _ints(_bytes(a), 256)),
+                     lambda a: _bytes(a).shape == (1,) and _ints(_bytes(a), 16)),
     "unpack_codes(M=8, K=16)": (lambda a: unpack_codes(a, 8, 16),
                                 lambda a: _bytes(a).shape == (4,) and _ints(_bytes(a), 256)),
     "unpack_codes_batch(M=2, K=16)": (lambda a: unpack_codes_batch(a, 2, 16),
@@ -150,7 +150,7 @@ NOT_YET_FUZZED = {
     "CodewordQualityReport", "DropoutConfig", "EvalReport", "LossConfig", "MixtureSpec",
     "ModelState", "TrainConfig", "TrainLog", "adam_step", "dropout_view",
     "evaluate_codeword_quality", "forward_batch", "hungarian_accuracy", "init_model", "kmeans",
-    "load_checkpoint", "load_index", "loss_and_gradients", "loss_values", "precision_at_k",
+    "load_checkpoint", "load_index", "loss_and_gradients", "precision_at_k",
     "read_embeddings", "read_labels", "retrieval_eval", "save_checkpoint", "save_index",
     "split_indices", "synth_mixture", "train", "write_embeddings", "write_labels",
 }
@@ -184,6 +184,7 @@ def test_every_callable_export_is_fuzzed_or_listed_as_not_yet():
 @given(target=st.sampled_from(sorted(TARGETS)), values=_ARRAYS)
 # each example failed before its entry point was checked: a bare numpy
 # exception, or a value returned for input the contract refuses
+@example(target="unpack_codes", values=b"\x13")  # a padding bit set: [3, 0]
 @example(target="unpack_codes(M=8, K=16)", values=b"\x01")  # IndexError
 @example(target="unpack_codes(M=8, K=16)", values=b"\x01" * 5)  # the fifth byte was ignored
 @example(target="unpack_codes_batch(M=2, K=16)", values=np.full((1, 1), 300))  # [[12, 2]]

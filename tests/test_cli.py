@@ -627,15 +627,58 @@ class TestExports:
             micpq.not_exported
 
 
+def _child_env(**threads) -> dict[str, str]:
+    """This environment without its thread variables, plus ``threads``,
+    with the package on the import path."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(micpq.__file__).resolve().parent.parent)
+    return {**env, **threads}
+
+
+# synth -> train -> index -> search -> eval on a 768-wide corpus, every path
+# relative: a training step multiplies 512 x 768 by 768 x 192, which
+# OpenBLAS runs on two threads on a 2-CPU host
+_PIPELINE = [
+    ["synth", "--n", "1024", "--dim", "768", "--classes", "16", "--sep", "4", "--seed", "5",
+     "--out", "data"],
+    ["train", "--emb", "data/data.emb", "--M", "8", "--K", "16", "--epochs", "2",
+     "--batch-size", "256", "--seed", "5", "--out", "model.ckpt", "--log", "train.log"],
+    ["index", "--ckpt", "model.ckpt", "--emb", "data/data.emb", "--out", "corpus.idx"],
+    ["search", "--index", "corpus.idx", "--ckpt", "model.ckpt", "--queries", "data/data.emb",
+     "--k", "10"],
+    ["eval", "--ckpt", "model.ckpt", "--emb", "data/data.emb", "--labels", "data/data.lbl",
+     "--k", "10", "--clustering", "--report", "eval.txt"],
+]
+
+
 class TestThreads:
-    """``--threads`` must reach the environment before numpy first loads."""
+    """``--threads`` must reach the environment before numpy first loads,
+    and no thread setting changes a byte of any output."""
 
     def _python(self, code):
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-        env["PYTHONPATH"] = str(Path(micpq.__file__).resolve().parent.parent)
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
+        done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, check=True)
         return done.stdout.strip().splitlines()[-1]
+
+    def test_pipeline_bytes_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # one BLAS thread (so W = the CPUs), two, and OpenBLAS's default
+        outputs = []
+        for setting in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {}):
+            run = tmp_path / setting.get("OPENBLAS_NUM_THREADS", "default")
+            run.mkdir()
+            for argv in _PIPELINE:
+                done = subprocess.run([sys.executable, "-m", "micpq.cli", *argv], cwd=run,
+                                      env=_child_env(**setting), capture_output=True)
+                assert done.returncode == 0, (setting, argv[0], done.stderr)
+                (run / f"{argv[0]}.stdout").write_bytes(done.stdout)
+            outputs.append({path.relative_to(run).as_posix(): path.read_bytes()
+                            for path in run.rglob("*") if path.is_file()})
+        assert sorted(outputs[0]) == sorted([
+            "data/data.emb", "data/data.lbl", "model.ckpt", "train.log", "corpus.idx",
+            "eval.txt", *(f"{argv[0]}.stdout" for argv in _PIPELINE)])
+        for other in outputs[1:]:
+            names = sorted(outputs[0].keys() | other.keys())
+            assert [name for name in names if other.get(name) != outputs[0].get(name)] == []
 
     def test_importing_the_cli_loads_no_numpy(self):
         assert self._python("import sys, micpq.cli; print('numpy' in sys.modules)") == "False"

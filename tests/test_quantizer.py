@@ -850,7 +850,8 @@ def test_assign_probs_of_integer_inputs_equals_their_float64_values():
 
 class TestUnpackCheck:
     """unpack_codes and unpack_codes_batch take exactly
-    packed_code_nbytes(M, K) bytes per code, each an integer in [0, 256)."""
+    packed_code_nbytes(M, K) bytes per code, each an integer in [0, 256),
+    with the padding bits of a code's last byte clear."""
 
     # one byte raised a bare IndexError; the fifth of five was ignored
     @pytest.mark.parametrize("payload", [b"\x01", b"\x01" * 5])
@@ -883,6 +884,21 @@ class TestUnpackCheck:
             unpack_codes(payload[0].tobytes(), 2, 12)
         payload[0, 2:] = [11, 0]
         assert unpack_codes_batch(payload, 2, 12).tolist() == [[3, 11]]
+
+    @pytest.mark.parametrize("n_books, n_words, payload", [
+        (3, 16, [0x21, 0xF3]), (3, 16, [0x21, 0x13]), (2, 4, [0x80]), (3, 8, [0, 0x02]),
+        (12, 2, [0, 0x10])])
+    def test_a_padding_bit_set_is_refused(self, n_books, n_words, payload):
+        # these unpacked as if their padding were clear, where load_index refused them
+        payload = np.array([payload], np.uint8)
+        with pytest.raises(FileFormatError, match="padding"):
+            unpack_codes_batch(payload, n_books, n_words)
+        with pytest.raises(FileFormatError, match="padding"):
+            unpack_codes(payload[0].tobytes(), n_books, n_words)
+        used = n_books * (n_words.bit_length() - 1) % 8
+        payload[0, -1] &= (1 << used) - 1
+        codes = unpack_codes_batch(payload, n_books, n_words)
+        assert np.array_equal(pack_codes_batch(codes, n_words), payload)
 
     def test_bytes_and_their_values_unpack_alike(self):
         code = pack_codes(np.array([3, 0, 15, 7]), 16)

@@ -96,7 +96,7 @@ class TestAdamStep:
         grads = _zero_grads(state)
         grads.weight[0, 0] = 1.0
         before = state.encoder.weight.copy()
-        adam_step(state, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(state, grads, lr=0.001)
         delta = float(state.encoder.weight[0, 0] - before[0, 0])
         assert delta == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-5)
         assert np.array_equal(state.encoder.weight[1:], before[1:])
@@ -423,23 +423,6 @@ class TestTrain:
         loaded = load_checkpoint(path)
         assert loaded.step == state.step
         assert np.array_equal(loaded.books.books, state.books.books)
-
-    def test_val_loss_recorded(self):
-        corpus = _tiny_corpus()
-        val = EmbeddingMatrix(corpus.values[:20])
-        data = EmbeddingMatrix(corpus.values[20:])
-        _, log = train(_tiny_config(n_epochs=1), data, val=val)
-        assert log.records[0].val_loss is not None
-        assert "val=" in log.records[0].format_line()
-
-    def test_val_loss_is_the_objective_at_the_validation_seed(self):
-        corpus = _tiny_corpus()
-        val = EmbeddingMatrix(corpus.values[:20])
-        cfg = _tiny_config(n_epochs=1)
-        state, log = train(cfg, EmbeddingMatrix(corpus.values[20:]), val=val)
-        seed = rng.derive_seed(cfg.seed, rng.STREAM_STEP, 2**31)
-        values, _ = loss_and_gradients(state.encoder, state.books, val.values, cfg.loss, seed)
-        assert log.records[0].val_loss == values.total
 
     def test_usage_histogram_matches_per_book_assignment(self):
         corpus = _tiny_corpus()
